@@ -1,11 +1,7 @@
 // Figure 11: writer-thread sensitivity. With many concurrent writers
 // the group-commit queue becomes the bottleneck and the WAL buffer's
 // benefit shrinks (paper: WAL-Buf gain drops from ~22% to ~1% at 8
-// writer threads). On top of the paper's engines this bench adds
-// "shield-parallel": the SHIELD engine with the pipelined-keystream
-// encrypted WAL (EncryptionOptions::wal_pipeline_window) and the
-// sharded memtable (Options::memtable_shards), which keeps scaling
-// where the single-threaded apply path flattens out.
+// writer threads).
 //
 // Emits BENCH_fig11.json with one result row per engine x thread
 // count (labels "<engine>/t<threads>") so CI can check the 1->8
@@ -13,8 +9,6 @@
 //
 // Knobs: SHIELD_BENCH_OPS / SHIELD_BENCH_KEYS     (bench_common.h)
 //        SHIELD_BENCH_FIG11_MAX_WRITERS           (default 16)
-//        SHIELD_BENCH_FIG11_SHARDS                (default 8)
-//        SHIELD_BENCH_FIG11_PIPELINE              (default 262144)
 
 #include <cinttypes>
 #include <vector>
@@ -25,21 +19,12 @@ namespace shield {
 namespace bench {
 namespace {
 
-// The parallel write path is not one of the paper's engines; it is
-// this repo's extension, so it gets its own label next to them.
-const char* kParallelName = "shield-parallel";
-
 void Run() {
   const uint64_t max_writers = EnvInt("SHIELD_BENCH_FIG11_MAX_WRITERS", 16);
-  const int shards =
-      static_cast<int>(EnvInt("SHIELD_BENCH_FIG11_SHARDS", 8));
-  const size_t pipeline_window = static_cast<size_t>(
-      EnvInt("SHIELD_BENCH_FIG11_PIPELINE", 256 * 1024));
 
   PrintBenchHeader("Fig 11: writer threads (fillrandom, 16 bg jobs)",
                    "WAL-Buf benefit fades as writers saturate the "
-                   "ingestion queue; the parallel write path keeps "
-                   "scaling");
+                   "ingestion queue");
 
   std::shared_ptr<Statistics> stats = CreateDBStatistics();
   std::vector<BenchResult> all_results;
@@ -50,29 +35,12 @@ void Run() {
     }
     printf("\n-- %d writer thread(s) --\n", threads);
     BenchResult unbuffered;
-    BenchResult shield_baseline;
-    // kShield is the pre-parallel-write-path configuration (single
-    // memtable, per-group keystream computed inline on the leader):
-    // the paper-faithful baseline the parallel path is judged against.
-    struct Config {
-      Engine engine;
-      bool parallel;
-    };
-    const Config configs[] = {{Engine::kUnencrypted, false},
-                              {Engine::kShield, false},
-                              {Engine::kShieldWalBuf, false},
-                              {Engine::kShieldWalBuf, true}};
-    for (const Config& config : configs) {
+    for (Engine engine :
+         {Engine::kUnencrypted, Engine::kShield, Engine::kShieldWalBuf}) {
       Options options = MonolithOptions();
       options.max_background_jobs = 16;
       options.statistics = stats;
-      ApplyEngine(config.engine, &options);
-      std::string name = EngineName(config.engine);
-      if (config.parallel) {
-        options.memtable_shards = shards;
-        options.encryption.wal_pipeline_window = pipeline_window;
-        name = kParallelName;
-      }
+      ApplyEngine(engine, &options);
       auto db = OpenFresh(options, "fig11");
 
       WorkloadOptions workload;
@@ -84,31 +52,22 @@ void Run() {
           stats->GetTickerCount(Tickers::kLsmWriteGroups);
       const uint64_t grouped_before =
           stats->GetTickerCount(Tickers::kLsmWriteGroupSize);
-      const uint64_t stall_before =
-          stats->GetTickerCount(Tickers::kLsmWalPipelineStallMicros);
 
       BenchResult result = FillRandomSettled(
-          db.get(), workload, name + "/t" + std::to_string(threads));
+          db.get(), workload,
+          std::string(EngineName(engine)) + "/t" + std::to_string(threads));
       PrintResult(result);
 
       const uint64_t groups =
           stats->GetTickerCount(Tickers::kLsmWriteGroups) - groups_before;
       const uint64_t grouped =
           stats->GetTickerCount(Tickers::kLsmWriteGroupSize) - grouped_before;
-      const uint64_t stall =
-          stats->GetTickerCount(Tickers::kLsmWalPipelineStallMicros) -
-          stall_before;
-      printf("   groups=%" PRIu64 " avg_group=%.2f pipeline_stall=%" PRIu64
-             "us\n",
-             groups, groups > 0 ? static_cast<double>(grouped) / groups : 0.0,
-             stall);
+      printf("   groups=%" PRIu64 " avg_group=%.2f\n", groups,
+             groups > 0 ? static_cast<double>(grouped) / groups : 0.0);
 
-      if (config.parallel) {
-        PrintPercentVs(shield_baseline, result);
-      } else if (config.engine == Engine::kShield) {
-        shield_baseline = result;
+      if (engine == Engine::kShield) {
         unbuffered = result;
-      } else if (config.engine == Engine::kShieldWalBuf) {
+      } else if (engine == Engine::kShieldWalBuf) {
         PrintPercentVs(unbuffered, result);
       }
       all_results.push_back(result);

@@ -40,10 +40,6 @@ void ApplyEngine(Engine engine, Options* options, size_t wal_buffer_size) {
       enc.mode = EncryptionMode::kShield;
       enc.wal_buffer_size =
           engine == Engine::kShieldWalBuf ? wal_buffer_size : 0;
-      // The paper engines pay the per-operation cipher initialization
-      // the WAL buffer amortizes; the keystream pipeline would hide
-      // it. Benches opt in explicitly (bench_fig11's parallel config).
-      enc.wal_pipeline_window = 0;
       return;
   }
 }

@@ -71,7 +71,6 @@ Status RemoteCompactionWorker::RunCompaction(const CompactionJobSpec& job,
   std::vector<Iterator*> iters;
   Status s;
   ReadOptions read_options;
-  read_options.verify_checksums = true;
   read_options.fill_cache = false;
 
   auto open_inputs = [&](const std::vector<CompactionInput>& inputs) {

@@ -16,11 +16,9 @@ namespace shield {
 namespace {
 
 // Detector thresholds (the table in DESIGN.md "Cluster health plane"
-// mirrors these). Stalls and pipeline ratios are measured between two
-// consecutive evaluations, so thresholds are per-interval.
+// mirrors these). Stalls are measured between two consecutive
+// evaluations, so thresholds are per-interval.
 constexpr uint64_t kStallCriticalMicros = 1 * 1000 * 1000;
-constexpr double kWalPipelineWarnRatio = 0.05;
-constexpr double kWalPipelineCriticalRatio = 0.25;
 
 }  // namespace
 
@@ -88,41 +86,6 @@ void DBImpl::SetupHealthPlane() {
     } else if (files >= options_.level0_slowdown_writes_trigger) {
       s.level = HealthLevel::kWarn;
       s.detail = "level-0 at slowdown trigger";
-    }
-    return s;
-  });
-
-  // Keystream-pipeline stalls: fraction of the evaluation interval the
-  // WAL append path spent waiting for keystream blocks.
-  auto pipeline_state = std::make_shared<std::pair<uint64_t, uint64_t>>(
-      options_.statistics != nullptr
-          ? options_.statistics->GetTickerCount(
-                Tickers::kLsmWalPipelineStallMicros)
-          : 0,
-      NowMicros());
-  health_monitor_.RegisterDetector("wal.pipeline", [this, pipeline_state] {
-    HealthSample s;
-    if (options_.statistics == nullptr) {
-      s.detail = "no statistics configured";
-      return s;
-    }
-    const uint64_t stall = options_.statistics->GetTickerCount(
-        Tickers::kLsmWalPipelineStallMicros);
-    const uint64_t now = NowMicros();
-    const uint64_t stall_delta =
-        stall >= pipeline_state->first ? stall - pipeline_state->first : 0;
-    const uint64_t wall_delta =
-        now > pipeline_state->second ? now - pipeline_state->second : 1;
-    *pipeline_state = {stall, now};
-    const double ratio =
-        static_cast<double>(stall_delta) / static_cast<double>(wall_delta);
-    s.value = ratio;
-    if (ratio >= kWalPipelineCriticalRatio) {
-      s.level = HealthLevel::kCritical;
-      s.detail = "WAL keystream pipeline saturated";
-    } else if (ratio >= kWalPipelineWarnRatio) {
-      s.level = HealthLevel::kWarn;
-      s.detail = "WAL keystream pipeline stalling";
     }
     return s;
   });

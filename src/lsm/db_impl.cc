@@ -36,15 +36,12 @@ Options SanitizeOptions(const Options& src) {
   // shaping agree on the exact bucket set.
   result.encryption.wal_padding_buckets =
       log::SanitizePaddingBuckets(result.encryption.wal_padding_buckets);
-  result.memtable_shards = std::max(1, std::min(result.memtable_shards, 64));
-  // A freshly-created memtable already holds one arena block per shard
-  // (each shard's skiplist head), so a write buffer at or below that
-  // baseline would make MakeRoomForWrite switch empty memtables
-  // forever without ever finding room. Keep the floor a few blocks
-  // above the baseline, scaled with the shard count.
-  result.write_buffer_size = std::max<size_t>(
-      result.write_buffer_size,
-      static_cast<size_t>(result.memtable_shards) * 16 * 1024);
+  // A freshly-created memtable already holds one arena block (the
+  // skiplist head), so a write buffer at or below that baseline would
+  // make MakeRoomForWrite switch empty memtables forever without ever
+  // finding room. Keep the floor a few blocks above the baseline.
+  result.write_buffer_size =
+      std::max<size_t>(result.write_buffer_size, 16 * 1024);
   // Keep the stall ladder consistent: writers must never stop on a
   // level-0 count that compaction is not even trying to reduce.
   if (result.level0_slowdown_writes_trigger <
@@ -111,8 +108,7 @@ DBImpl::~DBImpl() {
       return !flush_scheduled_ && !compaction_scheduled_;
     });
   }
-  bg_pool_.reset();     // joins workers
-  apply_pool_.reset();  // idle by now: no leader outlives Write()
+  bg_pool_.reset();  // joins workers
 
   {
     // Fail any queued writers.
@@ -475,7 +471,7 @@ Status DBImpl::Recover() {
 
   if (read_only_) {
     if (mem_ == nullptr) {
-      mem_ = new MemTable(internal_comparator_, options_.memtable_shards);
+      mem_ = new MemTable(internal_comparator_);
       mem_->Ref();
     }
     RecordCatchupApplied();
@@ -504,19 +500,12 @@ Status DBImpl::Recover() {
   }
 
   if (mem_ == nullptr) {
-    mem_ = new MemTable(internal_comparator_, options_.memtable_shards);
+    mem_ = new MemTable(internal_comparator_);
     mem_->Ref();
   }
 
   bg_pool_ = std::make_unique<ThreadPool>(
       static_cast<size_t>(options_.max_background_jobs));
-  if (options_.memtable_shards > 1) {
-    // One worker per non-leader shard, capped at the machine: with
-    // fewer workers than shards the extra shard applies just queue.
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    apply_pool_ = std::make_unique<ThreadPool>(std::min<size_t>(
-        static_cast<size_t>(options_.memtable_shards - 1), hw));
-  }
 
   RemoveObsoleteFiles();
   MaybeScheduleCompaction();
@@ -689,11 +678,6 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     // not advance this (sequence gaps would stand for batches that
     // never landed).
     *value = std::to_string(versions_->LastSequence());
-    return true;
-  }
-  if (in == Slice("memtable-shards")) {
-    *value = std::to_string(mem_ != nullptr ? mem_->shard_count()
-                                            : options_.memtable_shards);
     return true;
   }
   if (in == Slice("stall-micros")) {

@@ -120,11 +120,6 @@ class DBImpl final : public DB {
   Status MakeRoomForWrite(std::unique_lock<std::mutex>& lock, bool force);
   WriteBatch* BuildBatchGroup(Writer** last_writer);
   Status SwitchMemTable(std::unique_lock<std::mutex>& lock);
-  /// Applies a verified batch group to mem_, one thread per memtable
-  /// shard for large groups (the shard partitions are disjoint, so
-  /// each shard keeps a single inserting thread). REQUIRES: mutex_
-  /// NOT held; calling thread is the group-commit leader.
-  Status ApplyGroupToMemTable(WriteBatch* write_batch);
 
   // Read path (db_read.cc).
   Iterator* NewInternalIterator(const ReadOptions& options,
@@ -311,11 +306,6 @@ class DBImpl final : public DB {
   std::vector<uint64_t> offload_pending_outputs_;
 
   std::unique_ptr<ThreadPool> bg_pool_;
-  // Workers for the parallel shard apply in the write path; non-null
-  // only when options_.memtable_shards > 1. Kept separate from
-  // bg_pool_ so a long compaction can never starve a committed group's
-  // memtable apply.
-  std::unique_ptr<ThreadPool> apply_pool_;
   bool flush_scheduled_ = false;
   bool compaction_scheduled_ = false;
   bool manual_compaction_running_ = false;

@@ -43,7 +43,7 @@ Status DBImpl::RecoverLogFile(uint64_t log_number,
   if (read_only_) {
     // Read-only instances accumulate all replayed WAL state in mem_.
     if (mem_ == nullptr) {
-      mem_ = new MemTable(internal_comparator_, options_.memtable_shards);
+      mem_ = new MemTable(internal_comparator_);
       mem_->Ref();
     }
     mem = mem_;
@@ -55,7 +55,7 @@ Status DBImpl::RecoverLogFile(uint64_t log_number,
     WriteBatch batch;
     batch.SetContents(record);
     if (mem == nullptr) {
-      mem = new MemTable(internal_comparator_, options_.memtable_shards);
+      mem = new MemTable(internal_comparator_);
       mem->Ref();
     }
     status = batch.InsertInto(mem);
@@ -238,7 +238,7 @@ Status DBImpl::TryCatchUp() {
   if (mem_ != nullptr) {
     mem_->Unref();
   }
-  mem_ = new MemTable(internal_comparator_, options_.memtable_shards);
+  mem_ = new MemTable(internal_comparator_);
   mem_->Ref();
 
   versions_ = std::move(new_versions);

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <thread>
 #include <vector>
 
 #include "lsm/db_impl.h"
@@ -57,20 +56,6 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
   }
   qlock.unlock();
 
-  // Group-commit window: give runnable-but-unscheduled writers a
-  // chance to enqueue before the group is sealed. Without this a
-  // non-sync leader monopolizes the CPU on saturated machines and
-  // every write degenerates into a group of one.
-  if (updates != nullptr && options_.write_group_yields > 0) {
-    for (int i = 0; i < options_.write_group_yields; i++) {
-      std::this_thread::yield();
-      std::lock_guard<std::mutex> qcheck(writers_mutex_);
-      if (writers_.size() > 1) {
-        break;
-      }
-    }
-  }
-
   // We are the group leader. Lock order is mutex_ then writers_mutex_.
   std::unique_lock<std::mutex> lock(mutex_);
   Status status = MakeRoomForWrite(lock, updates == nullptr);
@@ -106,15 +91,13 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
 
     // Pipeline stages, mutex released (&w is the only awake writer and
     // memtable inserts happen only under the leader):
-    //   verify -> WAL append -> shard apply -> publish -> Sync.
-    // The keystream prefetcher (shield/file_crypto.cc) overlaps the
-    // cipher work for this group with the previous group's Sync.
+    //   verify -> WAL append -> memtable apply -> publish -> Sync.
     mutex_.unlock();
     bool wal_error = false;
     bool sync_error = false;
     bool applied = false;
     // All-or-nothing: a malformed batch is rejected before it reaches
-    // the WAL or any memtable shard. Verification depends only on the
+    // the WAL or the memtable. Verification depends only on the
     // rep bytes, so a batch that passes cannot fail the apply below —
     // the group is never left half-applied, and a corrupt record never
     // poisons WAL replay.
@@ -130,7 +113,10 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
     bool apply_error = false;
     if (status.ok()) {
       PerfTimer mem_timer(&GetPerfContext()->memtable_insert_micros);
-      status = ApplyGroupToMemTable(write_batch);
+      // mem_ only changes under the leader itself (SwitchMemTable), so
+      // the unlocked read is safe: no other thread writes it while we
+      // lead.
+      status = write_batch->InsertInto(mem_);
       applied = status.ok();
       // Unreachable after a successful Verify (the apply walks the
       // same bytes), but if it ever fires the WAL holds a record the
@@ -214,41 +200,6 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
 
   span.MarkStatus(status);
   return status;
-}
-
-Status DBImpl::ApplyGroupToMemTable(WriteBatch* write_batch) {
-  // mem_ only changes under the leader itself (SwitchMemTable), so the
-  // unlocked read is safe: no other thread writes it while we lead.
-  MemTable* mem = mem_;
-  const int shards = mem->shard_count();
-  if (shards <= 1 || apply_pool_ == nullptr ||
-      write_batch->Count() < shards * 4) {
-    // Small groups do not amortize the dispatch; insert inline.
-    return write_batch->InsertInto(mem);
-  }
-  struct ApplyState {
-    std::mutex mu;
-    std::condition_variable cv;
-    int pending;
-    Status status;
-  } state;
-  state.pending = shards - 1;
-  for (int shard = 1; shard < shards; shard++) {
-    apply_pool_->Schedule([write_batch, mem, shard, &state] {
-      Status s = write_batch->InsertIntoShard(mem, shard);
-      std::lock_guard<std::mutex> guard(state.mu);
-      if (!s.ok() && state.status.ok()) {
-        state.status = s;
-      }
-      if (--state.pending == 0) {
-        state.cv.notify_one();
-      }
-    });
-  }
-  Status leader_status = write_batch->InsertIntoShard(mem, 0);
-  std::unique_lock<std::mutex> guard(state.mu);
-  state.cv.wait(guard, [&state] { return state.pending == 0; });
-  return leader_status.ok() ? state.status : leader_status;
 }
 
 // REQUIRES: writers_mutex_ held, this thread is at the front of writers_.
@@ -426,7 +377,7 @@ Status DBImpl::SwitchMemTable(std::unique_lock<std::mutex>& lock) {
   log_tainted_ = false;
   imm_ = mem_;
   has_imm_.store(true, std::memory_order_release);
-  mem_ = new MemTable(internal_comparator_, options_.memtable_shards);
+  mem_ = new MemTable(internal_comparator_);
   mem_->Ref();
   MaybeScheduleFlush();
   return close_status;

@@ -1,6 +1,5 @@
 #include "lsm/memtable.h"
 
-#include "lsm/merger.h"
 #include "util/coding.h"
 
 namespace shield {
@@ -23,16 +22,8 @@ const char* EncodeKey(std::string* scratch, const Slice& target) {
 
 }  // namespace
 
-MemTable::MemTable(const InternalKeyComparator& comparator, int shards)
-    : comparator_(comparator) {
-  if (shards < 1) {
-    shards = 1;
-  }
-  shards_.reserve(static_cast<size_t>(shards));
-  for (int i = 0; i < shards; i++) {
-    shards_.emplace_back(new Shard(comparator_));
-  }
-}
+MemTable::MemTable(const InternalKeyComparator& comparator)
+    : comparator_(comparator), table_(comparator_, &arena_) {}
 
 int MemTable::KeyComparator::operator()(const char* aptr,
                                         const char* bptr) const {
@@ -41,20 +32,10 @@ int MemTable::KeyComparator::operator()(const char* aptr,
   return comparator.Compare(a, b);
 }
 
-size_t MemTable::ApproximateMemoryUsage() {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->arena.MemoryUsage();
-  }
-  return total;
-}
+size_t MemTable::ApproximateMemoryUsage() { return arena_.MemoryUsage(); }
 
 uint64_t MemTable::NumEntries() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->num_entries.load(std::memory_order_relaxed);
-  }
-  return total;
+  return num_entries_.load(std::memory_order_relaxed);
 }
 
 class MemTableIterator final : public Iterator {
@@ -79,32 +60,17 @@ class MemTableIterator final : public Iterator {
   std::string tmp_;
 };
 
-Iterator* MemTable::NewIterator() {
-  if (shards_.size() == 1) {
-    return new MemTableIterator(&shards_[0]->table);
-  }
-  // Merge the shards back into one sorted internal-key stream. User
-  // keys never repeat across shards (hash partitioning), so the merge
-  // sees exactly the entries a single skiplist would hold.
-  std::vector<Iterator*> children;
-  children.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    children.push_back(new MemTableIterator(&shard->table));
-  }
-  return NewMergingIterator(&comparator_.comparator, children.data(),
-                            static_cast<int>(children.size()));
-}
+Iterator* MemTable::NewIterator() { return new MemTableIterator(&table_); }
 
 void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& key,
                    const Slice& value) {
-  Shard* shard = shards_[ShardIndex(key)].get();
   const size_t key_size = key.size();
   const size_t val_size = value.size();
   const size_t internal_key_size = key_size + 8;
   const size_t encoded_len = VarintLength(internal_key_size) +
                              internal_key_size + VarintLength(val_size) +
                              val_size;
-  char* buf = shard->arena.Allocate(encoded_len);
+  char* buf = arena_.Allocate(encoded_len);
   char* p = EncodeVarint32(buf, static_cast<uint32_t>(internal_key_size));
   memcpy(p, key.data(), key_size);
   p += key_size;
@@ -113,13 +79,13 @@ void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& key,
   p = EncodeVarint32(p, static_cast<uint32_t>(val_size));
   memcpy(p, value.data(), val_size);
   assert(p + val_size == buf + encoded_len);
-  shard->table.Insert(buf);
-  shard->num_entries.fetch_add(1, std::memory_order_release);
+  table_.Insert(buf);
+  num_entries_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool MemTable::Get(const LookupKey& key, std::string* value, Status* s) {
   const Slice memkey = key.memtable_key();
-  Table::Iterator iter(&shards_[ShardIndex(key.user_key())]->table);
+  Table::Iterator iter(&table_);
   iter.Seek(memkey.data());
   if (!iter.Valid()) {
     return false;

@@ -2,9 +2,7 @@
 #define SHIELD_LSM_MEMTABLE_H_
 
 #include <atomic>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "lsm/format.h"
 #include "lsm/iterator.h"
@@ -13,15 +11,9 @@
 
 namespace shield {
 
-/// The in-memory self-sorting write buffer: arena-backed skiplists of
-/// internal-key entries, hash-partitioned over `shards` sub-tables
-/// (Options::memtable_shards). With one shard this is the classic
-/// single-skiplist memtable. With N shards the group-commit leader can
-/// apply a batch group to the shards from N threads concurrently, as
-/// long as each shard has at most one inserting thread at a time (the
-/// skiplist contract: one writer, lock-free concurrent readers).
-/// NewIterator() merges the shards back into one sorted stream, so
-/// flush, recovery and integrity checks see a single ordered memtable.
+/// The in-memory self-sorting write buffer: one arena-backed skiplist
+/// of internal-key entries. One thread inserts at a time (the
+/// group-commit leader); readers run lock-free alongside it.
 ///
 /// Reference counted because readers (Get, iterators) can hold an
 /// immutable memtable after it has been swapped out for flushing.
@@ -31,7 +23,7 @@ namespace shield {
 ///   varint32 value_len | value
 class MemTable {
  public:
-  explicit MemTable(const InternalKeyComparator& comparator, int shards = 1);
+  explicit MemTable(const InternalKeyComparator& comparator);
 
   MemTable(const MemTable&) = delete;
   MemTable& operator=(const MemTable&) = delete;
@@ -50,31 +42,10 @@ class MemTable {
   /// Number of entries added. 0 means nothing to flush.
   uint64_t NumEntries() const;
 
-  int shard_count() const { return static_cast<int>(shards_.size()); }
-
-  /// Which shard `user_key` lives in. Stable for the life of the
-  /// process (FNV-1a over the user key), so a batch group can be
-  /// partitioned once and applied shard-by-shard from parallel
-  /// threads.
-  int ShardIndex(const Slice& user_key) const {
-    if (shards_.size() == 1) {
-      return 0;
-    }
-    uint64_t h = 1469598103934665603ull;  // FNV-1a 64-bit
-    for (size_t i = 0; i < user_key.size(); i++) {
-      h ^= static_cast<unsigned char>(user_key.data()[i]);
-      h *= 1099511628211ull;
-    }
-    return static_cast<int>(h % shards_.size());
-  }
-
-  /// Iterator over internal keys, merged across shards (caller
-  /// deletes).
+  /// Iterator over internal keys (caller deletes).
   Iterator* NewIterator();
 
-  /// Routes to the key's shard. Callers adding concurrently must
-  /// guarantee at most one inserting thread per shard (disjoint
-  /// ShardIndex partitions).
+  /// REQUIRES: no other thread is adding concurrently.
   void Add(SequenceNumber seq, ValueType type, const Slice& key,
            const Slice& value);
 
@@ -95,18 +66,15 @@ class MemTable {
 
   using Table = SkipList<const char*, KeyComparator>;
 
-  struct Shard {
-    explicit Shard(const KeyComparator& cmp) : table(cmp, &arena) {}
-    Arena arena;
-    Table table;
-    std::atomic<uint64_t> num_entries{0};
-  };
-
   ~MemTable() = default;  // only via Unref()
 
   KeyComparator comparator_;
   int refs_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  Arena arena_;
+  Table table_;
+  // Atomic because Flush() reads it under the DB mutex while the
+  // group-commit leader inserts without it.
+  std::atomic<uint64_t> num_entries_{0};
 };
 
 }  // namespace shield

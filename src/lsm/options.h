@@ -141,16 +141,6 @@ struct EncryptionOptions {
   /// Empty (default) disables padding. Applies to WAL files only — the
   /// manifest's append cadence is not workload-correlated.
   std::vector<uint32_t> wal_padding_buckets;
-
-  /// WAL keystream pipeline: a helper thread precomputes this many
-  /// bytes of CTR keystream ahead of the WAL append offset (a two-slot
-  /// pipeline holds up to 2x this window), so cipher work for group N
-  /// overlaps the disk write and Sync() of group N-1. The append path
-  /// then XORs plaintext against cached keystream instead of running
-  /// the cipher inline; ciphertext (and the on-disk format) is
-  /// bit-identical to the inline path. 0 disables the pipeline.
-  /// Applies to kShield WAL files only.
-  size_t wal_pipeline_window = 64 * 1024;
 };
 
 struct Options {
@@ -191,31 +181,6 @@ struct Options {
 
   /// Memtable size before a flush is scheduled.
   size_t write_buffer_size = 4 * 1024 * 1024;
-
-  /// Number of hash-partitioned memtable shards (1 = the classic
-  /// single-skiplist memtable). With N > 1 the group-commit leader
-  /// applies each committed batch group to the shards in parallel and
-  /// flush drains the shards through a merging iterator into one SST,
-  /// so recovery and integrity semantics are unchanged. Sanitized to
-  /// [1, 64]; write_buffer_size is floored to shards * 16 KiB so a
-  /// freshly sharded memtable never exceeds the flush threshold while
-  /// empty.
-  int memtable_shards = 1;
-
-  /// Group-commit window: scheduler yields the leader performs while
-  /// no follower is queued before it seals the batch group. A non-sync
-  /// leader never blocks, so on saturated (or few-core) machines the
-  /// other writer threads are runnable but never scheduled long enough
-  /// to enqueue — every write commits as a group of one. Yields per
-  /// group let them in, trading context switches for bigger groups.
-  /// Default 0: with hardware AES/SHA the per-record WAL cost is small
-  /// enough that on a saturated machine the switches cost more than
-  /// grouping saves (measured 208k vs 126k ops/s at 8 writers on one
-  /// core), and on idle multi-core machines groups form naturally
-  /// while the leader syncs. Set to 1+ only for sync-light workloads
-  /// on saturated machines where WAL appends are expensive (e.g. the
-  /// portable cipher fallback).
-  int write_group_yields = 0;
 
   /// Approximate SST data-block payload size.
   size_t block_size = 4096;
@@ -354,12 +319,6 @@ struct Options {
 struct ReadOptions {
   /// If non-null, read as of this snapshot.
   const Snapshot* snapshot = nullptr;
-  /// Historical knob: SST block CRCs and authentication tags are now
-  /// always verified on read (a mismatch surfaces as Corruption naming
-  /// the file and block offset), regardless of this flag. Retained for
-  /// API compatibility; WAL replay strictness is controlled separately
-  /// via paranoid_checks.
-  bool verify_checksums = false;
   /// Whether fetched blocks populate the block cache.
   bool fill_cache = true;
   /// If non-zero, iterators over SSTs read through a prefetch buffer

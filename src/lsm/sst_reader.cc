@@ -148,7 +148,6 @@ Status Table::Open(const Options& options, const InternalKeyComparator* icmp,
 
   // Index block.
   ReadOptions opt;
-  opt.verify_checksums = true;
   Block* index_block = nullptr;
   s = ReadBlockObject(file.get(), opt, footer.index_handle(), fname,
                       &index_block);
@@ -305,7 +304,6 @@ Iterator* Table::NewIterator(const ReadOptions& options) const {
 Status Table::VerifyBlocks(
     const std::function<void(uint64_t)>& on_block) const {
   ReadOptions opt;
-  opt.verify_checksums = true;
   opt.fill_cache = false;
   std::unique_ptr<Iterator> index_iter(index_block_->NewIterator(icmp_));
   for (index_iter->SeekToFirst(); index_iter->Valid(); index_iter->Next()) {
@@ -336,7 +334,6 @@ Status Table::SalvageEntries(
     const std::function<void(const Slice&, const Slice&)>& fn,
     uint64_t* dropped_blocks) const {
   ReadOptions opt;
-  opt.verify_checksums = true;
   opt.fill_cache = false;
   std::unique_ptr<Iterator> index_iter(index_block_->NewIterator(icmp_));
   for (index_iter->SeekToFirst(); index_iter->Valid(); index_iter->Next()) {

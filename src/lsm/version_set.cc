@@ -967,7 +967,6 @@ void VersionSet::GetRange2(const std::vector<FileMetaData*>& inputs1,
 
 Iterator* VersionSet::MakeInputIterator(Compaction* c) {
   ReadOptions options;
-  options.verify_checksums = true;
   options.fill_cache = false;
   // Compaction scans every input block exactly once in order: the
   // ideal readahead consumer. Large prefetched spans replace

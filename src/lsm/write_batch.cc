@@ -95,21 +95,13 @@ class MemTableInserter final : public WriteBatch::Handler {
  public:
   SequenceNumber sequence;
   MemTable* mem;
-  // < 0: apply everything; otherwise apply only this shard's keys.
-  // Sequence numbers advance for skipped entries too, so every entry
-  // lands with the same number regardless of how the work is split.
-  int shard = -1;
 
   void Put(const Slice& key, const Slice& value) override {
-    if (shard < 0 || mem->ShardIndex(key) == shard) {
-      mem->Add(sequence, kTypeValue, key, value);
-    }
+    mem->Add(sequence, kTypeValue, key, value);
     sequence++;
   }
   void Delete(const Slice& key) override {
-    if (shard < 0 || mem->ShardIndex(key) == shard) {
-      mem->Add(sequence, kTypeDeletion, key, Slice());
-    }
+    mem->Add(sequence, kTypeDeletion, key, Slice());
     sequence++;
   }
 };
@@ -129,14 +121,6 @@ Status WriteBatch::InsertInto(MemTable* memtable) const {
   MemTableInserter inserter;
   inserter.sequence = Sequence();
   inserter.mem = memtable;
-  return Iterate(&inserter);
-}
-
-Status WriteBatch::InsertIntoShard(MemTable* memtable, int shard) const {
-  MemTableInserter inserter;
-  inserter.sequence = Sequence();
-  inserter.mem = memtable;
-  inserter.shard = shard;
   return Iterate(&inserter);
 }
 

@@ -47,18 +47,11 @@ class WriteBatch {
   void Append(const WriteBatch& src);
   /// Applies the batch into a memtable with its own sequence numbers.
   Status InsertInto(MemTable* memtable) const;
-  /// Applies only the entries whose user key hashes to `shard` (see
-  /// MemTable::ShardIndex), keeping each entry's per-batch sequence
-  /// number identical to a full InsertInto. The parallel group-commit
-  /// path runs one call per shard from distinct threads: the shard
-  /// partitions are disjoint, so each shard still sees a single
-  /// inserting thread.
-  Status InsertIntoShard(MemTable* memtable, int shard) const;
   /// Dry-run structural validation: walks the records exactly like
   /// Iterate() without touching a memtable. Verification depends only
   /// on the rep bytes, so an OK batch cannot fail a later insert —
   /// this is what makes group application all-or-nothing (a malformed
-  /// batch is rejected before it reaches the WAL or any shard).
+  /// batch is rejected before it reaches the WAL or the memtable).
   Status Verify() const;
 
  private:

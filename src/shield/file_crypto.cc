@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "crypto/block_auth.h"
-#include "crypto/keystream_prefetcher.h"
 #include "crypto/secure_random.h"
 #include "shield/chunk_encryptor.h"
 #include "util/clock.h"
@@ -180,19 +179,14 @@ class PlainFileFactory final : public DataFileFactory {
 //    never plaintext on disk.
 // Cipher initialization is performed per encryption operation (not
 // once per file) to model the repeated-initialization cost the paper
-// measures; see DESIGN.md. The WAL keystream pipeline
-// (pipeline_window > 0, FileKind::kWal only) replaces that inline
-// cipher run with an XOR against keystream a helper thread computed
-// ahead of time, overlapping cipher work with the previous group's
-// disk write and Sync() while producing bit-identical ciphertext.
+// measures; see DESIGN.md.
 class ShieldWritableFile final : public WritableFile {
  public:
   ShieldWritableFile(std::unique_ptr<WritableFile> base, Dek dek,
                      std::string nonce, size_t buffer_size,
                      ThreadPool* encryption_pool, int encryption_threads,
                      std::unique_ptr<crypto::BlockAuthenticator> auth,
-                     FileKind kind, Statistics* stats,
-                     size_t pipeline_window = 0)
+                     FileKind kind, Statistics* stats)
       : base_(std::move(base)),
         dek_(std::move(dek)),
         nonce_(std::move(nonce)),
@@ -204,13 +198,6 @@ class ShieldWritableFile final : public WritableFile {
         stats_(stats) {
     if (buffer_size_ > 0) {
       buffer_.reserve(buffer_size_);
-    }
-    if (kind_ == FileKind::kWal && pipeline_window > 0) {
-      // Falls back to inline encryption when the cipher rejects the
-      // key/nonce (the inline path would then fail the same way on
-      // the first append and report the reason).
-      crypto::KeystreamPrefetcher::Create(dek_.cipher, dek_.key, nonce_,
-                                          pipeline_window, stats_, &pipeline_);
     }
   }
 
@@ -285,9 +272,6 @@ class ShieldWritableFile final : public WritableFile {
   }
 
   Status EncryptAndAppend(const char* data, size_t n) {
-    if (pipeline_ != nullptr) {
-      return PipelinedEncryptAndAppend(data, n);
-    }
     TraceSpan span(SpanType::kFileEncrypt);
     span.SetArgs(logical_offset_, n);
     span.SetAux(static_cast<uint8_t>(dek_.cipher));
@@ -319,33 +303,6 @@ class ShieldWritableFile final : public WritableFile {
     return s;
   }
 
-  // XOR against prefetched keystream instead of running the cipher
-  // inline. Bit-identical ciphertext (CTR keystream is a pure function
-  // of key/nonce/offset), so files written either way are
-  // indistinguishable on disk. The prefetcher's watermark only
-  // advances after a successful base append: a transient append
-  // failure keeps the keystream range cached, and the retried Sync()
-  // re-encrypts the same plaintext at the same offset.
-  Status PipelinedEncryptAndAppend(const char* data, size_t n) {
-    TraceSpan span(SpanType::kWalEncrypt);
-    span.SetArgs(logical_offset_, n);
-    span.SetAux(static_cast<uint8_t>(dek_.cipher));
-    scratch_.assign(data, n);
-    Status s = pipeline_->Crypt(logical_offset_, scratch_.data(), n);
-    if (!s.ok()) {
-      span.SetError();
-      return s;
-    }
-    RecordCryptoBytes(stats_, dek_.cipher, /*encrypt=*/true, n);
-    s = base_->Append(scratch_);
-    if (s.ok()) {
-      logical_offset_ += n;
-      pipeline_->Advance(logical_offset_);
-    }
-    span.MarkStatus(s);
-    return s;
-  }
-
   std::unique_ptr<WritableFile> base_;
   const Dek dek_;
   const std::string nonce_;
@@ -360,8 +317,6 @@ class ShieldWritableFile final : public WritableFile {
   std::string scratch_;  // ciphertext staging
   uint64_t logical_offset_ = 0;  // encrypted-and-appended bytes
   bool closed_ = false;
-  // Non-null only for WAL files with the keystream pipeline enabled.
-  std::unique_ptr<crypto::KeystreamPrefetcher> pipeline_;
 };
 
 // --- SHIELD readable files ------------------------------------------
@@ -556,8 +511,7 @@ class ShieldFileFactory final : public DataFileFactory {
     }
     *out = std::make_unique<ShieldWritableFile>(
         std::move(base), std::move(dek), std::move(header.nonce), buffer_size,
-        pool, threads, std::move(auth), kind, stats_,
-        kind == FileKind::kWal ? opts_.wal_pipeline_window : 0);
+        pool, threads, std::move(auth), kind, stats_);
     return Status::OK();
   }
 

@@ -72,14 +72,12 @@ Options SimCluster::WriterOptions() {
   Options o;
   o.env = writer_env_.get();
   o.write_buffer_size = options_.write_buffer_size;
-  o.memtable_shards = options_.memtable_shards;
   o.info_log = options_.info_log;
   if (options_.observability) {
     o.node_name = "writer";
     o.statistics = CreateDBStatistics();
   }
   o.encryption.mode = EncryptionMode::kShield;
-  o.encryption.wal_pipeline_window = options_.wal_pipeline_window;
   o.encryption.wal_padding_buckets = options_.wal_padding_buckets;
   o.encryption.kds = failover_kds_ != nullptr
                          ? std::static_pointer_cast<Kds>(failover_kds_)

@@ -41,13 +41,6 @@ struct SimClusterOptions {
   /// exercise flush + compaction + DEK rotation.
   size_t write_buffer_size = 32 * 1024;
 
-  /// Writer parallel-write-path knobs (the "write" fault profile sets
-  /// these): hash-sharded memtable and pipelined-keystream encrypted
-  /// WAL window. 1 / 0 = the plain single-shard, inline-keystream
-  /// path. Replicas are read-only and unaffected.
-  int memtable_shards = 1;
-  size_t wal_pipeline_window = 0;
-
   /// Writer WAL record padding buckets
   /// (EncryptionOptions::wal_padding_buckets). The write campaign sets
   /// these to prove padded WALs recover and replicate identically

@@ -121,14 +121,10 @@ class SimulationRun {
     copts.observability =
         cfg_.observability || cfg_.profile == FaultProfile::kHealth;
     if (cfg_.profile == FaultProfile::kWrite) {
-      // The property under test: recovery of a sharded memtable from a
-      // pipelined encrypted WAL. Small shards + a modest keystream
-      // window keep the virtual run cheap while still exercising both.
-      copts.memtable_shards = 4;
-      copts.wal_pipeline_window = 64 * 1024;
-      // Record padding rides the same campaign: crash-recovery and
-      // replica catch-up must strip it transparently, with bit-exact
-      // journals and zero synced-write loss.
+      // The property under test: crash recovery and replica catch-up
+      // from a padded, encrypted WAL must strip the padding
+      // transparently, with bit-exact journals and zero synced-write
+      // loss.
       copts.wal_padding_buckets = {64, 256, 1024, 4096};
     }
     cluster_ = std::make_unique<SimCluster>(copts);
@@ -204,9 +200,9 @@ class SimulationRun {
   }
 
   /// The write-path campaign crashes at a third of the configured
-  /// cadence (every 2 epochs at the default 6): crash recovery of the
-  /// sharded memtable from the pipelined WAL is the property under
-  /// test, not an occasional disturbance.
+  /// cadence (every 2 epochs at the default 6): crash recovery from
+  /// the padded encrypted WAL is the property under test, not an
+  /// occasional disturbance.
   int CrashCadence() const {
     if (cfg_.crash_every > 0 && cfg_.profile == FaultProfile::kWrite) {
       return std::max(1, cfg_.crash_every / 3);

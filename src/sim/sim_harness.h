@@ -26,14 +26,13 @@ enum class FaultProfile {
   // mid-rotation). After every scenario the oracle asserts that no
   // pre-rotation DEK id resolves and every live file's DEK does.
   kRotation,
-  // Parallel-write-path campaign: the writer runs with a sharded
-  // memtable and the pipelined-keystream encrypted WAL, under storage
-  // fault bursts and a crash-heavy cadence (a crash epoch every
-  // crash_every/3 epochs). Each crash lands mid-stream on the
-  // pipelined WAL — after appends the prefetcher has XORed but before
-  // or after the sync, depending on the seeded op mix — and the
-  // recovery oracle asserts the synced prefix survives with zero
-  // acknowledged-sync loss.
+  // Write-path campaign: the writer runs with a padded encrypted WAL
+  // (buckets {64, 256, 1024, 4096}) under storage fault bursts and a
+  // crash-heavy cadence (a crash epoch every crash_every/3 epochs).
+  // Each crash lands mid-stream on the WAL — before or after the
+  // sync, depending on the seeded op mix — and the recovery oracle
+  // asserts the synced prefix survives with zero acknowledged-sync
+  // loss.
   kWrite,
   // Cluster-health-plane campaign: every epoch arms one fault class
   // from SimConfig::health_fault_classes (cycling), evaluates each

@@ -36,7 +36,7 @@ std::string PerfContext::ToString() const {
       " iter_seek_micros=%" PRIu64 " kds_request_count=%" PRIu64
       " kds_wait_micros=%" PRIu64 " memtable_insert_micros=%" PRIu64
       " wal_write_micros=%" PRIu64 " write_stall_micros=%" PRIu64
-      " write_group_size=%" PRIu64 " wal_keystream_stall_micros=%" PRIu64,
+      " write_group_size=%" PRIu64,
       block_read_count, block_read_bytes, block_read_micros,
       block_cache_hit_count, readahead_bytes, readahead_hit_count,
       multiget_keys, multiget_batches, encrypt_bytes, encrypt_micros,
@@ -44,8 +44,7 @@ std::string PerfContext::ToString() const {
       decrypt_micros, hmac_compute_count, hmac_verify_count, hmac_micros,
       iter_seek_count, iter_seek_micros,
       kds_request_count, kds_wait_micros, memtable_insert_micros,
-      wal_write_micros, write_stall_micros, write_group_size,
-      wal_keystream_stall_micros);
+      wal_write_micros, write_stall_micros, write_group_size);
   return std::string(buf);
 }
 

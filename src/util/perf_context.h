@@ -65,8 +65,8 @@ struct PerfContext {
   // Group commit: size of the batch group this thread led (leaders
   // only; followers leave it 0).
   uint64_t write_group_size = 0;
-  // Micros the WAL append spent waiting for the keystream-prefetch
-  // pipeline to catch up (0 when the pipeline is disabled or ahead).
+  // Always 0: the WAL is encrypted inline, so nothing waits on
+  // precomputed keystream. Kept because perfbench reports it.
   uint64_t wal_keystream_stall_micros = 0;
 
   void Reset() { *this = PerfContext(); }

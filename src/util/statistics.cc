@@ -70,8 +70,6 @@ const char* const kTickerNames[] = {
     "shield.backup.bytes",
     "lsm.write.groups",
     "lsm.write.group_size",
-    "lsm.wal.pipeline_stall_micros",
-    "shield.wal.keystream.bytes",
     "shield.wal.padding.records",
     "shield.wal.padding.bytes",
     "lsm.ingest.files",

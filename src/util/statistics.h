@@ -104,12 +104,10 @@ enum class Tickers : uint32_t {
   kShieldBackupFiles,
   kShieldBackupBytes,
 
-  // Parallel write path (lsm/db_write.cc, shield/file_crypto.cc):
-  // group-commit shape and WAL keystream-pipeline health.
+  // Group commit (lsm/db_write.cc): groups committed and the writes
+  // they carried.
   kLsmWriteGroups,
   kLsmWriteGroupSize,
-  kLsmWalPipelineStallMicros,
-  kShieldWalKeystreamBytes,
 
   // WAL leakage countermeasure (lsm/log_writer.cc): padded logical
   // records and total pad overhead (envelope + zeros + block-roll

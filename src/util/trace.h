@@ -61,8 +61,8 @@ enum class SpanType : uint8_t {
   kRotationPass,
   kBackup,
 
-  // Parallel write path: keystream XOR + append of one encrypted WAL
-  // chunk (shield/file_crypto.cc).
+  // No longer emitted (WAL chunks are traced as kFileEncrypt); kept so
+  // traces that recorded it still decode.
   kWalEncrypt,
 
   kMaxSpanType,  // not a type

@@ -191,7 +191,6 @@ class TableTest : public ::testing::Test {
     } result;
     result.user_key = key;
     ReadOptions read_options;
-    read_options.verify_checksums = true;
     LookupKey lkey(key, kMaxSequenceNumber);
     Status s = table_->InternalGet(
         read_options, lkey.internal_key(), &result,
@@ -226,7 +225,6 @@ TEST_F(TableTest, BuildAndScan) {
   OpenTable();
 
   ReadOptions read_options;
-  read_options.verify_checksums = true;
   std::unique_ptr<Iterator> iter(table_->NewIterator(read_options));
   iter->SeekToFirst();
   for (const auto& [key, value] : model) {
@@ -298,7 +296,6 @@ TEST_F(TableTest, ChecksumCorruptionDetected) {
 
   OpenTable();
   ReadOptions read_options;
-  read_options.verify_checksums = true;
   std::unique_ptr<Iterator> iter(table_->NewIterator(read_options));
   iter->SeekToFirst();
   while (iter->Valid()) {

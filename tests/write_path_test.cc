@@ -1,10 +1,10 @@
 // Write-path tests: group-commit semantics, failure atomicity, and
-// recovery of the sharded memtable + pipelined encrypted WAL.
+// crash recovery from a padded, encrypted WAL.
 //
-// The multi-writer stress cases are deliberately scheduled into the
-// TSan CI job: the group-commit queue, the shard apply pool, and the
-// keystream prefetcher are the only lock-heavy concurrency added by
-// the parallel write path, and these tests drive all three at once.
+// The multi-writer stress case is deliberately scheduled into the
+// TSan CI job: the group-commit queue (leader hand-off and early
+// release) is the write path's lock-heavy concurrency, and the stress
+// case drives it from 8 threads.
 
 #include <atomic>
 #include <map>
@@ -134,10 +134,11 @@ TEST(WritePathTest, EmptyFlushReportsBackgroundError) {
   EXPECT_FALSE(db->Flush().ok());
 }
 
-// Sharded-memtable recovery: a crash drops unsynced WAL bytes; on
-// reopen every synced write must be present no matter which shard it
-// hashed to, and the recovered DB must keep accepting writes.
-TEST(WritePathTest, ShardedMemtableCrashRecovery) {
+// Encrypted-WAL recovery: a crash drops unsynced bytes of a SHIELD,
+// padded WAL; on reopen every synced write must be present, and the
+// recovered DB must keep accepting writes and flush the replayed
+// memtable into an SST.
+TEST(WritePathTest, PaddedEncryptedWalCrashRecovery) {
   auto base = NewMemEnv();
   FaultInjectionOptions fopts;
   fopts.seed = 13;
@@ -146,13 +147,14 @@ TEST(WritePathTest, ShardedMemtableCrashRecovery) {
 
   Options options;
   options.env = &fenv;
-  options.memtable_shards = 4;
   options.write_buffer_size = 1 << 20;  // keep everything in the WAL
+  options.encryption.mode = EncryptionMode::kShield;
+  options.encryption.kds = std::make_shared<LocalKds>();
+  options.encryption.wal_padding_buckets = {64, 256, 1024, 4096};
 
   DB* raw = nullptr;
   ASSERT_TRUE(DB::Open(options, "/db", &raw).ok());
   std::unique_ptr<DB> db(raw);
-  EXPECT_EQ("4", Prop(db.get(), "shield.memtable-shards"));
 
   WriteOptions synced;
   synced.sync = true;
@@ -183,28 +185,29 @@ TEST(WritePathTest, ShardedMemtableCrashRecovery) {
     ASSERT_TRUE(db->Get(ReadOptions(), key, &got).ok()) << key;
     EXPECT_EQ(value, got) << key;
   }
-  // Recovery rebuilt the sharded memtable; it must still flush into
-  // one coherent SST and serve reads from it.
+  // The replayed memtable must flush into one coherent SST and serve
+  // reads from it.
   ASSERT_TRUE(db->Put(WriteOptions(), "post-crash", "ok").ok());
   ASSERT_TRUE(db->Flush().ok());
   std::string got;
   ASSERT_TRUE(db->Get(ReadOptions(), "post-crash", &got).ok());
   EXPECT_EQ("ok", got);
+  for (const auto& [key, value] : synced_model) {
+    ASSERT_TRUE(db->Get(ReadOptions(), key, &got).ok()) << key;
+    EXPECT_EQ(value, got) << key;
+  }
 }
 
-// Seeded 8-writer stress over the full parallel path: sharded
-// memtable, shard apply pool, group commit with early release, and
-// (encrypted) WAL. Run under TSan in CI; the assertions here are the
+// Seeded 8-writer stress over group commit with early release and an
+// encrypted WAL. Run under TSan in CI; the assertions here are the
 // correctness floor, the data-race coverage is the point.
 TEST(WritePathTest, MultiWriterGroupCommitStress) {
   auto env = NewMemEnv();
   Options options;
   options.env = env.get();
-  options.memtable_shards = 4;
   options.statistics = CreateDBStatistics();
   options.encryption.mode = EncryptionMode::kShield;
   options.encryption.kds = std::make_shared<LocalKds>();
-  options.encryption.wal_pipeline_window = 64 * 1024;
 
   DB* raw = nullptr;
   ASSERT_TRUE(DB::Open(options, "/db", &raw).ok());
@@ -221,7 +224,7 @@ TEST(WritePathTest, MultiWriterGroupCommitStress) {
       for (int i = 0; i < kOpsPerThread; i++) {
         WriteBatch batch;
         // Private key: always verifiable. Shared key: contended
-        // across threads and shards.
+        // across threads.
         batch.Put("t" + std::to_string(t) + "-k" + std::to_string(i),
                   "v" + std::to_string(i));
         batch.Put("shared-" + std::to_string(rnd.Uniform(32)),
@@ -261,8 +264,8 @@ TEST(WritePathTest, MultiWriterGroupCommitStress) {
   EXPECT_GE(grouped, static_cast<uint64_t>(kThreads) * kOpsPerThread);
   EXPECT_GE(grouped, groups);
 
-  // Drain the sharded memtable through the merging flush and re-check
-  // through the SST path.
+  // Drain the memtable through a flush and re-check through the SST
+  // path.
   ASSERT_TRUE(db->Flush().ok());
   for (int t = 0; t < kThreads; t++) {
     const std::string key = "t" + std::to_string(t) + "-k0";

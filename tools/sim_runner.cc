@@ -35,11 +35,10 @@ void Usage() {
       "  --duration=SECS    simulated (virtual) seconds to cover (default 60)\n"
       "  --faults=PROFILE   none | storage | network | mixed | rotation |\n"
       "                     write | health (default mixed; \"write\" runs\n"
-      "                     the sharded memtable + pipelined-WAL crash\n"
-      "                     campaign). A comma list of health fault\n"
-      "                     classes — e.g. --faults=kds,partition — runs\n"
-      "                     the health campaign over exactly those\n"
-      "                     classes.\n"
+      "                     the padded-WAL crash campaign). A comma\n"
+      "                     list of health fault classes — e.g.\n"
+      "                     --faults=kds,partition — runs the health\n"
+      "                     campaign over exactly those classes.\n"
       "  --replicas=N       read-only replicas (default 2)\n"
       "  --ops=N            writer ops per epoch (default 120)\n"
       "  --json             print the report as one JSON object\n"
