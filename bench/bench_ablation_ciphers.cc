@@ -1,9 +1,11 @@
 // Ablation (beyond the paper): cipher choice under SHIELD. The paper
 // fixes AES-128-CTR; this compares the per-file cipher options the
 // design supports (AES-128-CTR, AES-256-CTR, ChaCha20) on fillrandom
-// and readrandom, plus raw keystream throughput.
+// and readrandom, plus the raw keystream cost of each cipher and of
+// each AES-CTR kernel tier this CPU can run, called directly.
 
 #include "bench_common.h"
+#include "crypto/aes_ctr_kernels.h"
 #include "crypto/cipher.h"
 #include "crypto/secure_random.h"
 #include "util/clock.h"
@@ -11,10 +13,29 @@
 using namespace shield;
 using namespace shield::bench;
 
+namespace {
+
+// Nanoseconds per KiB of `crypt` over a 1 MiB buffer, repeated for at
+// least 200 ms.
+template <typename Crypt>
+double NsPerKib(Crypt crypt) {
+  std::string buf(1 << 20, 'b');
+  crypt(buf.data(), buf.size());  // warm-up
+  const uint64_t t0 = NowNanos();
+  uint64_t rounds = 0;
+  do {
+    crypt(buf.data(), buf.size());
+    rounds++;
+  } while (NowNanos() - t0 < 200'000'000);
+  return static_cast<double>(NowNanos() - t0) / (rounds * 1024.0);
+}
+
+}  // namespace
+
 int main() {
-  // Raw cipher throughput first (1 MiB buffer, persistent context).
   printf("\n=== Ablation: cipher choice ===\n");
-  printf("raw keystream throughput (1 MiB buffer):\n");
+  printf("crypto dispatch: %s\n", crypto::CryptoDispatch().c_str());
+  printf("raw keystream cost through CryptAt (1 MiB buffer):\n");
   for (crypto::CipherKind kind :
        {crypto::CipherKind::kAes128Ctr, crypto::CipherKind::kAes256Ctr,
         crypto::CipherKind::kChaCha20}) {
@@ -25,15 +46,34 @@ int main() {
                             crypto::SecureRandomString(
                                 crypto::CipherNonceSize(kind)),
                             &cipher);
-    std::string buf(1 << 20, 'b');
-    const uint64_t t0 = NowMicros();
-    const int kRounds = 64;
-    for (int i = 0; i < kRounds; i++) {
-      cipher->CryptAt(0, buf.data(), buf.size());
+    const double ns = NsPerKib([&](char* data, size_t n) {
+      cipher->CryptAt(0, data, n);
+    });
+    printf("  %-14s %8.1f ns/KiB %8.1f MiB/s\n", crypto::CipherKindName(kind),
+           ns, 1e9 / (ns * 1024));
+  }
+
+  printf("AES-CTR kernel tiers, called directly (1 MiB buffer):\n");
+  const std::string nonce = crypto::SecureRandomString(16);
+  for (size_t key_size : {16, 32}) {
+    crypto::Aes aes;
+    aes.Init(crypto::SecureRandomString(key_size));
+    for (crypto::CtrTier tier :
+         {crypto::CtrTier::kVaes512, crypto::CtrTier::kAesNi,
+          crypto::CtrTier::kPortable}) {
+      if (!crypto::CtrTierSupported(tier)) {
+        printf("  AES-%zu %-9s (not supported on this CPU)\n", key_size * 8,
+               crypto::CtrTierName(tier));
+        continue;
+      }
+      const double ns = NsPerKib([&](char* data, size_t n) {
+        crypto::CtrXorBytes(tier, aes,
+                            reinterpret_cast<const uint8_t*>(nonce.data()),
+                            0, reinterpret_cast<uint8_t*>(data), n);
+      });
+      printf("  AES-%zu %-9s %8.1f ns/KiB %8.1f MiB/s\n", key_size * 8,
+             crypto::CtrTierName(tier), ns, 1e9 / (ns * 1024));
     }
-    const double seconds = (NowMicros() - t0) / 1e6;
-    printf("  %-14s %8.1f MiB/s\n", crypto::CipherKindName(kind),
-           kRounds / seconds);
   }
 
   PrintBenchHeader("SHIELD end-to-end by cipher (fillrandom + readrandom)",

@@ -87,73 +87,6 @@ inline uint32_t RotWord(uint32_t w) { return (w << 8) | (w >> 24); }
 
 }  // namespace
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define SHIELD_AES_X86_DISPATCH 1
-#endif
-
-#ifdef SHIELD_AES_X86_DISPATCH
-
-#include <immintrin.h>
-
-namespace {
-
-bool HasAesNi() {
-  static const bool has =
-      __builtin_cpu_supports("aes") && __builtin_cpu_supports("sse2");
-  return has;
-}
-
-// Four blocks per iteration: AESENC has multi-cycle latency but
-// single-cycle throughput, so independent blocks in flight hide it.
-__attribute__((target("aes,sse2"))) void EncryptBlocksAesNi(
-    const uint8_t* round_key_bytes, int rounds, const uint8_t* in,
-    uint8_t* out, size_t nblocks) {
-  const __m128i* rk = reinterpret_cast<const __m128i*>(round_key_bytes);
-  size_t i = 0;
-  for (; i + 4 <= nblocks; i += 4) {
-    const uint8_t* p = in + 16 * i;
-    __m128i b0 = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), rk[0]);
-    __m128i b1 = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 16)), rk[0]);
-    __m128i b2 = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 32)), rk[0]);
-    __m128i b3 = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 48)), rk[0]);
-    for (int r = 1; r < rounds; r++) {
-      const __m128i k = rk[r];
-      b0 = _mm_aesenc_si128(b0, k);
-      b1 = _mm_aesenc_si128(b1, k);
-      b2 = _mm_aesenc_si128(b2, k);
-      b3 = _mm_aesenc_si128(b3, k);
-    }
-    const __m128i last = rk[rounds];
-    b0 = _mm_aesenclast_si128(b0, last);
-    b1 = _mm_aesenclast_si128(b1, last);
-    b2 = _mm_aesenclast_si128(b2, last);
-    b3 = _mm_aesenclast_si128(b3, last);
-    uint8_t* q = out + 16 * i;
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(q), b0);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(q + 16), b1);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(q + 32), b2);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(q + 48), b3);
-  }
-  for (; i < nblocks; i++) {
-    __m128i b = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 16 * i)),
-        rk[0]);
-    for (int r = 1; r < rounds; r++) {
-      b = _mm_aesenc_si128(b, rk[r]);
-    }
-    b = _mm_aesenclast_si128(b, rk[rounds]);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16 * i), b);
-  }
-}
-
-}  // namespace
-
-#endif  // SHIELD_AES_X86_DISPATCH
-
 Status Aes::Init(const Slice& key) {
   int nk;  // key length in 32-bit words
   switch (key.size()) {
@@ -188,25 +121,12 @@ Status Aes::Init(const Slice& key) {
     }
     round_keys_[i] = round_keys_[i - nk] ^ temp;
   }
-  // Round keys in byte order for the AES-NI path (and any caller that
-  // wants the schedule as bytes): word i big-endian at bytes 4i..4i+3.
+  // Round keys in byte order for the SIMD CTR kernels: word i
+  // big-endian at bytes 4i..4i+3.
   for (int i = 0; i < total_words; i++) {
     Store32BE(round_key_bytes_ + 4 * i, round_keys_[i]);
   }
   return Status::OK();
-}
-
-void Aes::EncryptBlocks(const uint8_t* in, uint8_t* out,
-                        size_t nblocks) const {
-#ifdef SHIELD_AES_X86_DISPATCH
-  if (HasAesNi()) {
-    EncryptBlocksAesNi(round_key_bytes_, rounds_, in, out, nblocks);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < nblocks; i++) {
-    EncryptBlock(in + kBlockSize * i, out + kBlockSize * i);
-  }
 }
 
 void Aes::EncryptBlock(const uint8_t in[kBlockSize],

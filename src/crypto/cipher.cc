@@ -1,6 +1,9 @@
 #include "crypto/cipher.h"
 
+#include "crypto/aes_ctr_kernels.h"
 #include "crypto/ctr_stream.h"
+#include "crypto/sha256.h"
+#include "util/crc32c.h"
 
 namespace shield {
 namespace crypto {
@@ -15,6 +18,12 @@ const char* CipherKindName(CipherKind kind) {
       return "ChaCha20";
   }
   return "unknown";
+}
+
+std::string CryptoDispatch() {
+  return std::string("aes-ctr=") + CtrTierName(ActiveCtrTier()) +
+         " sha256=" + Sha256::Implementation() +
+         " crc32c=" + crc32c::Implementation();
 }
 
 size_t CipherKeySize(CipherKind kind) {

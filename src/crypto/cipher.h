@@ -52,6 +52,11 @@ class StreamCipher {
   virtual CipherKind kind() const = 0;
 };
 
+/// The crypto kernel tiers this process runs, for logs and properties:
+/// "aes-ctr=<tier> sha256=<impl> crc32c=<impl>", for example
+/// "aes-ctr=vaes512 sha256=sha-ni crc32c=sse4.2".
+std::string CryptoDispatch();
+
 /// Creates a stream cipher. `key` must be CipherKeySize(kind) bytes and
 /// `nonce` CipherNonceSize(kind) bytes.
 Status NewStreamCipher(CipherKind kind, const Slice& key, const Slice& nonce,

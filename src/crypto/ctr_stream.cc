@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "crypto/aes_ctr_kernels.h"
+
 namespace shield {
 namespace crypto {
 
@@ -26,52 +28,9 @@ Status AesCtrCipher::Init(CipherKind kind, const Slice& key,
   return Status::OK();
 }
 
-void AesCtrCipher::CounterBlock(uint64_t block_index, uint8_t out[16]) const {
-  memcpy(out, nonce_, 16);
-  // 128-bit big-endian addition of block_index.
-  uint64_t carry = block_index;
-  for (int i = 15; i >= 0 && carry != 0; i--) {
-    const uint64_t sum = static_cast<uint64_t>(out[i]) + (carry & 0xff);
-    out[i] = static_cast<uint8_t>(sum);
-    carry = (carry >> 8) + (sum >> 8);
-  }
-}
-
 Status AesCtrCipher::CryptAt(uint64_t offset, char* data, size_t n) const {
-  // Batch counter blocks so the block cipher can pipeline them
-  // (AES-NI runs several blocks in flight; the portable path just
-  // loops). 32 blocks = 512 B of stack keystream per round.
-  constexpr size_t kBatchBlocks = 32;
-  uint8_t keystream[kBatchBlocks * Aes::kBlockSize];
-  uint64_t block = offset / Aes::kBlockSize;
-  size_t in_block = offset % Aes::kBlockSize;
-  size_t i = 0;
-  while (i < n) {
-    const size_t want_bytes = in_block + (n - i);
-    const size_t nblocks = std::min(
-        kBatchBlocks, (want_bytes + Aes::kBlockSize - 1) / Aes::kBlockSize);
-    for (size_t b = 0; b < nblocks; b++) {
-      CounterBlock(block + b, keystream + b * Aes::kBlockSize);
-    }
-    aes_.EncryptBlocks(keystream, keystream, nblocks);
-    const size_t avail = nblocks * Aes::kBlockSize - in_block;
-    const size_t take = std::min(avail, n - i);
-    const uint8_t* ks = keystream + in_block;
-    size_t j = 0;
-    for (; j + 8 <= take; j += 8) {
-      uint64_t word, kword;
-      memcpy(&word, data + i + j, 8);
-      memcpy(&kword, ks + j, 8);
-      word ^= kword;
-      memcpy(data + i + j, &word, 8);
-    }
-    for (; j < take; j++) {
-      data[i + j] ^= ks[j];
-    }
-    i += take;
-    block += nblocks;
-    in_block = 0;
-  }
+  CtrXorBytes(ActiveCtrTier(), aes_, nonce_, offset,
+              reinterpret_cast<uint8_t*>(data), n);
   return Status::OK();
 }
 

@@ -24,8 +24,6 @@ class AesCtrCipher : public StreamCipher {
   CipherKind kind() const override { return kind_; }
 
  private:
-  void CounterBlock(uint64_t block_index, uint8_t out[16]) const;
-
   Aes aes_;
   uint8_t nonce_[16] = {};
   CipherKind kind_ = CipherKind::kAes128Ctr;

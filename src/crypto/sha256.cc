@@ -315,6 +315,15 @@ Sha256::Sha256() {
   h_[7] = 0x5be0cd19;
 }
 
+const char* Sha256::Implementation() {
+#if SHIELD_SHA256_X86_DISPATCH
+  if (HasShaNi()) {
+    return "sha-ni";
+  }
+#endif
+  return "portable";
+}
+
 void Sha256::ProcessBlock(const uint8_t block[kBlockSize]) {
   ProcessBlocks(h_, block, 1);
 }

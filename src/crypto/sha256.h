@@ -28,6 +28,9 @@ class Sha256 {
   /// One-shot convenience: returns the 32-byte digest of `data`.
   static std::string Digest(const Slice& data);
 
+  /// The compression function this CPU runs: "sha-ni" or "portable".
+  static const char* Implementation();
+
  private:
   void ProcessBlock(const uint8_t block[kBlockSize]);
 

@@ -181,6 +181,8 @@ class DB {
   ///   "shield.scrub-repaired-files", "shield.scrub-quarantined-files",
   ///   "shield.levelstats" (files/bytes per level, one row per level),
   ///   "shield.dek-cache-stats" (hits/misses/evictions/entries),
+  ///   "shield.crypto-dispatch" (AES-CTR, SHA-256 and CRC32C kernel
+  ///   tiers, e.g. "aes-ctr=vaes512 sha256=sha-ni crc32c=sse4.2"),
   ///   "shield.rotation-state" ("idle" | "running" | "pending:<n>"),
   ///   "shield.rotation-files-rotated", "shield.dek.pending-deletes",
   ///   "shield.metrics" (Prometheus text exposition of all tickers and

@@ -513,6 +513,14 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
   if (status.ok() && compact->builder != nullptr) {
     status = FinishCompactionOutputFile(compact, input.get());
   }
+  if (compact->builder != nullptr) {
+    // Shutdown or an error left an output open. Abandon it; the partial
+    // file stays in `outputs`, which the failure path below unpins.
+    compact->builder->Abandon();
+    compact->builder.reset();
+    compact->outfile->Close();
+    compact->outfile.reset();
+  }
   if (status.ok()) {
     status = input->status();
   }

@@ -180,6 +180,7 @@ void DBImpl::SetupInfoLog() {
         static_cast<uint64_t>(kShieldFormatVersionAuth));
   w.Add("encryption_mode", mode);
   w.Add("cipher", crypto::CipherKindName(enc.cipher));
+  w.Add("crypto_dispatch", crypto::CryptoDispatch());
   w.Add("authenticate_blocks", enc.authenticate_blocks);
   w.Add("encrypt_wal", enc.encrypt_wal);
   w.Add("wal_buffer_size", static_cast<uint64_t>(enc.wal_buffer_size));
@@ -752,6 +753,10 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
                static_cast<long long>(versions_->NumLevelBytes(level)));
       value->append(buf);
     }
+    return true;
+  }
+  if (in == Slice("crypto-dispatch")) {
+    *value = crypto::CryptoDispatch();
     return true;
   }
   if (in == Slice("dek-cache-stats")) {

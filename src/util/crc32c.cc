@@ -81,6 +81,15 @@ bool HasSse42() {
 
 }  // namespace
 
+const char* Implementation() {
+#if SHIELD_CRC32C_X86_DISPATCH
+  if (HasSse42()) {
+    return "sse4.2";
+  }
+#endif
+  return "portable";
+}
+
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
   uint32_t crc = init_crc ^ 0xFFFFFFFFu;
 #if SHIELD_CRC32C_X86_DISPATCH

@@ -13,6 +13,9 @@ uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
 
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }
 
+/// The implementation this CPU runs: "sse4.2" or "portable".
+const char* Implementation();
+
 // CRC values stored on disk are "masked" (as in LevelDB/RocksDB) so that
 // computing the CRC of a string that already contains embedded CRCs does
 // not degrade the hash.

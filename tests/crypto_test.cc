@@ -1,4 +1,9 @@
+#include <algorithm>
+#include <cstring>
+#include <iostream>
+
 #include "crypto/aes.h"
+#include "crypto/aes_ctr_kernels.h"
 #include "crypto/chacha20.h"
 #include "crypto/cipher.h"
 #include "crypto/hkdf.h"
@@ -129,18 +134,234 @@ TEST(AesCtrTest, RoundTrip) {
   EXPECT_EQ(original, buf);
 }
 
+// Reference CTR keystream, independent of the kernels: block b of the
+// stream is E_k(nonce + b), one EncryptBlock per block, with the 128-bit
+// big-endian addition carried byte by byte.
+std::string ReferenceKeystream(const Aes& aes, const std::string& nonce,
+                               uint64_t offset, size_t n) {
+  std::string out(n, '\0');
+  size_t i = 0;
+  while (i < n) {
+    uint8_t counter[16];
+    memcpy(counter, nonce.data(), 16);
+    uint64_t carry = (offset + i) / 16;
+    for (int b = 15; b >= 0 && carry != 0; b--) {
+      const uint64_t sum = counter[b] + (carry & 0xff);
+      counter[b] = static_cast<uint8_t>(sum);
+      carry = (carry >> 8) + (sum >> 8);
+    }
+    uint8_t keystream[16];
+    aes.EncryptBlock(counter, keystream);
+    const size_t in_block = (offset + i) % 16;
+    const size_t take = std::min<size_t>(16 - in_block, n - i);
+    memcpy(&out[i], keystream + in_block, take);
+    i += take;
+  }
+  return out;
+}
+
+std::string Xor(std::string a, const std::string& b) {
+  for (size_t i = 0; i < a.size(); i++) {
+    a[i] = static_cast<char>(a[i] ^ b[i]);
+  }
+  return a;
+}
+
 TEST(AesCtrTest, CounterCarryAcrossBlockBoundary) {
-  // A nonce of all 0xff must wrap cleanly when the counter increments.
+  // An all-0xff nonce wraps the whole 128-bit counter to zero after the
+  // first block; a nonce ending in 0xff..ff carries from the low 64
+  // bits into the high 64. Both must match the block-by-block reference.
   const std::string key = FromHex("2b7e151628aed2a6abf7158809cf4f3c");
-  const std::string nonce(16, '\xff');
-  std::unique_ptr<StreamCipher> cipher;
-  ASSERT_TRUE(
-      NewStreamCipher(CipherKind::kAes128Ctr, key, nonce, &cipher).ok());
-  std::string buf(48, 'z');
-  cipher->CryptAt(0, buf.data(), buf.size());  // must not crash/hang
-  std::string again(48, 'z');
-  cipher->CryptAt(0, again.data(), again.size());
-  EXPECT_EQ(buf, again);  // deterministic
+  Aes aes;
+  ASSERT_TRUE(aes.Init(key).ok());
+  for (const std::string& nonce :
+       {std::string(16, '\xff'),
+        FromHex("0123456789abcdefffffffffffffffff")}) {
+    std::unique_ptr<StreamCipher> cipher;
+    ASSERT_TRUE(
+        NewStreamCipher(CipherKind::kAes128Ctr, key, nonce, &cipher).ok());
+    for (uint64_t offset : {0, 5, 16}) {
+      const std::string plain(300, 'z');
+      std::string buf = plain;
+      ASSERT_TRUE(cipher->CryptAt(offset, buf.data(), buf.size()).ok());
+      EXPECT_EQ(ToHex(Xor(plain, ReferenceKeystream(aes, nonce, offset,
+                                                    plain.size()))),
+                ToHex(buf))
+          << "nonce " << ToHex(nonce) << " offset " << offset;
+    }
+  }
+}
+
+// --- AES-CTR kernel tiers: each against the reference -------------------
+
+class CtrTierTest : public ::testing::TestWithParam<CtrTier> {
+ protected:
+  void SetUp() override {
+    if (!CtrTierSupported(GetParam())) {
+      GTEST_SKIP() << "AES-CTR tier " << CtrTierName(GetParam())
+                   << " is not supported on this CPU";
+    }
+  }
+
+  // CtrXorBytes on the tier under test must equal plaintext XOR the
+  // reference keystream for [offset, offset + plain.size()), which
+  // callers may pass precomputed.
+  void ExpectMatchesReference(const Aes& aes, const std::string& nonce,
+                              uint64_t offset, const std::string& plain,
+                              const std::string* keystream = nullptr) {
+    std::string buf = plain;
+    CtrXorBytes(GetParam(), aes,
+                reinterpret_cast<const uint8_t*>(nonce.data()), offset,
+                reinterpret_cast<uint8_t*>(buf.data()), buf.size());
+    const std::string want =
+        Xor(plain, keystream != nullptr
+                       ? *keystream
+                       : ReferenceKeystream(aes, nonce, offset, plain.size()));
+    if (buf != want) {
+      FAIL() << CtrTierName(GetParam()) << " rounds " << aes.rounds()
+             << " nonce " << ToHex(nonce) << " offset " << offset
+             << " length " << plain.size() << "\n want " << ToHex(want)
+             << "\n  got " << ToHex(buf);
+    }
+  }
+
+  static std::string RandomBytes(Random* rnd, size_t n) {
+    std::string s(n, '\0');
+    for (char& c : s) {
+      c = static_cast<char>(rnd->Next());
+    }
+    return s;
+  }
+};
+
+TEST_P(CtrTierTest, Sp800_38aVectors) {
+  // NIST SP 800-38A F.5.1, F.5.3 and F.5.5 (CTR-AES128/192/256.Encrypt).
+  const std::string nonce = FromHex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff");
+  const std::string pt = FromHex(
+      "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51"
+      "30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710");
+  struct Vector {
+    const char* key;
+    const char* ct;
+  };
+  for (const Vector& v : {
+           Vector{"2b7e151628aed2a6abf7158809cf4f3c",
+                  "874d6191b620e3261bef6864990db6ce9806f66b7970fdff8617187b"
+                  "b9fffdff5ae4df3edbd5d35e5b4f09020db03eab1e031dda2fbe03d1"
+                  "792170a0f3009cee"},
+           Vector{"8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",
+                  "1abc932417521ca24f2b0459fe7e6e0b090339ec0aa6faefd5ccc2c6"
+                  "f4ce8e941e36b26bd1ebc670d1bd1d665620abf74f78a7f6d2980958"
+                  "5a97daec58c6b050"},
+           Vector{"603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a3"
+                  "0914dff4",
+                  "601ec313775789a5b7a7f504bbf3d228f443e3ca4d62b59aca84e990"
+                  "cacaf5c52b0930daa23de94ce87017ba2d84988ddfc9c58db67aada6"
+                  "13c2dd08457941a6"},
+       }) {
+    Aes aes;
+    ASSERT_TRUE(aes.Init(FromHex(v.key)).ok());
+    std::string buf = pt;
+    CtrXorBlocks(GetParam(), aes,
+                 reinterpret_cast<const uint8_t*>(nonce.data()), 0,
+                 reinterpret_cast<uint8_t*>(buf.data()), 4);
+    EXPECT_EQ(v.ct, ToHex(buf)) << "key " << v.key;
+  }
+}
+
+TEST_P(CtrTierTest, EveryLengthAtEveryHeadOffset) {
+  Random rnd(301);
+  for (size_t key_size : {16, 24, 32}) {
+    Aes aes;
+    ASSERT_TRUE(aes.Init(RandomBytes(&rnd, key_size)).ok());
+    const std::string nonce = RandomBytes(&rnd, 16);
+    const std::string plain = RandomBytes(&rnd, 300);
+    const std::string stream =
+        ReferenceKeystream(aes, nonce, 0, 4 * 16 + plain.size());
+    for (uint64_t offset = 0; offset < 4 * 16; offset++) {
+      for (size_t n = 0; n <= plain.size(); n++) {
+        const std::string keystream = stream.substr(offset, n);
+        ExpectMatchesReference(aes, nonce, offset, plain.substr(0, n),
+                               &keystream);
+        if (HasFatalFailure()) {
+          return;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(CtrTierTest, RandomLengthsAndOffsets) {
+  Random rnd(64);
+  for (int round = 0; round < 60; round++) {
+    Aes aes;
+    ASSERT_TRUE(aes.Init(RandomBytes(&rnd, 16 + 8 * rnd.Uniform(3))).ok());
+    const std::string nonce = RandomBytes(&rnd, 16);
+    const uint64_t offset = rnd.Uniform(1 << 20);
+    ExpectMatchesReference(aes, nonce, offset,
+                           RandomBytes(&rnd, rnd.Uniform((64 << 10) + 1)));
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+TEST_P(CtrTierTest, LowCounterWrapsMidBuffer) {
+  // The low 64 counter bits wrap k blocks into the stream: the kernel
+  // splits its run there and must carry into the high half. The
+  // all-0xff nonce also wraps the full 128-bit counter to zero.
+  Random rnd(2);
+  for (size_t key_size : {16, 24, 32}) {
+    Aes aes;
+    ASSERT_TRUE(aes.Init(RandomBytes(&rnd, key_size)).ok());
+    for (uint64_t k = 1; k <= 40; k++) {
+      std::string nonce = RandomBytes(&rnd, 8);
+      for (int b = 7; b >= 0; b--) {
+        nonce.push_back(static_cast<char>((~(k - 1)) >> (8 * b)));
+      }
+      const uint64_t offset = rnd.Uniform(48);
+      ExpectMatchesReference(aes, nonce, offset,
+                             RandomBytes(&rnd, rnd.Uniform(1024) + 1));
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+    const std::string all_ff(16, '\xff');
+    for (uint64_t offset : {0, 1, 15, 16, 17}) {
+      ExpectMatchesReference(aes, all_ff, offset, RandomBytes(&rnd, 700));
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, CtrTierTest,
+                         ::testing::Values(CtrTier::kPortable,
+                                           CtrTier::kAesNi,
+                                           CtrTier::kVaes512),
+                         [](const ::testing::TestParamInfo<CtrTier>& info) {
+                           return std::string(info.param ==
+                                                      CtrTier::kVaes512
+                                                  ? "Vaes512"
+                                              : info.param == CtrTier::kAesNi
+                                                  ? "AesNi"
+                                                  : "Portable");
+                         });
+
+TEST(AesCtrTest, CtrXorRunsTheActiveTier) {
+  Aes aes;
+  ASSERT_TRUE(aes.Init(FromHex("2b7e151628aed2a6abf7158809cf4f3c")).ok());
+  const std::string nonce = FromHex("00000000000000fffffffffffffffff0");
+  std::string a(4096, 'a');
+  std::string b = a;
+  const uint8_t* n = reinterpret_cast<const uint8_t*>(nonce.data());
+  aes.CtrXor(n, 3, reinterpret_cast<uint8_t*>(a.data()), a.size() / 16);
+  CtrXorBlocks(CtrTier::kPortable, aes, n, 3,
+               reinterpret_cast<uint8_t*>(b.data()), b.size() / 16);
+  EXPECT_EQ(ToHex(b), ToHex(a)) << CtrTierName(ActiveCtrTier());
+  std::cout << "active AES-CTR tier: " << CtrTierName(ActiveCtrTier())
+            << " (" << CryptoDispatch() << ")\n";
 }
 
 // --- ChaCha20: RFC 7539 -------------------------------------------------

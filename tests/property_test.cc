@@ -5,7 +5,11 @@
 
 #include <map>
 #include <memory>
+#include <set>
+#include <sstream>
 
+#include "crypto/aes_ctr_kernels.h"
+#include "crypto/cipher.h"
 #include "gtest/gtest.h"
 #include "kds/local_kds.h"
 #include "lsm/db.h"
@@ -222,6 +226,42 @@ TEST_P(DbModelTest, SnapshotReadsAreFrozen) {
   }
   db_->ReleaseSnapshot(snapshot);
   CheckModelMatches(model);
+}
+
+TEST_P(DbModelTest, CryptoDispatchNamesTheActiveTiers) {
+  // Every engine reports the same process-wide kernel tiers, read-only,
+  // and the db_open LOG line names them too.
+  Open();
+  std::string value;
+  ASSERT_TRUE(db_->GetProperty("shield.crypto-dispatch", &value));
+  const std::map<std::string, std::set<std::string>> tiers = {
+      {"aes-ctr", {"vaes512", "aes-ni", "portable"}},
+      {"sha256", {"sha-ni", "portable"}},
+      {"crc32c", {"sse4.2", "portable"}}};
+  std::istringstream fields(value);
+  std::set<std::string> named;
+  for (std::string field; fields >> field;) {
+    const size_t eq = field.find('=');
+    ASSERT_NE(std::string::npos, eq) << value;
+    const std::string primitive = field.substr(0, eq);
+    ASSERT_TRUE(tiers.count(primitive)) << value;
+    EXPECT_TRUE(tiers.at(primitive).count(field.substr(eq + 1))) << value;
+    named.insert(primitive);
+  }
+  EXPECT_EQ(3u, named.size()) << value;
+  EXPECT_EQ(crypto::CryptoDispatch(), value);
+  EXPECT_EQ(0u, value.find(std::string("aes-ctr=") +
+                           crypto::CtrTierName(crypto::ActiveCtrTier()) +
+                           " "));
+  std::string again;
+  ASSERT_TRUE(db_->GetProperty("shield.crypto-dispatch", &again));
+  EXPECT_EQ(value, again);
+
+  std::string log;
+  ASSERT_TRUE(ReadFileToString(env_.get(), "/db/LOG", &log).ok());
+  EXPECT_NE(std::string::npos,
+            log.find("\"crypto_dispatch\":\"" + value + "\""))
+      << log.substr(0, 2000);
 }
 
 INSTANTIATE_TEST_SUITE_P(
