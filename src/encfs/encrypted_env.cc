@@ -2,34 +2,13 @@
 
 #include <cstring>
 
-#include "crypto/block_auth.h"
 #include "crypto/secure_random.h"
 #include "env/io_stats.h"
-#include "util/perf_context.h"
-#include "util/trace.h"
+#include "shield/encrypted_file.h"
 
 namespace shield {
 
 namespace {
-
-// Mirrors crypto traffic into the tickers and the calling thread's
-// PerfContext; same accounting discipline as shield/file_crypto.cc.
-void RecordCryptoBytes(Statistics* stats, crypto::CipherKind kind,
-                       bool encrypt, uint64_t n) {
-  if (n == 0) {
-    return;
-  }
-  RecordTick(stats,
-             encrypt ? Tickers::kCryptoBytesEncrypted
-                     : Tickers::kCryptoBytesDecrypted,
-             n);
-  RecordTick(stats,
-             kind == crypto::CipherKind::kChaCha20 ? Tickers::kCryptoChaCha20Bytes
-                                                   : Tickers::kCryptoAesBytes,
-             n);
-  PerfAdd(encrypt ? &PerfContext::encrypt_bytes : &PerfContext::decrypt_bytes,
-          n);
-}
 
 // Format v1: CTR ciphertext only. Format v2 ("SHENCFS2") additionally
 // carries per-block/record HMAC tags emitted by sst_builder/log_writer.
@@ -40,18 +19,6 @@ constexpr char kMagicAuth[8] = {'S', 'H', 'E', 'N', 'C', 'F', 'S', '2'};
 
 // Header layout within the 4 KiB prologue:
 //   magic(8) | cipher(1) | nonce_len(1) | nonce(<=16) | zero padding
-struct ParsedHeader {
-  crypto::CipherKind cipher;
-  std::string nonce;
-  bool authenticated = false;
-};
-
-Status MakeCipherForFile(crypto::CipherKind kind, const std::string& key,
-                         const std::string& nonce,
-                         std::unique_ptr<crypto::StreamCipher>* out) {
-  return crypto::NewStreamCipher(kind, key, nonce, out);
-}
-
 std::string BuildHeader(crypto::CipherKind cipher, const std::string& nonce,
                         bool authenticated) {
   std::string header(kEncFsHeaderSize, '\0');
@@ -62,253 +29,31 @@ std::string BuildHeader(crypto::CipherKind cipher, const std::string& nonce,
   return header;
 }
 
-Status ParseHeader(const Slice& data, ParsedHeader* out) {
-  if (data.size() < 10) {
-    return Status::Corruption("not an EncFS file");
-  }
-  if (memcmp(data.data(), kMagic, sizeof(kMagic)) == 0) {
-    out->authenticated = false;
-  } else if (memcmp(data.data(), kMagicAuth, sizeof(kMagicAuth)) == 0) {
-    out->authenticated = true;
+// Fills the header's fields into `params`, which already carry the
+// instance cipher and key. Fails closed (CheckHeaderCipher) on a header
+// that names another cipher than the instance key's.
+Status ParseHeader(const Slice& data, EncryptedFileParams* params) {
+  if (data.size() >= sizeof(kMagic) &&
+      memcmp(data.data(), kMagic, sizeof(kMagic)) == 0) {
+    params->authenticated = false;
+  } else if (data.size() >= sizeof(kMagicAuth) &&
+             memcmp(data.data(), kMagicAuth, sizeof(kMagicAuth)) == 0) {
+    params->authenticated = true;
   } else {
     return Status::Corruption("not an EncFS file");
   }
-  out->cipher = static_cast<crypto::CipherKind>(data[8]);
-  const size_t nonce_len = static_cast<uint8_t>(data[9]);
-  if (nonce_len > 16 || data.size() < 10 + nonce_len) {
-    return Status::Corruption("bad EncFS header nonce");
+  if (data.size() < kEncFsHeaderSize) {
+    return Status::Corruption("truncated EncFS file header");
   }
-  out->nonce.assign(data.data() + 10, nonce_len);
+  const size_t nonce_len = static_cast<uint8_t>(data[9]);
+  Status s = CheckHeaderCipher(static_cast<uint8_t>(data[8]), nonce_len,
+                               &params->cipher);
+  if (!s.ok()) {
+    return s;
+  }
+  params->nonce.assign(data.data() + 10, nonce_len);
   return Status::OK();
 }
-
-// Encrypts appended bytes with the instance DEK. Each encryption
-// operation initializes a fresh cipher context — the repeated
-// "encryption initialization" cost the paper identifies for per-write
-// encryption (Section 3.2). With buffer_size > 0 (WAL-Buf), plaintext
-// accumulates in memory and is encrypted in one operation when the
-// buffer fills or on Sync/Close.
-class EncryptedWritableFile final : public WritableFile {
- public:
-  EncryptedWritableFile(std::unique_ptr<WritableFile> base,
-                        crypto::CipherKind cipher_kind, std::string key,
-                        std::string nonce, size_t buffer_size,
-                        std::unique_ptr<crypto::BlockAuthenticator> auth,
-                        Statistics* stats)
-      : base_(std::move(base)),
-        cipher_kind_(cipher_kind),
-        key_(std::move(key)),
-        nonce_(std::move(nonce)),
-        buffer_size_(buffer_size),
-        auth_(std::move(auth)),
-        stats_(stats) {}
-
-  ~EncryptedWritableFile() override {
-    if (!closed_) {
-      Close();
-    }
-  }
-
-  Status Append(const Slice& data) override {
-    if (buffer_size_ == 0) {
-      return EncryptAndAppend(data.data(), data.size());
-    }
-    buffer_.append(data.data(), data.size());
-    if (buffer_.size() >= buffer_size_) {
-      return DrainBuffer();
-    }
-    return Status::OK();
-  }
-  Status Flush() override {
-    // See ShieldWritableFile::Flush: draining here would defeat the
-    // WAL buffer; only Sync/Close force encryption.
-    return base_->Flush();
-  }
-  Status Sync() override {
-    Status s = DrainBuffer();
-    if (!s.ok()) {
-      return s;
-    }
-    return base_->Sync();
-  }
-  Status Close() override {
-    closed_ = true;
-    Status s = DrainBuffer();
-    Status c = base_->Close();
-    return s.ok() ? c : s;
-  }
-  uint64_t GetFileSize() const override {
-    return logical_offset_ + buffer_.size();
-  }
-
-  const crypto::BlockAuthenticator* block_authenticator() const override {
-    return auth_.get();
-  }
-
- private:
-  Status DrainBuffer() {
-    if (buffer_.empty()) {
-      return Status::OK();
-    }
-    Status s = EncryptAndAppend(buffer_.data(), buffer_.size());
-    if (s.ok()) {
-      // Only on success: see ShieldWritableFile::DrainBuffer — keep
-      // the plaintext buffered so a retried Sync can persist it.
-      buffer_.clear();
-    }
-    return s;
-  }
-
-  Status EncryptAndAppend(const char* data, size_t n) {
-    TraceSpan span(SpanType::kFileEncrypt);
-    span.SetArgs(logical_offset_, n);
-    span.SetAux(static_cast<uint8_t>(cipher_kind_));
-    std::unique_ptr<crypto::StreamCipher> cipher;
-    Status s = crypto::NewStreamCipher(cipher_kind_, key_, nonce_, &cipher);
-    if (!s.ok()) {
-      span.SetError();
-      return s;
-    }
-    scratch_.assign(data, n);
-    s = cipher->CryptAt(logical_offset_, scratch_.data(), scratch_.size());
-    if (!s.ok()) {
-      // Cipher failure (e.g. ChaCha20 counter overflow): never append
-      // the (possibly partially transformed) scratch bytes.
-      span.SetError();
-      return s;
-    }
-    RecordCryptoBytes(stats_, cipher_kind_, /*encrypt=*/true, n);
-    s = base_->Append(scratch_);
-    if (s.ok()) {
-      logical_offset_ += n;
-    }
-    return s;
-  }
-
-  std::unique_ptr<WritableFile> base_;
-  const crypto::CipherKind cipher_kind_;
-  const std::string key_;
-  const std::string nonce_;
-  const size_t buffer_size_;
-  const std::unique_ptr<crypto::BlockAuthenticator> auth_;
-  Statistics* const stats_;
-  uint64_t logical_offset_ = 0;
-  std::string buffer_;
-  std::string scratch_;
-  bool closed_ = false;
-};
-
-class EncryptedSequentialFile final : public SequentialFile {
- public:
-  EncryptedSequentialFile(std::unique_ptr<SequentialFile> base,
-                          std::unique_ptr<crypto::StreamCipher> cipher,
-                          std::unique_ptr<crypto::BlockAuthenticator> auth,
-                          Statistics* stats)
-      : base_(std::move(base)),
-        cipher_(std::move(cipher)),
-        auth_(std::move(auth)),
-        stats_(stats) {}
-
-  Status Read(size_t n, Slice* result, char* scratch) override {
-    Status s = base_->Read(n, result, scratch);
-    if (!s.ok()) {
-      return s;
-    }
-    // Decrypt in place in scratch. result may point at an internal
-    // buffer of base; copy into scratch if so.
-    if (result->data() != scratch && result->size() > 0) {
-      memmove(scratch, result->data(), result->size());
-    }
-    {
-      TraceSpan span(SpanType::kFileDecrypt);
-      span.SetArgs(logical_offset_, result->size());
-      span.SetAux(static_cast<uint8_t>(cipher_->kind()));
-      PerfTimer timer(&GetPerfContext()->decrypt_micros);
-      s = cipher_->CryptAt(logical_offset_, scratch, result->size());
-      span.MarkStatus(s);
-    }
-    if (!s.ok()) {
-      return s;
-    }
-    RecordCryptoBytes(stats_, cipher_->kind(), /*encrypt=*/false,
-                      result->size());
-    *result = Slice(scratch, result->size());
-    logical_offset_ += result->size();
-    return Status::OK();
-  }
-
-  Status Skip(uint64_t n) override {
-    logical_offset_ += n;
-    return base_->Skip(n);
-  }
-
-  const crypto::BlockAuthenticator* block_authenticator() const override {
-    return auth_.get();
-  }
-
- private:
-  std::unique_ptr<SequentialFile> base_;
-  std::unique_ptr<crypto::StreamCipher> cipher_;
-  std::unique_ptr<crypto::BlockAuthenticator> auth_;
-  Statistics* const stats_;
-  uint64_t logical_offset_ = 0;
-};
-
-class EncryptedRandomAccessFile final : public RandomAccessFile {
- public:
-  EncryptedRandomAccessFile(std::unique_ptr<RandomAccessFile> base,
-                            std::unique_ptr<crypto::StreamCipher> cipher,
-                            std::unique_ptr<crypto::BlockAuthenticator> auth,
-                            Statistics* stats)
-      : base_(std::move(base)),
-        cipher_(std::move(cipher)),
-        auth_(std::move(auth)),
-        stats_(stats) {}
-
-  Status Read(uint64_t offset, size_t n, Slice* result,
-              char* scratch) const override {
-    Status s = base_->Read(offset + kEncFsHeaderSize, n, result, scratch);
-    if (!s.ok()) {
-      return s;
-    }
-    if (result->data() != scratch && result->size() > 0) {
-      memmove(scratch, result->data(), result->size());
-    }
-    {
-      TraceSpan span(SpanType::kFileDecrypt);
-      span.SetArgs(offset, result->size());
-      span.SetAux(static_cast<uint8_t>(cipher_->kind()));
-      PerfTimer timer(&GetPerfContext()->decrypt_micros);
-      s = cipher_->CryptAt(offset, scratch, result->size());
-      span.MarkStatus(s);
-    }
-    if (!s.ok()) {
-      return s;
-    }
-    RecordCryptoBytes(stats_, cipher_->kind(), /*encrypt=*/false,
-                      result->size());
-    *result = Slice(scratch, result->size());
-    return Status::OK();
-  }
-
-  Status Size(uint64_t* size) const override {
-    Status s = base_->Size(size);
-    if (s.ok()) {
-      *size = *size >= kEncFsHeaderSize ? *size - kEncFsHeaderSize : 0;
-    }
-    return s;
-  }
-
-  const crypto::BlockAuthenticator* block_authenticator() const override {
-    return auth_.get();
-  }
-
- private:
-  std::unique_ptr<RandomAccessFile> base_;
-  std::unique_ptr<crypto::StreamCipher> cipher_;
-  std::unique_ptr<crypto::BlockAuthenticator> auth_;
-  Statistics* const stats_;
-};
 
 class EncryptedEnv final : public EnvWrapper {
  public:
@@ -329,26 +74,21 @@ class EncryptedEnv final : public EnvWrapper {
     if (!s.ok()) {
       return s;
     }
-    const std::string nonce =
+    EncryptedFileParams params = InstanceParams();
+    params.nonce =
         crypto::SecureRandomString(crypto::CipherNonceSize(cipher_kind_));
-    s = base->Append(BuildHeader(cipher_kind_, nonce, authenticate_blocks_));
+    params.authenticated = authenticate_blocks_;
+    s = base->Append(BuildHeader(cipher_kind_, params.nonce,
+                                 params.authenticated));
     if (!s.ok()) {
       return s;
     }
-    std::unique_ptr<crypto::BlockAuthenticator> auth;
-    if (authenticate_blocks_) {
-      auth = crypto::NewBlockAuthenticator(cipher_kind_, key_, nonce);
-      if (auth == nullptr) {
-        return Status::InvalidArgument("cannot build block authenticator");
-      }
-      auth->SetStatisticsSink(stats_);
-    }
-    const size_t buffer_size =
-        ClassifyFile(f) == FileKind::kWal ? wal_buffer_size_ : 0;
-    *r = std::make_unique<EncryptedWritableFile>(
-        std::move(base), cipher_kind_, key_, nonce, buffer_size,
-        std::move(auth), stats_);
-    return Status::OK();
+    // Only WALs buffer; SSTs and the rest encrypt per Append.
+    const FileKind kind = ClassifyFile(f);
+    const size_t buffer_size = kind == FileKind::kWal ? wal_buffer_size_ : 0;
+    return NewEncryptedWritableFile(std::move(base), std::move(params), kind,
+                                    buffer_size, /*pool=*/nullptr,
+                                    /*threads=*/1, stats_, r);
   }
 
   Status NewSequentialFile(const std::string& f,
@@ -358,15 +98,12 @@ class EncryptedEnv final : public EnvWrapper {
     if (!s.ok()) {
       return s;
     }
-    std::unique_ptr<crypto::StreamCipher> cipher;
-    std::unique_ptr<crypto::BlockAuthenticator> auth;
-    s = ReadHeaderSequential(base.get(), &cipher, &auth);
+    EncryptedFileParams params;
+    s = ReadParams(base.get(), &params);
     if (!s.ok()) {
       return s;
     }
-    *r = std::make_unique<EncryptedSequentialFile>(
-        std::move(base), std::move(cipher), std::move(auth), stats_);
-    return Status::OK();
+    return NewEncryptedSequentialFile(std::move(base), params, stats_, r);
   }
 
   Status NewRandomAccessFile(const std::string& f,
@@ -376,30 +113,14 @@ class EncryptedEnv final : public EnvWrapper {
     if (!s.ok()) {
       return s;
     }
-    char scratch[kEncFsHeaderSize];
-    Slice header;
-    s = base->Read(0, kEncFsHeaderSize, &header, scratch);
+    EncryptedFileParams params;
+    s = ReadParams(base.get(), &params);
     if (!s.ok()) {
       return s;
     }
-    ParsedHeader parsed;
-    s = ParseHeader(header, &parsed);
-    if (!s.ok()) {
-      return s;
-    }
-    std::unique_ptr<crypto::StreamCipher> cipher;
-    s = MakeCipherForFile(parsed.cipher, key_, parsed.nonce, &cipher);
-    if (!s.ok()) {
-      return s;
-    }
-    std::unique_ptr<crypto::BlockAuthenticator> auth;
-    s = MakeAuthenticator(parsed, &auth);
-    if (!s.ok()) {
-      return s;
-    }
-    *r = std::make_unique<EncryptedRandomAccessFile>(
-        std::move(base), std::move(cipher), std::move(auth), stats_);
-    return Status::OK();
+    return NewEncryptedRandomAccessFile(std::move(base), params,
+                                        /*pool=*/nullptr, /*threads=*/1,
+                                        stats_, r);
   }
 
   Status GetFileSize(const std::string& f, uint64_t* size) override {
@@ -411,46 +132,27 @@ class EncryptedEnv final : public EnvWrapper {
   }
 
  private:
-  Status MakeAuthenticator(const ParsedHeader& parsed,
-                           std::unique_ptr<crypto::BlockAuthenticator>* auth) {
-    if (!parsed.authenticated) {
-      return Status::OK();
-    }
-    *auth = crypto::NewBlockAuthenticator(parsed.cipher, key_, parsed.nonce);
-    if (*auth == nullptr) {
-      return Status::InvalidArgument("cannot build block authenticator");
-    }
-    (*auth)->SetStatisticsSink(stats_);
-    return Status::OK();
+  // Every EncFS file shares the instance key; only the header's nonce
+  // and format version differ.
+  EncryptedFileParams InstanceParams() const {
+    EncryptedFileParams params;
+    params.cipher = cipher_kind_;
+    params.key = key_;
+    params.header_size = kEncFsHeaderSize;
+    return params;
   }
 
-  Status ReadHeaderSequential(
-      SequentialFile* file, std::unique_ptr<crypto::StreamCipher>* cipher,
-      std::unique_ptr<crypto::BlockAuthenticator>* auth) {
-    std::string scratch(kEncFsHeaderSize, '\0');
+  // Reads and parses an opened file's header (RandomAccessFile or
+  // SequentialFile; the latter is left at the payload).
+  template <typename File>
+  Status ReadParams(File* base, EncryptedFileParams* params) const {
     std::string header;
-    while (header.size() < kEncFsHeaderSize) {
-      Slice got;
-      Status s =
-          file->Read(kEncFsHeaderSize - header.size(), &got, scratch.data());
-      if (!s.ok()) {
-        return s;
-      }
-      if (got.empty()) {
-        return Status::Corruption("EncFS file shorter than header");
-      }
-      header.append(got.data(), got.size());
-    }
-    ParsedHeader parsed;
-    Status s = ParseHeader(header, &parsed);
+    Status s = ReadFileHeader(base, kEncFsHeaderSize, &header);
     if (!s.ok()) {
       return s;
     }
-    s = MakeAuthenticator(parsed, auth);
-    if (!s.ok()) {
-      return s;
-    }
-    return MakeCipherForFile(parsed.cipher, key_, parsed.nonce, cipher);
+    *params = InstanceParams();
+    return ParseHeader(header, params);
   }
 
   const crypto::CipherKind cipher_kind_;

@@ -45,7 +45,9 @@ namespace shield {
 /// format from the per-file magic, so v1 and v2 files coexist.
 ///
 /// `stats` (optional; must outlive the Env and every file it opens)
-/// receives crypto.bytes.encrypted/decrypted and per-cipher tickers.
+/// receives crypto.bytes.encrypted/decrypted and per-cipher tickers,
+/// and the encrypted-file core's shield.wal.buffer.drains and
+/// shield.chunk.encrypt.shards (shield/encrypted_file.h).
 Status NewEncryptedEnv(Env* base_env, crypto::CipherKind cipher,
                        const std::string& instance_key,
                        std::unique_ptr<Env>* out,

@@ -59,7 +59,7 @@ class FilePrefetchBuffer {
 };
 
 /// RandomAccessFile decorator adding readahead. Wraps the logical view
-/// (decryption happens underneath in ShieldRandomAccessFile), so the
+/// (decryption happens underneath in the encrypted-file core), so the
 /// buffer holds plaintext and block verification downstream still sees
 /// what it expects. Read() is const in the interface but mutates the
 /// prefetch window, so a mutex serializes callers; intended use is one

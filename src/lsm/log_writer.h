@@ -33,9 +33,10 @@ std::vector<uint32_t> SanitizePaddingBuckets(
 uint64_t PaddedEnvelopeSize(const std::vector<uint32_t>& buckets, uint64_t n);
 
 /// Appends length-prefixed, checksummed records to a WritableFile.
-/// Encryption is layered *under* this writer: SHIELD wraps the
-/// destination file in a ShieldWritableFile, so the log format itself
-/// is unchanged whether the bytes on disk are plaintext or ciphertext.
+/// Encryption is layered *under* this writer: EncFS and SHIELD wrap the
+/// destination file in an encrypting writer (shield/encrypted_file.h),
+/// so the log format itself is unchanged whether the bytes on disk are
+/// plaintext or ciphertext.
 ///
 /// When the destination file exposes a block authenticator (header
 /// format v2), every physical record is emitted as its authenticated

@@ -20,8 +20,8 @@ namespace shield {
 /// keys and must be added in increasing order.
 ///
 /// Encryption note: the builder writes to an abstract WritableFile.
-/// Under SHIELD the file is a ShieldWritableFile that encrypts appended
-/// chunks, so the builder — like RocksDB modified by the paper — never
+/// Under SHIELD the file is an encrypting writer (shield/encrypted_file.h)
+/// that encrypts appended chunks, so the builder — like RocksDB modified by the paper — never
 /// sees ciphertext.
 class TableBuilder {
  public:

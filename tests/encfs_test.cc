@@ -1,5 +1,8 @@
 #include "encfs/encrypted_env.h"
 
+#include <utility>
+#include <vector>
+
 #include "crypto/secure_random.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -184,6 +187,63 @@ TEST_F(EncFsTest, NonWalFilesNotBuffered) {
   ASSERT_TRUE(base_->GetFileSize("/000003.sst", &raw_size).ok());
   EXPECT_EQ(kEncFsHeaderSize + strlen("immediate"), raw_size);
   ASSERT_TRUE(sst->Close().ok());
+}
+
+TEST(EncFsHeaderTest, RejectsMalformedHeaders) {
+  // Opening a file runs the header parser on bytes anyone with access
+  // to the medium controls: every field that is not what the writer
+  // emits for this instance must fail closed, for random-access and
+  // sequential opens alike. Each case edits a valid AES-256 header.
+  auto base = NewMemEnv();
+  std::unique_ptr<Env> env;
+  ASSERT_TRUE(NewEncryptedEnv(base.get(), crypto::CipherKind::kAes256Ctr,
+                              crypto::SecureRandomString(32), &env)
+                  .ok());
+  ASSERT_TRUE(WriteStringToFile(env.get(), "payload", "/f", false).ok());
+  std::string good;
+  ASSERT_TRUE(ReadFileToString(base.get(), "/f", &good).ok());
+
+  const char kChaCha = static_cast<char>(crypto::CipherKind::kChaCha20);
+  const char kAes128 = static_cast<char>(crypto::CipherKind::kAes128Ctr);
+  struct Case {
+    const char* name;
+    std::vector<std::pair<size_t, char>> edits;  // (offset, new byte)
+    size_t truncate_to;  // when nonzero, truncate instead
+  };
+  const Case cases[] = {
+      {"truncated to magic only", {}, 8},
+      {"truncated mid-header", {}, kEncFsHeaderSize - 1},
+      {"corrupt magic byte", {{3, 'x'}}, 0},
+      {"unknown cipher id", {{8, 0x7f}}, 0},
+      {"cipher id zero", {{8, 0}}, 0},
+      {"AES-128 under an AES-256 instance key", {{8, kAes128}}, 0},
+      {"ChaCha20 with its own nonce length", {{8, kChaCha}, {9, 12}}, 0},
+      {"nonce_len over 16", {{9, 17}}, 0},
+      {"nonce_len over 16 (255)", {{9, static_cast<char>(255)}}, 0},
+      {"nonce_len mismatching cipher", {{9, 12}}, 0},
+      {"nonce_len zero", {{9, 0}}, 0},
+  };
+  for (const Case& c : cases) {
+    std::string bytes = good;
+    if (c.truncate_to != 0) {
+      bytes.resize(c.truncate_to);
+    }
+    for (const auto& [offset, value] : c.edits) {
+      bytes[offset] = value;
+    }
+    ASSERT_TRUE(WriteStringToFile(base.get(), bytes, "/bad", false).ok());
+    std::unique_ptr<RandomAccessFile> random;
+    Status s = env->NewRandomAccessFile("/bad", &random);
+    EXPECT_TRUE(s.IsCorruption()) << c.name << ": " << s.ToString();
+    std::unique_ptr<SequentialFile> sequential;
+    s = env->NewSequentialFile("/bad", &sequential);
+    EXPECT_TRUE(s.IsCorruption()) << c.name << ": " << s.ToString();
+  }
+
+  // Sanity: the unedited file still opens and reads back.
+  std::string contents;
+  ASSERT_TRUE(ReadFileToString(env.get(), "/f", &contents).ok());
+  EXPECT_EQ("payload", contents);
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 #include "shield/file_crypto.h"
 
+#include <algorithm>
+#include <functional>
+
 #include "crypto/secure_random.h"
+#include "encfs/encrypted_env.h"
 #include "gtest/gtest.h"
 #include "kds/local_kds.h"
 #include "shield/chunk_encryptor.h"
@@ -390,6 +394,105 @@ TEST_F(ShieldFactoryTest, CrossManagerSharing) {
   ASSERT_TRUE(reader->Read(21, &result, scratch).ok());
   EXPECT_EQ("shared across servers", result.ToString());
   EXPECT_EQ(1u, worker_manager.kds_requests());
+}
+
+// --- Header read at open, both modes ----------------------------------
+
+// Serves the first positional read of the next file opened after
+// ArmShortRead() only 5 bytes, as an interrupted read may.
+class OneShortReadEnv final : public EnvWrapper {
+ public:
+  explicit OneShortReadEnv(Env* base) : EnvWrapper(base) {}
+
+  void ArmShortRead() { armed_ = true; }
+  bool armed() const { return armed_; }
+
+  Status NewRandomAccessFile(const std::string& f,
+                             std::unique_ptr<RandomAccessFile>* r) override {
+    Status s = target()->NewRandomAccessFile(f, r);
+    if (s.ok() && armed_) {
+      armed_ = false;
+      *r = std::make_unique<ShortOnce>(std::move(*r));
+    }
+    return s;
+  }
+
+ private:
+  class ShortOnce final : public RandomAccessFile {
+   public:
+    explicit ShortOnce(std::unique_ptr<RandomAccessFile> base)
+        : base_(std::move(base)) {}
+    Status Read(uint64_t offset, size_t n, Slice* result,
+                char* scratch) const override {
+      if (!shortened_) {
+        shortened_ = true;
+        n = std::min<size_t>(n, 5);
+      }
+      return base_->Read(offset, n, result, scratch);
+    }
+    Status Size(uint64_t* size) const override { return base_->Size(size); }
+
+   private:
+    std::unique_ptr<RandomAccessFile> base_;
+    mutable bool shortened_ = false;
+  };
+
+  bool armed_ = false;
+};
+
+// A short header read at open is retried, not taken for a corrupt file,
+// in both designs: they share one header reader.
+TEST(HeaderReadTest, ShortReadAtOpenIsRetriedInBothModes) {
+  auto mem = NewMemEnv();
+  OneShortReadEnv env(mem.get());
+
+  std::unique_ptr<Env> encfs;
+  ASSERT_TRUE(NewEncryptedEnv(&env, crypto::CipherKind::kAes128Ctr,
+                              crypto::SecureRandomString(16), &encfs)
+                  .ok());
+  ASSERT_TRUE(WriteStringToFile(encfs.get(), "encfs payload", "/e", false)
+                  .ok());
+
+  LocalKds kds;
+  DekManager dek_manager(&kds, "test-server", nullptr);
+  EncryptionOptions opts;
+  opts.mode = EncryptionMode::kShield;
+  auto shield = NewShieldFileFactory(&env, &dek_manager, opts, nullptr);
+  {
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(shield->NewWritableFile("/000001.sst", FileKind::kSst, &file)
+                    .ok());
+    ASSERT_TRUE(file->Append("shield payload").ok());
+    ASSERT_TRUE(file->Close().ok());
+  }
+
+  const struct {
+    const char* mode;
+    std::function<Status(std::unique_ptr<RandomAccessFile>*)> open;
+    std::string want;
+  } cases[] = {
+      {"EncFS",
+       [&](std::unique_ptr<RandomAccessFile>* f) {
+         return encfs->NewRandomAccessFile("/e", f);
+       },
+       "encfs payload"},
+      {"SHIELD",
+       [&](std::unique_ptr<RandomAccessFile>* f) {
+         return shield->NewRandomAccessFile("/000001.sst", f);
+       },
+       "shield payload"},
+  };
+  for (const auto& c : cases) {
+    env.ArmShortRead();
+    std::unique_ptr<RandomAccessFile> file;
+    Status s = c.open(&file);
+    ASSERT_TRUE(s.ok()) << c.mode << ": " << s.ToString();
+    EXPECT_FALSE(env.armed()) << c.mode << ": the short read never happened";
+    char scratch[64];
+    Slice result;
+    ASSERT_TRUE(file->Read(0, c.want.size(), &result, scratch).ok());
+    EXPECT_EQ(c.want, result.ToString()) << c.mode;
+  }
 }
 
 }  // namespace
