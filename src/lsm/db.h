@@ -127,6 +127,13 @@ class DB {
   /// written, no compaction runs; Put/Delete/Write return
   /// NotSupported. Call TryCatchUp() to pick up new state persisted by
   /// the primary.
+  ///
+  /// The instance publishes a file lease (LEASE-<id> in the directory,
+  /// lsm/file_lease.h) before it reads the manifest, and removes it
+  /// when closed. The writer keeps every SST and WAL that a live lease
+  /// pins, so the instance's view stays readable as long as it catches
+  /// up at least once per kFileLeaseTtlMicros. A lease older than that
+  /// expires, and the writer may then delete the view's files.
   static Status OpenReadOnly(const Options& options, const std::string& name,
                              DB** dbptr);
 
@@ -340,11 +347,20 @@ class DB {
   /// Read-only instances: re-reads the manifest/WALs to observe the
   /// primary's latest persisted state. Primary instances return OK
   /// without doing anything.
+  ///
+  /// All or nothing: the new view is built aside and installed only
+  /// once the manifest and every WAL it needs have been read whole. On
+  /// failure the previous view stays installed and its lease stays in
+  /// force; after success the lease moves up to the oldest view that
+  /// an open iterator still reads (the new view when there is none).
+  /// Each successful call renews the lease (see OpenReadOnly).
   virtual Status TryCatchUp() = 0;
 
   /// Blocks until all scheduled background flushes and compactions
   /// have drained (including work they cascade into). Useful for
-  /// tests and benchmarks that need a quiesced LSM shape.
+  /// tests and benchmarks that need a quiesced LSM shape. Obsolete
+  /// files that read-only instances' leases kept are then retried for
+  /// deletion, so an idle writer also sheds what those leases released.
   virtual void WaitForIdle() = 0;
 };
 

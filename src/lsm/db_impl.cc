@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "crypto/cipher.h"
+#include "crypto/secure_random.h"
 #include "encfs/encrypted_env.h"
 #include "env/trace_env.h"
 #include "kds/local_kds.h"
@@ -134,6 +135,12 @@ DBImpl::~DBImpl() {
     (void)logfile_->Close();
     logfile_.reset();
   }
+  if (lease_id_ != 0) {
+    // Release this read-only instance's files to the writer's GC. Best
+    // effort: a lease left behind expires on its own.
+    (void)files_->env()->RemoveFile(LeaseFileName(dbname_, lease_id_));
+  }
+  retired_versions_.clear();
   versions_.reset();
   table_cache_.reset();
 }
@@ -313,12 +320,21 @@ void DBImpl::RemoveObsoleteFiles() {
 
   std::set<uint64_t> live = pending_outputs_;
   versions_->AddLiveFiles(&live);
+  const ManifestPosition position = versions_->manifest_position();
 
   std::vector<std::string> filenames;
   options_.env->GetChildren(dbname_, &filenames);  // ignore errors
   uint64_t number;
   DbFileType type;
-  std::vector<std::string> files_to_delete;
+  // Obsolete files in directory order. SSTs and WALs are `shared`: a
+  // read-only instance's view may still reference them.
+  struct ObsoleteFile {
+    std::string name;
+    uint64_t number;
+    bool shared;
+  };
+  std::vector<ObsoleteFile> obsolete;
+  std::vector<std::string> leases;
   for (const std::string& filename : filenames) {
     if (!ParseFileName(filename, &number, &type)) {
       continue;
@@ -337,26 +353,65 @@ void DBImpl::RemoveObsoleteFiles() {
       case DbFileType::kTempFile:
         keep = (live.find(number) != live.end());
         break;
+      case DbFileType::kLeaseFile:
+        leases.push_back(filename);
+        keep = true;
+        break;
       case DbFileType::kCurrentFile:
       case DbFileType::kDekCacheFile:
         keep = true;
         break;
     }
     if (!keep) {
-      files_to_delete.push_back(filename);
+      obsolete.push_back({filename, number,
+                          type == DbFileType::kTableFile ||
+                              type == DbFileType::kLogFile});
       if (type == DbFileType::kTableFile) {
         table_cache_->Evict(number);
       }
     }
   }
 
+  // Each shared file carries the writer's manifest position from the
+  // pass that first found it obsolete: the edit that dropped it lies at
+  // or before that stamp, so a view pinned at or past the stamp no
+  // longer references it.
+  std::map<uint64_t, ManifestPosition> stamps;
+  if (!leases.empty()) {
+    for (const ObsoleteFile& f : obsolete) {
+      if (f.shared) {
+        auto it = obsolete_stamps_.find(f.number);
+        stamps.emplace(f.number,
+                       it != obsolete_stamps_.end() ? it->second : position);
+      }
+    }
+  }
+  obsolete_stamps_ = stamps;
+
   // Delete outside the lock: file deletion under SHIELD talks to the
   // KDS (DEK destruction) and may block.
   mutex_.unlock();
-  for (const std::string& filename : files_to_delete) {
-    files_->DeleteFile(dbname_ + "/" + filename);
+  // The leases are read after the live set was taken: an instance
+  // whose lease this pass misses read its manifest after every edit
+  // that made these files obsolete.
+  ManifestPosition oldest;
+  const bool leased =
+      !stamps.empty() && OldestLeasedPosition(files_->env(), dbname_, leases,
+                                              NowMicros(), &oldest);
+  std::vector<uint64_t> released;
+  for (const ObsoleteFile& f : obsolete) {
+    if (f.shared && leased && oldest < stamps[f.number]) {
+      continue;  // a live lease pins a view that may reference it
+    }
+    files_->DeleteFile(dbname_ + "/" + f.name);
+    if (f.shared) {
+      released.push_back(f.number);
+    }
   }
   mutex_.lock();
+  for (uint64_t n : released) {
+    obsolete_stamps_.erase(n);
+  }
 }
 
 Status DBImpl::Recover() {
@@ -414,6 +469,19 @@ Status DBImpl::Recover() {
     return Status::InvalidArgument(dbname_, "exists (error_if_exists=true)");
   }
 
+  if (read_only_) {
+    // Pin every file before the manifest is read: the writer's GC
+    // keeps whatever a lease at position {0, 0} could reference, so no
+    // file of the view read below can go while it is built.
+    while (lease_id_ == 0) {
+      crypto::SecureRandomBytes(&lease_id_, sizeof(lease_id_));
+    }
+    s = PublishLease(ManifestPosition());
+    if (!s.ok()) {
+      return s;
+    }
+  }
+
   s = versions_->Recover();
   if (!s.ok()) {
     return s;
@@ -422,26 +490,34 @@ Status DBImpl::Recover() {
   // Replay WALs newer than the manifest state.
   TraceSpan recover_span(SpanType::kRecovery, Slice(dbname_));
   SequenceNumber max_sequence = 0;
-  const uint64_t min_log = versions_->LogNumber();
-  std::vector<std::string> filenames;
-  s = options_.env->GetChildren(dbname_, &filenames);
+  if (read_only_) {
+    mem_ = new MemTable(internal_comparator_);
+    mem_->Ref();
+    s = ReplayReplicaLogs(*versions_, mem_, &max_sequence);
+    if (!s.ok()) {
+      return s;
+    }
+    if (versions_->LastSequence() < max_sequence) {
+      versions_->SetLastSequence(max_sequence);
+    }
+    RecordCatchupApplied();
+    // Narrow the lease to the view just installed. If the write fails
+    // the lease at {0, 0} stays in force, which keeps more, not less.
+    (void)PublishLease(versions_->manifest_position());
+    SetupHealthPlane();
+    return Status::OK();
+  }
+
+  std::vector<uint64_t> logs;
+  s = ListLogFiles(versions_->LogNumber(), &logs);
   if (!s.ok()) {
     return s;
   }
-  std::vector<uint64_t> logs;
-  uint64_t number;
-  DbFileType type;
-  for (const std::string& filename : filenames) {
-    if (ParseFileName(filename, &number, &type) &&
-        type == DbFileType::kLogFile && number >= min_log) {
-      logs.push_back(number);
-    }
-  }
-  std::sort(logs.begin(), logs.end());
 
   VersionEdit edit;
   for (uint64_t log_number : logs) {
-    s = RecoverLogFile(log_number, &max_sequence, &edit);
+    s = RecoverLogFile(log_number, /*replica_mem=*/nullptr, &max_sequence,
+                       &edit);
     if (!s.ok()) {
       if (!options_.paranoid_checks &&
           (s.IsCorruption() || s.IsNotFound())) {
@@ -468,16 +544,6 @@ Status DBImpl::Recover() {
 
   if (versions_->LastSequence() < max_sequence) {
     versions_->SetLastSequence(max_sequence);
-  }
-
-  if (read_only_) {
-    if (mem_ == nullptr) {
-      mem_ = new MemTable(internal_comparator_);
-      mem_->Ref();
-    }
-    RecordCatchupApplied();
-    SetupHealthPlane();
-    return Status::OK();
   }
 
   // Start a fresh WAL and persist the recovery edit.
@@ -580,6 +646,9 @@ void DBImpl::WaitForIdle() {
         return;  // could not schedule (shutdown)
       }
       continue;
+    }
+    if (!obsolete_stamps_.empty()) {
+      RemoveObsoleteFiles();
     }
     return;
   }

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -14,6 +15,7 @@
 #include "lsm/compaction_service.h"
 #include "lsm/db.h"
 #include "lsm/error_handler.h"
+#include "lsm/file_lease.h"
 #include "lsm/log_writer.h"
 #include "lsm/memtable.h"
 #include "lsm/rotation_manifest.h"
@@ -126,8 +128,23 @@ class DBImpl final : public DB {
                                 SequenceNumber* latest_snapshot);
 
   // Recovery (db_recovery.cc).
-  Status RecoverLogFile(uint64_t log_number, SequenceNumber* max_sequence,
-                        VersionEdit* edit);
+  /// Replays one WAL. With `replica_mem` set (read-only instances)
+  /// every record goes into it; otherwise records fill memtables that
+  /// are flushed to level-0 SSTs recorded in *edit.
+  Status RecoverLogFile(uint64_t log_number, MemTable* replica_mem,
+                        SequenceNumber* max_sequence, VersionEdit* edit);
+  /// The WALs in the DB directory numbered `min_log` or above, in
+  /// ascending order.
+  Status ListLogFiles(uint64_t min_log, std::vector<uint64_t>* logs);
+  /// Read-only instances: replays into `mem` every WAL the view of
+  /// `versions` needs. Any WAL that cannot be replayed whole fails the
+  /// replay: this instance's lease keeps those WALs, so a missing one
+  /// means the view cannot be rebuilt, never that it is empty.
+  Status ReplayReplicaLogs(const VersionSet& versions, MemTable* mem,
+                           SequenceNumber* max_sequence);
+  /// Read-only instances: publishes this instance's lease pinning
+  /// `position` (lsm/file_lease.h). mutex_ held.
+  Status PublishLease(const ManifestPosition& position);
   /// On success with a non-empty output, *pending_output is the new
   /// file's number, still registered in pending_outputs_: the caller
   /// must erase it only AFTER the edit has been installed, or a
@@ -301,6 +318,18 @@ class DBImpl final : public DB {
 
   SnapshotList snapshots_;
   std::set<uint64_t> pending_outputs_;
+  // Writer: the manifest position at which garbage collection first
+  // found each obsolete SST or WAL that a file lease still keeps,
+  // keyed by file number.
+  std::map<uint64_t, ManifestPosition> obsolete_stamps_;
+  // Read-only instances: this instance's file lease. lease_id_ stays 0
+  // until Recover publishes the first lease. All guarded by mutex_.
+  uint64_t lease_id_ = 0;
+  FileLease lease_;
+  // Read-only instances: version sets that TryCatchUp replaced while a
+  // reader still held one of their versions, oldest first. The lease
+  // pins the oldest of them, so those readers keep their files.
+  std::deque<std::unique_ptr<VersionSet>> retired_versions_;
   // Output numbers of the in-flight offloaded compaction; unpinned by
   // DoCompactionWork after the edit is installed.
   std::vector<uint64_t> offload_pending_outputs_;

@@ -9,9 +9,7 @@
 
 namespace shield {
 
-// Replays one WAL into memtable(s), flushing overflow to level-0
-// SSTs. In read-only mode everything stays in mem_.
-Status DBImpl::RecoverLogFile(uint64_t log_number,
+Status DBImpl::RecoverLogFile(uint64_t log_number, MemTable* replica_mem,
                               SequenceNumber* max_sequence,
                               VersionEdit* edit) {
   struct LogReporter : public log::Reader::Reporter {
@@ -39,15 +37,7 @@ Status DBImpl::RecoverLogFile(uint64_t log_number,
 
   Slice record;
   std::string scratch;
-  MemTable* mem = nullptr;
-  if (read_only_) {
-    // Read-only instances accumulate all replayed WAL state in mem_.
-    if (mem_ == nullptr) {
-      mem_ = new MemTable(internal_comparator_);
-      mem_->Ref();
-    }
-    mem = mem_;
-  }
+  MemTable* mem = replica_mem;
   while (reader.ReadRecord(&record, &scratch) && status.ok()) {
     if (record.size() < 12) {
       continue;  // malformed fragment already reported
@@ -68,7 +58,7 @@ Status DBImpl::RecoverLogFile(uint64_t log_number,
       *max_sequence = last_seq;
     }
 
-    if (!read_only_ &&
+    if (replica_mem == nullptr &&
         mem->ApproximateMemoryUsage() > options_.write_buffer_size) {
       uint64_t pending_output = 0;
       status = WriteLevel0Table(mem, edit, &pending_output);
@@ -82,8 +72,8 @@ Status DBImpl::RecoverLogFile(uint64_t log_number,
     }
   }
 
-  if (read_only_) {
-    return status;  // everything stays in mem_
+  if (replica_mem != nullptr) {
+    return status;  // everything stays in replica_mem
   }
   if (status.ok() && mem != nullptr && mem->NumEntries() > 0) {
     uint64_t pending_output = 0;
@@ -212,6 +202,58 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
   return s;
 }
 
+Status DBImpl::ListLogFiles(uint64_t min_log, std::vector<uint64_t>* logs) {
+  std::vector<std::string> filenames;
+  Status s = options_.env->GetChildren(dbname_, &filenames);
+  if (!s.ok()) {
+    return s;
+  }
+  uint64_t number;
+  DbFileType type;
+  for (const std::string& filename : filenames) {
+    if (ParseFileName(filename, &number, &type) &&
+        type == DbFileType::kLogFile && number >= min_log) {
+      logs->push_back(number);
+    }
+  }
+  std::sort(logs->begin(), logs->end());
+  return Status::OK();
+}
+
+Status DBImpl::ReplayReplicaLogs(const VersionSet& versions, MemTable* mem,
+                                 SequenceNumber* max_sequence) {
+  std::vector<uint64_t> logs;
+  Status s = ListLogFiles(versions.LogNumber(), &logs);
+  if (!s.ok()) {
+    return s;
+  }
+  // The WAL the manifest names exists from before the manifest named
+  // it (log number 0 only precedes the writer's first open).
+  if (versions.LogNumber() != 0 &&
+      (logs.empty() || logs.front() != versions.LogNumber())) {
+    return Status::NotFound("WAL of the replica's view is missing",
+                            LogFileName(dbname_, versions.LogNumber()));
+  }
+  for (uint64_t log_number : logs) {
+    s = RecoverLogFile(log_number, mem, max_sequence, /*edit=*/nullptr);
+    if (!s.ok()) {
+      return s;
+    }
+  }
+  return Status::OK();
+}
+
+Status DBImpl::PublishLease(const ManifestPosition& position) {
+  FileLease lease;
+  lease.pinned = position;
+  lease.written_micros = NowMicros();
+  Status s = WriteFileLease(files_->env(), dbname_, lease_id_, lease);
+  if (s.ok()) {
+    lease_ = lease;
+  }
+  return s;
+}
+
 Status DBImpl::TryCatchUp() {
   if (!read_only_) {
     return Status::OK();
@@ -225,8 +267,19 @@ Status DBImpl::TryCatchUp() {
 
   std::unique_lock<std::mutex> lock(mutex_);
 
-  // Rebuild version state from the manifest the primary most recently
-  // published, then re-replay its WALs.
+  if (NowMicros() - lease_.written_micros >= kFileLeaseTtlMicros / 2) {
+    // The lease nears expiry, after which the writer drops it. Renew
+    // it at the installed view's position before reading the new
+    // view, so no file of the new view can go while it is built.
+    Status s = PublishLease(lease_.pinned);
+    if (!s.ok()) {
+      return s;
+    }
+  }
+
+  // Build the primary's most recently published state aside: the
+  // installed view, and the lease that keeps its files, stay in force
+  // until the new version set and every WAL it needs are in hand.
   auto new_versions = std::make_unique<VersionSet>(
       dbname_, options_, &internal_comparator_, table_cache_.get(),
       files_.get());
@@ -234,50 +287,38 @@ Status DBImpl::TryCatchUp() {
   if (!s.ok()) {
     return s;
   }
-
-  if (mem_ != nullptr) {
-    mem_->Unref();
-  }
-  mem_ = new MemTable(internal_comparator_);
-  mem_->Ref();
-
-  versions_ = std::move(new_versions);
-
+  MemTable* new_mem = new MemTable(internal_comparator_);
+  new_mem->Ref();
   SequenceNumber max_sequence = 0;
-  const uint64_t min_log = versions_->LogNumber();
-  std::vector<std::string> filenames;
-  s = options_.env->GetChildren(dbname_, &filenames);
-  if (s.ok()) {
-    std::vector<uint64_t> logs;
-    uint64_t number;
-    DbFileType type;
-    for (const std::string& filename : filenames) {
-      if (ParseFileName(filename, &number, &type) &&
-          type == DbFileType::kLogFile && number >= min_log) {
-        logs.push_back(number);
-      }
-    }
-    std::sort(logs.begin(), logs.end());
-    VersionEdit unused_edit;
-    for (uint64_t log_number : logs) {
-      Status ls = RecoverLogFile(log_number, &max_sequence, &unused_edit);
-      if (!ls.ok() && !ls.IsNotFound()) {
-        // The primary may delete a WAL while we read: retry next time.
-        s = ls;
-        break;
-      }
-    }
+  s = ReplayReplicaLogs(*new_versions, new_mem, &max_sequence);
+  if (!s.ok()) {
+    new_mem->Unref();
+    return s;
+  }
+  if (new_versions->LastSequence() < max_sequence) {
+    new_versions->SetLastSequence(max_sequence);
   }
 
-  if (versions_->LastSequence() < max_sequence) {
-    versions_->SetLastSequence(max_sequence);
-  }
-  if (s.ok()) {
-    // This replica now reflects the primary's published state: reset
-    // the catch-up lag baseline the health plane measures against.
-    RecordCatchupApplied();
-  }
-  return s;
+  mem_->Unref();
+  mem_ = new_mem;
+  retired_versions_.push_back(std::move(versions_));
+  versions_ = std::move(new_versions);
+  retired_versions_.erase(
+      std::remove_if(retired_versions_.begin(), retired_versions_.end(),
+                     [](const std::unique_ptr<VersionSet>& v) {
+                       return !v->HasReferencedVersions();
+                     }),
+      retired_versions_.end());
+  // This replica now reflects the primary's published state: reset
+  // the catch-up lag baseline the health plane measures against.
+  RecordCatchupApplied();
+  // Move the lease up to the oldest view a reader still uses. If the
+  // write fails the old lease stays in force; it pins an earlier
+  // position, which keeps a superset of those files.
+  (void)PublishLease(retired_versions_.empty()
+                         ? versions_->manifest_position()
+                         : retired_versions_.front()->manifest_position());
+  return Status::OK();
 }
 
 }  // namespace shield

@@ -114,35 +114,27 @@ Status DBImpl::ScrubFile(int level, uint64_t number, uint64_t file_size,
   const std::string fname = TableFileName(dbname_, number);
   std::unique_ptr<RandomAccessFile> file;
   Status s = files_->NewRandomAccessFile(fname, &file);
-  if (!s.ok()) {
-    if (s.IsNotFound()) {
-      // DEK resolution happens during the file-factory open (the
-      // SHIELD header is read and its DEK id looked up before the
-      // table is touched). An unknown DEK id on a live SST the engine
-      // itself wrote means the stored id is damaged — a bit flip in
-      // the header, not a key the service legitimately never issued —
-      // so classify as corruption to route the file into repair.
-      // (Transient KDS trouble surfaces as TryAgain/Busy and is still
-      // reported without condemning the file.)
-      return Status::Corruption("embedded DEK id unresolvable", s.ToString());
-    }
-    return s;
-  }
   // A private Table with no block cache: every block comes straight
   // from the medium, so cached copies cannot mask on-media damage.
   std::unique_ptr<Table> table;
-  s = Table::Open(options_, &internal_comparator_, fname, std::move(file),
-                  file_size, /*block_cache=*/nullptr, &table);
+  if (s.ok()) {
+    s = Table::Open(options_, &internal_comparator_, fname, std::move(file),
+                    file_size, /*block_cache=*/nullptr, &table);
+  }
   if (!s.ok()) {
+    // The file-factory open reads the SHIELD header and resolves its
+    // DEK id before the table is touched. On a live SST the engine
+    // itself wrote, an unknown DEK id (NotFound; ids are random
+    // 128-bit values) or an unknown format version (NotSupported; the
+    // engine writes only versions it reads) means the stored header is
+    // damaged, e.g. by a bit flip. Classify as corruption so the
+    // repair path runs. Transient KDS trouble surfaces as TryAgain or
+    // Busy and is still reported without condemning the file.
     if (s.IsNotFound()) {
-      // The KDS does not know the DEK id embedded in this live SST.
-      // DEK ids are random 128-bit values, so on a file the engine
-      // itself wrote this means the stored id is damaged (e.g. a bit
-      // flip in the header), not that the key service legitimately
-      // lost a key — classify as corruption so the repair path runs.
-      // (Transient KDS trouble surfaces as TryAgain/Busy and is still
-      // reported without condemning the file.)
       return Status::Corruption("embedded DEK id unresolvable", s.ToString());
+    }
+    if (s.IsNotSupported()) {
+      return Status::Corruption("damaged SHIELD header", s.ToString());
     }
     return s;
   }

@@ -43,6 +43,13 @@ std::string DekCacheFileName(const std::string& dbname) {
   return dbname + "/DEK_CACHE";
 }
 
+std::string LeaseFileName(const std::string& dbname, uint64_t id) {
+  char buf[32];
+  snprintf(buf, sizeof(buf), "/LEASE-%016llx",
+           static_cast<unsigned long long>(id));
+  return dbname + buf;
+}
+
 std::string InfoLogFileName(const std::string& dbname) {
   return dbname + "/LOG";
 }
@@ -65,6 +72,22 @@ bool ParseFileName(const std::string& filename, uint64_t* number,
   if (filename == "DEK_CACHE" || filename == "DEK_CACHE.tmp") {
     *number = 0;
     *type = DbFileType::kDekCacheFile;
+    return true;
+  }
+  if (filename.size() == 22 && filename.compare(0, 6, "LEASE-") == 0) {
+    uint64_t id = 0;
+    for (size_t i = 6; i < filename.size(); i++) {
+      const char c = filename[i];
+      if (c >= '0' && c <= '9') {
+        id = (id << 4) | static_cast<uint64_t>(c - '0');
+      } else if (c >= 'a' && c <= 'f') {
+        id = (id << 4) | static_cast<uint64_t>(c - 'a' + 10);
+      } else {
+        return false;
+      }
+    }
+    *number = id;
+    *type = DbFileType::kLeaseFile;
     return true;
   }
   if (filename.compare(0, 9, "MANIFEST-") == 0) {

@@ -16,6 +16,7 @@ enum class DbFileType {
   kCurrentFile,    // CURRENT
   kTempFile,       // <number>.dbtmp
   kDekCacheFile,   // DEK_CACHE (SHIELD secure DEK cache)
+  kLeaseFile,      // LEASE-<16 hex digits> (a read-only instance's lease)
 };
 
 std::string LogFileName(const std::string& dbname, uint64_t number);
@@ -24,6 +25,10 @@ std::string DescriptorFileName(const std::string& dbname, uint64_t number);
 std::string CurrentFileName(const std::string& dbname);
 std::string TempFileName(const std::string& dbname, uint64_t number);
 std::string DekCacheFileName(const std::string& dbname);
+/// "<dbname>/LEASE-<id as 16 hex digits>" — the file lease of the
+/// read-only instance `id` (lsm/file_lease.h). ParseFileName reports
+/// `id` as the number.
+std::string LeaseFileName(const std::string& dbname, uint64_t id);
 /// "<dbname>/LOG" — the plaintext info LOG. Not a DbFileType:
 /// ParseFileName rejects it, which is what keeps LOG and its rotations
 /// out of RemoveObsoleteFiles garbage collection.

@@ -45,6 +45,13 @@ class Reader {
   /// *scratch). Returns false at EOF.
   bool ReadRecord(Slice* record, std::string* scratch);
 
+  /// Logical file offset just past the record ReadRecord last
+  /// returned: the same number log::Writer::logical_offset() reported
+  /// after writing that record.
+  uint64_t LastRecordEndOffset() const {
+    return end_of_buffer_offset_ - buffer_.size();
+  }
+
  private:
   enum {
     kEof = kMaxRecordType + 1,

@@ -69,6 +69,9 @@ class Writer {
 
   Status AddRecord(const Slice& slice);
 
+  /// Logical offset just past the last record written.
+  uint64_t logical_offset() const { return logical_offset_; }
+
   /// True when this writer pads records (buckets configured).
   bool padding_enabled() const { return !pad_buckets_.empty(); }
 

@@ -26,6 +26,21 @@ struct FileMetaData {
   SequenceNumber largest_seq = 0;
 };
 
+/// A point in the writer's manifest history: the descriptor file number
+/// and the logical offset just past a record in it. Positions order
+/// lexicographically; descriptor numbers only grow, so a later edit
+/// always sits at a greater position. {0, 0} precedes every edit.
+struct ManifestPosition {
+  uint64_t manifest_number = 0;
+  uint64_t offset = 0;
+
+  bool operator<(const ManifestPosition& other) const {
+    return manifest_number != other.manifest_number
+               ? manifest_number < other.manifest_number
+               : offset < other.offset;
+  }
+};
+
 /// A delta applied to the version state, serialized as one manifest
 /// record.
 class VersionEdit {

@@ -727,6 +727,8 @@ Status VersionSet::LogAndApply(VersionEdit* edit, std::mutex* mu) {
   if (s.ok()) {
     AppendVersion(v);
     log_number_ = edit->log_number_;
+    manifest_position_ = {manifest_file_number_,
+                          descriptor_log_->logical_offset()};
   } else {
     delete v;
     // The manifest tail is now suspect: the append (or its sync) may
@@ -761,6 +763,12 @@ Status VersionSet::Recover() {
   current.resize(current.size() - 1);
 
   const std::string dscname = dbname_ + "/" + current;
+  uint64_t manifest_number = 0;
+  DbFileType manifest_type;
+  if (!ParseFileName(current, &manifest_number, &manifest_type) ||
+      manifest_type != DbFileType::kDescriptorFile) {
+    return Status::Corruption("CURRENT does not name a MANIFEST", current);
+  }
   std::unique_ptr<SequentialFile> file;
   s = files_->NewSequentialFile(dscname, &file);
   if (!s.ok()) {
@@ -777,6 +785,7 @@ Status VersionSet::Recover() {
   uint64_t next_file = 0;
   uint64_t log_number = 0;
   SequenceNumber last_sequence = 0;
+  uint64_t applied_end_offset = 0;
 
   Builder builder(this, current_);
 
@@ -807,6 +816,7 @@ Status VersionSet::Recover() {
       }
       if (s.ok()) {
         builder.Apply(&edit);
+        applied_end_offset = reader.LastRecordEndOffset();
       }
       if (edit.has_log_number_) {
         log_number = edit.log_number_;
@@ -852,6 +862,7 @@ Status VersionSet::Recover() {
     last_sequence_ = last_sequence;
     log_number_ = log_number;
     MarkFileNumberUsed(log_number);
+    manifest_position_ = {manifest_number, applied_end_offset};
   }
 
   return s;

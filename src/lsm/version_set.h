@@ -139,6 +139,20 @@ class VersionSet {
 
   Version* current() const { return current_; }
 
+  /// True while a reader (an iterator, a Get in flight) holds any
+  /// version of this set, current() included.
+  bool HasReferencedVersions() const {
+    return dummy_versions_.next_ != current_ ||
+           current_->next_ != &dummy_versions_ || current_->refs_ > 1;
+  }
+
+  /// Where current() stands in the manifest history: just past the
+  /// last record Recover applied, then past each record LogAndApply
+  /// appends. File-lease checks compare against this.
+  const ManifestPosition& manifest_position() const {
+    return manifest_position_;
+  }
+
   uint64_t NewFileNumber() { return next_file_number_++; }
   void MarkFileNumberUsed(uint64_t number) {
     if (next_file_number_ <= number) {
@@ -234,6 +248,7 @@ class VersionSet {
   uint64_t manifest_file_number_ = 0;
   uint64_t log_number_ = 0;
   SequenceNumber last_sequence_ = 0;
+  ManifestPosition manifest_position_;
 
   std::unique_ptr<WritableFile> descriptor_file_;
   std::unique_ptr<log::Writer> descriptor_log_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "lsm/file_names.h"
 #include "shield/file_crypto.h"
 #include "util/clock.h"
 
@@ -347,24 +348,33 @@ Status SimCluster::RestartReplicas() {
 }
 
 Status SimCluster::BitFlipSomeSst(uint64_t raw_pick, uint64_t raw_bit) {
-  std::vector<std::string> children;
-  Status s = fault_env_->GetChildren(options_.db_path, &children);
-  if (!s.ok()) {
-    return s;
-  }
-  std::vector<std::string> ssts;
-  for (const auto& c : children) {
-    if (c.size() > 4 && c.compare(c.size() - 4, 4, ".sst") == 0) {
-      ssts.push_back(c);
+  // The victim comes from the writer's current version, not from the
+  // directory listing: the directory also holds obsolete SSTs that a
+  // replica's file lease still keeps, and those may even be empty (a
+  // crash cut an unsynced output to zero bytes).
+  std::string sstables;
+  writer_->GetProperty("shield.sstables", &sstables);
+  std::vector<uint64_t> live;
+  size_t pos = 0;
+  while (pos < sstables.size()) {
+    size_t end = sstables.find('\n', pos);
+    if (end == std::string::npos) {
+      end = sstables.size();
     }
+    // File lines read "  <number>:<size>[<smallest> .. <largest>]".
+    if (sstables.compare(pos, 2, "  ") == 0) {
+      live.push_back(strtoull(sstables.c_str() + pos + 2, nullptr, 10));
+    }
+    pos = end + 1;
   }
-  if (ssts.empty()) {
+  if (live.empty()) {
     return Status::NotFound("no live SSTs to corrupt");
   }
-  std::sort(ssts.begin(), ssts.end());
-  const std::string& victim = ssts[raw_pick % ssts.size()];
+  std::sort(live.begin(), live.end());
+  const uint64_t victim = live[raw_pick % live.size()];
   // FlipBit reduces the bit index modulo the file size itself.
-  return fault_env_->FlipBit(options_.db_path + "/" + victim, raw_bit);
+  return fault_env_->FlipBit(TableFileName(options_.db_path, victim),
+                             raw_bit);
 }
 
 Status SimCluster::VerifyAndRepair() {

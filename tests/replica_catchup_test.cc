@@ -2,19 +2,28 @@
 // TryCatchUp() while the writer is mid-flush / mid-batch — and while
 // the storage layer is injecting transient faults — must never observe
 // a partially durable version: a WriteBatch is visible all-or-nothing,
-// and a manifest mid-rewrite never yields a mixed file set.
+// and a manifest mid-rewrite never yields a mixed file set. The file
+// leases that keep a replica's view readable while the writer flushes
+// and compacts, and their release on close and on expiry, are tested
+// here too.
 
 #include <atomic>
+#include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 
 #include "env/fault_injection_env.h"
 #include "gtest/gtest.h"
+#include "kds/local_kds.h"
 #include "lsm/db.h"
+#include "lsm/file_lease.h"
 #include "lsm/iterator.h"
 #include "lsm/write_batch.h"
+#include "util/clock.h"
 
 namespace shield {
 namespace {
@@ -39,6 +48,10 @@ class ReplicaCatchupTest : public ::testing::Test {
     Options options;
     options.env = fault_env_.get();
     options.write_buffer_size = 8 * 1024;
+    if (shield_) {
+      options.encryption.mode = EncryptionMode::kShield;
+      options.encryption.kds = kds_;
+    }
     return options;
   }
 
@@ -89,10 +102,140 @@ class ReplicaCatchupTest : public ::testing::Test {
     return first;
   }
 
+  /// Opens the writer with automatic compaction out of the way and
+  /// gives it `files` level-0 SSTs of kKeysPerGeneration keys each
+  /// (generation g holds "file-<g>-key-<i>").
+  void OpenWriterWithL0Files(int files) {
+    Options options = DbOptions();
+    options.level0_file_num_compaction_trigger = 100;
+    DB* raw = nullptr;
+    ASSERT_TRUE(DB::Open(options, "/catchup", &raw).ok());
+    writer_.reset(raw);
+    for (int g = 0; g < files; g++) {
+      for (int i = 0; i < kKeysPerGeneration; i++) {
+        ASSERT_TRUE(writer_->Put(WriteOptions(), FileKey(g, i), GenValue(g))
+                        .ok());
+      }
+      ASSERT_TRUE(writer_->Flush().ok());
+    }
+  }
+
+  void OpenReplica(Env* env) {
+    Options options = DbOptions();
+    options.env = env;
+    DB* raw = nullptr;
+    ASSERT_TRUE(DB::OpenReadOnly(options, "/catchup", &raw).ok());
+    replica_.reset(raw);
+  }
+
+  static std::string FileKey(int g, int i) {
+    return "file-" + std::to_string(g) + "-key-" + std::to_string(i);
+  }
+
+  /// Names in the DB directory ending in `suffix`.
+  std::set<std::string> ListFiles(const std::string& suffix) {
+    std::vector<std::string> children;
+    EXPECT_TRUE(base_->GetChildren("/catchup", &children).ok());
+    std::set<std::string> out;
+    for (const std::string& c : children) {
+      if (c.size() >= suffix.size() &&
+          c.compare(c.size() - suffix.size(), suffix.size(), suffix) == 0) {
+        out.insert(c);
+      }
+    }
+    return out;
+  }
+
+  int CountLeases() {
+    int leases = 0;
+    for (const std::string& f : ListFiles("")) {
+      leases += f.rfind("LEASE-", 0) == 0 ? 1 : 0;
+    }
+    return leases;
+  }
+
+  /// Runs a writer flush, which ends in a garbage-collection pass.
+  void RunWriterGc() {
+    ASSERT_TRUE(writer_->Put(WriteOptions(), "gc-trigger", "x").ok());
+    ASSERT_TRUE(writer_->Flush().ok());
+    writer_->WaitForIdle();
+  }
+
+  /// The writer compacts away the level-0 files of the replica's
+  /// installed view; the replica must still read every key of it.
+  void CheckCompactionKeepsReplicaView() {
+    constexpr int kFiles = 3;
+    OpenWriterWithL0Files(kFiles);
+    OpenReplica(fault_env_.get());
+    ASSERT_EQ(static_cast<size_t>(kFiles), ListFiles(".sst").size());
+
+    ASSERT_TRUE(writer_->CompactRange(nullptr, nullptr).ok());
+    writer_->WaitForIdle();
+    std::string files;
+    ASSERT_TRUE(writer_->GetProperty("shield.num-files-at-level0", &files));
+    ASSERT_EQ("0", files) << "the compaction must have replaced the L0 files";
+
+    std::map<std::string, std::string> seen;
+    std::unique_ptr<Iterator> it(replica_->NewIterator(ReadOptions()));
+    for (it->SeekToFirst(); it->Valid(); it->Next()) {
+      seen[it->key().ToString()] = it->value().ToString();
+    }
+    ASSERT_TRUE(it->status().ok()) << it->status().ToString();
+    it.reset();
+    for (int g = 0; g < kFiles; g++) {
+      for (int i = 0; i < kKeysPerGeneration; i++) {
+        auto found = seen.find(FileKey(g, i));
+        ASSERT_NE(found, seen.end()) << "replica lost " << FileKey(g, i);
+        EXPECT_EQ(GenValue(g), found->second);
+      }
+    }
+  }
+
+  bool shield_ = false;
+  std::shared_ptr<LocalKds> kds_ = std::make_shared<LocalKds>();
   std::unique_ptr<Env> base_;
   std::unique_ptr<FaultInjectionEnv> fault_env_;
   std::unique_ptr<DB> writer_;
   std::unique_ptr<DB> replica_;
+};
+
+/// Runs `hook` once, inside the first GetChildren call after Arm().
+class GetChildrenHookEnv : public EnvWrapper {
+ public:
+  explicit GetChildrenHookEnv(Env* target) : EnvWrapper(target) {}
+
+  void Arm(std::function<void()> hook) { hook_ = std::move(hook); }
+  bool fired() const { return fired_; }
+
+  Status GetChildren(const std::string& dir,
+                     std::vector<std::string>* result) override {
+    if (hook_) {
+      std::function<void()> hook = std::move(hook_);
+      hook_ = nullptr;
+      hook();
+      fired_ = true;
+    }
+    return EnvWrapper::GetChildren(dir, result);
+  }
+
+ private:
+  std::function<void()> hook_;
+  bool fired_ = false;
+};
+
+/// The real clock shifted forward by a settable amount.
+class ShiftedClock : public Clock {
+ public:
+  uint64_t NowMicros() override {
+    return Clock::Real()->NowMicros() + shift_.load();
+  }
+  void SleepForMicros(uint64_t micros) override {
+    Clock::Real()->SleepForMicros(micros);
+  }
+  void Advance(uint64_t micros) { shift_.fetch_add(micros); }
+
+ private:
+  std::atomic<uint64_t> shift_{0};
 };
 
 // Interleaved single-threaded schedule with transient storage faults
@@ -224,6 +367,154 @@ TEST_F(ReplicaCatchupTest, LagPropertiesDrainToZeroAfterCatchUp) {
   std::string v;
   ASSERT_TRUE(writer_->GetProperty("shield.replica.catchup-lag-bytes", &v));
   EXPECT_EQ("0", v);
+}
+
+// The writer compacts away level-0 files that the replica's installed
+// view still lists. The replica must still read its whole view: the
+// writer keeps every file a live lease pins.
+TEST_F(ReplicaCatchupTest, WriterCompactionKeepsFilesOfReplicaView) {
+  CheckCompactionKeepsReplicaView();
+}
+
+// The same under SHIELD, where deleting a file also destroys its DEK:
+// the lease must keep the key along with the file.
+TEST_F(ReplicaCatchupTest, WriterCompactionKeepsDeksOfReplicaView) {
+  shield_ = true;
+  CheckCompactionKeepsReplicaView();
+}
+
+// An iterator opened on the replica before a catch-up keeps reading
+// the view it was opened on. The writer rewrites every file of that
+// view while the replica catches up past it; the iterator must still
+// reach files it opens only after the catch-up.
+TEST_F(ReplicaCatchupTest, IteratorOpenAcrossCatchUpKeepsItsFiles) {
+  Options options = DbOptions();
+  options.target_file_size_base = 4 * 1024;  // many small bottom files
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, "/catchup", &raw).ok());
+  writer_.reset(raw);
+  constexpr int kKeys = 600;
+  auto key = [](int i) {
+    char buf[16];
+    snprintf(buf, sizeof(buf), "key%05d", i);
+    return std::string(buf);
+  };
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(
+        writer_->Put(WriteOptions(), key(i), std::string(64, 'v')).ok());
+  }
+  ASSERT_TRUE(writer_->CompactRange(nullptr, nullptr).ok());
+  writer_->WaitForIdle();
+  OpenReplica(fault_env_.get());
+
+  std::unique_ptr<Iterator> it(replica_->NewIterator(ReadOptions()));
+  it->SeekToFirst();
+  ASSERT_TRUE(it->Valid());
+
+  // Rewrite every file (manual compaction also rotates DEKs), move the
+  // replica past the old view, and let the writer's GC run.
+  ASSERT_TRUE(writer_->CompactRange(nullptr, nullptr).ok());
+  ASSERT_TRUE(replica_->TryCatchUp().ok());
+  RunWriterGc();
+
+  int seen = 0;
+  for (; it->Valid(); it->Next()) {
+    EXPECT_EQ(key(seen), it->key().ToString());
+    seen++;
+  }
+  EXPECT_TRUE(it->status().ok()) << it->status().ToString();
+  EXPECT_EQ(kKeys, seen);
+  it.reset();
+
+  // Once the iterator is gone, the next catch-up lets the old view go.
+  const std::set<std::string> before = ListFiles(".sst");
+  ASSERT_TRUE(replica_->TryCatchUp().ok());
+  RunWriterGc();
+  EXPECT_LT(ListFiles(".sst").size(), before.size());
+}
+
+// The writer flushes (rolling to a new WAL and retiring the old one)
+// between the replica's manifest read and its WAL listing. Catch-up
+// may fail, but if it reports success its view holds every write the
+// writer acknowledged.
+TEST_F(ReplicaCatchupTest, FlushDuringWalListingNeverDropsAcknowledgedWrite) {
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(DbOptions(), "/catchup", &raw).ok());
+  writer_.reset(raw);
+  ASSERT_TRUE(writer_->Flush().ok());
+  GetChildrenHookEnv hook_env(fault_env_.get());
+  OpenReplica(&hook_env);
+
+  WriteOptions synced;
+  synced.sync = true;
+  ASSERT_TRUE(writer_->Put(synced, "acknowledged", "value").ok());
+  hook_env.Arm([&] {
+    EXPECT_TRUE(writer_->Flush().ok());
+    writer_->WaitForIdle();
+  });
+  Status s = replica_->TryCatchUp();
+  ASSERT_TRUE(hook_env.fired());
+  if (s.ok()) {
+    std::string value;
+    s = replica_->Get(ReadOptions(), "acknowledged", &value);
+    ASSERT_TRUE(s.ok()) << "catch-up succeeded without an acknowledged "
+                           "write: "
+                        << s.ToString();
+    EXPECT_EQ("value", value);
+  }
+  replica_.reset();
+}
+
+// Files the lease kept alive go at the writer's next GC once the
+// replica closes (closing removes its lease).
+TEST_F(ReplicaCatchupTest, ClosingReplicaReleasesDeferredFiles) {
+  OpenWriterWithL0Files(3);
+  OpenReplica(fault_env_.get());
+  const std::set<std::string> l0_files = ListFiles(".sst");
+  ASSERT_EQ(3u, l0_files.size());
+  ASSERT_EQ(1, CountLeases());
+
+  ASSERT_TRUE(writer_->CompactRange(nullptr, nullptr).ok());
+  RunWriterGc();
+  for (const std::string& f : l0_files) {
+    EXPECT_EQ(1u, ListFiles(".sst").count(f)) << f << " deleted under lease";
+  }
+
+  replica_.reset();
+  EXPECT_EQ(0, CountLeases());
+  RunWriterGc();
+  for (const std::string& f : l0_files) {
+    EXPECT_EQ(0u, ListFiles(".sst").count(f)) << f << " outlived its lease";
+  }
+}
+
+// A lease that outlives its TTL (a replica that died without closing)
+// stops pinning: the writer's next GC removes it and deletes the
+// files it kept.
+TEST_F(ReplicaCatchupTest, ExpiredLeaseReleasesDeferredFiles) {
+  ShiftedClock clock;
+  ScopedClockOverride clock_override(&clock);
+  OpenWriterWithL0Files(3);
+  OpenReplica(fault_env_.get());
+  const std::set<std::string> l0_files = ListFiles(".sst");
+  ASSERT_EQ(3u, l0_files.size());
+
+  ASSERT_TRUE(writer_->CompactRange(nullptr, nullptr).ok());
+  RunWriterGc();
+  for (const std::string& f : l0_files) {
+    EXPECT_EQ(1u, ListFiles(".sst").count(f)) << f << " deleted under lease";
+  }
+
+  clock.Advance(kFileLeaseTtlMicros + 1000 * 1000);
+  RunWriterGc();
+  for (const std::string& f : l0_files) {
+    EXPECT_EQ(0u, ListFiles(".sst").count(f)) << f << " outlived its lease";
+  }
+  EXPECT_EQ(0, CountLeases()) << "the expired lease was not removed";
+
+  // Shut down under the shifted clock that timed the DBs' work.
+  replica_.reset();
+  writer_.reset();
 }
 
 }  // namespace

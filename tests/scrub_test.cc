@@ -257,6 +257,58 @@ TEST_F(ScrubTest, LocalSalvageRecoversReadableEntries) {
   EXPECT_EQ(Property(db_.get(), "scrub-corruptions-detected"), "1");
 }
 
+// Serves the raw bytes of files captured before they were damaged,
+// standing in for the DS storage service's replica.
+class CapturedReplicaSource : public FileReplicaSource {
+ public:
+  void Capture(Env* env, const std::string& fname) {
+    ASSERT_TRUE(ReadFileToString(env, fname, &files_[fname]).ok());
+  }
+
+  Status FetchFile(const std::string& fname, std::string* contents) override {
+    auto it = files_.find(fname);
+    if (it == files_.end()) {
+      return Status::NotFound("no replica of", fname);
+    }
+    *contents = it->second;
+    return Status::OK();
+  }
+
+ private:
+  std::map<std::string, std::string> files_;
+};
+
+// A bit flip in the format-version byte of a live SST's SHIELD header
+// makes the header parser answer NotSupported. On a file the engine
+// wrote itself that is damage, so the scrubber must route it into
+// repair like any other corruption.
+TEST_F(ScrubTest, HeaderVersionBitFlipIsRepaired) {
+  CapturedReplicaSource replica;
+  Options options = MakeOptions();
+  options.replica_source = &replica;
+  Open(options);
+  WriteAndFlush(300);
+
+  const std::vector<std::string> ssts = ListSstFiles(mem_env_.get());
+  ASSERT_FALSE(ssts.empty());
+  const std::string fname = std::string(kDbName) + "/" + ssts[0];
+  replica.Capture(mem_env_.get(), fname);
+  ASSERT_TRUE(fault_env_->FlipBit(fname, 8 * 8 + 2).ok());  // byte 8, bit 2
+
+  Status s = db_->VerifyIntegrity();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(Property(db_.get(), "scrub-corruptions-detected"), "1");
+  EXPECT_EQ(Property(db_.get(), "scrub-repaired-files"), "1");
+  EXPECT_EQ(listener_->violations, 1);
+  EXPECT_TRUE(listener_->last_repair_from_replica);
+  EXPECT_TRUE(mem_env_->FileExists(fname + ".quarantine"));
+
+  int matching = 0, missing = 0, wrong = 0;
+  ScanAgainstShadow(&matching, &missing, &wrong);
+  EXPECT_EQ(matching, 300);
+  ASSERT_TRUE(db_->VerifyIntegrity().ok());
+}
+
 TEST_F(ScrubTest, BackgroundScrubThreadRepairsAutomatically) {
   Options options = MakeOptions();
   options.scrub_interval_micros = 20 * 1000;  // 20ms between passes

@@ -1,6 +1,8 @@
 #include "lsm/version_edit.h"
 
+#include "env/fault_injection_env.h"
 #include "gtest/gtest.h"
+#include "lsm/file_lease.h"
 #include "lsm/file_names.h"
 
 namespace shield {
@@ -59,6 +61,7 @@ TEST(FileNamesTest, Construction) {
   EXPECT_EQ("/db/MANIFEST-000003", DescriptorFileName("/db", 3));
   EXPECT_EQ("/db/CURRENT", CurrentFileName("/db"));
   EXPECT_EQ("/db/DEK_CACHE", DekCacheFileName("/db"));
+  EXPECT_EQ("/db/LEASE-00000000deadbeef", LeaseFileName("/db", 0xdeadbeef));
 }
 
 TEST(FileNamesTest, ParseRoundTrip) {
@@ -85,6 +88,10 @@ TEST(FileNamesTest, ParseRoundTrip) {
 
   ASSERT_TRUE(ParseFileName("000009.dbtmp", &number, &type));
   EXPECT_EQ(DbFileType::kTempFile, type);
+
+  ASSERT_TRUE(ParseFileName("LEASE-0123456789abcdef", &number, &type));
+  EXPECT_EQ(0x0123456789abcdefull, number);
+  EXPECT_EQ(DbFileType::kLeaseFile, type);
 }
 
 TEST(FileNamesTest, ParseRejectsForeignNames) {
@@ -96,6 +103,9 @@ TEST(FileNamesTest, ParseRejectsForeignNames) {
   EXPECT_FALSE(ParseFileName("100.unknown", &number, &type));
   EXPECT_FALSE(ParseFileName("MANIFEST-", &number, &type));
   EXPECT_FALSE(ParseFileName("MANIFEST-xyz", &number, &type));
+  EXPECT_FALSE(ParseFileName("LEASE-0123", &number, &type));
+  EXPECT_FALSE(ParseFileName("LEASE-0123456789abcdef.tmp", &number, &type));
+  EXPECT_FALSE(ParseFileName("LEASE-0x23456789abcdef", &number, &type));
 }
 
 TEST(FileNamesTest, SetCurrentFile) {
@@ -105,6 +115,81 @@ TEST(FileNamesTest, SetCurrentFile) {
   std::string contents;
   ASSERT_TRUE(ReadFileToString(env.get(), "/db/CURRENT", &contents).ok());
   EXPECT_EQ("MANIFEST-000005\n", contents);
+}
+
+TEST(FileLeaseTest, EncodeDecodeRoundTrip) {
+  FileLease lease;
+  lease.pinned = {7, 1234};
+  lease.written_micros = 99;
+  std::string encoded = EncodeFileLease(lease);
+  FileLease decoded;
+  ASSERT_TRUE(DecodeFileLease(encoded, &decoded).ok());
+  EXPECT_EQ(7u, decoded.pinned.manifest_number);
+  EXPECT_EQ(1234u, decoded.pinned.offset);
+  EXPECT_EQ(99u, decoded.written_micros);
+
+  encoded[12] ^= 1;
+  EXPECT_TRUE(DecodeFileLease(encoded, &decoded).IsCorruption());
+  EXPECT_TRUE(DecodeFileLease("short", &decoded).IsCorruption());
+}
+
+TEST(FileLeaseTest, ManifestPositionsOrderByManifestThenOffset) {
+  EXPECT_TRUE((ManifestPosition{1, 900} < ManifestPosition{2, 0}));
+  EXPECT_TRUE((ManifestPosition{2, 10} < ManifestPosition{2, 11}));
+  EXPECT_FALSE((ManifestPosition{2, 11} < ManifestPosition{2, 11}));
+  EXPECT_TRUE((ManifestPosition{} < ManifestPosition{0, 1}));
+}
+
+TEST(FileLeaseTest, OldestLeasedPositionRules) {
+  auto env = NewMemEnv();
+  env->CreateDirIfMissing("/db");
+  const uint64_t now = kFileLeaseTtlMicros * 3;
+  FileLease recent;
+  recent.pinned = {5, 100};
+  recent.written_micros = now - 1;
+  ASSERT_TRUE(WriteFileLease(env.get(), "/db", 1, recent).ok());
+  FileLease older;
+  older.pinned = {4, 700};
+  older.written_micros = now - kFileLeaseTtlMicros / 2;
+  ASSERT_TRUE(WriteFileLease(env.get(), "/db", 2, older).ok());
+  FileLease expired;
+  expired.pinned = {1, 0};
+  expired.written_micros = now - kFileLeaseTtlMicros - 1;
+  ASSERT_TRUE(WriteFileLease(env.get(), "/db", 3, expired).ok());
+  const std::string name1 = LeaseFileName("", 1).substr(1);
+  const std::string name2 = LeaseFileName("", 2).substr(1);
+  const std::string name3 = LeaseFileName("", 3).substr(1);
+  const std::string gone = LeaseFileName("", 4).substr(1);
+
+  // The oldest live lease wins; the expired one is removed; a lease
+  // that no longer exists pins nothing.
+  ManifestPosition oldest;
+  ASSERT_TRUE(OldestLeasedPosition(env.get(), "/db",
+                                   {name1, name2, name3, gone}, now,
+                                   &oldest));
+  EXPECT_EQ(4u, oldest.manifest_number);
+  EXPECT_EQ(700u, oldest.offset);
+  EXPECT_FALSE(env->FileExists("/db/" + name3));
+  EXPECT_FALSE(
+      OldestLeasedPosition(env.get(), "/db", {gone}, now, &oldest));
+
+  // A lease that cannot be decoded pins everything.
+  ASSERT_TRUE(
+      WriteStringToFile(env.get(), "garbage", "/db/" + name2, false).ok());
+  ASSERT_TRUE(
+      OldestLeasedPosition(env.get(), "/db", {name1, name2}, now, &oldest));
+  EXPECT_EQ(0u, oldest.manifest_number);
+  EXPECT_EQ(0u, oldest.offset);
+
+  // So does one whose read fails: an I/O error never releases a file.
+  FaultInjectionOptions fopts;
+  fopts.read_error_probability = 1.0;
+  FaultInjectionEnv faulty(env.get(), fopts);
+  faulty.SetFaultsEnabled(true);
+  oldest = ManifestPosition{9, 9};
+  ASSERT_TRUE(OldestLeasedPosition(&faulty, "/db", {name1}, now, &oldest));
+  EXPECT_EQ(0u, oldest.manifest_number);
+  EXPECT_EQ(0u, oldest.offset);
 }
 
 }  // namespace
