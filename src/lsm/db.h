@@ -134,6 +134,11 @@ class DB {
   /// pins, so the instance's view stays readable as long as it catches
   /// up at least once per kFileLeaseTtlMicros. A lease older than that
   /// expires, and the writer may then delete the view's files.
+  ///
+  /// Files the lease kept go once it no longer pins them: at once when
+  /// the writer runs in this process (closing the instance, or moving
+  /// its lease up, runs the writer's GC), otherwise at the writer's next
+  /// GC pass, which comes within kDeferredDeletionRetryMicros.
   static Status OpenReadOnly(const Options& options, const std::string& name,
                              DB** dbptr);
 
@@ -198,6 +203,12 @@ class DB {
   /// physical I/O split, and — when Options::statistics is set — the
   /// full ticker/histogram dump (util/statistics.h).
   virtual bool GetProperty(const Slice& property, std::string* value) = 0;
+
+  /// Sets *paths to the full names of the SSTs the current version
+  /// references, in ascending file-number order: on a read-only
+  /// instance, the SSTs of its installed view. Obsolete SSTs that a
+  /// file lease keeps on storage are not listed.
+  virtual Status GetLiveSstFiles(std::vector<std::string>* paths) = 0;
 
   /// Starts recording a trace of this DB's activity into `trace_path`
   /// (written through the physical env): spans for DB ops, flush and
@@ -349,7 +360,10 @@ class DB {
   /// without doing anything.
   ///
   /// All or nothing: the new view is built aside and installed only
-  /// once the manifest and every WAL it needs have been read whole. On
+  /// once the manifest and every WAL it needs have been read whole (a
+  /// WAL that is missing, fails to read, or is damaged before its end
+  /// fails the call; a record torn at the end, which the writer may
+  /// still be appending, is not part of the view). On
   /// failure the previous view stays installed and its lease stays in
   /// force; after success the lease moves up to the oldest view that
   /// an open iterator still reads (the new view when there is none).

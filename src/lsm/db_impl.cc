@@ -68,6 +68,10 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname,
       internal_comparator_(options_.comparator) {}
 
 DBImpl::~DBImpl() {
+  // No read-only instance may start this writer's GC from now on.
+  if (lease_listener_ != 0) {
+    RemoveLeaseReleaseListener(lease_listener_);
+  }
   // Stop the health evaluator before anything it probes is torn down,
   // and detach the shared Statistics from our registry (the Statistics
   // object may outlive this DB).
@@ -105,11 +109,15 @@ DBImpl::~DBImpl() {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     shutting_down_.store(true, std::memory_order_release);
+    deferred_deletion_cv_.notify_all();
     background_work_finished_signal_.wait(lock, [this] {
       return !flush_scheduled_ && !compaction_scheduled_;
     });
   }
   bg_pool_.reset();  // joins workers
+  if (deferred_deletion_thread_.joinable()) {
+    deferred_deletion_thread_.join();
+  }
 
   {
     // Fail any queued writers.
@@ -139,6 +147,7 @@ DBImpl::~DBImpl() {
     // Release this read-only instance's files to the writer's GC. Best
     // effort: a lease left behind expires on its own.
     (void)files_->env()->RemoveFile(LeaseFileName(dbname_, lease_id_));
+    NotifyLeaseReleased(dbname_);
   }
   retired_versions_.clear();
   versions_.reset();
@@ -335,6 +344,8 @@ void DBImpl::RemoveObsoleteFiles() {
   };
   std::vector<ObsoleteFile> obsolete;
   std::vector<std::string> leases;
+  const uint64_t now = NowMicros();
+  std::map<std::string, uint64_t> lease_temps;
   for (const std::string& filename : filenames) {
     if (!ParseFileName(filename, &number, &type)) {
       continue;
@@ -357,6 +368,18 @@ void DBImpl::RemoveObsoleteFiles() {
         leases.push_back(filename);
         keep = true;
         break;
+      case DbFileType::kLeaseTempFile: {
+        // A lease being published, or one whose instance died before
+        // the rename: garbage once it has been here too long.
+        auto seen = lease_temps_seen_.find(filename);
+        const uint64_t first_seen =
+            seen != lease_temps_seen_.end() ? seen->second : now;
+        keep = now - first_seen <= kFileLeaseTtlMicros;
+        if (keep) {
+          lease_temps.emplace(filename, first_seen);
+        }
+        break;
+      }
       case DbFileType::kCurrentFile:
       case DbFileType::kDekCacheFile:
         keep = true;
@@ -387,6 +410,7 @@ void DBImpl::RemoveObsoleteFiles() {
     }
   }
   obsolete_stamps_ = stamps;
+  lease_temps_seen_.swap(lease_temps);
 
   // Delete outside the lock: file deletion under SHIELD talks to the
   // KDS (DEK destruction) and may block.
@@ -396,8 +420,8 @@ void DBImpl::RemoveObsoleteFiles() {
   // that made these files obsolete.
   ManifestPosition oldest;
   const bool leased =
-      !stamps.empty() && OldestLeasedPosition(files_->env(), dbname_, leases,
-                                              NowMicros(), &oldest);
+      !stamps.empty() &&
+      OldestLeasedPosition(files_->env(), dbname_, leases, now, &oldest);
   std::vector<uint64_t> released;
   for (const ObsoleteFile& f : obsolete) {
     if (f.shared && leased && oldest < stamps[f.number]) {
@@ -411,6 +435,30 @@ void DBImpl::RemoveObsoleteFiles() {
   mutex_.lock();
   for (uint64_t n : released) {
     obsolete_stamps_.erase(n);
+  }
+  if (!obsolete_stamps_.empty() && !deferred_deletion_thread_.joinable() &&
+      !shutting_down_.load(std::memory_order_acquire)) {
+    deferred_deletion_thread_ = std::thread([this] { DeferredDeletionLoop(); });
+  }
+}
+
+void DBImpl::RetryDeferredDeletions() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (!obsolete_stamps_.empty() &&
+      !shutting_down_.load(std::memory_order_acquire)) {
+    RemoveObsoleteFiles();
+  }
+}
+
+void DBImpl::DeferredDeletionLoop() {
+  const auto interval = std::chrono::microseconds(kDeferredDeletionRetryMicros);
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (!shutting_down_.load(std::memory_order_acquire)) {
+    deferred_deletion_cv_.wait_for(lock, interval);
+    if (!obsolete_stamps_.empty() &&
+        !shutting_down_.load(std::memory_order_acquire)) {
+      RemoveObsoleteFiles();
+    }
   }
 }
 
@@ -602,6 +650,9 @@ Status DB::Open(const Options& options, const std::string& name, DB** dbptr) {
   if (!s.ok()) {
     return s;
   }
+  DBImpl* writer = impl.get();
+  impl->lease_listener_ = AddLeaseReleaseListener(
+      name, [writer] { writer->RetryDeferredDeletions(); });
   *dbptr = impl.release();
   return Status::OK();
 }
@@ -614,6 +665,8 @@ Status DB::OpenReadOnly(const Options& options, const std::string& name,
   if (!s.ok()) {
     return s;
   }
+  // Open narrowed the lease from {0, 0} to the installed view.
+  NotifyLeaseReleased(name);
   *dbptr = impl.release();
   return Status::OK();
 }
@@ -647,11 +700,25 @@ void DBImpl::WaitForIdle() {
       }
       continue;
     }
-    if (!obsolete_stamps_.empty()) {
-      RemoveObsoleteFiles();
-    }
     return;
   }
+}
+
+Status DBImpl::GetLiveSstFiles(std::vector<std::string>* paths) {
+  paths->clear();
+  std::vector<Version::LiveFileInfo> files;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    versions_->current()->GetAllFiles(&files);
+  }
+  std::sort(files.begin(), files.end(),
+            [](const Version::LiveFileInfo& a, const Version::LiveFileInfo& b) {
+              return a.number < b.number;
+            });
+  for (const auto& f : files) {
+    paths->push_back(TableFileName(dbname_, f.number));
+  }
+  return Status::OK();
 }
 
 bool DBImpl::GetProperty(const Slice& property, std::string* value) {

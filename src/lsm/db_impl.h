@@ -57,6 +57,7 @@ class DBImpl final : public DB {
   Status Flush() override;
   Status CompactRange(const Slice* begin, const Slice* end) override;
   bool GetProperty(const Slice& property, std::string* value) override;
+  Status GetLiveSstFiles(std::vector<std::string>* paths) override;
   Status TryCatchUp() override;
   void WaitForIdle() override;
   Status VerifyIntegrity() override;
@@ -114,6 +115,12 @@ class DBImpl final : public DB {
   Status SetupEncryption();
   Status NewDb();
   void RemoveObsoleteFiles();  // mutex_ held
+  /// Writer: runs a GC pass if any deletion is deferred. The lease-release
+  /// listener DB::Open registers calls it; mutex_ not held.
+  void RetryDeferredDeletions();
+  /// Writer: retries deferred deletions every kDeferredDeletionRetryMicros
+  /// until shutdown. Started by the first GC pass that defers one.
+  void DeferredDeletionLoop();
   /// Creates the info LOG (unless Options supplied one) and emits the
   /// db_open event with sanitized options + build info.
   void SetupInfoLog();
@@ -322,6 +329,15 @@ class DBImpl final : public DB {
   // found each obsolete SST or WAL that a file lease still keeps,
   // keyed by file number.
   std::map<uint64_t, ManifestPosition> obsolete_stamps_;
+  // Writer: each lease temp file GC has seen, with the time it first
+  // saw it.
+  std::map<std::string, uint64_t> lease_temps_seen_;
+  // Writer: the lease-release listener (lsm/file_lease.h) that lets a
+  // read-only instance in this process run this writer's GC; 0 when
+  // none is registered.
+  uint64_t lease_listener_ = 0;
+  std::thread deferred_deletion_thread_;
+  std::condition_variable deferred_deletion_cv_;  // waits on mutex_
   // Read-only instances: this instance's file lease. lease_id_ stays 0
   // until Recover publishes the first lease. All guarded by mutex_.
   uint64_t lease_id_ = 0;

@@ -73,7 +73,12 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, MemTable* replica_mem,
   }
 
   if (replica_mem != nullptr) {
-    return status;  // everything stays in replica_mem
+    // Everything stays in replica_mem. A read error the reader could
+    // not retry away, or damage before the end of the WAL, cut the
+    // replay short: the view would silently lack acknowledged writes.
+    // (A record torn at the end, which the writer may still be
+    // appending, is not reported.)
+    return status.ok() ? replay_corruption : status;
   }
   if (status.ok() && mem != nullptr && mem->NumEntries() > 0) {
     uint64_t pending_output = 0;
@@ -315,9 +320,17 @@ Status DBImpl::TryCatchUp() {
   // Move the lease up to the oldest view a reader still uses. If the
   // write fails the old lease stays in force; it pins an earlier
   // position, which keeps a superset of those files.
-  (void)PublishLease(retired_versions_.empty()
-                         ? versions_->manifest_position()
-                         : retired_versions_.front()->manifest_position());
+  const ManifestPosition held = lease_.pinned;
+  const bool moved =
+      PublishLease(retired_versions_.empty()
+                       ? versions_->manifest_position()
+                       : retired_versions_.front()->manifest_position())
+          .ok() &&
+      held < lease_.pinned;
+  lock.unlock();
+  if (moved) {
+    NotifyLeaseReleased(dbname_);
+  }
   return Status::OK();
 }
 

@@ -1,6 +1,9 @@
 #include "lsm/file_lease.h"
 
 #include <cstring>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "lsm/file_names.h"
 #include "util/coding.h"
@@ -14,6 +17,20 @@ constexpr char kMagic[8] = {'S', 'H', 'L', 'E', 'A', 'S', 'E', '1'};
 // magic | manifest number | offset | written micros | masked crc32c
 constexpr size_t kEncodedSize = sizeof(kMagic) + 3 * sizeof(uint64_t) +
                                 sizeof(uint32_t);
+
+// The lease-release listeners of this process. `mu` is held while a
+// listener runs, so RemoveLeaseReleaseListener waits for a running call.
+struct ListenerRegistry {
+  std::mutex mu;
+  uint64_t next_token = 1;
+  std::map<uint64_t, std::pair<std::string, std::function<void()>>>
+      listeners;
+};
+
+ListenerRegistry* Registry() {
+  static auto* registry = new ListenerRegistry;  // never destroyed
+  return registry;
+}
 
 }  // namespace
 
@@ -86,6 +103,31 @@ bool OldestLeasedPosition(Env* env, const std::string& dbname,
     leased = true;
   }
   return leased;
+}
+
+uint64_t AddLeaseReleaseListener(const std::string& dbname,
+                                 std::function<void()> on_release) {
+  ListenerRegistry* r = Registry();
+  std::lock_guard<std::mutex> lock(r->mu);
+  const uint64_t token = r->next_token++;
+  r->listeners.emplace(token, std::make_pair(dbname, std::move(on_release)));
+  return token;
+}
+
+void RemoveLeaseReleaseListener(uint64_t token) {
+  ListenerRegistry* r = Registry();
+  std::lock_guard<std::mutex> lock(r->mu);
+  r->listeners.erase(token);
+}
+
+void NotifyLeaseReleased(const std::string& dbname) {
+  ListenerRegistry* r = Registry();
+  std::lock_guard<std::mutex> lock(r->mu);
+  for (const auto& entry : r->listeners) {
+    if (entry.second.first == dbname) {
+      entry.second.second();
+    }
+  }
 }
 
 }  // namespace shield

@@ -2,6 +2,7 @@
 #define SHIELD_LSM_FILE_LEASE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -23,11 +24,23 @@ namespace shield {
 // stamp. A lease whose timestamp is older than kFileLeaseTtlMicros is
 // dead: the writer ignores it and removes it, so a crashed instance
 // cannot hold space forever.
+//
+// A writer retries deferred deletions on each of its GC passes and, while
+// any are deferred, every kDeferredDeletionRetryMicros. A read-only
+// instance in the writer's own process does not wait for either: when it
+// removes its lease or moves it up, it runs the GC of every writer of that
+// DB in the process (the lease-release listeners below).
 
 /// How long a lease stays in force after it was written. A read-only
 /// instance must catch up (which rewrites its lease) at least this
 /// often to keep its view readable.
 constexpr uint64_t kFileLeaseTtlMicros = 10ull * 60 * 1000 * 1000;
+
+/// How often a writer that has deferred deletions retries them with no
+/// other GC pass in between (real time). Bounds how long a file released
+/// by an instance in another process, or kept by a lease that has since
+/// expired, stays on storage under an idle writer.
+constexpr uint64_t kDeferredDeletionRetryMicros = kFileLeaseTtlMicros / 4;
 
 struct FileLease {
   /// The position of the view the instance has installed.
@@ -42,6 +55,9 @@ Status DecodeFileLease(const Slice& data, FileLease* lease);
 /// Publishes `lease` as the lease of instance `id`: writes and syncs a
 /// temp file, then renames it over the old lease, so the old lease
 /// stays in force until the new one replaces it whole.
+/// A temp file left behind (the instance died between the write and
+/// the rename) is removed by the writer's GC once it has seen the file
+/// for longer than kFileLeaseTtlMicros.
 Status WriteFileLease(Env* env, const std::string& dbname, uint64_t id,
                       const FileLease& lease);
 
@@ -56,6 +72,21 @@ Status WriteFileLease(Env* env, const std::string& dbname, uint64_t id,
 bool OldestLeasedPosition(Env* env, const std::string& dbname,
                           const std::vector<std::string>& lease_files,
                           uint64_t now_micros, ManifestPosition* oldest);
+
+/// Registers `on_release` to run whenever a read-only instance of the DB
+/// at `dbname` in this process releases files (NotifyLeaseReleased).
+/// Returns a token for RemoveLeaseReleaseListener.
+uint64_t AddLeaseReleaseListener(const std::string& dbname,
+                                 std::function<void()> on_release);
+
+/// Unregisters a listener. On return no call of it is running or will
+/// start.
+void RemoveLeaseReleaseListener(uint64_t token);
+
+/// Runs, on the calling thread, every listener registered for `dbname`.
+/// Called by a read-only instance after it removed its lease or moved it
+/// up; the caller must hold no DB mutex.
+void NotifyLeaseReleased(const std::string& dbname);
 
 }  // namespace shield
 

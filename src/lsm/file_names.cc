@@ -74,9 +74,12 @@ bool ParseFileName(const std::string& filename, uint64_t* number,
     *type = DbFileType::kDekCacheFile;
     return true;
   }
-  if (filename.size() == 22 && filename.compare(0, 6, "LEASE-") == 0) {
+  const bool lease_temp =
+      filename.size() == 26 && filename.compare(22, 4, ".tmp") == 0;
+  if ((filename.size() == 22 || lease_temp) &&
+      filename.compare(0, 6, "LEASE-") == 0) {
     uint64_t id = 0;
-    for (size_t i = 6; i < filename.size(); i++) {
+    for (size_t i = 6; i < 22; i++) {
       const char c = filename[i];
       if (c >= '0' && c <= '9') {
         id = (id << 4) | static_cast<uint64_t>(c - '0');
@@ -87,7 +90,7 @@ bool ParseFileName(const std::string& filename, uint64_t* number,
       }
     }
     *number = id;
-    *type = DbFileType::kLeaseFile;
+    *type = lease_temp ? DbFileType::kLeaseTempFile : DbFileType::kLeaseFile;
     return true;
   }
   if (filename.compare(0, 9, "MANIFEST-") == 0) {

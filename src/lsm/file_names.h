@@ -17,6 +17,7 @@ enum class DbFileType {
   kTempFile,       // <number>.dbtmp
   kDekCacheFile,   // DEK_CACHE (SHIELD secure DEK cache)
   kLeaseFile,      // LEASE-<16 hex digits> (a read-only instance's lease)
+  kLeaseTempFile,  // LEASE-<16 hex digits>.tmp (a lease being written)
 };
 
 std::string LogFileName(const std::string& dbname, uint64_t number);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "lsm/file_names.h"
 #include "shield/file_crypto.h"
 #include "util/clock.h"
 
@@ -352,29 +351,16 @@ Status SimCluster::BitFlipSomeSst(uint64_t raw_pick, uint64_t raw_bit) {
   // directory listing: the directory also holds obsolete SSTs that a
   // replica's file lease still keeps, and those may even be empty (a
   // crash cut an unsynced output to zero bytes).
-  std::string sstables;
-  writer_->GetProperty("shield.sstables", &sstables);
-  std::vector<uint64_t> live;
-  size_t pos = 0;
-  while (pos < sstables.size()) {
-    size_t end = sstables.find('\n', pos);
-    if (end == std::string::npos) {
-      end = sstables.size();
-    }
-    // File lines read "  <number>:<size>[<smallest> .. <largest>]".
-    if (sstables.compare(pos, 2, "  ") == 0) {
-      live.push_back(strtoull(sstables.c_str() + pos + 2, nullptr, 10));
-    }
-    pos = end + 1;
+  std::vector<std::string> live;
+  Status s = writer_->GetLiveSstFiles(&live);
+  if (!s.ok()) {
+    return s;
   }
   if (live.empty()) {
     return Status::NotFound("no live SSTs to corrupt");
   }
-  std::sort(live.begin(), live.end());
-  const uint64_t victim = live[raw_pick % live.size()];
   // FlipBit reduces the bit index modulo the file size itself.
-  return fault_env_->FlipBit(TableFileName(options_.db_path, victim),
-                             raw_bit);
+  return fault_env_->FlipBit(live[raw_pick % live.size()], raw_bit);
 }
 
 Status SimCluster::VerifyAndRepair() {
@@ -403,18 +389,14 @@ Status SimCluster::WaitRotationIdle() {
 
 Status SimCluster::CollectWriterSstDekIds(std::vector<std::string>* dek_ids) {
   dek_ids->clear();
-  std::vector<std::string> children;
-  Status s = fault_env_->GetChildren(options_.db_path, &children);
+  std::vector<std::string> live;
+  Status s = writer_->GetLiveSstFiles(&live);
   if (!s.ok()) {
     return s;
   }
-  for (const auto& c : children) {
-    if (c.size() <= 4 || c.compare(c.size() - 4, 4, ".sst") != 0) {
-      continue;
-    }
+  for (const auto& path : live) {
     ShieldFileHeader header;
-    s = ReadShieldFileHeader(fault_env_.get(), options_.db_path + "/" + c,
-                             &header);
+    s = ReadShieldFileHeader(fault_env_.get(), path, &header);
     if (!s.ok()) {
       return s;
     }

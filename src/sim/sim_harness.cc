@@ -584,14 +584,6 @@ class SimulationRun {
       Fail("replica restart after rotation: " + s.ToString());
       return;
     }
-    // The replicas' old file leases kept the rotated-away files (and
-    // their DEKs); now that the restart released them, the writer's
-    // next GC pass deletes those files and destroys their keys.
-    s = cluster_->Quiesce();
-    if (!s.ok()) {
-      Fail("quiesce after rotation: " + s.ToString());
-      return;
-    }
 
     const bool stale_gone = CheckStaleDeksGone(pre_ids);
     const bool live_ok = Failed() ? false : CheckLiveDeksResolve();

@@ -21,8 +21,10 @@
 #include "kds/local_kds.h"
 #include "lsm/db.h"
 #include "lsm/file_lease.h"
+#include "lsm/file_names.h"
 #include "lsm/iterator.h"
 #include "lsm/write_batch.h"
+#include "shield/file_crypto.h"
 #include "util/clock.h"
 
 namespace shield {
@@ -221,6 +223,42 @@ class GetChildrenHookEnv : public EnvWrapper {
  private:
   std::function<void()> hook_;
   bool fired_ = false;
+};
+
+/// Once armed, every sequential read of a WAL fails with an IOError,
+/// which the log reader does not retry.
+class FailingWalReadEnv : public EnvWrapper {
+ public:
+  explicit FailingWalReadEnv(Env* target) : EnvWrapper(target) {}
+
+  void SetFailing(bool failing) { failing_ = failing; }
+
+  Status NewSequentialFile(const std::string& fname,
+                           std::unique_ptr<SequentialFile>* result) override {
+    Status s = EnvWrapper::NewSequentialFile(fname, result);
+    if (s.ok() && failing_ && fname.size() > 4 &&
+        fname.compare(fname.size() - 4, 4, ".log") == 0) {
+      *result = std::make_unique<FailingFile>(std::move(*result));
+    }
+    return s;
+  }
+
+ private:
+  class FailingFile : public SequentialFile {
+   public:
+    explicit FailingFile(std::unique_ptr<SequentialFile> base)
+        : base_(std::move(base)) {}
+    Status Read(size_t, Slice* result, char*) override {
+      *result = Slice();
+      return Status::IOError("injected WAL read error");
+    }
+    Status Skip(uint64_t n) override { return base_->Skip(n); }
+
+   private:
+    std::unique_ptr<SequentialFile> base_;
+  };
+
+  bool failing_ = false;
 };
 
 /// The real clock shifted forward by a settable amount.
@@ -465,8 +503,36 @@ TEST_F(ReplicaCatchupTest, FlushDuringWalListingNeverDropsAcknowledgedWrite) {
   replica_.reset();
 }
 
-// Files the lease kept alive go at the writer's next GC once the
-// replica closes (closing removes its lease).
+// A WAL read error the log reader cannot retry away fails the
+// catch-up: the replica keeps its previous view instead of installing
+// one that silently lacks acknowledged writes.
+TEST_F(ReplicaCatchupTest, WalReadErrorFailsCatchUpAndKeepsOldView) {
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(DbOptions(), "/catchup", &raw).ok());
+  writer_.reset(raw);
+  ASSERT_TRUE(writer_->Flush().ok());
+  FailingWalReadEnv failing_env(fault_env_.get());
+  OpenReplica(&failing_env);
+
+  WriteGeneration(1);
+  ASSERT_TRUE(replica_->TryCatchUp().ok());
+  ASSERT_EQ(GenValue(1), ObservedGeneration());
+
+  WriteGeneration(2);
+  failing_env.SetFailing(true);
+  Status s = replica_->TryCatchUp();
+  failing_env.SetFailing(false);
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_EQ(GenValue(1), ObservedGeneration());
+
+  ASSERT_TRUE(replica_->TryCatchUp().ok());
+  EXPECT_EQ(GenValue(2), ObservedGeneration());
+  replica_.reset();
+}
+
+// Files the lease kept alive go as soon as the replica closes (closing
+// removes its lease): a read-only instance in the writer's process runs
+// the writer's GC when it releases files, with no writer activity.
 TEST_F(ReplicaCatchupTest, ClosingReplicaReleasesDeferredFiles) {
   OpenWriterWithL0Files(3);
   OpenReplica(fault_env_.get());
@@ -482,10 +548,73 @@ TEST_F(ReplicaCatchupTest, ClosingReplicaReleasesDeferredFiles) {
 
   replica_.reset();
   EXPECT_EQ(0, CountLeases());
-  RunWriterGc();
   for (const std::string& f : l0_files) {
     EXPECT_EQ(0u, ListFiles(".sst").count(f)) << f << " outlived its lease";
   }
+}
+
+// A catch-up that moves the lease past the compaction releases the
+// files the old view needed, again with no writer activity. Under
+// SHIELD their DEKs go with them.
+TEST_F(ReplicaCatchupTest, CatchUpReleasesDeferredFiles) {
+  shield_ = true;
+  OpenWriterWithL0Files(3);
+  OpenReplica(fault_env_.get());
+  const std::set<std::string> l0_files = ListFiles(".sst");
+  ASSERT_EQ(3u, l0_files.size());
+
+  std::vector<DekId> l0_deks;
+  for (const std::string& f : l0_files) {
+    ShieldFileHeader header;
+    ASSERT_TRUE(
+        ReadShieldFileHeader(base_.get(), "/catchup/" + f, &header).ok());
+    l0_deks.push_back(header.dek_id);
+  }
+  auto dek_resolves = [&](const DekId& id) {
+    Dek dek;
+    return kds_->GetDek(DbOptions().encryption.server_id, id, &dek).ok();
+  };
+
+  ASSERT_TRUE(writer_->CompactRange(nullptr, nullptr).ok());
+  writer_->WaitForIdle();
+  for (const std::string& f : l0_files) {
+    EXPECT_EQ(1u, ListFiles(".sst").count(f)) << f << " deleted under lease";
+  }
+  for (const DekId& id : l0_deks) {
+    EXPECT_TRUE(dek_resolves(id)) << "DEK destroyed under lease";
+  }
+
+  ASSERT_TRUE(replica_->TryCatchUp().ok());
+  for (const std::string& f : l0_files) {
+    EXPECT_EQ(0u, ListFiles(".sst").count(f)) << f << " outlived its lease";
+  }
+  for (const DekId& id : l0_deks) {
+    EXPECT_FALSE(dek_resolves(id)) << "DEK outlived its file";
+  }
+  std::string value;
+  EXPECT_TRUE(replica_->Get(ReadOptions(), FileKey(0, 0), &value).ok());
+  EXPECT_EQ(GenValue(0), value);
+}
+
+// A lease temp file whose instance died before renaming it is removed
+// once the writer has seen it for longer than its TTL.
+TEST_F(ReplicaCatchupTest, StaleLeaseTempFileIsRemoved) {
+  ShiftedClock clock;
+  ScopedClockOverride clock_override(&clock);
+  OpenWriterWithL0Files(1);
+  const std::string temp = LeaseFileName("/catchup", 0xabc) + ".tmp";
+  ASSERT_TRUE(WriteStringToFile(base_.get(), "torn", temp, true).ok());
+
+  RunWriterGc();
+  EXPECT_TRUE(base_->FileExists(temp)) << "a fresh temp file may be in use";
+  clock.Advance(kFileLeaseTtlMicros / 2);
+  RunWriterGc();
+  EXPECT_TRUE(base_->FileExists(temp)) << "a fresh temp file may be in use";
+
+  clock.Advance(kFileLeaseTtlMicros);
+  RunWriterGc();
+  EXPECT_FALSE(base_->FileExists(temp)) << "the stale temp file was kept";
+  writer_.reset();
 }
 
 // A lease that outlives its TTL (a replica that died without closing)

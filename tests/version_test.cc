@@ -92,6 +92,10 @@ TEST(FileNamesTest, ParseRoundTrip) {
   ASSERT_TRUE(ParseFileName("LEASE-0123456789abcdef", &number, &type));
   EXPECT_EQ(0x0123456789abcdefull, number);
   EXPECT_EQ(DbFileType::kLeaseFile, type);
+
+  ASSERT_TRUE(ParseFileName("LEASE-0123456789abcdef.tmp", &number, &type));
+  EXPECT_EQ(0x0123456789abcdefull, number);
+  EXPECT_EQ(DbFileType::kLeaseTempFile, type);
 }
 
 TEST(FileNamesTest, ParseRejectsForeignNames) {
@@ -104,7 +108,7 @@ TEST(FileNamesTest, ParseRejectsForeignNames) {
   EXPECT_FALSE(ParseFileName("MANIFEST-", &number, &type));
   EXPECT_FALSE(ParseFileName("MANIFEST-xyz", &number, &type));
   EXPECT_FALSE(ParseFileName("LEASE-0123", &number, &type));
-  EXPECT_FALSE(ParseFileName("LEASE-0123456789abcdef.tmp", &number, &type));
+  EXPECT_FALSE(ParseFileName("LEASE-0123456789abcdef.tmp2", &number, &type));
   EXPECT_FALSE(ParseFileName("LEASE-0x23456789abcdef", &number, &type));
 }
 
