@@ -26,14 +26,35 @@ BlockAuthenticator::BlockAuthenticator(std::string mac_key,
 
 BlockAuthenticator::~BlockAuthenticator() = default;
 
-Status BlockAuthenticator::ComputeTag(uint64_t offset,
-                                      std::initializer_list<Slice> parts,
-                                      char* tag) const {
-  PerfTimer timer(&GetPerfContext()->hmac_micros);
+Sha256 BlockAuthenticator::BeginTag(uint64_t offset) const {
   Sha256 inner = mac_.Begin();
   char prefix[sizeof(uint64_t)];
   EncodeFixed64(prefix, offset);
   inner.Update(prefix, sizeof(prefix));
+  return inner;
+}
+
+void BlockAuthenticator::FinishTag(Sha256* inner, char* tag) const {
+  uint8_t mac[Sha256::kDigestSize];
+  mac_.Finish(inner, mac);
+  std::memcpy(tag, mac, kBlockAuthTagSize);
+}
+
+bool BlockAuthenticator::CountVerify(bool ok) const {
+  Statistics* stats = stats_.load(std::memory_order_relaxed);
+  RecordTick(stats, Tickers::kCryptoHmacVerified, 1);
+  PerfAdd(&PerfContext::hmac_verify_count, 1);
+  if (!ok) {
+    RecordTick(stats, Tickers::kCryptoHmacFailures, 1);
+  }
+  return ok;
+}
+
+Status BlockAuthenticator::ComputeTag(uint64_t offset,
+                                      std::initializer_list<Slice> parts,
+                                      char* tag) const {
+  PerfTimer timer(&GetPerfContext()->hmac_micros);
+  Sha256 inner = BeginTag(offset);
   // Re-encrypt the plaintext at its logical offset to recover the
   // ciphertext image, one stack-sized chunk at a time; the offset
   // prefix stays plaintext. Streaming through a fixed chunk avoids
@@ -56,9 +77,7 @@ Status BlockAuthenticator::ComputeTag(uint64_t offset,
       n -= take;
     }
   }
-  uint8_t mac[Sha256::kDigestSize];
-  mac_.Finish(&inner, mac);
-  std::memcpy(tag, mac, kBlockAuthTagSize);
+  FinishTag(&inner, tag);
   RecordTick(stats_.load(std::memory_order_relaxed),
              Tickers::kCryptoHmacComputed, 1);
   PerfAdd(&PerfContext::hmac_compute_count, 1);
@@ -67,20 +86,35 @@ Status BlockAuthenticator::ComputeTag(uint64_t offset,
 
 bool BlockAuthenticator::VerifyTag(uint64_t offset, const Slice& data,
                                    const Slice& tag) const {
-  Statistics* stats = stats_.load(std::memory_order_relaxed);
-  RecordTick(stats, Tickers::kCryptoHmacVerified, 1);
-  PerfAdd(&PerfContext::hmac_verify_count, 1);
-  bool ok = false;
-  if (tag.size() == kBlockAuthTagSize) {
-    char expected[kBlockAuthTagSize];
-    if (ComputeTag(offset, {data}, expected).ok()) {
-      ok = ConstantTimeEqual(Slice(expected, kBlockAuthTagSize), tag);
-    }
+  char expected[kBlockAuthTagSize];
+  return CountVerify(tag.size() == kBlockAuthTagSize &&
+                     ComputeTag(offset, {data}, expected).ok() &&
+                     ConstantTimeEqual(Slice(expected, kBlockAuthTagSize),
+                                       tag));
+}
+
+void BlockAuthenticator::TagCiphertext(uint64_t offset,
+                                       const Slice& ciphertext,
+                                       char* tag) const {
+  {
+    PerfTimer timer(&GetPerfContext()->hmac_micros);
+    Sha256 inner = BeginTag(offset);
+    inner.Update(ciphertext);
+    FinishTag(&inner, tag);
   }
-  if (!ok) {
-    RecordTick(stats, Tickers::kCryptoHmacFailures, 1);
-  }
-  return ok;
+  RecordTick(stats_.load(std::memory_order_relaxed),
+             Tickers::kCryptoHmacComputed, 1);
+  PerfAdd(&PerfContext::hmac_compute_count, 1);
+}
+
+bool BlockAuthenticator::VerifyCiphertext(uint64_t offset,
+                                          const Slice& ciphertext,
+                                          const Slice& tag) const {
+  char expected[kBlockAuthTagSize];
+  TagCiphertext(offset, ciphertext, expected);
+  return CountVerify(tag.size() == kBlockAuthTagSize &&
+                     ConstantTimeEqual(Slice(expected, kBlockAuthTagSize),
+                                       tag));
 }
 
 std::unique_ptr<BlockAuthenticator> NewBlockAuthenticator(

@@ -28,22 +28,22 @@ constexpr size_t kBlockAuthTagSize = 16;
 std::string DeriveBlockMacKey(const Slice& file_key, const Slice& file_nonce);
 
 /// Computes/verifies encrypt-then-MAC tags over the *ciphertext* image
-/// of file blocks.
-///
-/// The SHIELD/EncFS layering hands sst_builder and log_writer logical
-/// plaintext — encryption happens transparently in the outermost file
-/// wrapper. To still MAC ciphertext (so a tag mismatch is detected
-/// before any decrypted byte is trusted), the authenticator owns its
-/// own instance of the file's deterministic, offset-seekable CTR
-/// cipher: given plaintext and its logical offset it recomputes the
-/// exact ciphertext bytes that land on disk and MACs those. Readers
-/// hand it the same plaintext the file wrapper just decrypted, which
-/// round-trips to the on-disk ciphertext.
+/// of file blocks:
 ///
 /// tag = HMAC-SHA256(mac_key, LE64(offset) || ciphertext)[0:16]
 ///
 /// Including the offset in the MAC input pins every block to its
 /// position, defeating block transplants within and across files.
+///
+/// SST blocks are sealed by the encrypted-file core
+/// (shield/encrypted_file.h), which holds the ciphertext it has just
+/// produced or read and MACs it directly: TagCiphertext and
+/// VerifyCiphertext. WAL and manifest records are tagged above the
+/// file wrapper, by the log writer and reader, which see plaintext
+/// only; for them the authenticator keeps its own instance of the
+/// file's deterministic, offset-seekable CTR cipher and re-encrypts the
+/// plaintext to rebuild the ciphertext it MACs: ComputeTag and
+/// VerifyTag.
 ///
 /// Thread-compatible: all methods are const and the cipher is seekable,
 /// so concurrent compute/verify calls are safe.
@@ -68,6 +68,17 @@ class BlockAuthenticator {
   /// as false: data at an unaddressable offset cannot be trusted.
   bool VerifyTag(uint64_t offset, const Slice& data, const Slice& tag) const;
 
+  /// Computes the tag for `ciphertext`, the stored bytes at logical
+  /// byte `offset`, without a cipher pass. Writes kBlockAuthTagSize
+  /// bytes to `tag`.
+  void TagCiphertext(uint64_t offset, const Slice& ciphertext,
+                     char* tag) const;
+
+  /// Verifies, in constant time, that `tag` matches the stored bytes
+  /// `ciphertext` at logical byte `offset`.
+  bool VerifyCiphertext(uint64_t offset, const Slice& ciphertext,
+                        const Slice& tag) const;
+
   /// Mirrors subsequent tag computations/verifications into the
   /// crypto.hmac.* tickers. `stats` must outlive the authenticator (or
   /// a later SetStatisticsSink(nullptr)).
@@ -76,6 +87,12 @@ class BlockAuthenticator {
   }
 
  private:
+  // The inner hash after LE64(offset), and the truncated tag from it.
+  Sha256 BeginTag(uint64_t offset) const;
+  void FinishTag(Sha256* inner, char* tag) const;
+  // Counts a verification, and a failed one, into the tickers.
+  bool CountVerify(bool ok) const;
+
   std::string mac_key_;
   HmacSha256Keyed mac_;  // key schedule hoisted out of the per-tag path
   std::unique_ptr<StreamCipher> cipher_;
@@ -83,9 +100,10 @@ class BlockAuthenticator {
 };
 
 /// Convenience: derives the MAC key and builds the authenticator's
-/// private cipher instance in one step. Returns nullptr on cipher
-/// construction failure (caller treats the file as unauthenticated and
-/// surfaces the error separately if needed).
+/// private cipher instance (used by ComputeTag/VerifyTag) in one step.
+/// Returns nullptr on cipher construction failure (caller treats the
+/// file as unauthenticated and surfaces the error separately if
+/// needed).
 std::unique_ptr<BlockAuthenticator> NewBlockAuthenticator(
     CipherKind kind, const Slice& file_key, const Slice& file_nonce);
 

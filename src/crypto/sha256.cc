@@ -356,18 +356,19 @@ void Sha256::Update(const void* data, size_t n) {
 
 void Sha256::Final(uint8_t digest[kDigestSize]) {
   const uint64_t bit_len = total_len_ * 8;
-  // Pad: 0x80, zeros, 64-bit big-endian length.
-  const uint8_t pad_byte = 0x80;
-  Update(&pad_byte, 1);
-  const uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
+  // Pad in place: 0x80, zeros, 64-bit big-endian length. The length
+  // spills into a second block when fewer than 8 bytes are left.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 8) {
+    memset(buffer_ + buffer_len_, 0, kBlockSize - buffer_len_);
+    ProcessBlock(buffer_);
+    buffer_len_ = 0;
   }
-  uint8_t len_bytes[8];
+  memset(buffer_ + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
   for (int i = 0; i < 8; i++) {
-    len_bytes[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+    buffer_[kBlockSize - 8 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
-  Update(len_bytes, 8);
+  ProcessBlock(buffer_);
   for (int i = 0; i < 8; i++) {
     digest[4 * i] = static_cast<uint8_t>(h_[i] >> 24);
     digest[4 * i + 1] = static_cast<uint8_t>(h_[i] >> 16);

@@ -2,6 +2,26 @@
 
 namespace shield {
 
+Status RandomAccessFile::Unseal(uint64_t /*offset*/, const Slice& stored,
+                                char* /*out*/, Slice* result) const {
+  if (block_authenticator() != nullptr) {
+    return Status::NotSupported("file wrapper does not forward Unseal");
+  }
+  *result = stored;
+  return Status::OK();
+}
+
+Status WritableFile::AppendSealed(const Slice& data, const Slice& trailer) {
+  if (block_authenticator() != nullptr) {
+    return Status::NotSupported("file wrapper does not forward AppendSealed");
+  }
+  Status s = Append(data);
+  if (s.ok()) {
+    s = Append(trailer);
+  }
+  return s;
+}
+
 Status WriteStringToFile(Env* env, const Slice& data, const std::string& fname,
                          bool sync) {
   std::unique_ptr<WritableFile> file;

@@ -31,9 +31,11 @@ class SequentialFile {
   /// Non-null when this file carries per-block authentication tags
   /// (SHIELD/EncFS format v2): log_reader uses it to verify record tags
   /// against the on-disk ciphertext. The authenticator is owned by the
-  /// file and valid for its lifetime. Encrypting file wrappers are the
-  /// outermost layer, so no forwarding through inner wrappers is
-  /// needed.
+  /// file and valid for its lifetime. Encrypting files are not always
+  /// the outermost layer: a wrapper that may sit above one must forward
+  /// this and, on random-access and writable files, the sealed-block
+  /// calls. The SST readahead wrapper (env/readahead_file.h) is such a
+  /// wrapper.
   virtual const crypto::BlockAuthenticator* block_authenticator() const {
     return nullptr;
   }
@@ -49,11 +51,32 @@ class RandomAccessFile {
 
   virtual Status Size(uint64_t* size) const = 0;
 
-  /// See SequentialFile::block_authenticator(); used by the SST block
-  /// read path.
+  /// See SequentialFile::block_authenticator(); non-null means every
+  /// sealed unit (an SST block) is followed by its tag.
   virtual const crypto::BlockAuthenticator* block_authenticator() const {
     return nullptr;
   }
+
+  /// Reads the stored image of [offset, offset + n): for an encrypting
+  /// file the ciphertext at those logical offsets (the header is still
+  /// skipped), for any other file what Read() returns.
+  virtual Status ReadStored(uint64_t offset, size_t n, Slice* result,
+                            char* scratch) const {
+    return Read(offset, n, result, scratch);
+  }
+
+  /// Opens one sealed unit (see WritableFile::AppendSealed) whose stored
+  /// image, read by ReadStored at logical `offset`, is `stored`: the
+  /// unit's bytes followed, when block_authenticator() is non-null, by
+  /// its tag. Checks the tag over the stored bytes before decrypting
+  /// anything, then decrypts the unit once. `*result` is the plaintext
+  /// unit, in `out` (room for the unit's bytes; may be stored.data())
+  /// or, for a file that stores plaintext, in `stored` itself. A tag
+  /// mismatch is Corruption. The default serves files
+  /// that store plaintext and fails closed for a wrapper that forwards
+  /// block_authenticator() but not this.
+  virtual Status Unseal(uint64_t offset, const Slice& stored, char* out,
+                        Slice* result) const;
 };
 
 /// An append-only writable file (WAL, SST, manifest).
@@ -71,11 +94,20 @@ class WritableFile {
   /// Bytes appended so far (the logical write offset).
   virtual uint64_t GetFileSize() const = 0;
 
-  /// See SequentialFile::block_authenticator(); used by sst_builder and
-  /// log_writer to emit tags for the blocks/records they append.
+  /// See SequentialFile::block_authenticator(); log_writer uses it to
+  /// emit record tags, and non-null means AppendSealed appends a tag.
   virtual const crypto::BlockAuthenticator* block_authenticator() const {
     return nullptr;
   }
+
+  /// Appends `data` then `trailer` (an SST block and its trailer) as one
+  /// sealed unit. An encrypting file encrypts the unit and, when
+  /// block_authenticator() is non-null, follows it with a
+  /// kBlockAuthTagSize-byte tag over the unit's ciphertext, stored
+  /// encrypted at its own offset. The default serves files that store
+  /// plaintext and fails closed for a wrapper that forwards
+  /// block_authenticator() but not this.
+  virtual Status AppendSealed(const Slice& data, const Slice& trailer);
 };
 
 /// Env abstracts the storage system underneath the LSM engine, in the

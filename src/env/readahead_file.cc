@@ -15,14 +15,14 @@ FilePrefetchBuffer::FilePrefetchBuffer(RandomAccessFile* file,
       readahead_(std::max<size_t>(initial_bytes, 1)),
       stats_(stats) {}
 
-bool FilePrefetchBuffer::TryRead(uint64_t offset, size_t n, Slice* result,
-                                 char* scratch) {
+bool FilePrefetchBuffer::TryRead(uint64_t offset, size_t n, bool stored,
+                                 Slice* result, char* scratch) {
   if (n == 0) {
     *result = Slice(scratch, 0);
     return true;
   }
-  if (buffer_len_ == 0 || offset < buffer_offset_ ||
-      offset + n > buffer_offset_ + buffer_len_) {
+  if (buffer_len_ == 0 || stored != buffer_stored_ ||
+      offset < buffer_offset_ || offset + n > buffer_offset_ + buffer_len_) {
     return false;
   }
   memcpy(scratch, buffer_.data() + (offset - buffer_offset_), n);
@@ -30,11 +30,13 @@ bool FilePrefetchBuffer::TryRead(uint64_t offset, size_t n, Slice* result,
   return true;
 }
 
-Status FilePrefetchBuffer::Prefetch(uint64_t offset, size_t min_n) {
+Status FilePrefetchBuffer::Prefetch(uint64_t offset, size_t min_n,
+                                    bool stored) {
   const size_t want = std::max(readahead_, min_n);
   if (buffer_.size() < want) buffer_.resize(want);
   Slice got;
-  Status s = file_->Read(offset, want, &got, &buffer_[0]);
+  Status s = stored ? file_->ReadStored(offset, want, &got, &buffer_[0])
+                    : file_->Read(offset, want, &got, &buffer_[0]);
   if (!s.ok()) {
     buffer_len_ = 0;
     return s;
@@ -46,6 +48,7 @@ Status FilePrefetchBuffer::Prefetch(uint64_t offset, size_t min_n) {
   }
   buffer_offset_ = offset;
   buffer_len_ = got.size();  // short read near EOF keeps the prefix
+  buffer_stored_ = stored;
   RecordTick(stats_, Tickers::kIoReadaheadBytes, buffer_len_);
   PerfAdd(&PerfContext::readahead_bytes, buffer_len_);
   // Sequential consumption exhausted the previous window: widen it.
@@ -56,21 +59,23 @@ Status FilePrefetchBuffer::Prefetch(uint64_t offset, size_t min_n) {
 }
 
 Status FilePrefetchBuffer::ReadWithReadahead(uint64_t offset, size_t n,
-                                             Slice* result, char* scratch) {
-  if (TryRead(offset, n, result, scratch)) {
+                                             bool stored, Slice* result,
+                                             char* scratch) {
+  if (TryRead(offset, n, stored, result, scratch)) {
     RecordTick(stats_, Tickers::kIoReadaheadHit);
     PerfAdd(&PerfContext::readahead_hit_count, 1);
     return Status::OK();
   }
   RecordTick(stats_, Tickers::kIoReadaheadMiss);
-  Status s = Prefetch(offset, n);
-  if (s.ok() && TryRead(offset, n, result, scratch)) {
+  Status s = Prefetch(offset, n, stored);
+  if (s.ok() && TryRead(offset, n, stored, result, scratch)) {
     return Status::OK();
   }
   // Prefetch failed (fault injection, transient storage error) or came
   // back short of even this request (torn read, EOF): degrade to an
   // exact-size direct read so correctness never depends on the window.
-  return file_->Read(offset, n, result, scratch);
+  return stored ? file_->ReadStored(offset, n, result, scratch)
+                : file_->Read(offset, n, result, scratch);
 }
 
 ReadaheadRandomAccessFile::ReadaheadRandomAccessFile(RandomAccessFile* file,
@@ -81,7 +86,16 @@ ReadaheadRandomAccessFile::ReadaheadRandomAccessFile(RandomAccessFile* file,
 Status ReadaheadRandomAccessFile::Read(uint64_t offset, size_t n, Slice* result,
                                        char* scratch) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return buffer_.ReadWithReadahead(offset, n, result, scratch);
+  return buffer_.ReadWithReadahead(offset, n, /*stored=*/false, result,
+                                  scratch);
+}
+
+Status ReadaheadRandomAccessFile::ReadStored(uint64_t offset, size_t n,
+                                             Slice* result,
+                                             char* scratch) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return buffer_.ReadWithReadahead(offset, n, /*stored=*/true, result,
+                                  scratch);
 }
 
 Status ReadaheadRandomAccessFile::Size(uint64_t* size) const {

@@ -11,9 +11,11 @@
 
 namespace shield {
 
-/// A prefetch window over a logical (already-decrypted) random-access
-/// file. One storage round trip fills a large aligned span; subsequent
-/// reads inside the span are served from memory. On disaggregated
+/// A prefetch window over a random-access file, holding either what
+/// Read() returns or the stored image ReadStored() returns; a request
+/// for the other kind refills it. One storage round trip fills a large
+/// aligned span; subsequent reads inside the span are served from
+/// memory. On disaggregated
 /// storage every skipped round trip saves an RTT, which is the whole
 /// point (paper Section 6: the read path dominates fabric traffic).
 ///
@@ -31,18 +33,20 @@ class FilePrefetchBuffer {
   FilePrefetchBuffer(RandomAccessFile* file, size_t initial_bytes,
                      size_t max_bytes, Statistics* stats);
 
-  /// Serves [offset, offset+n) from the buffer if fully resident.
-  bool TryRead(uint64_t offset, size_t n, Slice* result, char* scratch);
+  /// Serves [offset, offset+n) from the buffer if fully resident and
+  /// of the kind asked for (`stored`: ReadStored bytes).
+  bool TryRead(uint64_t offset, size_t n, bool stored, Slice* result,
+               char* scratch);
 
   /// Fills the window starting at `offset` with up to `readahead_`
   /// bytes (at least `min_n`). Short reads keep the genuine prefix.
-  Status Prefetch(uint64_t offset, size_t min_n);
+  Status Prefetch(uint64_t offset, size_t min_n, bool stored);
 
   /// TryRead, else Prefetch + TryRead, else direct file read. This is
   /// the one entry point the wrapper calls; it owns all ticker and
   /// PerfContext accounting for the request.
-  Status ReadWithReadahead(uint64_t offset, size_t n, Slice* result,
-                           char* scratch);
+  Status ReadWithReadahead(uint64_t offset, size_t n, bool stored,
+                           Slice* result, char* scratch);
 
   size_t readahead_bytes() const { return readahead_; }
 
@@ -56,12 +60,14 @@ class FilePrefetchBuffer {
                             // pointers into its own storage (MemEnv)
   uint64_t buffer_offset_ = 0;
   size_t buffer_len_ = 0;
+  bool buffer_stored_ = false;  // buffer_ holds ReadStored bytes
 };
 
-/// RandomAccessFile decorator adding readahead. Wraps the logical view
-/// (decryption happens underneath in the encrypted-file core), so the
-/// buffer holds plaintext and block verification downstream still sees
-/// what it expects. Read() is const in the interface but mutates the
+/// RandomAccessFile decorator adding readahead. It sits above the
+/// encrypted-file core: table iterators read sealed SST blocks through
+/// ReadStored, so the window caches ciphertext, and Unseal goes to the
+/// wrapped file, which checks each block's tag before decrypting it
+/// once. Read() is const in the interface but mutates the
 /// prefetch window, so a mutex serializes callers; intended use is one
 /// iterator per wrapper, where contention is zero.
 class ReadaheadRandomAccessFile : public RandomAccessFile {
@@ -74,6 +80,14 @@ class ReadaheadRandomAccessFile : public RandomAccessFile {
 
   Status Read(uint64_t offset, size_t n, Slice* result,
               char* scratch) const override;
+
+  Status ReadStored(uint64_t offset, size_t n, Slice* result,
+                    char* scratch) const override;
+
+  Status Unseal(uint64_t offset, const Slice& stored, char* out,
+                Slice* result) const override {
+    return file_->Unseal(offset, stored, out, result);
+  }
 
   Status Size(uint64_t* size) const override;
 

@@ -270,7 +270,7 @@ struct Options {
   uint64_t scrub_bytes_per_second = 8 * 1024 * 1024;
 
   /// Readahead window for compaction input files: each input is read
-  /// through a prefetch buffer of up to this many (plaintext) bytes,
+  /// through a prefetch buffer of up to this many stored bytes,
   /// turning per-block fetches into large sequential spans — one
   /// storage round trip per span on disaggregated storage. 0 disables
   /// compaction readahead.

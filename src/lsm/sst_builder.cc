@@ -76,32 +76,21 @@ Status TableBuilder::WriteRawBlock(const Slice& contents,
                                    BlockHandle* handle) {
   handle->set_offset(offset_);
   handle->set_size(contents.size());
-  Status s = file_->Append(contents);
+  char trailer[kBlockTrailerSize];
+  trailer[0] = 0;  // raw, uncompressed
+  uint32_t crc = crc32c::Value(contents.data(), contents.size());
+  crc = crc32c::Extend(crc, trailer, 1);
+  EncodeFixed32(trailer + 1, crc32c::Mask(crc));
+  // Block and trailer go to the file as one sealed unit. An
+  // authenticated file (SHIELD/EncFS format v2) follows it with a tag
+  // over the unit's ciphertext, pinned to the block's offset. Readers
+  // know the tag is there from the file header, so handles and the
+  // footer keep their classic layout.
+  Status s = file_->AppendSealed(contents, Slice(trailer, kBlockTrailerSize));
   if (s.ok()) {
-    char trailer[kBlockTrailerSize];
-    trailer[0] = 0;  // raw, uncompressed
-    uint32_t crc = crc32c::Value(contents.data(), contents.size());
-    crc = crc32c::Extend(crc, trailer, 1);
-    EncodeFixed32(trailer + 1, crc32c::Mask(crc));
-    s = file_->Append(Slice(trailer, kBlockTrailerSize));
-    if (s.ok()) {
-      offset_ += contents.size() + kBlockTrailerSize;
-    }
-    // Authenticated files (SHIELD/EncFS format v2) get a tag over the
-    // block's ciphertext image — contents plus trailer, pinned to the
-    // block's offset. Readers know the tag is there from the file
-    // header, so handles and the footer keep their classic layout.
-    const crypto::BlockAuthenticator* auth = file_->block_authenticator();
-    if (s.ok() && auth != nullptr) {
-      char tag[crypto::kBlockAuthTagSize];
-      s = auth->ComputeTag(handle->offset(),
-                           {contents, Slice(trailer, kBlockTrailerSize)}, tag);
-      if (s.ok()) {
-        s = file_->Append(Slice(tag, crypto::kBlockAuthTagSize));
-      }
-      if (s.ok()) {
-        offset_ += crypto::kBlockAuthTagSize;
-      }
+    offset_ += contents.size() + kBlockTrailerSize;
+    if (file_->block_authenticator() != nullptr) {
+      offset_ += crypto::kBlockAuthTagSize;
     }
   }
   return s;

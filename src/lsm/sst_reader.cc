@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "crypto/block_auth.h"
 #include "env/readahead_file.h"
 #include "lsm/block.h"
 #include "lsm/two_level_iterator.h"
@@ -282,7 +281,7 @@ Iterator* Table::BlockReader(const ReadOptions& options,
 
 Iterator* Table::NewIterator(const ReadOptions& options) const {
   // With readahead enabled, block reads for this iterator go through a
-  // shared prefetch window over the logical (decrypted) file. The
+  // shared prefetch window over the file's stored (encrypted) bytes. The
   // wrapper lives in the block-reader closure, so it survives exactly
   // as long as the iterator that fills it.
   std::shared_ptr<RandomAccessFile> readahead;
@@ -464,11 +463,8 @@ void Table::MultiGet(const ReadOptions& options,
 
   // Pass 3: group adjacent misses into coalesced spans; one storage
   // round trip per group, then carve + verify each member block.
-  const crypto::BlockAuthenticator* auth = file_->block_authenticator();
-  const uint64_t tag_size =
-      auth != nullptr ? crypto::kBlockAuthTagSize : 0;
-  auto stored_size = [tag_size](const BlockHandle& h) {
-    return h.size() + kBlockTrailerSize + tag_size;
+  auto stored_size = [this](const BlockHandle& h) {
+    return StoredBlockSize(file_.get(), h);
   };
 
   size_t g = 0;
@@ -497,7 +493,7 @@ void Table::MultiGet(const ReadOptions& options,
       {
         StopWatch watch(stats, Histograms::kSstReadMicros);
         PerfTimer timer(&GetPerfContext()->block_read_micros);
-        s = file_->Read(span_begin, span_len, &span_data, span.get());
+        s = file_->ReadStored(span_begin, span_len, &span_data, span.get());
       }
       if (s.ok() && span_data.size() == span_len) {
         carved = true;
@@ -509,8 +505,8 @@ void Table::MultiGet(const ReadOptions& options,
               span_data.data() + (bs->handle.offset() - span_begin),
               static_cast<size_t>(stored_size(bs->handle)));
           BlockContents contents;
-          Status vs =
-              VerifyStoredBlock(auth, bs->handle, stored, &contents, fname_);
+          Status vs = VerifyStoredBlock(file_.get(), bs->handle, stored,
+                                        &contents, fname_);
           if (!vs.ok()) {
             // The span itself may have been damaged in flight; give
             // this block an individual, retrying read below.

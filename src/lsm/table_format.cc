@@ -22,29 +22,35 @@ std::string BlockErrorMessage(const char* what, const BlockHandle& handle,
   return msg;
 }
 
-// Shared verification core: tag first (computed over the ciphertext
-// image, so it condemns on-disk bytes before any decrypted content is
-// trusted), then the CRC. `data` points at handle.size()=n payload
-// bytes followed by the trailer and (if auth) the tag.
-Status CheckBlockIntegrity(const crypto::BlockAuthenticator* auth,
-                           const BlockHandle& handle, const char* data,
-                           size_t n, size_t tag_size,
-                           const std::string& fname) {
-  if (auth != nullptr &&
-      !auth->VerifyTag(handle.offset(), Slice(data, n + kBlockTrailerSize),
-                       Slice(data + n + kBlockTrailerSize, tag_size))) {
+// Shared core of ReadBlock and VerifyStoredBlock. `stored` is the
+// block's stored image: handle.size() payload bytes, the trailer and,
+// on an authenticated file, the tag. The file checks the tag over the
+// stored bytes before it decrypts payload and trailer once into `out`;
+// then the CRC is checked on that plaintext. With the tag over
+// ciphertext, the CRC is what shows that the decrypt reproduced the
+// writer's bytes, and on an unauthenticated file it is the only check.
+// `*payload` lands in `out`, or in `stored` for a plaintext file.
+Status OpenBlock(const RandomAccessFile* file, const BlockHandle& handle,
+                 const Slice& stored, char* out, const std::string& fname,
+                 Slice* payload) {
+  Slice unit;
+  Status s = file->Unseal(handle.offset(), stored, out, &unit);
+  if (s.IsCorruption()) {
     return Status::Corruption(
         BlockErrorMessage("block authentication tag mismatch", handle, fname));
   }
-  // CRC is always verified (regardless of ReadOptions): for
-  // unauthenticated files it is the only line of defence against
-  // garbage ciphertext reaching the block parser.
-  const uint32_t crc = crc32c::Unmask(DecodeFixed32(data + n + 1));
-  const uint32_t actual = crc32c::Value(data, n + 1);
-  if (actual != crc) {
+  if (!s.ok()) {
+    return s;
+  }
+  const size_t n = static_cast<size_t>(handle.size());
+  const char* data = unit.data();
+  if (unit.size() != n + kBlockTrailerSize ||
+      crc32c::Value(data, n + 1) !=
+          crc32c::Unmask(DecodeFixed32(data + n + 1))) {
     return Status::Corruption(
         BlockErrorMessage("block checksum mismatch", handle, fname));
   }
+  *payload = Slice(data, n);
   return Status::OK();
 }
 }  // namespace
@@ -90,6 +96,13 @@ Status Footer::DecodeFrom(Slice* input) {
   return result;
 }
 
+uint64_t StoredBlockSize(const RandomAccessFile* file,
+                         const BlockHandle& handle) {
+  return handle.size() + kBlockTrailerSize +
+         (file->block_authenticator() != nullptr ? crypto::kBlockAuthTagSize
+                                                 : 0);
+}
+
 Status ReadBlock(RandomAccessFile* file, const ReadOptions& options,
                  const BlockHandle& handle, BlockContents* result,
                  const std::string& fname) {
@@ -97,14 +110,7 @@ Status ReadBlock(RandomAccessFile* file, const ReadOptions& options,
   result->data = Slice();
   result->heap_allocated = false;
 
-  // Authenticated files (header format v2) carry a truncated HMAC tag
-  // after each block's trailer; its presence is a per-file property,
-  // never guessed from content.
-  const crypto::BlockAuthenticator* auth = file->block_authenticator();
-  const size_t tag_size = auth != nullptr ? crypto::kBlockAuthTagSize : 0;
-
-  const size_t n = static_cast<size_t>(handle.size());
-  const size_t stored = n + kBlockTrailerSize + tag_size;
+  const size_t stored = static_cast<size_t>(StoredBlockSize(file, handle));
   char* buf = new char[stored];
   Slice contents;
   Status s;
@@ -115,7 +121,7 @@ Status ReadBlock(RandomAccessFile* file, const ReadOptions& options,
   // result every time and still fails as corruption.
   constexpr int kMaxReadAttempts = 5;
   for (int attempt = 1;; attempt++) {
-    s = file->Read(handle.offset(), stored, &contents, buf);
+    s = file->ReadStored(handle.offset(), stored, &contents, buf);
     if (!s.ok()) {
       if (s.IsTransient() && attempt < kMaxReadAttempts) {
         SleepForMicros(100ull << attempt);
@@ -136,47 +142,48 @@ Status ReadBlock(RandomAccessFile* file, const ReadOptions& options,
     break;
   }
 
-  const char* data = contents.data();
-  s = CheckBlockIntegrity(auth, handle, data, n, tag_size, fname);
+  Slice payload;
+  s = OpenBlock(file, handle, contents, buf, fname, &payload);
   if (!s.ok()) {
     delete[] buf;
     return s;
   }
 
-  if (data != buf) {
-    // File implementation returned a pointer into its own storage;
-    // leave ownership with the file and drop our scratch.
+  if (payload.data() != buf) {
+    // A plaintext file returned a pointer into its own storage; leave
+    // ownership with the file and drop our scratch.
     delete[] buf;
-    result->data = Slice(data, n);
     result->heap_allocated = false;
   } else {
-    result->data = Slice(buf, n);
     result->heap_allocated = true;
   }
+  result->data = payload;
   return Status::OK();
 }
 
-Status VerifyStoredBlock(const crypto::BlockAuthenticator* auth,
+Status VerifyStoredBlock(const RandomAccessFile* file,
                          const BlockHandle& handle, const Slice& stored,
                          BlockContents* result, const std::string& fname) {
   result->data = Slice();
   result->heap_allocated = false;
 
-  const size_t tag_size = auth != nullptr ? crypto::kBlockAuthTagSize : 0;
   const size_t n = static_cast<size_t>(handle.size());
-  if (stored.size() != n + kBlockTrailerSize + tag_size) {
+  if (stored.size() != StoredBlockSize(file, handle)) {
     return Status::Corruption(
         BlockErrorMessage("carved block span has wrong size", handle, fname));
   }
-  Status s =
-      CheckBlockIntegrity(auth, handle, stored.data(), n, tag_size, fname);
+  // The span backing `stored` is transient (a coalesced fetch buffer);
+  // the caller gets an owned copy of the payload.
+  char* buf = new char[n + kBlockTrailerSize];
+  Slice payload;
+  Status s = OpenBlock(file, handle, stored, buf, fname, &payload);
   if (!s.ok()) {
+    delete[] buf;
     return s;
   }
-  // The span backing `stored` is transient (a coalesced fetch buffer);
-  // give the caller an owned copy of the payload.
-  char* buf = new char[n];
-  memcpy(buf, stored.data(), n);
+  if (payload.data() != buf) {
+    memcpy(buf, payload.data(), n);
+  }
   result->data = Slice(buf, n);
   result->heap_allocated = true;
   return Status::OK();

@@ -60,23 +60,32 @@ struct BlockContents {
   bool heap_allocated = false;  // caller must delete[] data.data()
 };
 
+/// Bytes a block takes in `file`: payload, trailer and, on an
+/// authenticated file (header format v2), the tag. Whether the tag is
+/// there is a per-file property, never guessed from content.
+uint64_t StoredBlockSize(const RandomAccessFile* file,
+                         const BlockHandle& handle);
+
 /// Reads and verifies one block (payload + trailer, plus the
-/// authentication tag when the file carries one) from a file. The CRC
-/// and — before any decrypted byte is trusted — the HMAC tag are always
-/// verified; a mismatch returns Corruption naming `fname` and the block
-/// offset. `fname` is used only for error messages.
+/// authentication tag when the file carries one) from a file. The
+/// stored bytes are read with ReadStored; on an authenticated file the
+/// tag over them is checked before anything is decrypted, then payload
+/// and trailer are decrypted once (RandomAccessFile::Unseal) and the
+/// CRC is checked on the plaintext. Both checks always run; a mismatch
+/// returns Corruption naming `fname` and the block offset. `fname` is
+/// used only for error messages.
 Status ReadBlock(RandomAccessFile* file, const ReadOptions& options,
                  const BlockHandle& handle, BlockContents* result,
                  const std::string& fname = std::string());
 
 /// Verifies a block's stored image that is already in memory —
 /// `stored` must be exactly handle.size() + kBlockTrailerSize +
-/// (tag bytes if `auth` != null) bytes carved out of a larger span
-/// (coalesced MultiGet fetch, prefetched range). Checks the HMAC tag
-/// (against the block's file offset) then the CRC, exactly as
-/// ReadBlock does, and on success copies the payload into a fresh
-/// heap allocation in `result`. Never trusts unverified bytes.
-Status VerifyStoredBlock(const crypto::BlockAuthenticator* auth,
+/// (tag bytes if `file` has a block_authenticator()) bytes carved out
+/// of a span `file` returned from ReadStored (a coalesced MultiGet
+/// fetch). Checks the tag, decrypts and checks the CRC exactly as
+/// ReadBlock does, and on success leaves the payload in a fresh heap
+/// allocation in `result`. Never trusts unverified bytes.
+Status VerifyStoredBlock(const RandomAccessFile* file,
                          const BlockHandle& handle, const Slice& stored,
                          BlockContents* result,
                          const std::string& fname = std::string());

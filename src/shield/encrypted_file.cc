@@ -1,6 +1,8 @@
 #include "shield/encrypted_file.h"
 
+#include <cassert>
 #include <cstring>
+#include <vector>
 
 #include "crypto/block_auth.h"
 #include "shield/chunk_encryptor.h"
@@ -86,6 +88,30 @@ class EncryptedWritableFile final : public WritableFile {
     return Status::OK();
   }
 
+  Status AppendSealed(const Slice& data, const Slice& trailer) override {
+    const size_t start = buffer_.size();
+    buffer_.append(data.data(), data.size());
+    buffer_.append(trailer.data(), trailer.size());
+    if (auth_ != nullptr) {
+      // A zero placeholder for the tag: the drain encrypts it into the
+      // keystream at the tag's offset, and XORing the tag into that
+      // stores the tag encrypted in place.
+      seals_.push_back({start, buffer_.size() - start});
+      buffer_.append(crypto::kBlockAuthTagSize, '\0');
+    }
+    if (buffer_size_ > 0 && buffer_.size() < buffer_size_) {
+      return Status::OK();
+    }
+    Status s = DrainBuffer();
+    if (!s.ok() && buffer_size_ == 0) {
+      // Unbuffered files keep no failed append for a retry, sealed or
+      // not.
+      buffer_.clear();
+      seals_.clear();
+    }
+    return s;
+  }
+
   Status Flush() override {
     // Deliberately does NOT drain the encryption buffer: draining on
     // every log-record flush would re-introduce the per-write
@@ -135,11 +161,15 @@ class EncryptedWritableFile final : public WritableFile {
       // (logical_offset_ has not advanced, so ciphertext stays
       // aligned).
       buffer_.clear();
+      seals_.clear();
     }
     return s;
   }
 
+  // Encrypts and appends `data`, which is buffer_ when seals_ is not
+  // empty: a direct unbuffered Append never has seals pending.
   Status EncryptAndAppend(const char* data, size_t n) {
+    assert(seals_.empty() || data == buffer_.data());
     TraceSpan span(SpanType::kFileEncrypt);
     span.SetArgs(logical_offset_, n);
     span.SetAux(static_cast<uint8_t>(params_.cipher));
@@ -160,6 +190,7 @@ class EncryptedWritableFile final : public WritableFile {
     }
     if (s.ok()) {
       RecordCryptoBytes(stats_, params_.cipher, /*encrypt=*/true, n);
+      SealTags();
       s = base_->Append(scratch_);
     }
     if (s.ok()) {
@@ -168,6 +199,27 @@ class EncryptedWritableFile final : public WritableFile {
     span.MarkStatus(s);
     return s;
   }
+
+  // MACs each sealed unit's ciphertext in scratch_, just produced by
+  // the drain, and XORs the tag into the unit's encrypted placeholder.
+  void SealTags() {
+    for (const Seal& seal : seals_) {
+      char tag[crypto::kBlockAuthTagSize];
+      auth_->TagCiphertext(logical_offset_ + seal.start,
+                           Slice(scratch_.data() + seal.start, seal.size),
+                           tag);
+      char* stored = scratch_.data() + seal.start + seal.size;
+      for (size_t i = 0; i < sizeof(tag); i++) {
+        stored[i] ^= tag[i];
+      }
+    }
+  }
+
+  // A sealed unit in buffer_, its tag placeholder right after it.
+  struct Seal {
+    size_t start;
+    size_t size;
+  };
 
   std::unique_ptr<WritableFile> base_;
   const EncryptedFileParams params_;
@@ -179,6 +231,7 @@ class EncryptedWritableFile final : public WritableFile {
   Statistics* const stats_;
 
   std::string buffer_;   // plaintext, in memory only
+  std::vector<Seal> seals_;  // sealed units in buffer_
   std::string scratch_;  // ciphertext staging
   uint64_t logical_offset_ = 0;  // encrypted-and-appended bytes
   bool closed_ = false;
@@ -235,6 +288,31 @@ class FileDecryptor {
     return Status::OK();
   }
 
+  // RandomAccessFile::Unseal: the tag, decrypted at its offset, is
+  // checked over the stored bytes before the unit is decrypted.
+  Status Unseal(uint64_t offset, const Slice& stored, char* out,
+                Slice* result) const {
+    size_t n = stored.size();
+    if (auth_ != nullptr) {
+      if (n < crypto::kBlockAuthTagSize) {
+        return Status::Corruption("sealed unit shorter than its tag");
+      }
+      n -= crypto::kBlockAuthTagSize;
+      char tag[crypto::kBlockAuthTagSize];
+      memcpy(tag, stored.data() + n, sizeof(tag));
+      Status s = cipher_->CryptAt(offset + n, tag, sizeof(tag));
+      if (!s.ok()) {
+        return s;
+      }
+      if (!auth_->VerifyCiphertext(offset, Slice(stored.data(), n),
+                                   Slice(tag, sizeof(tag)))) {
+        return Status::Corruption("block authentication tag mismatch");
+      }
+    }
+    *result = Slice(stored.data(), n);
+    return Decrypt(offset, result, out);
+  }
+
   const crypto::BlockAuthenticator* auth() const { return auth_.get(); }
 
  private:
@@ -263,11 +341,21 @@ class EncryptedRandomAccessFile final : public RandomAccessFile {
 
   Status Read(uint64_t offset, size_t n, Slice* result,
               char* scratch) const override {
-    Status s = base_->Read(offset + header_size_, n, result, scratch);
+    Status s = ReadStored(offset, n, result, scratch);
     if (!s.ok()) {
       return s;
     }
     return decryptor_->Decrypt(offset, result, scratch);
+  }
+
+  Status ReadStored(uint64_t offset, size_t n, Slice* result,
+                    char* scratch) const override {
+    return base_->Read(offset + header_size_, n, result, scratch);
+  }
+
+  Status Unseal(uint64_t offset, const Slice& stored, char* out,
+                Slice* result) const override {
+    return decryptor_->Unseal(offset, stored, out, result);
   }
 
   Status Size(uint64_t* size) const override {

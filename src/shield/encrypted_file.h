@@ -27,8 +27,11 @@ struct EncryptedFileParams {
   /// Plaintext prologue ahead of logical byte 0 (4 KiB EncFS, 64 B
   /// SHIELD). Random-access reads skip it; sizes hide it.
   uint64_t header_size = 0;
-  /// Format v2: the file exposes a BlockAuthenticator so sst_builder,
-  /// sst_reader and the log writer/reader append and check tags.
+  /// Format v2: every SST block (a sealed unit, WritableFile::
+  /// AppendSealed) carries a tag over its ciphertext, which
+  /// RandomAccessFile::Unseal checks before decrypting; the file also
+  /// exposes a BlockAuthenticator so the log writer/reader tag WAL and
+  /// manifest records.
   bool authenticated = false;
 };
 

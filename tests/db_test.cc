@@ -343,20 +343,34 @@ TEST_F(DBTest, ConcurrentWriters) {
 
 TEST_F(DBTest, ReadWhileWriting) {
   Open();
+  constexpr int kKeys = 2000;
+  auto key = [](int i) { return "w" + std::to_string(i); };
+  auto value = [](int i) { return std::to_string(i) + std::string(100, 'x'); };
+  // The reader's first Get runs before the writer exists, so reads and
+  // writes overlap however the threads are scheduled. Every Get must
+  // see a key either absent or with exactly the value written.
+  int reads = 0;
+  auto check_read = [&](int i) {
+    const std::string got = Get(key(i));
+    EXPECT_TRUE(got == "NOT_FOUND" || got == value(i))
+        << key(i) << " read as " << got.substr(0, 40);
+    reads++;
+  };
+  check_read(0);
   std::atomic<bool> done{false};
-  std::thread writer([this, &done] {
-    for (int i = 0; i < 2000; i++) {
-      Put("w" + std::to_string(i), std::string(100, 'x'));
+  std::thread writer([&] {
+    for (int i = 0; i < kKeys; i++) {
+      EXPECT_TRUE(Put(key(i), value(i)).ok());
     }
     done.store(true);
   });
-  int reads = 0;
   while (!done.load()) {
-    Get("w" + std::to_string(reads % 2000));
-    reads++;
+    check_read(reads % kKeys);
   }
   writer.join();
-  EXPECT_GT(reads, 0);
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_EQ(value(i), Get(key(i)));
+  }
 }
 
 // --- Compaction styles (parameterized) ------------------------------------

@@ -3,8 +3,10 @@
 // readers. Unlike every other test, which reads back what the same
 // build wrote, this one fails if a change to the encrypted-file code
 // moves a single on-disk byte: header layout, CTR offsets, MAC keys,
-// tag placement or WAL padding.
+// tag placement or WAL padding. It also re-seals the v2 tables through
+// this build's writer and compares the bytes.
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <ostream>
@@ -18,11 +20,14 @@
 #include "gtest/gtest.h"
 #include "lsm/comparator.h"
 #include "lsm/format.h"
+#include "lsm/block.h"
 #include "lsm/iterator.h"
 #include "lsm/log_reader.h"
 #include "lsm/options.h"
 #include "lsm/sst_reader.h"
+#include "lsm/table_format.h"
 #include "shield/dek_manager.h"
+#include "shield/encrypted_file.h"
 #include "shield/file_crypto.h"
 #include "util/statistics.h"
 
@@ -168,6 +173,66 @@ class FormatFixtureTest : public ::testing::TestWithParam<Fixture> {
     return reporter.status;
   }
 
+  // The key, nonce and format of the fixture, from its header.
+  void HeaderParams(const std::string& header, EncryptedFileParams* params) {
+    params->header_size = GetParam().header_size();
+    params->authenticated = GetParam().authenticated;
+    if (GetParam().stack == Stack::kEncFs) {
+      params->cipher = crypto::CipherKind::kAes128Ctr;
+      params->key = fixture::kEncFsInstanceKey;
+      params->nonce = header.substr(10, static_cast<uint8_t>(header[9]));
+      return;
+    }
+    ShieldFileHeader parsed;
+    ASSERT_TRUE(ParseShieldFileHeader(header, &parsed).ok());
+    Dek dek;
+    ASSERT_TRUE(kds_.GetDek("", parsed.dek_id, &dek).ok());
+    params->cipher = parsed.cipher;
+    params->key = dek.key;
+    params->nonce = parsed.nonce;
+  }
+
+  // The handles of every block of the table in `file`, in file order.
+  void TableBlocks(RandomAccessFile* file, uint64_t size,
+                   std::vector<BlockHandle>* blocks) {
+    char footer_space[Footer::kEncodedLength];
+    Slice input;
+    ASSERT_TRUE(file->Read(size - Footer::kEncodedLength,
+                           Footer::kEncodedLength, &input, footer_space)
+                    .ok());
+    Footer footer;
+    ASSERT_TRUE(footer.DecodeFrom(&input).ok());
+    blocks->push_back(footer.index_handle());
+    blocks->push_back(footer.properties_handle());
+    BlockContents contents;
+    ASSERT_TRUE(ReadBlock(file, ReadOptions(), footer.properties_handle(),
+                          &contents)
+                    .ok());
+    TableProperties props;
+    Status s = DecodeTableProperties(contents.data, &props);
+    delete[] contents.data.data();
+    ASSERT_TRUE(s.ok());
+    if (props.count(kPropFilterHandle) > 0) {
+      Slice filter(props[kPropFilterHandle]);
+      blocks->emplace_back();
+      ASSERT_TRUE(blocks->back().DecodeFrom(&filter).ok());
+    }
+    ASSERT_TRUE(ReadBlock(file, ReadOptions(), footer.index_handle(),
+                          &contents)
+                    .ok());
+    Block index(contents.data.data(), contents.data.size(), /*owned=*/true);
+    std::unique_ptr<Iterator> it(index.NewIterator(&icmp_));
+    for (it->SeekToFirst(); it->Valid(); it->Next()) {
+      Slice handle = it->value();
+      blocks->emplace_back();
+      ASSERT_TRUE(blocks->back().DecodeFrom(&handle).ok());
+    }
+    std::sort(blocks->begin(), blocks->end(),
+              [](const BlockHandle& a, const BlockHandle& b) {
+                return a.offset() < b.offset();
+              });
+  }
+
   std::unique_ptr<Env> env_;
   std::shared_ptr<Statistics> stats_;
   fixture::FixtureKds kds_;
@@ -236,6 +301,84 @@ INSTANTIATE_TEST_SUITE_P(
         }
       }
       return name;
+    });
+
+// Re-seals every block of a v2 table through the sealed write path, at
+// its offset, under the key and nonce of the fixture's header; the rest
+// (the footer) is appended unsealed. The result must be the committed
+// file byte for byte. SHIELD's writer seals in its SST chunk buffer,
+// EncFS's seals each block in its own encryption operation.
+class FormatResealTest : public FormatFixtureTest {};
+
+TEST_P(FormatResealTest, ResealIsByteIdentical) {
+  ASSERT_NO_FATAL_FAILURE(Install());
+  std::string committed;
+  ASSERT_TRUE(ReadFileToString(env_.get(), Name(), &committed).ok());
+  EncryptedFileParams params;
+  ASSERT_NO_FATAL_FAILURE(HeaderParams(
+      committed.substr(0, GetParam().header_size()), &params));
+
+  std::unique_ptr<RandomAccessFile> reader;
+  ASSERT_TRUE(OpenRandom(&reader).ok());
+  uint64_t size = 0;
+  ASSERT_TRUE(reader->Size(&size).ok());
+  std::string plain(size, '\0');
+  Slice plain_read;
+  ASSERT_TRUE(reader->Read(0, size, &plain_read, plain.data()).ok());
+  ASSERT_EQ(size, plain_read.size());
+  std::vector<BlockHandle> blocks;
+  ASSERT_NO_FATAL_FAILURE(TableBlocks(reader.get(), size, &blocks));
+
+  std::unique_ptr<WritableFile> base;
+  ASSERT_TRUE(env_->NewWritableFile("/resealed", &base).ok());
+  ASSERT_TRUE(
+      base->Append(Slice(committed.data(), GetParam().header_size())).ok());
+  const size_t buffer_size = GetParam().stack == Stack::kShield
+                                 ? EncryptionOptions().sst_chunk_size
+                                 : 0;
+  std::unique_ptr<WritableFile> writer;
+  ASSERT_TRUE(NewEncryptedWritableFile(std::move(base), params, FileKind::kSst,
+                                       buffer_size, /*pool=*/nullptr,
+                                       /*threads=*/1, /*stats=*/nullptr,
+                                       &writer)
+                  .ok());
+  uint64_t cursor = 0;
+  for (const BlockHandle& block : blocks) {
+    ASSERT_LE(cursor, block.offset());
+    ASSERT_TRUE(
+        writer->Append(Slice(plain.data() + cursor, block.offset() - cursor))
+            .ok());
+    const char* payload = plain.data() + block.offset();
+    ASSERT_TRUE(writer
+                    ->AppendSealed(Slice(payload, block.size()),
+                                   Slice(payload + block.size(),
+                                         kBlockTrailerSize))
+                    .ok());
+    cursor = block.offset() + block.size() + kBlockTrailerSize +
+             crypto::kBlockAuthTagSize;
+    ASSERT_EQ(cursor, writer->GetFileSize());
+  }
+  ASSERT_TRUE(
+      writer->Append(Slice(plain.data() + cursor, size - cursor)).ok());
+  ASSERT_TRUE(writer->Close().ok());
+
+  std::string resealed;
+  ASSERT_TRUE(ReadFileToString(env_.get(), "/resealed", &resealed).ok());
+  ASSERT_EQ(committed.size(), resealed.size());
+  EXPECT_TRUE(committed == resealed)
+      << "first differing byte at "
+      << std::mismatch(committed.begin(), committed.end(), resealed.begin())
+                 .first -
+             committed.begin();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Golden, FormatResealTest,
+    ::testing::Values(Fixture{"shield_v2.sst", Stack::kShield, true},
+                      Fixture{"encfs_v2.sst", Stack::kEncFs, true}),
+    [](const ::testing::TestParamInfo<Fixture>& info) {
+      return std::string(info.param.stack == Stack::kShield ? "shield"
+                                                            : "encfs");
     });
 
 }  // namespace

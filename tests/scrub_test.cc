@@ -1,21 +1,30 @@
 // Tests for the self-healing integrity scrubber: tamper detection with
-// file/offset attribution, pre-auth-tag format compatibility, local
-// salvage, replica repair on disaggregated storage, and the background
-// scrub thread.
+// file/offset attribution (on every read path of a sealed SST block),
+// pre-auth-tag format compatibility, local salvage, replica repair on
+// disaggregated storage, and the background scrub thread.
 
 #include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "crypto/block_auth.h"
+#include "crypto/secure_random.h"
 #include "ds/storage_service.h"
+#include "encfs/encrypted_env.h"
 #include "env/fault_injection_env.h"
 #include "gtest/gtest.h"
 #include "kds/local_kds.h"
+#include "lsm/block.h"
 #include "lsm/db.h"
 #include "lsm/error_handler.h"
+#include "lsm/format.h"
+#include "lsm/table_format.h"
+#include "shield/dek_manager.h"
+#include "shield/file_crypto.h"
 #include "test_util.h"
 #include "util/clock.h"
 
@@ -331,6 +340,238 @@ TEST_F(ScrubTest, BackgroundScrubThreadRepairsAutomatically) {
   EXPECT_TRUE(mem_env_->FileExists(fname + ".quarantine"));
   EXPECT_EQ(Property(db_.get(), "error-handler-state"), "active");
 }
+
+// --- Sealed SST blocks: one flipped bit, every read path ---------------------
+
+// Where in a format v2 block the bit is flipped: the tag covers the
+// ciphertext of payload and trailer, so each must fail its check.
+enum class SealedPart { kPayload, kTrailer, kTag };
+
+struct SealedTamperParam {
+  EncryptionMode mode;
+  SealedPart part;
+  const char* name;
+};
+
+void PrintTo(const SealedTamperParam& param, std::ostream* os) {
+  *os << param.name;
+}
+
+class SealedBlockTamperTest
+    : public ::testing::TestWithParam<SealedTamperParam> {
+ protected:
+  SealedBlockTamperTest()
+      : env_(NewMemEnv()),
+        kds_(std::make_shared<LocalKds>()),
+        instance_key_(crypto::SecureRandomString(16)),
+        stats_(CreateDBStatistics()) {}
+
+  Options MakeOptions() {
+    Options options;
+    options.env = env_.get();
+    options.block_size = 1024;      // many small data blocks
+    options.block_cache_size = 0;   // every block read goes to the file
+    options.encryption.mode = GetParam().mode;
+    options.encryption.kds = kds_;
+    options.encryption.instance_key = instance_key_;
+    options.statistics = stats_;
+    return options;
+  }
+
+  void Open() {
+    db_.reset();
+    DB* db = nullptr;
+    ASSERT_TRUE(DB::Open(MakeOptions(), kDbName, &db).ok());
+    db_.reset(db);
+  }
+
+  // Opens a table file of the DB the way the DB reads it, and gives the
+  // size of its plaintext file header.
+  void OpenTableFile(const std::string& fname,
+                     std::unique_ptr<RandomAccessFile>* file,
+                     uint64_t* header_size) {
+    if (GetParam().mode == EncryptionMode::kEncFS) {
+      ASSERT_TRUE(NewEncryptedEnv(env_.get(), crypto::CipherKind::kAes128Ctr,
+                                  instance_key_, &encfs_)
+                      .ok());
+      ASSERT_TRUE(encfs_->NewRandomAccessFile(fname, file).ok());
+      *header_size = kEncFsHeaderSize;
+    } else {
+      dek_manager_ = std::make_unique<DekManager>(kds_.get(), "reader",
+                                                  nullptr);
+      EncryptionOptions opts;
+      opts.mode = EncryptionMode::kShield;
+      shield_ = NewShieldFileFactory(env_.get(), dek_manager_.get(), opts,
+                                     nullptr);
+      ASSERT_TRUE(shield_->NewRandomAccessFile(fname, file).ok());
+      *header_size = kShieldHeaderSize;
+    }
+    ASSERT_NE(nullptr, (*file)->block_authenticator());
+  }
+
+  // Finds the table's second data block and the first user key of each
+  // of its first three data blocks.
+  void FindDataBlocks(RandomAccessFile* file, BlockHandle* second,
+                      std::vector<std::string>* first_keys) {
+    uint64_t size = 0;
+    ASSERT_TRUE(file->Size(&size).ok());
+    char footer_space[Footer::kEncodedLength];
+    Slice footer_input;
+    ASSERT_TRUE(file->Read(size - Footer::kEncodedLength,
+                           Footer::kEncodedLength, &footer_input,
+                           footer_space)
+                    .ok());
+    Footer footer;
+    ASSERT_TRUE(footer.DecodeFrom(&footer_input).ok());
+    auto read_block = [&](const BlockHandle& handle) {
+      BlockContents contents;
+      EXPECT_TRUE(ReadBlock(file, ReadOptions(), handle, &contents).ok());
+      EXPECT_TRUE(contents.heap_allocated);
+      return std::make_unique<Block>(contents.data.data(),
+                                     contents.data.size(), /*owned=*/true);
+    };
+    auto index = read_block(footer.index_handle());
+    std::unique_ptr<Iterator> it(index->NewIterator(&icmp_));
+    it->SeekToFirst();
+    for (int i = 0; i < 3; i++) {
+      ASSERT_TRUE(it->Valid());
+      BlockHandle handle;
+      Slice input = it->value();
+      ASSERT_TRUE(handle.DecodeFrom(&input).ok());
+      if (i == 1) {
+        *second = handle;
+      }
+      auto block = read_block(handle);
+      std::unique_ptr<Iterator> entries(block->NewIterator(&icmp_));
+      entries->SeekToFirst();
+      ASSERT_TRUE(entries->Valid());
+      first_keys->push_back(ExtractUserKey(entries->key()).ToString());
+      it->Next();
+    }
+  }
+
+  // The error names the damaged file and the damaged block's offset.
+  void ExpectNamesBlock(const Status& s, const char* path) {
+    EXPECT_TRUE(s.IsCorruption()) << path << ": " << s.ToString();
+    EXPECT_NE(std::string::npos, s.ToString().find(sst_)) << s.ToString();
+    EXPECT_NE(std::string::npos, s.ToString().find(at_offset_))
+        << s.ToString();
+  }
+
+  std::unique_ptr<Env> env_;
+  std::shared_ptr<LocalKds> kds_;
+  const std::string instance_key_;
+  std::shared_ptr<Statistics> stats_;
+  const InternalKeyComparator icmp_{BytewiseComparator()};
+  std::unique_ptr<Env> encfs_;
+  std::unique_ptr<DekManager> dek_manager_;
+  std::unique_ptr<DataFileFactory> shield_;
+  std::unique_ptr<DB> db_;
+  std::string sst_;        // the damaged table's file name
+  std::string at_offset_;  // "at offset <damaged block's offset> in"
+};
+
+TEST_P(SealedBlockTamperTest, FlippedBitIsCorruptionOnEveryReadPath) {
+  ASSERT_NO_FATAL_FAILURE(Open());
+  for (int i = 0; i < 300; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), TestKey(i), TestValue(i)).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  db_.reset();
+
+  const std::vector<std::string> ssts = ListSstFiles(env_.get());
+  ASSERT_EQ(1u, ssts.size());
+  sst_ = ssts[0];
+  const std::string fname = std::string(kDbName) + "/" + sst_;
+  BlockHandle block;
+  std::vector<std::string> first_keys;
+  uint64_t header_size = 0;
+  {
+    std::unique_ptr<RandomAccessFile> file;
+    ASSERT_NO_FATAL_FAILURE(OpenTableFile(fname, &file, &header_size));
+    ASSERT_NO_FATAL_FAILURE(FindDataBlocks(file.get(), &block, &first_keys));
+  }
+  ASSERT_GT(block.offset(), 0u);
+  at_offset_ = "at offset " + std::to_string(block.offset()) + " in";
+
+  uint64_t flip = header_size + block.offset();
+  switch (GetParam().part) {
+    case SealedPart::kPayload:
+      flip += block.size() / 2;
+      break;
+    case SealedPart::kTrailer:
+      flip += block.size() + 2;  // a CRC byte
+      break;
+    case SealedPart::kTag:
+      flip += block.size() + kBlockTrailerSize + crypto::kBlockAuthTagSize / 2;
+      break;
+  }
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(env_.get(), fname, &bytes).ok());
+  ASSERT_LT(flip, bytes.size());
+  bytes[flip] ^= 0x04;
+  ASSERT_TRUE(WriteStringToFile(env_.get(), bytes, fname, false).ok());
+  ASSERT_NO_FATAL_FAILURE(Open());
+
+  // Get of a key in the damaged block. The tag, checked before the
+  // CRC, is what catches the flip.
+  std::string value;
+  ExpectNamesBlock(db_->Get(ReadOptions(), first_keys[1], &value), "Get");
+  EXPECT_GT(stats_->GetTickerCount(Tickers::kCryptoHmacFailures), 0u);
+
+  // MultiGet over three adjacent blocks: one coalesced span, carved per
+  // block. Only the damaged block's key fails.
+  const uint64_t batches_before =
+      stats_->GetTickerCount(Tickers::kLsmMultiGetBatches);
+  const std::vector<Slice> keys(first_keys.begin(), first_keys.end());
+  std::vector<std::string> values;
+  const std::vector<Status> statuses =
+      db_->MultiGet(ReadOptions(), keys, &values);
+  ASSERT_EQ(3u, statuses.size());
+  EXPECT_GT(stats_->GetTickerCount(Tickers::kLsmMultiGetBatches),
+            batches_before);
+  EXPECT_TRUE(statuses[0].ok()) << statuses[0].ToString();
+  ExpectNamesBlock(statuses[1], "MultiGet");
+  EXPECT_TRUE(statuses[2].ok()) << statuses[2].ToString();
+
+  // A scan through the readahead window, which caches ciphertext.
+  ReadOptions scan;
+  scan.readahead_size = 64 * 1024;
+  {
+    std::unique_ptr<Iterator> it(db_->NewIterator(scan));
+    int n = 0;
+    for (it->SeekToFirst(); it->Valid(); it->Next()) {
+      n++;
+    }
+    EXPECT_LT(n, 300);
+    ExpectNamesBlock(it->status(), "readahead scan");
+  }
+  EXPECT_GT(stats_->GetTickerCount(Tickers::kIoReadaheadBytes), 0u);
+
+  // A compaction reading the table as its input (through its own
+  // readahead window) fails instead of writing out damaged entries.
+  ExpectNamesBlock(db_->CompactRange(nullptr, nullptr), "compaction");
+  db_.reset();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sealed, SealedBlockTamperTest,
+    ::testing::Values(
+        SealedTamperParam{EncryptionMode::kShield, SealedPart::kPayload,
+                          "ShieldPayload"},
+        SealedTamperParam{EncryptionMode::kShield, SealedPart::kTrailer,
+                          "ShieldTrailer"},
+        SealedTamperParam{EncryptionMode::kShield, SealedPart::kTag,
+                          "ShieldTag"},
+        SealedTamperParam{EncryptionMode::kEncFS, SealedPart::kPayload,
+                          "EncFsPayload"},
+        SealedTamperParam{EncryptionMode::kEncFS, SealedPart::kTrailer,
+                          "EncFsTrailer"},
+        SealedTamperParam{EncryptionMode::kEncFS, SealedPart::kTag,
+                          "EncFsTag"}),
+    [](const ::testing::TestParamInfo<SealedTamperParam>& info) {
+      return std::string(info.param.name);
+    });
 
 // --- Disaggregated deployment: replica repair, full fault schedule ----------
 

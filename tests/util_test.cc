@@ -1,5 +1,6 @@
 #include <chrono>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -206,6 +207,65 @@ TEST(Crc32cTest, StandardVectors) {
 TEST(Crc32cTest, Extend) {
   EXPECT_EQ(crc32c::Value("hello world", 11),
             crc32c::Extend(crc32c::Value("hello ", 6), "world", 5));
+}
+
+// The CRC32C register after one more byte, bit by bit (reflected
+// Castagnoli polynomial): the portable definition the table-driven and
+// SSE4.2 implementations must both reproduce.
+uint32_t Crc32cBitwiseStep(uint32_t reg, uint8_t byte) {
+  reg ^= byte;
+  for (int bit = 0; bit < 8; bit++) {
+    reg = (reg >> 1) ^ ((reg & 1) ? 0x82F63B78u : 0);
+  }
+  return reg;
+}
+
+std::string Crc32cTestData(size_t n) {
+  Random rnd(301);
+  std::string data(n, '\0');
+  for (char& c : data) {
+    c = static_cast<char>(rnd.Uniform(256));
+  }
+  return data;
+}
+
+// Covers the unaligned head, the three-stream 768 B rounds and the
+// single-chain tail, whichever implementation this CPU runs.
+TEST(Crc32cTest, EveryLengthAndAlignmentMatchesBitwise) {
+  SCOPED_TRACE(crc32c::Implementation());
+  const std::string data = Crc32cTestData(4096 + 8);
+  for (size_t align = 0; align < 8; align++) {
+    const char* p = data.data() + align;
+    uint32_t reg = 0xFFFFFFFFu;
+    for (size_t n = 0; n <= 4096; n++) {
+      ASSERT_EQ(reg ^ 0xFFFFFFFFu, crc32c::Value(p, n))
+          << "length " << n << ", alignment " << align;
+      if (n < 4096) {
+        reg = Crc32cBitwiseStep(reg, static_cast<uint8_t>(p[n]));
+      }
+    }
+  }
+}
+
+TEST(Crc32cTest, ExtendAcrossStripeBoundaries) {
+  SCOPED_TRACE(crc32c::Implementation());
+  const std::string data = Crc32cTestData(4101);
+  std::vector<size_t> splits = {0, 1, 7, 8, 255, 256, 257, 1023, 1024,
+                                1535, 1536, 2304, 3071, 3072, 3073, 3840};
+  for (size_t k = 760; k <= 776; k++) {
+    splits.push_back(k);
+  }
+  for (size_t n : {768, 769, 1536, 2304, 3072, 3840, 4096, 4101}) {
+    const uint32_t whole = crc32c::Value(data.data(), n);
+    for (size_t k : splits) {
+      if (k > n) {
+        continue;
+      }
+      EXPECT_EQ(whole, crc32c::Extend(crc32c::Value(data.data(), k),
+                                      data.data() + k, n - k))
+          << "length " << n << " split at " << k;
+    }
+  }
 }
 
 TEST(Crc32cTest, Mask) {

@@ -165,8 +165,9 @@ void ReplayRead(const SpanRecord& rec, Env* env, const Options& opts,
   Slice result;
   const uint64_t t0 = NowMicros();
   const Status s = rf.prefetch != nullptr
-                       ? rf.prefetch->ReadWithReadahead(rec.a, rec.b, &result,
-                                                        scratch->data())
+                       ? rf.prefetch->ReadWithReadahead(
+                             rec.a, rec.b, /*stored=*/false, &result,
+                             scratch->data())
                        : rf.file->Read(rec.a, rec.b, &result,
                                        scratch->data());
   stats->latency.Add(NowMicros() - t0);
