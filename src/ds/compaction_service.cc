@@ -82,8 +82,10 @@ Status RemoteCompactionWorker::RunCompaction(const CompactionJobSpec& job,
         return;
       }
       std::unique_ptr<Table> table;
+      // The job names inputs by (number, size) only: their tails are
+      // read block by block.
       s = Table::Open(options_.db_options, icmp_.get(), fname, std::move(file),
-                      size, /*block_cache=*/nullptr, &table);
+                      size, /*tail_size=*/0, /*block_cache=*/nullptr, &table);
       if (!s.ok()) {
         return;
       }
@@ -140,6 +142,7 @@ Status RemoteCompactionWorker::RunCompaction(const CompactionJobSpec& job,
     Status fs = builder->Finish();
     const uint64_t entries = builder->NumEntries();
     current.file_size = builder->FileSize();
+    current.tail_size = builder->TailSize();
     builder.reset();
     if (fs.ok()) {
       fs = outfile->Sync();

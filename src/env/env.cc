@@ -11,6 +11,14 @@ Status RandomAccessFile::Unseal(uint64_t /*offset*/, const Slice& stored,
   return Status::OK();
 }
 
+Status RandomAccessFile::Decrypt(uint64_t /*offset*/, Slice* /*result*/,
+                                 char* /*scratch*/) const {
+  if (block_authenticator() != nullptr) {
+    return Status::NotSupported("file wrapper does not forward Decrypt");
+  }
+  return Status::OK();
+}
+
 Status WritableFile::AppendSealed(const Slice& data, const Slice& trailer) {
   if (block_authenticator() != nullptr) {
     return Status::NotSupported("file wrapper does not forward AppendSealed");

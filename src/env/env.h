@@ -77,6 +77,15 @@ class RandomAccessFile {
   /// block_authenticator() but not this.
   virtual Status Unseal(uint64_t offset, const Slice& stored, char* out,
                         Slice* result) const;
+
+  /// Turns `*result`, stored bytes that ReadStored returned for logical
+  /// `offset` and that belong to no sealed unit (an SST footer), into
+  /// what Read() would have returned for the same range: decrypted into
+  /// `scratch` (room for result->size() bytes) for an encrypting file,
+  /// left as is for a file that stores plaintext. The default serves
+  /// the latter and fails closed for a wrapper that forwards
+  /// block_authenticator() but not this.
+  virtual Status Decrypt(uint64_t offset, Slice* result, char* scratch) const;
 };
 
 /// An append-only writable file (WAL, SST, manifest).

@@ -65,8 +65,8 @@ class FilePrefetchBuffer {
 
 /// RandomAccessFile decorator adding readahead. It sits above the
 /// encrypted-file core: table iterators read sealed SST blocks through
-/// ReadStored, so the window caches ciphertext, and Unseal goes to the
-/// wrapped file, which checks each block's tag before decrypting it
+/// ReadStored, so the window caches ciphertext, and Unseal and Decrypt go
+/// to the wrapped file, which checks each block's tag before decrypting it
 /// once. Read() is const in the interface but mutates the
 /// prefetch window, so a mutex serializes callers; intended use is one
 /// iterator per wrapper, where contention is zero.
@@ -87,6 +87,11 @@ class ReadaheadRandomAccessFile : public RandomAccessFile {
   Status Unseal(uint64_t offset, const Slice& stored, char* out,
                 Slice* result) const override {
     return file_->Unseal(offset, stored, out, result);
+  }
+
+  Status Decrypt(uint64_t offset, Slice* result,
+                 char* scratch) const override {
+    return file_->Decrypt(offset, result, scratch);
   }
 
   Status Size(uint64_t* size) const override;

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstring>
 #include <mutex>
+#include <string_view>
 #include <unordered_map>
 
 namespace shield {
@@ -25,19 +26,23 @@ struct LRUHandle {
   char key_data[1];  // beginning of key
 
   Slice key() const { return Slice(key_data, key_length); }
+  // The hash table's key: a view of key_data, valid while the entry
+  // is in the table, so neither lookups nor inserts copy the key.
+  std::string_view key_view() const {
+    return std::string_view(key_data, key_length);
+  }
 };
 
+using HandleTable = std::unordered_map<std::string_view, LRUHandle*>;
+
 // Memory the cache itself spends to hold one entry: the handle
-// allocation (struct + inline key) plus the std::string key copy and
-// node the hash table keeps. Short keys live inside the string's SSO
-// buffer; longer ones cost a second heap copy. The hash node and
-// bucket slot are approximated as four pointers.
+// allocation (struct + inline key) plus the hash table's node for it
+// (key view, handle pointer, next pointer, cached hash) and about one
+// bucket slot. The key itself is stored once, in the handle.
 size_t MetaCharge(size_t key_length) {
-  constexpr size_t kSsoCapacity = 15;
   size_t meta = sizeof(LRUHandle) - 1 + key_length;  // handle malloc
-  meta += sizeof(std::string);                       // table key object
-  if (key_length > kSsoCapacity) meta += key_length + 1;
-  meta += 4 * sizeof(void*);  // unordered_map node + bucket share
+  meta += sizeof(HandleTable::value_type) + 2 * sizeof(void*);  // node
+  meta += sizeof(void*);                                        // bucket
   return meta;
 }
 
@@ -95,7 +100,7 @@ class LRUCacheShard {
 
     EvictUntilFits();
     if (e->in_cache) {
-      table_[std::string(key.data(), key.size())] = e;
+      table_.emplace(e->key_view(), e);
     }
 
     return reinterpret_cast<Cache::Handle*>(e);
@@ -103,7 +108,7 @@ class LRUCacheShard {
 
   Cache::Handle* Lookup(const Slice& key) {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = table_.find(std::string(key.data(), key.size()));
+    auto it = table_.find(std::string_view(key.data(), key.size()));
     if (it == table_.end()) {
       return nullptr;
     }
@@ -146,14 +151,14 @@ class LRUCacheShard {
         break;  // everything left is referenced; cannot evict
       }
       assert(old->refs == 1);
-      table_.erase(std::string(old->key_data, old->key_length));
+      table_.erase(old->key_view());
       FinishErase(old);
     }
   }
 
   // Removes from hash table and returns the entry (or nullptr).
   LRUHandle* FindAndRemove(const Slice& key) {
-    auto it = table_.find(std::string(key.data(), key.size()));
+    auto it = table_.find(std::string_view(key.data(), key.size()));
     if (it == table_.end()) {
       return nullptr;
     }
@@ -221,7 +226,7 @@ class LRUCacheShard {
   // in_use_: entries the client holds references to.
   LRUHandle in_use_;
 
-  std::unordered_map<std::string, LRUHandle*> table_;
+  HandleTable table_;
 };
 
 constexpr int kNumShardBits = 4;

@@ -50,6 +50,8 @@ struct CompactionOutputMeta {
   std::string largest_internal_key;
   /// Highest sequence number in the output (level-0 recency metadata).
   SequenceNumber largest_seq = 0;
+  /// TableBuilder::TailSize of the output (FileMetaData::tail_size).
+  uint64_t tail_size = 0;
 };
 
 struct CompactionJobResult {

@@ -24,6 +24,7 @@ struct DBImpl::CompactionState {
     uint64_t file_size;
     InternalKey smallest, largest;
     SequenceNumber largest_seq = 0;
+    uint64_t tail_size = 0;
   };
   std::vector<Output> outputs;
 
@@ -155,7 +156,7 @@ void DBImpl::BackgroundCompaction() {
     FileMetaData* f = c->input(0, 0);
     c->edit()->RemoveFile(c->level(), f->number);
     c->edit()->AddFile(c->output_level(), f->number, f->file_size,
-                       f->smallest, f->largest, f->largest_seq);
+                       f->smallest, f->largest, f->largest_seq, f->tail_size);
     status = versions_->LogAndApply(c->edit(), &mutex_);
     if (!status.ok()) {
       reason = BackgroundErrorReason::kManifestWrite;
@@ -245,6 +246,7 @@ Status DBImpl::FinishCompactionOutputFile(CompactionState* compact,
   }
   const uint64_t current_bytes = compact->builder->FileSize();
   compact->current_output()->file_size = current_bytes;
+  compact->current_output()->tail_size = compact->builder->TailSize();
   compact->total_bytes += current_bytes;
   compact->builder.reset();
 
@@ -271,9 +273,9 @@ Status DBImpl::InstallCompactionResults(CompactionState* compact) {
   compact->compaction->AddInputDeletions(compact->compaction->edit());
   const int output_level = compact->compaction->output_level();
   for (const auto& out : compact->outputs) {
-    compact->compaction->edit()->AddFile(output_level, out.number,
-                                         out.file_size, out.smallest,
-                                         out.largest, out.largest_seq);
+    compact->compaction->edit()->AddFile(
+        output_level, out.number, out.file_size, out.smallest, out.largest,
+        out.largest_seq, out.tail_size);
   }
   Status s = versions_->LogAndApply(compact->compaction->edit(), &mutex_);
   if (s.ok()) {
@@ -636,7 +638,7 @@ Status DBImpl::DoOffloadedCompaction(Compaction* c, VersionEdit* edit,
       smallest.DecodeFrom(out.smallest_internal_key);
       largest.DecodeFrom(out.largest_internal_key);
       edit->AddFile(c->output_level(), out.number, out.file_size, smallest,
-                    largest, out.largest_seq);
+                    largest, out.largest_seq, out.tail_size);
     }
     stats->bytes_written += static_cast<int64_t>(result.bytes_written);
   }

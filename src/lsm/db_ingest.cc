@@ -240,7 +240,7 @@ Status DBImpl::RebuildPlaintextIngest(const std::string& file_path,
   }
   std::unique_ptr<Table> table;
   s = Table::Open(options_, &internal_comparator_, file_path, std::move(src),
-                  src_size, nullptr, &table);
+                  src_size, /*tail_size=*/0, nullptr, &table);
   if (!s.ok()) {
     return s;
   }
@@ -301,9 +301,15 @@ Status DBImpl::InstallIngestedFile(uint64_t file_number, uint64_t file_size,
   InternalKey smallest, largest;
   SequenceNumber max_seq = 0;
   uint64_t entries = 0;
+  // The file may come from elsewhere, so its tail size is not known
+  // until the open reads its meta block handles.
+  FileMetaData meta;
+  meta.number = file_number;
+  meta.file_size = file_size;
   {
+    Table* table = nullptr;
     std::unique_ptr<Iterator> iter(
-        table_cache_->NewIterator(read_options, file_number, file_size));
+        table_cache_->NewIterator(read_options, meta, &table));
     iter->SeekToFirst();
     if (!iter->Valid()) {
       Status s = iter->status();
@@ -326,6 +332,7 @@ Status DBImpl::InstallIngestedFile(uint64_t file_number, uint64_t file_size,
       return s;
     }
     largest.DecodeFrom(last_key);
+    meta.tail_size = table->tail_size();
   }
 
   std::lock_guard<std::mutex> lock(mutex_);
@@ -343,7 +350,8 @@ Status DBImpl::InstallIngestedFile(uint64_t file_number, uint64_t file_size,
     versions_->SetLastSequence(max_seq);
   }
   VersionEdit edit;
-  edit.AddFile(0, file_number, file_size, smallest, largest, max_seq);
+  edit.AddFile(0, file_number, file_size, smallest, largest, max_seq,
+               meta.tail_size);
   Status s = versions_->LogAndApply(&edit, &mutex_);
   if (!s.ok()) {
     return s;

@@ -150,6 +150,7 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
       meta.largest.DecodeFrom(key);
       s = builder.Finish();
       meta.file_size = builder.FileSize();
+      meta.tail_size = builder.TailSize();
     } else {
       builder.Abandon();
     }
@@ -168,7 +169,7 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
     // installed the edit (see header comment).
     *pending_output = meta.number;
     edit->AddFile(0, meta.number, meta.file_size, meta.smallest,
-                  meta.largest, meta.largest_seq);
+                  meta.largest, meta.largest_seq, meta.tail_size);
   } else {
     pending_outputs_.erase(meta.number);
     files_->DeleteFile(fname);

@@ -269,13 +269,15 @@ Status DBImpl::RotateFile(uint64_t number, uint64_t* bytes, bool* skipped) {
   SequenceNumber largest_seq = 0;
   uint64_t entries = 0;
   uint64_t new_size = 0;
+  uint64_t new_tail_size = 0;
   {
     std::unique_ptr<RandomAccessFile> file;
     s = files_->NewRandomAccessFile(fname, &file);
     std::unique_ptr<Table> table;
     if (s.ok()) {
       s = Table::Open(options_, &internal_comparator_, fname, std::move(file),
-                      file_size, /*block_cache=*/nullptr, &table);
+                      file_size, /*tail_size=*/0, /*block_cache=*/nullptr,
+                      &table);
     }
     std::unique_ptr<WritableFile> outfile;
     if (s.ok()) {
@@ -307,6 +309,7 @@ Status DBImpl::RotateFile(uint64_t number, uint64_t* bytes, bool* skipped) {
         builder->Abandon();
       }
       new_size = builder->FileSize();
+      new_tail_size = builder->TailSize();
       builder.reset();
       if (s.ok()) {
         s = outfile->Sync();
@@ -326,7 +329,7 @@ Status DBImpl::RotateFile(uint64_t number, uint64_t* bytes, bool* skipped) {
     edit.RemoveFile(level, number);
     if (entries > 0) {
       edit.AddFile(level, new_number, new_size, smallest, largest,
-                   largest_seq);
+                   largest_seq, new_tail_size);
     }
     s = versions_->LogAndApply(&edit, &mutex_);
     if (!s.ok() && !s.IsTransient() &&

@@ -119,7 +119,8 @@ Status DBImpl::ScrubFile(int level, uint64_t number, uint64_t file_size,
   std::unique_ptr<Table> table;
   if (s.ok()) {
     s = Table::Open(options_, &internal_comparator_, fname, std::move(file),
-                    file_size, /*block_cache=*/nullptr, &table);
+                    file_size, /*tail_size=*/0, /*block_cache=*/nullptr,
+                      &table);
   }
   if (!s.ok()) {
     // The file-factory open reads the SHIELD header and resolves its
@@ -268,7 +269,8 @@ Status DBImpl::RepairFromReplica(int level, uint64_t number,
     std::unique_ptr<Table> table;
     if (s.ok()) {
       s = Table::Open(options_, &internal_comparator_, temp, std::move(file),
-                      file_size, /*block_cache=*/nullptr, &table);
+                      file_size, /*tail_size=*/0, /*block_cache=*/nullptr,
+                      &table);
     }
     if (s.ok()) {
       s = table->VerifyBlocks(nullptr);
@@ -349,13 +351,15 @@ Status DBImpl::SalvageLocally(int level, uint64_t number,
   uint64_t entries = 0;
   uint64_t dropped_blocks = 0;
   uint64_t new_size = 0;
+  uint64_t new_tail_size = 0;
   {
     std::unique_ptr<RandomAccessFile> file;
     s = files_->NewRandomAccessFile(fname, &file);
     std::unique_ptr<Table> table;
     if (s.ok()) {
       s = Table::Open(options_, &internal_comparator_, fname, std::move(file),
-                      file_size, /*block_cache=*/nullptr, &table);
+                      file_size, /*tail_size=*/0, /*block_cache=*/nullptr,
+                      &table);
     }
     std::unique_ptr<WritableFile> outfile;
     if (s.ok()) {
@@ -384,6 +388,7 @@ Status DBImpl::SalvageLocally(int level, uint64_t number,
         builder->Abandon();
       }
       new_size = builder->FileSize();
+      new_tail_size = builder->TailSize();
       builder.reset();
       if (s.ok()) {
         s = outfile->Sync();
@@ -408,7 +413,7 @@ Status DBImpl::SalvageLocally(int level, uint64_t number,
     edit.RemoveFile(level, number);
     if (entries > 0) {
       edit.AddFile(level, new_number, new_size, smallest, largest,
-                   largest_seq);
+                   largest_seq, new_tail_size);
     }
     s = versions_->LogAndApply(&edit, &mutex_);
     if (!s.ok() && !s.IsTransient() &&

@@ -117,7 +117,9 @@ Status TableBuilder::Finish() {
     pending_index_entry_ = false;
   }
 
-  // Filter block (if configured); its handle travels via properties.
+  // The tail: filter block (if configured; its handle travels via
+  // properties), properties, index and footer, back to back.
+  const uint64_t tail_begin = offset_;
   BlockHandle filter_handle;
   bool has_filter = false;
   if (filter_block_ != nullptr) {
@@ -163,6 +165,7 @@ Status TableBuilder::Finish() {
   status_ = file_->Append(footer_encoding);
   if (status_.ok()) {
     offset_ += footer_encoding.size();
+    tail_size_ = offset_ - tail_begin;
   }
   return status_;
 }

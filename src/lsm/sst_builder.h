@@ -47,6 +47,11 @@ class TableBuilder {
   uint64_t NumEntries() const { return num_entries_; }
   /// Size of the file generated so far.
   uint64_t FileSize() const { return offset_; }
+  /// After a successful Finish(): bytes from the first meta block
+  /// (filter, else properties) to the end of the file. Filter,
+  /// properties, index and footer are contiguous, so a reader fetches
+  /// them all with one read of the last TailSize() bytes. 0 otherwise.
+  uint64_t TailSize() const { return tail_size_; }
   Status status() const { return status_; }
 
  private:
@@ -57,6 +62,7 @@ class TableBuilder {
   const InternalKeyComparator* icmp_;
   WritableFile* file_;
   uint64_t offset_ = 0;
+  uint64_t tail_size_ = 0;
   Status status_;
   BlockBuilder data_block_;
   BlockBuilder index_block_;

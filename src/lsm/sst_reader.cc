@@ -1,6 +1,7 @@
 #include "lsm/sst_reader.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "env/readahead_file.h"
 #include "lsm/block.h"
@@ -68,25 +69,30 @@ class BlockIterCleanup final : public Iterator {
   Cache::Handle* handle_;
 };
 
+// The payload of verified `contents` in storage the caller owns: a
+// plaintext file may return a pointer into its own storage, which is
+// copied (a block may outlive the read that produced it).
+std::unique_ptr<char[]> TakeBlockStorage(BlockContents* contents) {
+  if (!contents->heap_allocated) {
+    char* buf = new char[contents->data.size()];
+    memcpy(buf, contents->data.data(), contents->data.size());
+    contents->data = Slice(buf, contents->data.size());
+    contents->heap_allocated = true;
+  }
+  return std::unique_ptr<char[]>(const_cast<char*>(contents->data.data()));
+}
+
 Status ReadBlockObject(RandomAccessFile* file, const ReadOptions& options,
                        const BlockHandle& handle, const std::string& fname,
                        Block** block) {
   BlockContents contents;
   Status s = ReadBlock(file, options, handle, &contents, fname);
-  if (!s.ok()) {
-    return s;
+  if (s.ok()) {
+    const size_t size = contents.data.size();
+    *block = new Block(TakeBlockStorage(&contents).release(), size,
+                       /*owned=*/true);
   }
-  if (!contents.heap_allocated) {
-    // The block must own stable storage (the cache may outlive the
-    // read buffer); copy.
-    char* buf = new char[contents.data.size()];
-    memcpy(buf, contents.data.data(), contents.data.size());
-    contents.data = Slice(buf, contents.data.size());
-    contents.heap_allocated = true;
-  }
-  *block = new Block(contents.data.data(), contents.data.size(),
-                     /*owned=*/true);
-  return Status::OK();
+  return s;
 }
 
 // ReadBlockObject plus per-operation accounting: sst.read.micros
@@ -114,60 +120,144 @@ Status ReadBlockObjectCounted(RandomAccessFile* file,
 Status Table::Open(const Options& options, const InternalKeyComparator* icmp,
                    const std::string& fname,
                    std::unique_ptr<RandomAccessFile> file, uint64_t file_size,
-                   std::shared_ptr<Cache> block_cache,
+                   uint64_t tail_size, std::shared_ptr<Cache> block_cache,
                    std::unique_ptr<Table>* table) {
   table->reset();
-  if (file_size < Footer::kEncodedLength) {
+  constexpr size_t kFooterSize = Footer::kEncodedLength;
+  if (file_size < kFooterSize) {
     return Status::Corruption("file is too short to be an sstable", fname);
   }
-  // Same bounded retry as ReadBlock: tables open lazily, so a single
-  // transient or torn footer read must not condemn the whole file as
-  // corrupt. A genuinely truncated file fails identically every time.
-  char footer_space[Footer::kEncodedLength];
+  // One request for the tail: filter, properties, index and footer sit
+  // back to back at the end of the file. An unknown (or implausible)
+  // tail size makes the span just the footer. A short read is kept as
+  // the genuine prefix it is: whatever it lacks is read singly below,
+  // so a torn span never condemns the file.
+  const size_t tail =
+      tail_size >= kFooterSize && tail_size <= file_size
+          ? static_cast<size_t>(tail_size)
+          : kFooterSize;
+  const uint64_t span_begin = file_size - tail;
+  std::unique_ptr<char[]> span_space(new char[tail]);
+  Slice span;
+  Status s = ReadStoredRetrying(file.get(), span_begin, tail,
+                                /*retry_short=*/false, span_space.get(), &span);
+  if (!s.ok()) {
+    return s;
+  }
+
+  // The footer is not a sealed unit: it is decrypted as it is stored.
+  char footer_space[kFooterSize];
   Slice footer_input;
-  Status s;
-  constexpr int kMaxFooterAttempts = 5;
-  for (int attempt = 1;; attempt++) {
-    s = file->Read(file_size - Footer::kEncodedLength, Footer::kEncodedLength,
-                   &footer_input, footer_space);
-    if (s.ok() && footer_input.size() == Footer::kEncodedLength) {
-      break;
+  if (span.size() == tail) {
+    footer_input = Slice(span.data() + tail - kFooterSize, kFooterSize);
+  } else {
+    s = ReadStoredRetrying(file.get(), file_size - kFooterSize, kFooterSize,
+                           /*retry_short=*/true, footer_space, &footer_input);
+    if (s.ok() && footer_input.size() != kFooterSize) {
+      s = Status::Corruption("truncated footer read", fname);
     }
-    if (attempt < kMaxFooterAttempts && (s.ok() || s.IsTransient())) {
-      SleepForMicros(100ull << attempt);
-      continue;
-    }
-    return s.ok() ? Status::Corruption("truncated footer read", fname) : s;
+  }
+  if (s.ok()) {
+    s = file->Decrypt(file_size - kFooterSize, &footer_input, footer_space);
+  }
+  if (!s.ok()) {
+    return s;
   }
   Footer footer;
-  s = footer.DecodeFrom(&footer_input);
-  if (!s.ok()) {
-    return s;
+  if (!footer.DecodeFrom(&footer_input).ok()) {
+    return Status::Corruption("bad sstable footer (magic or handles)", fname);
   }
 
-  // Index block.
-  ReadOptions opt;
-  Block* index_block = nullptr;
-  s = ReadBlockObject(file.get(), opt, footer.index_handle(), fname,
-                      &index_block);
-  if (!s.ok()) {
-    return s;
+  // Meta blocks are opened in place in the span: the index block and
+  // the filter then point into it, and the table keeps it. A block whose
+  // stored image lies in the span is verified there (tag, then CRC), the
+  // way MultiGet carves coalesced spans. One outside the span, or whose
+  // carved image fails verification (the span may have been damaged in
+  // flight), takes the ordinary per-block read with its own retries, so
+  // damage on the medium still fails there; `*owned` then holds it. The
+  // footer is not sealed, so its handles are bounds-checked first: a
+  // handle that reaches past the end of the file is corrupt.
+  if (span.data() != span_space.get()) {
+    memcpy(span_space.get(), span.data(), span.size());
   }
-
-  // Properties block.
-  TableProperties props;
-  BlockContents prop_contents;
-  s = ReadBlock(file.get(), opt, footer.properties_handle(), &prop_contents,
-                fname);
-  if (s.ok()) {
-    s = DecodeTableProperties(prop_contents.data, &props);
-    if (prop_contents.heap_allocated) {
-      delete[] prop_contents.data.data();
+  const uint64_t span_end = span_begin + span.size();
+  auto in_bounds = [](const BlockHandle& handle, uint64_t begin,
+                      uint64_t end) {
+    return handle.offset() >= begin && handle.offset() <= end &&
+           handle.size() <= end - handle.offset();
+  };
+  auto read_meta_block = [&](const BlockHandle& handle, Slice* payload,
+                             std::unique_ptr<char[]>* owned) {
+    if (!in_bounds(handle, 0, file_size)) {
+      return Status::Corruption("block handle past end of file at offset " +
+                                std::to_string(handle.offset()) + " in " +
+                                fname);
     }
+    // handle.size() is bounded by the file, so the stored size cannot
+    // wrap.
+    if (in_bounds(handle, span_begin, span_end) &&
+        StoredBlockSize(file.get(), handle) <= span_end - handle.offset() &&
+        OpenStoredBlockInPlace(file.get(), handle,
+                               span_space.get() + (handle.offset() - span_begin),
+                               fname, payload)
+            .ok()) {
+      return Status::OK();
+    }
+    BlockContents contents;
+    Status rs = ReadBlock(file.get(), ReadOptions(), handle, &contents, fname);
+    if (rs.ok()) {
+      *owned = TakeBlockStorage(&contents);
+      *payload = contents.data;
+    }
+    return rs;
+  };
+
+  Slice index_payload;
+  std::unique_ptr<char[]> index_space;
+  s = read_meta_block(footer.index_handle(), &index_payload, &index_space);
+  if (!s.ok()) {
+    return s;
+  }
+  const bool index_owned = index_space != nullptr;
+  std::unique_ptr<Block> index_block(
+      new Block(index_owned ? index_space.release() : index_payload.data(),
+                index_payload.size(), index_owned));
+
+  TableProperties props;
+  Slice prop_payload;
+  std::unique_ptr<char[]> prop_space;
+  s = read_meta_block(footer.properties_handle(), &prop_payload, &prop_space);
+  if (s.ok()) {
+    s = DecodeTableProperties(prop_payload, &props);
   }
   if (!s.ok()) {
-    delete index_block;
     return s;
+  }
+
+  // The filter travels in the properties. It is read (and verified)
+  // only when the reader is configured with the policy that built it.
+  uint64_t tail_begin = std::min(footer.index_handle().offset(),
+                                 footer.properties_handle().offset());
+  Slice filter_payload;
+  std::unique_ptr<char[]> filter_space;
+  bool has_filter = false;
+  auto handle_it = props.find(kPropFilterHandle);
+  if (handle_it != props.end()) {
+    BlockHandle filter_handle;
+    Slice handle_input(handle_it->second);
+    if (!filter_handle.DecodeFrom(&handle_input).ok()) {
+      return Status::Corruption("bad filter handle in properties", fname);
+    }
+    tail_begin = std::min(tail_begin, filter_handle.offset());
+    auto name_it = props.find(kPropFilterPolicy);
+    if (options.filter_policy != nullptr && name_it != props.end() &&
+        name_it->second == options.filter_policy->Name()) {
+      s = read_meta_block(filter_handle, &filter_payload, &filter_space);
+      if (!s.ok()) {
+        return s;
+      }
+      has_filter = true;
+    }
   }
 
   std::unique_ptr<Table> t(new Table());
@@ -175,40 +265,32 @@ Status Table::Open(const Options& options, const InternalKeyComparator* icmp,
   t->icmp_ = icmp;
   t->fname_ = fname;
   t->file_ = std::move(file);
-  t->index_block_.reset(index_block);
+  t->index_block_ = std::move(index_block);
   t->properties_ = std::move(props);
+  t->tail_size_ = file_size - std::min(tail_begin, file_size);
   t->block_cache_ = std::move(block_cache);
   t->cache_id_ = t->block_cache_ ? t->block_cache_->NewId() : 0;
-
-  // Attach the bloom filter when the table carries one built by the
-  // same policy the reader is configured with.
-  if (options.filter_policy != nullptr) {
-    auto handle_it = t->properties_.find(kPropFilterHandle);
-    auto name_it = t->properties_.find(kPropFilterPolicy);
-    if (handle_it != t->properties_.end() &&
-        name_it != t->properties_.end() &&
-        name_it->second == options.filter_policy->Name()) {
-      BlockHandle filter_handle;
-      Slice handle_input(handle_it->second);
-      if (filter_handle.DecodeFrom(&handle_input).ok()) {
-        BlockContents filter_contents;
-        if (ReadBlock(t->file_.get(), opt, filter_handle, &filter_contents,
-                      fname)
-                .ok()) {
-          t->filter_data_.assign(filter_contents.data.data(),
-                                 filter_contents.data.size());
-          if (filter_contents.heap_allocated) {
-            delete[] filter_contents.data.data();
-          }
-          t->filter_ = std::make_unique<FilterBlockReader>(
-              options.filter_policy, t->filter_data_);
-        }
-      }
+  // The span is kept only while the index or the filter points into it.
+  size_t metadata_bytes = 0;
+  if (!index_owned || (has_filter && filter_space == nullptr)) {
+    t->tail_ = std::move(span_space);
+    metadata_bytes += tail;
+  }
+  if (index_owned) {
+    metadata_bytes += t->index_block_->size();
+  }
+  if (has_filter) {
+    if (filter_space != nullptr) {
+      metadata_bytes += filter_payload.size();
     }
+    t->filter_space_ = std::move(filter_space);
+    t->filter_ = std::make_unique<FilterBlockReader>(options.filter_policy,
+                                                     filter_payload);
   }
 
   // Charge the block cache for the pinned metadata this table keeps
-  // resident (index block + bloom filter): a referenced high-priority
+  // resident (the tail span it holds, plus an index block or bloom
+  // filter read singly): a referenced high-priority
   // entry, so the footprint shows up in TotalCharge() and competes
   // with data blocks for budget, while the pin (the handle we hold)
   // guarantees the metadata itself is never evicted mid-life.
@@ -216,8 +298,6 @@ Status Table::Open(const Options& options, const InternalKeyComparator* icmp,
     char pin_key[16];
     EncodeFixed64(pin_key, t->cache_id_);
     EncodeFixed64(pin_key + 8, UINT64_MAX);  // no block lives at this offset
-    const size_t metadata_bytes =
-        t->index_block_->size() + t->filter_data_.size();
     t->metadata_pin_ =
         t->block_cache_->Insert(Slice(pin_key, sizeof(pin_key)), nullptr,
                                 metadata_bytes, &DeleteNothing,

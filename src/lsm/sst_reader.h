@@ -36,10 +36,18 @@ class Table {
   /// whose logical length is `file_size`. On success takes ownership
   /// of the file. `fname` is used only to name the file in corruption
   /// errors.
+  ///
+  /// `tail_size` is the file's FileMetaData::tail_size. The last
+  /// `tail_size` bytes (filter, properties, index, footer) are fetched
+  /// with one read and each block is carved from that span and
+  /// verified; a block outside the span, or one whose carved copy
+  /// fails verification, is read singly. 0 (unknown) fetches just the
+  /// footer.
   static Status Open(const Options& options, const InternalKeyComparator* icmp,
                      const std::string& fname,
                      std::unique_ptr<RandomAccessFile> file,
-                     uint64_t file_size, std::shared_ptr<Cache> block_cache,
+                     uint64_t file_size, uint64_t tail_size,
+                     std::shared_ptr<Cache> block_cache,
                      std::unique_ptr<Table>* table);
 
   ~Table();
@@ -71,6 +79,10 @@ class Table {
 
   const TableProperties& properties() const { return properties_; }
 
+  /// The file's tail size as its meta block handles place it: what
+  /// TableBuilder::TailSize() reported when the file was written.
+  uint64_t tail_size() const { return tail_size_; }
+
   /// Re-reads every block referenced by the index (bypassing the block
   /// cache) and verifies its CRC and, on authenticated files, its HMAC
   /// tag. Returns the first Corruption encountered. `on_block`, when
@@ -101,12 +113,19 @@ class Table {
   std::unique_ptr<RandomAccessFile> file_;
   std::unique_ptr<Block> index_block_;
   TableProperties properties_;
+  uint64_t tail_size_ = 0;
   std::shared_ptr<Cache> block_cache_;
   uint64_t cache_id_ = 0;
 
+  // The tail span read at open, kept only while the index block or the
+  // filter was carved from it and points into it; a block read singly
+  // has its own storage (the index block owns it, filter_space_ the
+  // filter's).
+  std::unique_ptr<char[]> tail_;
+  std::unique_ptr<char[]> filter_space_;
+
   // Bloom-filter support (present when the table was built with a
   // filter policy matching options_.filter_policy).
-  std::string filter_data_;
   std::unique_ptr<FilterBlockReader> filter_;
 
   // Index and filter blocks are pinned in memory for the table's

@@ -2,6 +2,7 @@
 
 #include "lsm/file_names.h"
 #include "util/coding.h"
+#include "util/statistics.h"
 
 namespace shield {
 
@@ -27,25 +28,28 @@ TableCache::TableCache(std::string dbname, const Options& options,
 
 TableCache::~TableCache() = default;
 
-Status TableCache::FindTable(uint64_t file_number, uint64_t file_size,
+Status TableCache::FindTable(const FileMetaData& file,
                              Cache::Handle** handle) {
-  char buf[sizeof(file_number)];
-  EncodeFixed64(buf, file_number);
+  char buf[sizeof(file.number)];
+  EncodeFixed64(buf, file.number);
   const Slice key(buf, sizeof(buf));
   *handle = cache_->Lookup(key);
+  Statistics* stats = options_.statistics.get();
   if (*handle != nullptr) {
+    RecordTick(stats, Tickers::kLsmTableCacheHit);
     return Status::OK();
   }
+  RecordTick(stats, Tickers::kLsmTableCacheMiss);
 
-  const std::string fname = TableFileName(dbname_, file_number);
-  std::unique_ptr<RandomAccessFile> file;
-  Status s = files_->NewRandomAccessFile(fname, &file);
+  const std::string fname = TableFileName(dbname_, file.number);
+  std::unique_ptr<RandomAccessFile> reader;
+  Status s = files_->NewRandomAccessFile(fname, &reader);
   if (!s.ok()) {
     return s;
   }
   std::unique_ptr<Table> table;
-  s = Table::Open(options_, icmp_, fname, std::move(file), file_size,
-                  block_cache_, &table);
+  s = Table::Open(options_, icmp_, fname, std::move(reader), file.file_size,
+                  file.tail_size, block_cache_, &table);
   if (!s.ok()) {
     return s;
   }
@@ -54,14 +58,14 @@ Status TableCache::FindTable(uint64_t file_number, uint64_t file_size,
 }
 
 Iterator* TableCache::NewIterator(const ReadOptions& options,
-                                  uint64_t file_number, uint64_t file_size,
+                                  const FileMetaData& file,
                                   Table** tableptr) {
   if (tableptr != nullptr) {
     *tableptr = nullptr;
   }
 
   Cache::Handle* handle = nullptr;
-  Status s = FindTable(file_number, file_size, &handle);
+  Status s = FindTable(file, &handle);
   if (!s.ok()) {
     return NewErrorIterator(s);
   }
@@ -101,13 +105,12 @@ Iterator* TableCache::NewIterator(const ReadOptions& options,
   return new HandleReleasingIterator(result, cache_.get(), handle);
 }
 
-Status TableCache::Get(const ReadOptions& options, uint64_t file_number,
-                       uint64_t file_size, const Slice& internal_key,
-                       void* arg,
+Status TableCache::Get(const ReadOptions& options, const FileMetaData& file,
+                       const Slice& internal_key, void* arg,
                        void (*handle_result)(void*, const Slice&,
                                              const Slice&)) {
   Cache::Handle* handle = nullptr;
-  Status s = FindTable(file_number, file_size, &handle);
+  Status s = FindTable(file, &handle);
   if (!s.ok()) {
     return s;
   }
@@ -117,11 +120,11 @@ Status TableCache::Get(const ReadOptions& options, uint64_t file_number,
   return s;
 }
 
-void TableCache::MultiGet(const ReadOptions& options, uint64_t file_number,
-                          uint64_t file_size,
+void TableCache::MultiGet(const ReadOptions& options,
+                          const FileMetaData& file,
                           const std::vector<TableGetRequest*>& requests) {
   Cache::Handle* handle = nullptr;
-  Status s = FindTable(file_number, file_size, &handle);
+  Status s = FindTable(file, &handle);
   if (!s.ok()) {
     for (TableGetRequest* req : requests) {
       req->status = s;

@@ -9,13 +9,16 @@
 #include "lsm/iterator.h"
 #include "lsm/options.h"
 #include "lsm/sst_reader.h"
+#include "lsm/version_edit.h"
 #include "shield/file_crypto.h"
 
 namespace shield {
 
 /// Caches open Table readers keyed by file number. Opening an SST is
-/// expensive (footer + index read, and under SHIELD a DEK resolution),
-/// so readers are shared and kept hot.
+/// expensive (a read of its tail, verifying and decrypting the index,
+/// properties and filter, and under SHIELD a DEK resolution), so
+/// readers are shared and kept hot. Every call names the file by its
+/// metadata: number, size and the tail size Table::Open reads with.
 class TableCache {
  public:
   TableCache(std::string dbname, const Options& options,
@@ -26,26 +29,26 @@ class TableCache {
   /// Iterator over internal keys of the given file. If `tableptr` is
   /// non-null, also returns the underlying Table (owned by the cache,
   /// valid while the iterator lives).
-  Iterator* NewIterator(const ReadOptions& options, uint64_t file_number,
-                        uint64_t file_size, Table** tableptr = nullptr);
+  Iterator* NewIterator(const ReadOptions& options, const FileMetaData& file,
+                        Table** tableptr = nullptr);
 
-  Status Get(const ReadOptions& options, uint64_t file_number,
-             uint64_t file_size, const Slice& internal_key, void* arg,
+  Status Get(const ReadOptions& options, const FileMetaData& file,
+             const Slice& internal_key, void* arg,
              void (*handle_result)(void*, const Slice&, const Slice&));
 
   /// Batched Get against one file: requests (sorted by internal key)
   /// are answered by Table::MultiGet, which coalesces block fetches.
   /// A failure to open the table poisons every request's status.
-  void MultiGet(const ReadOptions& options, uint64_t file_number,
-                uint64_t file_size,
+  void MultiGet(const ReadOptions& options, const FileMetaData& file,
                 const std::vector<TableGetRequest*>& requests);
 
   /// Drops the cached reader for a deleted file.
   void Evict(uint64_t file_number);
 
  private:
-  Status FindTable(uint64_t file_number, uint64_t file_size,
-                   Cache::Handle** handle);
+  /// Looks the table up, opening it on a miss; ticks
+  /// lsm.table.cache.hit or lsm.table.cache.miss.
+  Status FindTable(const FileMetaData& file, Cache::Handle** handle);
 
   const std::string dbname_;
   const Options options_;

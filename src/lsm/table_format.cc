@@ -103,6 +103,27 @@ uint64_t StoredBlockSize(const RandomAccessFile* file,
                                                  : 0);
 }
 
+Status ReadStoredRetrying(const RandomAccessFile* file, uint64_t offset,
+                          size_t n, bool retry_short, char* scratch,
+                          Slice* result) {
+  // Positional reads are idempotent, so transient device errors and
+  // short reads (both injected by FaultInjectionEnv and plausible on a
+  // lossy disaggregated fabric) get a small bounded retry before being
+  // escalated.
+  constexpr int kMaxAttempts = 5;
+  for (int attempt = 1;; attempt++) {
+    Status s = file->ReadStored(offset, n, result, scratch);
+    if (s.ok() && (result->size() == n || !retry_short)) {
+      return s;
+    }
+    if (attempt < kMaxAttempts && (s.ok() || s.IsTransient())) {
+      SleepForMicros(100ull << attempt);
+      continue;
+    }
+    return s;
+  }
+}
+
 Status ReadBlock(RandomAccessFile* file, const ReadOptions& options,
                  const BlockHandle& handle, BlockContents* result,
                  const std::string& fname) {
@@ -113,33 +134,17 @@ Status ReadBlock(RandomAccessFile* file, const ReadOptions& options,
   const size_t stored = static_cast<size_t>(StoredBlockSize(file, handle));
   char* buf = new char[stored];
   Slice contents;
-  Status s;
-  // Positional reads are idempotent, so transient device errors and
-  // short reads (both injected by FaultInjectionEnv and plausible on a
-  // lossy disaggregated fabric) get a small bounded retry before being
-  // escalated. A genuinely truncated file returns the same short
-  // result every time and still fails as corruption.
-  constexpr int kMaxReadAttempts = 5;
-  for (int attempt = 1;; attempt++) {
-    s = file->ReadStored(handle.offset(), stored, &contents, buf);
-    if (!s.ok()) {
-      if (s.IsTransient() && attempt < kMaxReadAttempts) {
-        SleepForMicros(100ull << attempt);
-        continue;
-      }
-      delete[] buf;
-      return s;
-    }
-    if (contents.size() != stored) {
-      if (attempt < kMaxReadAttempts) {
-        SleepForMicros(100ull << attempt);
-        continue;
-      }
-      delete[] buf;
-      return Status::Corruption(
-          BlockErrorMessage("truncated block read", handle, fname));
-    }
-    break;
+  // A genuinely truncated file returns the same short result every
+  // time and still fails as corruption.
+  Status s = ReadStoredRetrying(file, handle.offset(), stored,
+                                /*retry_short=*/true, buf, &contents);
+  if (s.ok() && contents.size() != stored) {
+    s = Status::Corruption(
+        BlockErrorMessage("truncated block read", handle, fname));
+  }
+  if (!s.ok()) {
+    delete[] buf;
+    return s;
   }
 
   Slice payload;
@@ -187,6 +192,15 @@ Status VerifyStoredBlock(const RandomAccessFile* file,
   result->data = Slice(buf, n);
   result->heap_allocated = true;
   return Status::OK();
+}
+
+Status OpenStoredBlockInPlace(const RandomAccessFile* file,
+                              const BlockHandle& handle, char* stored,
+                              const std::string& fname, Slice* payload) {
+  return OpenBlock(
+      file, handle,
+      Slice(stored, static_cast<size_t>(StoredBlockSize(file, handle))),
+      stored, fname, payload);
 }
 
 std::string EncodeTableProperties(const TableProperties& props) {

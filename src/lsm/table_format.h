@@ -66,6 +66,15 @@ struct BlockContents {
 uint64_t StoredBlockSize(const RandomAccessFile* file,
                          const BlockHandle& handle);
 
+/// Reads [offset, offset + n) of `file`'s stored image with a bounded
+/// retry: a transient error is retried, and so is a short read when
+/// `retry_short`; otherwise the genuine prefix a short read returned is
+/// the result. After the last attempt a short result is returned with
+/// OK status, so the caller decides what a short read means.
+Status ReadStoredRetrying(const RandomAccessFile* file, uint64_t offset,
+                          size_t n, bool retry_short, char* scratch,
+                          Slice* result);
+
 /// Reads and verifies one block (payload + trailer, plus the
 /// authentication tag when the file carries one) from a file. The
 /// stored bytes are read with ReadStored; on an authenticated file the
@@ -89,6 +98,15 @@ Status VerifyStoredBlock(const RandomAccessFile* file,
                          const BlockHandle& handle, const Slice& stored,
                          BlockContents* result,
                          const std::string& fname = std::string());
+
+/// VerifyStoredBlock in place: `stored` points at the block's stored
+/// image (StoredBlockSize(file, handle) bytes) in memory the caller owns
+/// and lets this overwrite. The same checks run; on success `*payload`
+/// is the block's payload, decrypted into those bytes. Table::Open uses
+/// it to keep meta blocks in the tail span they were read in.
+Status OpenStoredBlockInPlace(const RandomAccessFile* file,
+                              const BlockHandle& handle, char* stored,
+                              const std::string& fname, Slice* payload);
 
 /// Table properties: free-form string key/values persisted in the
 /// properties block. SHIELD stores the DEK-ID and cipher here as well,

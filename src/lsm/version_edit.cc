@@ -13,7 +13,12 @@ enum Tag : uint32_t {
   kNextFileNumber = 3,
   kLastSequence = 4,
   kDeletedFile = 6,
+  // Read-only: the new-file entry without a tail size, which builds
+  // before the tail read wrote. It decodes with tail_size = 0.
   kNewFile = 7,
+  // kNewFile followed by the file's tail size. Binaries that predate
+  // it reject the edit as "unknown tag".
+  kNewFileWithTail = 8,
 };
 
 bool GetInternalKey(Slice* input, InternalKey* dst) {
@@ -74,13 +79,14 @@ void VersionEdit::EncodeTo(std::string* dst) const {
   }
 
   for (const auto& [level, f] : new_files_) {
-    PutVarint32(dst, kNewFile);
+    PutVarint32(dst, kNewFileWithTail);
     PutVarint32(dst, static_cast<uint32_t>(level));
     PutVarint64(dst, f.number);
     PutVarint64(dst, f.file_size);
     PutLengthPrefixedSlice(dst, f.smallest.Encode());
     PutLengthPrefixedSlice(dst, f.largest.Encode());
     PutVarint64(dst, f.largest_seq);
+    PutVarint64(dst, f.tail_size);
   }
 }
 
@@ -139,11 +145,14 @@ Status VersionEdit::DecodeFrom(const Slice& src) {
         break;
 
       case kNewFile:
+      case kNewFileWithTail:
+        f.tail_size = 0;
         if (GetLevel(&input, &level) && GetVarint64(&input, &f.number) &&
             GetVarint64(&input, &f.file_size) &&
             GetInternalKey(&input, &f.smallest) &&
             GetInternalKey(&input, &f.largest) &&
-            GetVarint64(&input, &f.largest_seq)) {
+            GetVarint64(&input, &f.largest_seq) &&
+            (tag == kNewFile || GetVarint64(&input, &f.tail_size))) {
           new_files_.push_back(std::make_pair(level, f));
         } else {
           msg = "new-file entry";
@@ -185,7 +194,8 @@ std::string VersionEdit::DebugString() const {
   }
   for (const auto& [level, f] : new_files_) {
     r += "\n  AddFile: " + std::to_string(level) + " " +
-         std::to_string(f.number) + " " + std::to_string(f.file_size);
+         std::to_string(f.number) + " " + std::to_string(f.file_size) +
+         " tail " + std::to_string(f.tail_size);
   }
   r += "\n}\n";
   return r;

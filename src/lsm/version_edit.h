@@ -24,6 +24,11 @@ struct FileMetaData {
   /// a newer memtable flush and then its (older-data) output would
   /// carry a higher file number.
   SequenceNumber largest_seq = 0;
+  /// Bytes at the end of the file holding filter, properties, index and
+  /// footer (TableBuilder::TailSize), which a table open fetches with
+  /// one read. 0 = unknown: the open reads the footer alone and each
+  /// meta block singly.
+  uint64_t tail_size = 0;
 };
 
 /// A point in the writer's manifest history: the descriptor file number
@@ -68,13 +73,14 @@ class VersionEdit {
 
   void AddFile(int level, uint64_t number, uint64_t file_size,
                const InternalKey& smallest, const InternalKey& largest,
-               SequenceNumber largest_seq) {
+               SequenceNumber largest_seq, uint64_t tail_size) {
     FileMetaData f;
     f.number = number;
     f.file_size = file_size;
     f.smallest = smallest;
     f.largest = largest;
     f.largest_seq = largest_seq;
+    f.tail_size = tail_size;
     new_files_.push_back(std::make_pair(level, f));
   }
 

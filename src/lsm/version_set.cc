@@ -110,8 +110,10 @@ class LevelFileNumIterator final : public Iterator {
   }
   Slice value() const override {
     assert(Valid());
-    EncodeFixed64(value_buf_, (*flist_)[index_]->number);
-    EncodeFixed64(value_buf_ + 8, (*flist_)[index_]->file_size);
+    const FileMetaData* f = (*flist_)[index_];
+    EncodeFixed64(value_buf_, f->number);
+    EncodeFixed64(value_buf_ + 8, f->file_size);
+    EncodeFixed64(value_buf_ + 16, f->tail_size);
     return Slice(value_buf_, sizeof(value_buf_));
   }
   Status status() const override { return Status::OK(); }
@@ -120,8 +122,29 @@ class LevelFileNumIterator final : public Iterator {
   InternalKeyComparator icmp_;
   const std::vector<FileMetaData*>* const flist_;
   size_t index_;
-  mutable char value_buf_[16];
+  mutable char value_buf_[24];
 };
+
+// Iterator over the tables of one sorted run, opened lazily through the
+// table cache as the scan reaches each file.
+Iterator* NewSortedRunIterator(const InternalKeyComparator& icmp,
+                               const std::vector<FileMetaData*>* files,
+                               TableCache* table_cache,
+                               const ReadOptions& options) {
+  return NewTwoLevelIterator(
+      new LevelFileNumIterator(icmp, files),
+      [table_cache, options](const Slice& file_value) -> Iterator* {
+        if (file_value.size() != 24) {
+          return NewErrorIterator(
+              Status::Corruption("FileReader invoked with unexpected value"));
+        }
+        FileMetaData f;
+        f.number = DecodeFixed64(file_value.data());
+        f.file_size = DecodeFixed64(file_value.data() + 8);
+        f.tail_size = DecodeFixed64(file_value.data() + 16);
+        return table_cache->NewIterator(options, f);
+      });
+}
 
 }  // namespace
 
@@ -174,18 +197,8 @@ void Version::Unref() {
 
 Iterator* Version::NewConcatenatingIterator(const ReadOptions& options,
                                             int level) const {
-  TableCache* table_cache = vset_->table_cache_;
-  return NewTwoLevelIterator(
-      new LevelFileNumIterator(*vset_->icmp_, &files_[level]),
-      [table_cache, options](const Slice& file_value) -> Iterator* {
-        if (file_value.size() != 16) {
-          return NewErrorIterator(
-              Status::Corruption("FileReader invoked with unexpected value"));
-        }
-        return table_cache->NewIterator(options,
-                                        DecodeFixed64(file_value.data()),
-                                        DecodeFixed64(file_value.data() + 8));
-      });
+  return NewSortedRunIterator(*vset_->icmp_, &files_[level],
+                              vset_->table_cache_, options);
 }
 
 void Version::AddIterators(const ReadOptions& options,
@@ -195,7 +208,7 @@ void Version::AddIterators(const ReadOptions& options,
   // does not matter for the merging iterator.
   for (FileMetaData* f : files_[0]) {
     iters->push_back(
-        vset_->table_cache_->NewIterator(options, f->number, f->file_size));
+        vset_->table_cache_->NewIterator(options, *f));
   }
   for (int level = 1; level < vset_->num_levels_; level++) {
     if (!files_[level].empty()) {
@@ -272,8 +285,8 @@ Status Version::Get(const ReadOptions& options, const LookupKey& k,
 
   for (FileMetaData* f : tmp) {
     saver.state = kNotFound;
-    Status s = vset_->table_cache_->Get(options, f->number, f->file_size,
-                                        ikey, &saver, SaveValue);
+    Status s =
+        vset_->table_cache_->Get(options, *f, ikey, &saver, SaveValue);
     if (!s.ok()) {
       return s;
     }
@@ -303,8 +316,8 @@ Status Version::Get(const ReadOptions& options, const LookupKey& k,
       continue;
     }
     saver.state = kNotFound;
-    Status s = vset_->table_cache_->Get(options, f->number, f->file_size,
-                                        ikey, &saver, SaveValue);
+    Status s =
+        vset_->table_cache_->Get(options, *f, ikey, &saver, SaveValue);
     if (!s.ok()) {
       return s;
     }
@@ -376,7 +389,7 @@ void Version::MultiGet(const ReadOptions& options,
     for (TableGetRequest& b : batch) {
       ptrs.push_back(&b);
     }
-    vset_->table_cache_->MultiGet(options, f->number, f->file_size, ptrs);
+    vset_->table_cache_->MultiGet(options, *f, ptrs);
     for (size_t j = 0; j < batch.size(); j++) {
       resolve(batch_idx[j], batch[j].status);
     }
@@ -916,7 +929,7 @@ Status VersionSet::WriteSnapshot(log::Writer* log) {
   for (int level = 0; level < num_levels_; level++) {
     for (const FileMetaData* f : current_->files_[level]) {
       edit.AddFile(level, f->number, f->file_size, f->smallest, f->largest,
-                   f->largest_seq);
+                   f->largest_seq, f->tail_size);
     }
   }
   std::string record;
@@ -995,22 +1008,11 @@ Iterator* VersionSet::MakeInputIterator(Compaction* c) {
     if (!c->inputs_[which].empty()) {
       if (c->level() + which == 0) {
         for (FileMetaData* f : c->inputs_[which]) {
-          list[num++] = table_cache_->NewIterator(options, f->number,
-                                                  f->file_size);
+          list[num++] = table_cache_->NewIterator(options, *f);
         }
       } else {
-        TableCache* table_cache = table_cache_;
-        list[num++] = NewTwoLevelIterator(
-            new LevelFileNumIterator(*icmp_, &c->inputs_[which]),
-            [table_cache, options](const Slice& file_value) -> Iterator* {
-              if (file_value.size() != 16) {
-                return NewErrorIterator(Status::Corruption(
-                    "FileReader invoked with unexpected value"));
-              }
-              return table_cache->NewIterator(
-                  options, DecodeFixed64(file_value.data()),
-                  DecodeFixed64(file_value.data() + 8));
-            });
+        list[num++] = NewSortedRunIterator(*icmp_, &c->inputs_[which],
+                                           table_cache_, options);
       }
     }
   }

@@ -358,6 +358,11 @@ class EncryptedRandomAccessFile final : public RandomAccessFile {
     return decryptor_->Unseal(offset, stored, out, result);
   }
 
+  Status Decrypt(uint64_t offset, Slice* result,
+                 char* scratch) const override {
+    return decryptor_->Decrypt(offset, result, scratch);
+  }
+
   Status Size(uint64_t* size) const override {
     Status s = base_->Size(size);
     if (s.ok()) {

@@ -35,6 +35,8 @@ const char* const kTickerNames[] = {
     "lsm.compaction.bytes.written",
     "lsm.block.cache.hit",
     "lsm.block.cache.miss",
+    "lsm.table.cache.hit",
+    "lsm.table.cache.miss",
     "lsm.stall.micros",
     "lsm.multiget.keys",
     "lsm.multiget.batches",

@@ -52,6 +52,9 @@ enum class Tickers : uint32_t {
   kLsmCompactionBytesWritten,
   kLsmBlockCacheHit,
   kLsmBlockCacheMiss,
+  // Table-cache lookups (lsm/table_cache.cc): a miss opens the SST.
+  kLsmTableCacheHit,
+  kLsmTableCacheMiss,
   kLsmStallMicros,
   // MultiGet batching: keys asked across all MultiGet calls, and
   // coalesced multi-block fetches issued (each batch is one storage

@@ -1,11 +1,15 @@
 #include <map>
 #include <memory>
 
+#include "env/fault_injection_env.h"
 #include "gtest/gtest.h"
 #include "kds/local_kds.h"
 #include "kds/sim_kds.h"
 #include "lsm/db.h"
 #include "lsm/file_names.h"
+#include "lsm/format.h"
+#include "lsm/sst_reader.h"
+#include "shield/dek_manager.h"
 #include "shield/file_crypto.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -424,6 +428,234 @@ TEST_F(ShieldDBTest, KdsRequestsCountedPerFile) {
   ASSERT_TRUE(db_->GetProperty("shield.kds-requests", &requests));
   // At least: manifest DEK + initial WAL DEK + SST DEK + post-flush WAL.
   EXPECT_GE(atoi(requests.c_str()), 3);
+}
+
+// --- Table open: one read for the tail --------------------------------------
+
+// Records every positional read of an .sst file: (offset, bytes asked).
+// When `short_read_at` is set, the read with that index (counted from
+// the first read after arming) goes to `faults` with fault injection
+// on, so FaultInjectionEnv cuts it short.
+class SstReadRecorder : public EnvWrapper {
+ public:
+  SstReadRecorder(Env* target, FaultInjectionEnv* faults)
+      : EnvWrapper(target), faults_(faults) {}
+
+  Status NewRandomAccessFile(const std::string& fname,
+                             std::unique_ptr<RandomAccessFile>* result) override {
+    Status s = target()->NewRandomAccessFile(fname, result);
+    if (s.ok() && fname.size() > 4 &&
+        fname.compare(fname.size() - 4, 4, ".sst") == 0) {
+      result->reset(new File(std::move(*result), this));
+    }
+    return s;
+  }
+
+  void Reset(int short_read_at = -1) {
+    std::lock_guard<std::mutex> lock(mu_);
+    reads_.clear();
+    short_read_at_ = short_read_at;
+  }
+  std::vector<std::pair<uint64_t, size_t>> reads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return reads_;
+  }
+
+ private:
+  class File : public RandomAccessFile {
+   public:
+    File(std::unique_ptr<RandomAccessFile> base, SstReadRecorder* env)
+        : base_(std::move(base)), env_(env) {}
+    Status Read(uint64_t offset, size_t n, Slice* result,
+                char* scratch) const override {
+      bool cut;
+      {
+        std::lock_guard<std::mutex> lock(env_->mu_);
+        cut = static_cast<int>(env_->reads_.size()) == env_->short_read_at_;
+        env_->reads_.emplace_back(offset, n);
+      }
+      if (!cut) {
+        return base_->Read(offset, n, result, scratch);
+      }
+      env_->faults_->SetFaultsEnabled(true);
+      Status s = base_->Read(offset, n, result, scratch);
+      env_->faults_->SetFaultsEnabled(false);
+      return s;
+    }
+    Status Size(uint64_t* size) const override { return base_->Size(size); }
+
+   private:
+    std::unique_ptr<RandomAccessFile> base_;
+    SstReadRecorder* env_;
+  };
+
+  FaultInjectionEnv* const faults_;
+  mutable std::mutex mu_;
+  std::vector<std::pair<uint64_t, size_t>> reads_;
+  int short_read_at_ = -1;
+};
+
+class TailReadTest : public ::testing::Test {
+ protected:
+  TailReadTest()
+      : mem_(NewMemEnv()),
+        faults_(mem_.get(), ShortReads()),
+        recorder_(&faults_, &faults_),
+        kds_(std::make_shared<LocalKds>()) {
+    faults_.SetFaultsEnabled(false);
+  }
+
+  static FaultInjectionOptions ShortReads() {
+    FaultInjectionOptions fault_options;
+    fault_options.short_read_probability = 1.0;
+    return fault_options;
+  }
+
+  Options MakeOptions() {
+    Options options = BaseOptions(&recorder_);
+    options.encryption.mode = EncryptionMode::kShield;
+    options.encryption.kds = kds_;
+    options.block_size = 1024;  // an index of many entries
+    options.write_buffer_size = 1 << 20;  // one flush, one table
+    return options;
+  }
+
+  // Writes kKeys keys into one flushed SST and reopens the DB, so the
+  // next Get opens the table cold.
+  void FillOneTableAndReopen() {
+    Open();
+    for (int i = 0; i < kKeys; i++) {
+      ASSERT_TRUE(db_->Put(WriteOptions(), Key(i), Value(i)).ok());
+    }
+    ASSERT_TRUE(db_->Flush().ok());
+    Open();
+    std::vector<std::string> children;
+    ASSERT_TRUE(mem_->GetChildren("/db", &children).ok());
+    for (const std::string& child : children) {
+      if (child.size() > 4 && child.compare(child.size() - 4, 4, ".sst") == 0) {
+        ASSERT_TRUE(sst_.empty()) << "more than one table";
+        sst_ = "/db/" + child;
+      }
+    }
+    ASSERT_FALSE(sst_.empty());
+    ASSERT_TRUE(mem_->GetFileSize(sst_, &stored_size_).ok());
+  }
+
+  void Open() {
+    db_.reset();
+    DB* db = nullptr;
+    Status s = DB::Open(MakeOptions(), "/db", &db);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    db_.reset(db);
+  }
+
+  static std::string Key(int i) { return "key" + std::to_string(10000 + i); }
+  static std::string Value(int i) {
+    return "value-" + std::to_string(i) + std::string(80, 'v');
+  }
+
+  static constexpr int kKeys = 500;
+  std::unique_ptr<Env> mem_;
+  FaultInjectionEnv faults_;
+  SstReadRecorder recorder_;
+  std::shared_ptr<LocalKds> kds_;
+  std::unique_ptr<DB> db_;
+  std::string sst_;
+  uint64_t stored_size_ = 0;
+};
+
+TEST_F(TailReadTest, ColdGetOpensTableWithHeaderAndTailReads) {
+  ASSERT_NO_FATAL_FAILURE(FillOneTableAndReopen());
+  recorder_.Reset();
+  std::string value;
+  ASSERT_TRUE(db_->Get(ReadOptions(), Key(250), &value).ok());
+  EXPECT_EQ(Value(250), value);
+
+  // The open reads the SHIELD header, then the whole tail in one read
+  // that ends at the end of the file; the Get then reads one data
+  // block, which lies before the tail.
+  const auto reads = recorder_.reads();
+  ASSERT_EQ(3u, reads.size());
+  EXPECT_EQ(0u, reads[0].first);
+  EXPECT_EQ(kShieldHeaderSize, reads[0].second);
+  EXPECT_EQ(stored_size_, reads[1].first + reads[1].second);
+  EXPECT_GT(reads[1].second, Footer::kEncodedLength + 1024);  // + index
+  EXPECT_LE(reads[2].first + reads[2].second, reads[1].first);
+}
+
+TEST_F(TailReadTest, UnknownTailSizeStillOpensAndAnswers) {
+  ASSERT_NO_FATAL_FAILURE(FillOneTableAndReopen());
+  DekManager dek_manager(kds_.get(), "reader", nullptr);
+  EncryptionOptions encryption;
+  encryption.mode = EncryptionMode::kShield;
+  auto files = NewShieldFileFactory(&recorder_, &dek_manager, encryption,
+                                    nullptr);
+  const InternalKeyComparator icmp(BytewiseComparator());
+  const uint64_t file_size = stored_size_ - kShieldHeaderSize;
+
+  // Opens the table as a manifest entry with `tail_size` would.
+  auto open = [&](uint64_t tail_size, std::unique_ptr<Table>* table) {
+    std::unique_ptr<RandomAccessFile> file;
+    ASSERT_TRUE(files->NewRandomAccessFile(sst_, &file).ok());
+    const Status s = Table::Open(MakeOptions(), &icmp, sst_, std::move(file),
+                                 file_size, tail_size, nullptr, table);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  };
+  auto get = [&](Table* table, int i) {
+    std::string found;
+    const LookupKey lookup(Key(i), kMaxSequenceNumber);
+    EXPECT_TRUE(table
+                    ->InternalGet(ReadOptions(), lookup.internal_key(), &found,
+                                  [](void* arg, const Slice& k, const Slice& v) {
+                                    (void)k;
+                                    static_cast<std::string*>(arg)->assign(
+                                        v.data(), v.size());
+                                  })
+                    .ok());
+    return found;
+  };
+
+  // tail_size 0 (a legacy manifest entry, or an offloaded compaction's
+  // input): header, footer, index and properties, each read singly.
+  recorder_.Reset();
+  std::unique_ptr<Table> legacy;
+  ASSERT_NO_FATAL_FAILURE(open(0, &legacy));
+  EXPECT_EQ(4u, recorder_.reads().size());
+  for (int i = 0; i < kKeys; i += 37) {
+    EXPECT_EQ(Value(i), get(legacy.get(), i)) << i;
+  }
+
+  // The tail size the table reports is the one the builder recorded:
+  // reopened with it, the open takes two reads.
+  const uint64_t tail_size = legacy->tail_size();
+  EXPECT_GT(tail_size, Footer::kEncodedLength);
+  EXPECT_LT(tail_size, file_size);
+  recorder_.Reset();
+  std::unique_ptr<Table> table;
+  ASSERT_NO_FATAL_FAILURE(open(tail_size, &table));
+  const auto reads = recorder_.reads();
+  ASSERT_EQ(2u, reads.size());
+  EXPECT_EQ(tail_size, reads[1].second);
+  EXPECT_EQ(Value(7), get(table.get(), 7));
+}
+
+TEST_F(TailReadTest, ShortTailReadFallsBackToPerBlockReads) {
+  ASSERT_NO_FATAL_FAILURE(FillOneTableAndReopen());
+  // Cut the tail read (the table's second read, after the header).
+  recorder_.Reset(/*short_read_at=*/1);
+  std::string value;
+  const Status s = db_->Get(ReadOptions(), Key(123), &value);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(Value(123), value);
+  EXPECT_EQ(1u, faults_.injected_short_reads());
+
+  // The span came back short, so the footer (and what else the prefix
+  // lacks) was fetched with further reads before the data block.
+  const auto reads = recorder_.reads();
+  ASSERT_GT(reads.size(), 3u);
+  EXPECT_EQ(stored_size_, reads[1].first + reads[1].second);
+  EXPECT_EQ(stored_size_, reads[2].first + reads[2].second);  // the footer
+  EXPECT_EQ(Footer::kEncodedLength, reads[2].second);
 }
 
 }  // namespace

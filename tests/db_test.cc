@@ -1,5 +1,6 @@
 #include "lsm/db.h"
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -8,6 +9,7 @@
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "util/random.h"
+#include "util/statistics.h"
 
 namespace shield {
 namespace {
@@ -104,6 +106,49 @@ TEST_F(DBTest, GetFromFlushedFile) {
   ASSERT_TRUE(db_->Flush().ok());
   EXPECT_EQ(1, NumFilesAtLevel(0));
   EXPECT_EQ("on-disk", Get("persisted"));
+}
+
+TEST_F(DBTest, TableCacheTickersCountEveryLookup) {
+  Open();
+  for (int i = 0; i < 100; i++) {
+    ASSERT_TRUE(Put("key" + std::to_string(100 + i), "v" + std::to_string(i))
+                    .ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  std::vector<std::string> children;
+  ASSERT_TRUE(env_->GetChildren("/db", &children).ok());
+  ASSERT_EQ(1, std::count_if(children.begin(), children.end(),
+                             [](const std::string& name) {
+                               return name.size() > 4 &&
+                                      name.substr(name.size() - 4) == ".sst";
+                             }));
+  options_.statistics = CreateDBStatistics();
+  Reopen();
+  Statistics* stats = options_.statistics.get();
+  auto lookups = [stats] {
+    return stats->GetTickerCount(Tickers::kLsmTableCacheHit) +
+           stats->GetTickerCount(Tickers::kLsmTableCacheMiss);
+  };
+  const uint64_t before = lookups();
+
+  // The first Get after open finds no reader cached: one miss, which
+  // opens the table.
+  EXPECT_EQ("v7", Get("key107"));
+  EXPECT_EQ(1u, stats->GetTickerCount(Tickers::kLsmTableCacheMiss));
+  EXPECT_EQ(0u, stats->GetTickerCount(Tickers::kLsmTableCacheHit));
+
+  // Every Get of a key in the table's range looks it up once, hit or
+  // miss; a key outside the range never reaches the table cache.
+  for (int i = 0; i < 20; i++) {
+    EXPECT_EQ("v" + std::to_string(i), Get("key" + std::to_string(100 + i)));
+  }
+  EXPECT_EQ("NOT_FOUND", Get("zzz"));
+  EXPECT_EQ(before + 21, lookups());
+
+  std::string metrics;
+  ASSERT_TRUE(db_->GetProperty("shield.metrics", &metrics));
+  EXPECT_NE(std::string::npos, metrics.find("shield_lsm_table_cache_miss"));
+  EXPECT_NE(std::string::npos, metrics.find("shield_lsm_table_cache_hit"));
 }
 
 TEST_F(DBTest, RecoveryFromWal) {

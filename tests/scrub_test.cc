@@ -21,6 +21,7 @@
 #include "lsm/block.h"
 #include "lsm/db.h"
 #include "lsm/error_handler.h"
+#include "lsm/filter_policy.h"
 #include "lsm/format.h"
 #include "lsm/table_format.h"
 #include "shield/dek_manager.h"
@@ -357,11 +358,13 @@ void PrintTo(const SealedTamperParam& param, std::ostream* os) {
   *os << param.name;
 }
 
-class SealedBlockTamperTest
-    : public ::testing::TestWithParam<SealedTamperParam> {
+// A DB under EncFS or SHIELD (format v2) whose table files the tests
+// damage on the medium.
+class SealedFileTest : public ::testing::Test {
  protected:
-  SealedBlockTamperTest()
-      : env_(NewMemEnv()),
+  explicit SealedFileTest(EncryptionMode mode)
+      : mode_(mode),
+        env_(NewMemEnv()),
         kds_(std::make_shared<LocalKds>()),
         instance_key_(crypto::SecureRandomString(16)),
         stats_(CreateDBStatistics()) {}
@@ -371,10 +374,11 @@ class SealedBlockTamperTest
     options.env = env_.get();
     options.block_size = 1024;      // many small data blocks
     options.block_cache_size = 0;   // every block read goes to the file
-    options.encryption.mode = GetParam().mode;
+    options.encryption.mode = mode_;
     options.encryption.kds = kds_;
     options.encryption.instance_key = instance_key_;
     options.statistics = stats_;
+    options.filter_policy = filter_policy_.get();
     return options;
   }
 
@@ -390,7 +394,7 @@ class SealedBlockTamperTest
   void OpenTableFile(const std::string& fname,
                      std::unique_ptr<RandomAccessFile>* file,
                      uint64_t* header_size) {
-    if (GetParam().mode == EncryptionMode::kEncFS) {
+    if (mode_ == EncryptionMode::kEncFS) {
       ASSERT_TRUE(NewEncryptedEnv(env_.get(), crypto::CipherKind::kAes128Ctr,
                                   instance_key_, &encfs_)
                       .ok());
@@ -458,10 +462,12 @@ class SealedBlockTamperTest
         << s.ToString();
   }
 
+  const EncryptionMode mode_;
   std::unique_ptr<Env> env_;
   std::shared_ptr<LocalKds> kds_;
   const std::string instance_key_;
   std::shared_ptr<Statistics> stats_;
+  std::unique_ptr<const FilterPolicy> filter_policy_;  // none by default
   const InternalKeyComparator icmp_{BytewiseComparator()};
   std::unique_ptr<Env> encfs_;
   std::unique_ptr<DekManager> dek_manager_;
@@ -469,6 +475,13 @@ class SealedBlockTamperTest
   std::unique_ptr<DB> db_;
   std::string sst_;        // the damaged table's file name
   std::string at_offset_;  // "at offset <damaged block's offset> in"
+};
+
+class SealedBlockTamperTest
+    : public SealedFileTest,
+      public ::testing::WithParamInterface<SealedTamperParam> {
+ protected:
+  SealedBlockTamperTest() : SealedFileTest(GetParam().mode) {}
 };
 
 TEST_P(SealedBlockTamperTest, FlippedBitIsCorruptionOnEveryReadPath) {
@@ -570,6 +583,173 @@ INSTANTIATE_TEST_SUITE_P(
         SealedTamperParam{EncryptionMode::kEncFS, SealedPart::kTag,
                           "EncFsTag"}),
     [](const ::testing::TestParamInfo<SealedTamperParam>& info) {
+      return std::string(info.param.name);
+    });
+
+// --- Sealed SST tail: filter, properties, index and footer ----------------
+
+// The table's tail (filter, properties, index, footer) is fetched with
+// one read when a table opens; each meta block is carved from that span
+// and verified on its own. A flipped bit in any of them must still
+// fail the open with Corruption naming the file and the block. The
+// footer is not sealed, so bits flipped in its index handle can move
+// the index past the end of the file; that too is Corruption, never a
+// read outside the span.
+enum class TailPart {
+  kFilter,
+  kProperties,
+  kIndex,
+  kFooterMagic,
+  kFooterIndexOffset
+};
+
+struct TailTamperParam {
+  EncryptionMode mode;
+  TailPart part;
+  const char* name;
+};
+
+void PrintTo(const TailTamperParam& param, std::ostream* os) {
+  *os << param.name;
+}
+
+class SealedTailTamperTest
+    : public SealedFileTest,
+      public ::testing::WithParamInterface<TailTamperParam> {
+ protected:
+  SealedTailTamperTest() : SealedFileTest(GetParam().mode) {
+    filter_policy_.reset(NewBloomFilterPolicy(10));
+  }
+};
+
+TEST_P(SealedTailTamperTest, FlippedBitInTailBlockIsCorruption) {
+  const TailTamperParam& param = GetParam();
+  ASSERT_NO_FATAL_FAILURE(Open());
+  for (int i = 0; i < 300; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), TestKey(i), TestValue(i)).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  db_.reset();
+
+  const std::vector<std::string> ssts = ListSstFiles(env_.get());
+  ASSERT_EQ(1u, ssts.size());
+  sst_ = ssts[0];
+  const std::string fname = std::string(kDbName) + "/" + sst_;
+  uint64_t header_size = 0;
+  uint64_t size = 0;
+  BlockHandle target;
+  std::string footer_plain;  // the footer as written
+  std::string tampered_plain;  // the footer after the flips
+  {
+    std::unique_ptr<RandomAccessFile> file;
+    ASSERT_NO_FATAL_FAILURE(OpenTableFile(fname, &file, &header_size));
+    ASSERT_TRUE(file->Size(&size).ok());
+    char footer_space[Footer::kEncodedLength];
+    Slice footer_input;
+    ASSERT_TRUE(file->Read(size - Footer::kEncodedLength,
+                           Footer::kEncodedLength, &footer_input,
+                           footer_space)
+                    .ok());
+    footer_plain = footer_input.ToString();
+    Footer footer;
+    ASSERT_TRUE(footer.DecodeFrom(&footer_input).ok());
+    BlockContents contents;
+    ASSERT_TRUE(ReadBlock(file.get(), ReadOptions(),
+                          footer.properties_handle(), &contents)
+                    .ok());
+    TableProperties props;
+    ASSERT_TRUE(DecodeTableProperties(contents.data, &props).ok());
+    delete[] contents.data.data();
+    Slice filter_input(props[kPropFilterHandle]);
+    BlockHandle filter;
+    ASSERT_TRUE(filter.DecodeFrom(&filter_input).ok());
+    target = param.part == TailPart::kFilter       ? filter
+             : param.part == TailPart::kProperties ? footer.properties_handle()
+                                                   : footer.index_handle();
+    if (param.part == TailPart::kFooterIndexOffset) {
+      target.set_offset(uint64_t{1} << 40);
+      Footer moved = footer;
+      moved.set_index_handle(target);
+      moved.EncodeTo(&tampered_plain);
+      ASSERT_EQ(footer_plain.size(), tampered_plain.size());
+    }
+  }
+  at_offset_ = "at offset " + std::to_string(target.offset()) + " in";
+
+  const uint64_t flip =
+      param.part == TailPart::kFooterMagic ? header_size + size - 3
+      : param.part == TailPart::kFooterIndexOffset
+          ? header_size + size - Footer::kEncodedLength
+          : header_size + target.offset() + target.size() / 2;
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(env_.get(), fname, &bytes).ok());
+  ASSERT_LT(flip, bytes.size());
+  if (param.part == TailPart::kFooterIndexOffset) {
+    // The footer is encrypted as it is stored (CTR), so flipping a
+    // stored bit flips the same plaintext bit.
+    for (size_t i = 0; i < footer_plain.size(); i++) {
+      bytes[flip + i] ^= footer_plain[i] ^ tampered_plain[i];
+    }
+  } else {
+    bytes[flip] ^= 0x10;
+  }
+  ASSERT_TRUE(WriteStringToFile(env_.get(), bytes, fname, false).ok());
+  if (param.part == TailPart::kFooterIndexOffset) {
+    std::unique_ptr<RandomAccessFile> file;
+    ASSERT_NO_FATAL_FAILURE(OpenTableFile(fname, &file, &header_size));
+    char footer_space[Footer::kEncodedLength];
+    Slice footer_input;
+    ASSERT_TRUE(file->Read(size - Footer::kEncodedLength,
+                           Footer::kEncodedLength, &footer_input,
+                           footer_space)
+                    .ok());
+    Footer footer;
+    ASSERT_TRUE(footer.DecodeFrom(&footer_input).ok());
+    ASSERT_EQ(target.offset(), footer.index_handle().offset());
+  }
+  ASSERT_NO_FATAL_FAILURE(Open());
+
+  // The Get opens the table: one read for the tail, carved per block.
+  std::string value;
+  const Status s = db_->Get(ReadOptions(), TestKey(7), &value);
+  if (param.part == TailPart::kFooterMagic) {
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_NE(std::string::npos, s.ToString().find(sst_)) << s.ToString();
+  } else if (param.part == TailPart::kFooterIndexOffset) {
+    ExpectNamesBlock(s, "table open");
+  } else {
+    // The tag over the block's ciphertext catches the flip before the
+    // block is decrypted.
+    ExpectNamesBlock(s, "table open");
+    EXPECT_GT(stats_->GetTickerCount(Tickers::kCryptoHmacFailures), 0u);
+  }
+  db_.reset();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SealedTail, SealedTailTamperTest,
+    ::testing::Values(
+        TailTamperParam{EncryptionMode::kShield, TailPart::kFilter,
+                        "ShieldFilter"},
+        TailTamperParam{EncryptionMode::kShield, TailPart::kProperties,
+                        "ShieldProperties"},
+        TailTamperParam{EncryptionMode::kShield, TailPart::kIndex,
+                        "ShieldIndex"},
+        TailTamperParam{EncryptionMode::kShield, TailPart::kFooterMagic,
+                        "ShieldFooterMagic"},
+        TailTamperParam{EncryptionMode::kShield, TailPart::kFooterIndexOffset,
+                        "ShieldFooterIndexOffset"},
+        TailTamperParam{EncryptionMode::kEncFS, TailPart::kFilter,
+                        "EncFsFilter"},
+        TailTamperParam{EncryptionMode::kEncFS, TailPart::kProperties,
+                        "EncFsProperties"},
+        TailTamperParam{EncryptionMode::kEncFS, TailPart::kIndex,
+                        "EncFsIndex"},
+        TailTamperParam{EncryptionMode::kEncFS, TailPart::kFooterMagic,
+                        "EncFsFooterMagic"},
+        TailTamperParam{EncryptionMode::kEncFS, TailPart::kFooterIndexOffset,
+                        "EncFsFooterIndexOffset"}),
+    [](const ::testing::TestParamInfo<TailTamperParam>& info) {
       return std::string(info.param.name);
     });
 

@@ -172,14 +172,15 @@ class TableTest : public ::testing::Test {
     builder.SetProperty("test.origin", "unit-test");
     ASSERT_TRUE(builder.Finish().ok());
     file_size_ = builder.FileSize();
+    tail_size_ = builder.TailSize();
     ASSERT_TRUE(file->Close().ok());
   }
 
   void OpenTable(std::shared_ptr<Cache> cache = nullptr) {
     std::unique_ptr<RandomAccessFile> file;
     ASSERT_TRUE(env_->NewRandomAccessFile("/table.sst", &file).ok());
-    ASSERT_TRUE(Table::Open(options_, &icmp_, "/table.sst", std::move(file), file_size_,
-                            cache, &table_)
+    ASSERT_TRUE(Table::Open(options_, &icmp_, "/table.sst", std::move(file),
+                            file_size_, tail_size_, cache, &table_)
                     .ok());
   }
 
@@ -210,6 +211,7 @@ class TableTest : public ::testing::Test {
   InternalKeyComparator icmp_;
   Options options_;
   uint64_t file_size_ = 0;
+  uint64_t tail_size_ = 0;
   std::unique_ptr<Table> table_;
 };
 
@@ -317,8 +319,8 @@ TEST_F(TableTest, OpenRejectsTruncatedFile) {
   ASSERT_TRUE(env_->NewRandomAccessFile("/table.sst", &file).ok());
   std::unique_ptr<Table> table;
   EXPECT_FALSE(
-      Table::Open(options_, &icmp_, "/table.sst", std::move(file), 10, nullptr,
-                  &table)
+      Table::Open(options_, &icmp_, "/table.sst", std::move(file), 10,
+                  /*tail_size=*/0, nullptr, &table)
           .ok());
 }
 
