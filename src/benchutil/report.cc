@@ -109,17 +109,17 @@ bool WriteBenchJson(const std::string& path, const std::string& bench_name,
     bool first = true;
     for (size_t i = 0; i < kNumHistograms; i++) {
       const Histograms h = static_cast<Histograms>(i);
-      const Histogram& hist = stats->GetHistogram(h);
-      if (hist.Count() == 0) {
+      const HistogramSnapshot hist = stats->GetHistogram(h);
+      if (hist.count == 0) {
         continue;  // empty timers add noise, not information
       }
       fprintf(f,
               "%s\n    \"%s\": {\"count\": %llu, \"avg\": %.2f, "
               "\"p50\": %.2f, \"p99\": %.2f, \"max\": %llu}",
               first ? "" : ",", HistogramName(h),
-              static_cast<unsigned long long>(hist.Count()), hist.Average(),
-              hist.Percentile(50.0), hist.Percentile(99.0),
-              static_cast<unsigned long long>(hist.Max()));
+              static_cast<unsigned long long>(hist.count),
+              hist.sum / static_cast<double>(hist.count), hist.p50, hist.p99,
+              static_cast<unsigned long long>(hist.max));
       first = false;
     }
     if (!first) {

@@ -23,14 +23,6 @@ constexpr uint64_t kStallCriticalMicros = 1 * 1000 * 1000;
 }  // namespace
 
 void DBImpl::SetupHealthPlane() {
-  // Mirror the Statistics tickers/histograms into this DB's labeled
-  // registry so "shield.metrics" is encoded by one well-formed encoder.
-  // First DB wins when a Statistics object is shared across instances.
-  if (options_.statistics != nullptr &&
-      options_.statistics->registry() == nullptr) {
-    options_.statistics->AttachRegistry(&metrics_, options_.node_name);
-  }
-
   health_monitor_.SetTransitionSink([this](const HealthTransition& t) {
     if (event_logger_ != nullptr && event_logger_->enabled()) {
       JsonWriter w = event_logger_->NewEvent("health_transition");
@@ -195,9 +187,8 @@ void DBImpl::SetupHealthPlane() {
     return s;
   });
 
-  if (options_.health_interval_micros > 0) {
-    health_monitor_.StartBackground(options_.health_interval_micros);
-  }
+  health_task_.Start(options_.health_interval_micros,
+                     [this] { health_monitor_.Evaluate(); });
 }
 
 Status DBImpl::EvaluateHealth(std::vector<HealthTransition>* transitions) {

@@ -72,52 +72,30 @@ DBImpl::~DBImpl() {
   if (lease_listener_ != 0) {
     RemoveLeaseReleaseListener(lease_listener_);
   }
-  // Stop the health evaluator before anything it probes is torn down,
-  // and detach the shared Statistics from our registry (the Statistics
-  // object may outlive this DB).
-  health_monitor_.StopBackground();
-  if (options_.statistics != nullptr &&
-      options_.statistics->registry() == &metrics_) {
-    options_.statistics->AttachRegistry(nullptr, std::string());
-  }
+  // Stop the health evaluator before anything it probes is torn down.
+  health_task_.Stop();
 
   // Stop the rotation job first: a pass rewrites files through the
-  // manifest, and RunRotation checks rotation_stop_ between files so
-  // this returns promptly (leaving the remainder persisted in the
-  // rotation manifest for resume-at-reopen).
-  if (rotation_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(rotation_mutex_);
-      rotation_stop_ = true;
-    }
-    rotation_cv_.notify_all();
-    rotation_thread_.join();
-  }
+  // manifest. Stopping ends its pacing sleep, and RunRotation checks
+  // the task between files, so this returns promptly (leaving the
+  // remainder persisted in the rotation manifest for resume-at-reopen).
+  rotation_task_.Stop();
 
   // Stop the scrubber next: a scrub pass holds version references and
-  // may schedule repairs that touch the manifest.
-  if (scrub_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(scrub_mutex_);
-      scrub_stop_ = true;
-    }
-    scrub_cv_.notify_all();
-    scrub_thread_.join();
-  }
+  // may schedule repairs that touch the manifest. Its pacing sleep
+  // ends at once and the pass stops after the file it is checking.
+  scrub_task_.Stop();
 
   // Wait for background work, then tear down.
   {
     std::unique_lock<std::mutex> lock(mutex_);
     shutting_down_.store(true, std::memory_order_release);
-    deferred_deletion_cv_.notify_all();
     background_work_finished_signal_.wait(lock, [this] {
       return !flush_scheduled_ && !compaction_scheduled_;
     });
   }
   bg_pool_.reset();  // joins workers
-  if (deferred_deletion_thread_.joinable()) {
-    deferred_deletion_thread_.join();
-  }
+  deferred_deletion_task_.Stop();
 
   {
     // Fail any queued writers.
@@ -436,9 +414,10 @@ void DBImpl::RemoveObsoleteFiles() {
   for (uint64_t n : released) {
     obsolete_stamps_.erase(n);
   }
-  if (!obsolete_stamps_.empty() && !deferred_deletion_thread_.joinable() &&
+  if (!obsolete_stamps_.empty() &&
       !shutting_down_.load(std::memory_order_acquire)) {
-    deferred_deletion_thread_ = std::thread([this] { DeferredDeletionLoop(); });
+    deferred_deletion_task_.Start(kDeferredDeletionRetryMicros,
+                                  [this] { RetryDeferredDeletions(); });
   }
 }
 
@@ -447,18 +426,6 @@ void DBImpl::RetryDeferredDeletions() {
   if (!obsolete_stamps_.empty() &&
       !shutting_down_.load(std::memory_order_acquire)) {
     RemoveObsoleteFiles();
-  }
-}
-
-void DBImpl::DeferredDeletionLoop() {
-  const auto interval = std::chrono::microseconds(kDeferredDeletionRetryMicros);
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (!shutting_down_.load(std::memory_order_acquire)) {
-    deferred_deletion_cv_.wait_for(lock, interval);
-    if (!obsolete_stamps_.empty() &&
-        !shutting_down_.load(std::memory_order_acquire)) {
-      RemoveObsoleteFiles();
-    }
   }
 }
 
@@ -625,19 +592,17 @@ Status DBImpl::Recover() {
   RemoveObsoleteFiles();
   MaybeScheduleCompaction();
 
-  if (options_.scrub_interval_micros > 0) {
-    scrub_thread_ = std::thread([this] { ScrubLoop(); });
-  }
+  scrub_task_.Start(options_.scrub_interval_micros,
+                    [this] { BackgroundScrub(); });
 
   if (options_.encryption.mode == EncryptionMode::kShield) {
     // A ROTATION manifest on disk means a rotation was interrupted;
-    // the rotation thread finishes it before anything else, even when
+    // the rotation task finishes it before anything else, even when
     // no periodic rotation is configured (one-shot resume).
     rotation_pending_at_open_ = ResumePendingRotation();
-    if (options_.dek_rotation_interval_micros > 0 ||
-        rotation_pending_at_open_) {
-      rotation_thread_ = std::thread([this] { RotationLoop(); });
-    }
+    rotation_task_.Start(options_.dek_rotation_interval_micros,
+                         [this] { BackgroundRotation(); },
+                         /*run_now=*/rotation_pending_at_open_);
   }
   SetupHealthPlane();
   return Status::OK();
@@ -914,20 +879,11 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     if (options_.statistics == nullptr) {
       return false;
     }
+    // The Statistics families under this DB's node label, then this
+    // DB's own gauges; the two share no family name.
     RefreshMetricsGauges();
-    if (options_.statistics->registry() == &metrics_) {
-      // One well-formed encoder over everything: ticker counters,
-      // labeled latency summaries + sliding windows, level gauges,
-      // health gauges, catch-up lag.
-      options_.statistics->SyncRegistry();
-      *value = metrics_.ToPrometheusText();
-    } else {
-      // The Statistics object is shared and mirrored into another DB's
-      // registry: emit its families from its own encoder, then our
-      // DB-level gauge families.
-      *value = options_.statistics->ToPrometheusText();
-      value->append(metrics_.ToPrometheusText());
-    }
+    *value = options_.statistics->ToPrometheusText(options_.node_name);
+    value->append(metrics_.ToPrometheusText());
     return true;
   }
   return false;

@@ -9,7 +9,6 @@
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 
 #include "env/io_stats.h"
 #include "lsm/compaction_service.h"
@@ -27,6 +26,7 @@
 #include "util/health.h"
 #include "util/histogram.h"
 #include "util/metrics.h"
+#include "util/periodic_task.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
 
@@ -116,11 +116,9 @@ class DBImpl final : public DB {
   Status NewDb();
   void RemoveObsoleteFiles();  // mutex_ held
   /// Writer: runs a GC pass if any deletion is deferred. The lease-release
-  /// listener DB::Open registers calls it; mutex_ not held.
+  /// listener DB::Open registers calls it, and deferred_deletion_task_
+  /// every kDeferredDeletionRetryMicros; mutex_ not held.
   void RetryDeferredDeletions();
-  /// Writer: retries deferred deletions every kDeferredDeletionRetryMicros
-  /// until shutdown. Started by the first GC pass that defers one.
-  void DeferredDeletionLoop();
   /// Creates the info LOG (unless Options supplied one) and emits the
   /// db_open event with sanitized options + build info.
   void SetupInfoLog();
@@ -187,7 +185,8 @@ class DBImpl final : public DB {
     uint64_t repaired_files = 0;
   };
   /// One full pass over the live SSTs. `throttle` enables the
-  /// scrub_bytes_per_second budget (background passes only).
+  /// scrub_bytes_per_second budget (background passes only): the pass
+  /// paces through scrub_task_ and stops between files when it stops.
   Status ScrubPass(bool throttle, ScrubStats* stats);
   Status ScrubFile(int level, uint64_t number, uint64_t file_size,
                    bool throttle);
@@ -197,7 +196,8 @@ class DBImpl final : public DB {
   Status RepairFromReplica(int level, uint64_t number, uint64_t file_size);
   Status SalvageLocally(int level, uint64_t number, uint64_t file_size);
   Status QuarantineFile(uint64_t number);
-  void ScrubLoop();
+  /// One background scrub pass; escalates unrepaired corruption.
+  void BackgroundScrub();
 
   // Bulk ingest/dump (db_ingest.cc).
   /// Adopts a SHIELD-encrypted SST byte-for-byte: re-wraps the
@@ -237,19 +237,24 @@ class DBImpl final : public DB {
   void RecordCatchupApplied();
 
   // Online DEK rotation (db_rotation.cc).
+  /// RotateDeks for both callers: `background` passes (rotation_task_)
+  /// pace through the task, so closing the DB ends their sleeps;
+  /// on-demand ones sleep on the process clock.
+  Status Rotate(const RotateOptions& options, RotateResult* result,
+                bool background);
   /// Executes (or resumes) the rotation described by `manifest`,
   /// persisting progress after every file. rotation_pass_mutex_ held.
   Status RunRotation(RotationManifest* manifest, const RotateOptions& opts,
-                     RotateResult* result);
+                     RotateResult* result, bool background);
   /// Rewrites one live SST to a fresh DEK via the table-rewrite path.
   /// Returns OK with *skipped=true when `number` already left the live
   /// version (stale manifest entry).
   Status RotateFile(uint64_t number, uint64_t* bytes, bool* skipped);
-  /// Background rotation job: resumes a pending rotation at open, then
-  /// runs age-based passes every dek_rotation_interval_micros.
-  void RotationLoop();
+  /// One run of rotation_task_: the first resumes a rotation pending
+  /// at open, the others are age-based passes.
+  void BackgroundRotation();
   /// True when a rotation manifest is pending on disk at open time
-  /// (set by Recover, consumed by RotationLoop).
+  /// (set by Recover, consumed by BackgroundRotation).
   bool ResumePendingRotation();
 
   // State below.
@@ -336,8 +341,9 @@ class DBImpl final : public DB {
   // read-only instance in this process run this writer's GC; 0 when
   // none is registered.
   uint64_t lease_listener_ = 0;
-  std::thread deferred_deletion_thread_;
-  std::condition_variable deferred_deletion_cv_;  // waits on mutex_
+  // Writer: retries deferred deletions; started by the first GC pass
+  // that defers one.
+  PeriodicTask deferred_deletion_task_;
   // Read-only instances: this instance's file lease. lease_id_ stays 0
   // until Recover publishes the first lease. All guarded by mutex_.
   uint64_t lease_id_ = 0;
@@ -361,27 +367,18 @@ class DBImpl final : public DB {
   // and schedules auto-resume retries. All access under mutex_.
   ErrorHandler error_handler_;
 
-  // Background scrubber (db_scrub.cc). The thread sleeps on scrub_cv_
-  // between passes; scrub_pass_mutex_ serializes passes (the thread vs
-  // on-demand VerifyIntegrity).
-  std::thread scrub_thread_;
-  std::mutex scrub_mutex_;
-  std::condition_variable scrub_cv_;
-  bool scrub_stop_ = false;  // guarded by scrub_mutex_
+  // Background scrubber (db_scrub.cc). scrub_pass_mutex_ serializes
+  // passes (the task vs on-demand VerifyIntegrity).
+  PeriodicTask scrub_task_;
   std::mutex scrub_pass_mutex_;
 
-  // Background DEK rotation (db_rotation.cc). Same shape as the
-  // scrubber: the thread sleeps on rotation_cv_ between passes;
-  // rotation_pass_mutex_ serializes passes (the thread vs on-demand
-  // RotateDeks).
-  std::thread rotation_thread_;
-  std::mutex rotation_mutex_;
-  std::condition_variable rotation_cv_;
-  bool rotation_stop_ = false;  // guarded by rotation_mutex_
+  // Background DEK rotation (db_rotation.cc). rotation_pass_mutex_
+  // serializes passes (the task vs on-demand RotateDeks).
+  PeriodicTask rotation_task_;
   std::mutex rotation_pass_mutex_;
   // True when Recover found a ROTATION manifest on disk; the rotation
-  // thread (or, with no thread configured, a one-shot resume) finishes
-  // that rotation before anything else.
+  // task's first run (a one-shot run when no interval is configured)
+  // finishes that rotation before anything else.
   bool rotation_pending_at_open_ = false;
   std::atomic<bool> rotation_running_{false};
   std::atomic<uint64_t> rotation_files_rotated_{0};
@@ -403,14 +400,15 @@ class DBImpl final : public DB {
   CompactionStats stats_[kMaxNumLevels];
   std::atomic<uint64_t> stall_micros_{0};
 
-  // Cluster health plane (db_health.cc). metrics_ is this DB's labeled
-  // registry: Options::statistics mirrors its tickers/histograms into
-  // it (AttachRegistry), and DB-level gauges (levels, health, catch-up
-  // lag) are refreshed on property reads. health_monitor_ owns the
-  // detector state machines; transitions are emitted as
-  // "health_transition" events.
+  // Cluster health plane (db_health.cc). metrics_ holds this DB's own
+  // gauges (levels, health, catch-up lag), refreshed on property reads
+  // and rendered after the Options::statistics text. health_monitor_
+  // owns the detector state machines; transitions are emitted as
+  // "health_transition" events. health_task_ evaluates it every
+  // health_interval_micros.
   MetricsRegistry metrics_;
   HealthMonitor health_monitor_;
+  PeriodicTask health_task_;
   // Manifest state the last successful Recover/TryCatchUp applied
   // (read-only instances): baseline for catch-up lag.
   std::atomic<uint64_t> catchup_applied_manifest_{0};

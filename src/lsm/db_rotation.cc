@@ -8,7 +8,6 @@
 // (Section 5.2) into an on-demand / scheduled key-lifecycle job.
 
 #include <algorithm>
-#include <chrono>
 
 #include "lsm/db_impl.h"
 #include "lsm/file_names.h"
@@ -21,6 +20,11 @@ namespace shield {
 
 Status DBImpl::RotateDeks(const RotateOptions& rotate_options,
                           RotateResult* result) {
+  return Rotate(rotate_options, result, /*background=*/false);
+}
+
+Status DBImpl::Rotate(const RotateOptions& rotate_options,
+                      RotateResult* result, bool background) {
   RotateResult scratch;
   if (result == nullptr) {
     result = &scratch;
@@ -33,7 +37,7 @@ Status DBImpl::RotateDeks(const RotateOptions& rotate_options,
     return Status::NotSupported("DEK rotation requires SHIELD encryption");
   }
 
-  // Serialize with the background rotation thread.
+  // Serialize with the background rotation task.
   std::lock_guard<std::mutex> pass_lock(rotation_pass_mutex_);
 
   RotationManifest manifest;
@@ -94,7 +98,7 @@ Status DBImpl::RotateDeks(const RotateOptions& rotate_options,
       w.Add("resumed", resumed);
       event_logger_->Emit(&w);
     }
-    rs = RunRotation(&manifest, rotate_options, result);
+    rs = RunRotation(&manifest, rotate_options, result, background);
   }
   // Opportunistic drain of deferred KDS deletes — even when there was
   // nothing to rotate, so operators can force a drain with a no-op
@@ -104,7 +108,8 @@ Status DBImpl::RotateDeks(const RotateOptions& rotate_options,
 }
 
 Status DBImpl::RunRotation(RotationManifest* manifest,
-                           const RotateOptions& opts, RotateResult* result) {
+                           const RotateOptions& opts, RotateResult* result,
+                           bool background) {
   ScopedTracerBinding trace_binding(&tracer_);
   TraceSpan span(SpanType::kRotationPass);
   rotation_running_.store(true, std::memory_order_release);
@@ -118,16 +123,10 @@ Status DBImpl::RunRotation(RotationManifest* manifest,
   Status failure;
   uint64_t rotated_this_pass = 0;
   while (!manifest->pending.empty()) {
-    if (shutting_down_.load(std::memory_order_acquire)) {
+    if (shutting_down_.load(std::memory_order_acquire) ||
+        rotation_task_.stopping()) {
       failure = Status::IOError("shutting down");
       break;
-    }
-    {
-      std::lock_guard<std::mutex> rl(rotation_mutex_);
-      if (rotation_stop_) {
-        failure = Status::IOError("shutting down");
-        break;
-      }
     }
     if (opts.max_files > 0 && rotated_this_pass >= opts.max_files) {
       break;
@@ -189,7 +188,12 @@ Status DBImpl::RunRotation(RotationManifest* manifest,
       event_logger_->Emit(&w);
     }
     if (bps > 0 && bytes > 0) {
-      SleepForMicros(bytes * 1000000 / bps);
+      const uint64_t pace_micros = bytes * 1000000 / bps;
+      if (background) {
+        rotation_task_.Pace(pace_micros);
+      } else {
+        SleepForMicros(pace_micros);
+      }
     }
   }
 
@@ -363,12 +367,13 @@ bool DBImpl::ResumePendingRotation() {
   return false;
 }
 
-void DBImpl::RotationLoop() {
+void DBImpl::BackgroundRotation() {
   if (rotation_pending_at_open_) {
     // Finish the rotation a crash interrupted before anything else.
     // Resume strictly from the persisted plan — never plan new work
     // here, so an interval-less one-shot resume touches exactly the
     // files the crashed rotation still owed.
+    rotation_pending_at_open_ = false;
     std::lock_guard<std::mutex> pass_lock(rotation_pass_mutex_);
     RotationManifest manifest;
     Status s = RotationManifest::Load(raw_env_, dbname_, &manifest);
@@ -383,26 +388,14 @@ void DBImpl::RotationLoop() {
       }
       RotateOptions opts;
       RotateResult result;
-      RunRotation(&manifest, opts, &result);
+      RunRotation(&manifest, opts, &result, /*background=*/true);
       dek_manager_->TryDrainPendingDeletes();
     }
+    return;
   }
-  if (options_.dek_rotation_interval_micros == 0) {
-    return;  // one-shot resume only
-  }
-  const auto interval =
-      std::chrono::microseconds(options_.dek_rotation_interval_micros);
-  std::unique_lock<std::mutex> rl(rotation_mutex_);
-  while (!rotation_stop_) {
-    if (rotation_cv_.wait_for(rl, interval, [this] { return rotation_stop_; })) {
-      break;
-    }
-    rl.unlock();
-    RotateOptions opts;
-    opts.max_dek_age_micros = options_.max_dek_age_micros;
-    RotateDeks(opts, nullptr);
-    rl.lock();
-  }
+  RotateOptions opts;
+  opts.max_dek_age_micros = options_.max_dek_age_micros;
+  Rotate(opts, nullptr, /*background=*/true);
 }
 
 }  // namespace shield

@@ -5,7 +5,6 @@
 // salvaging the readable blocks otherwise.
 
 #include <algorithm>
-#include <chrono>
 
 #include "lsm/db_impl.h"
 #include "lsm/file_names.h"
@@ -17,7 +16,7 @@
 namespace shield {
 
 Status DBImpl::VerifyIntegrity() {
-  // Serialize with the background scrub thread; on-demand verification
+  // Serialize with the background scrub task; on-demand verification
   // is never throttled.
   std::lock_guard<std::mutex> pass_lock(scrub_pass_mutex_);
   ScrubStats stats;
@@ -50,7 +49,8 @@ Status DBImpl::ScrubPass(bool throttle, ScrubStats* stats) {
 
   Status first_failure;
   for (const auto& f : files) {
-    if (shutting_down_.load(std::memory_order_acquire)) {
+    if (shutting_down_.load(std::memory_order_acquire) ||
+        scrub_task_.stopping()) {
       break;
     }
     stats->files_scanned++;
@@ -148,12 +148,13 @@ Status DBImpl::ScrubFile(int level, uint64_t number, uint64_t file_size,
       return;
     }
     // Pace the scan so scanned_bytes never runs ahead of the
-    // configured bytes/second budget.
+    // configured bytes/second budget. Once the task stops, the rest of
+    // the file is checked without pacing and the pass ends after it.
     scanned_bytes += bytes;
     const uint64_t target_micros = scanned_bytes * 1000000 / rate;
     const uint64_t elapsed = NowMicros() - start_micros;
     if (target_micros > elapsed) {
-      SleepForMicros(target_micros - elapsed);
+      scrub_task_.Pace(target_micros - elapsed);
     }
   });
 }
@@ -450,31 +451,20 @@ Status DBImpl::SalvageLocally(int level, uint64_t number,
   return s;
 }
 
-void DBImpl::ScrubLoop() {
-  const auto interval =
-      std::chrono::microseconds(options_.scrub_interval_micros);
-  std::unique_lock<std::mutex> sl(scrub_mutex_);
-  while (!scrub_stop_) {
-    if (scrub_cv_.wait_for(sl, interval, [this] { return scrub_stop_; })) {
-      return;
-    }
-    sl.unlock();
-    Status s;
-    {
-      std::lock_guard<std::mutex> pass_lock(scrub_pass_mutex_);
-      ScrubStats stats;
-      s = ScrubPass(/*throttle=*/true, &stats);
-    }
-    if (!s.ok() && s.IsCorruption() &&
-        !shutting_down_.load(std::memory_order_acquire)) {
-      // Proven damage the repair pipeline could not heal: reads of
-      // that file would fail or return wrong data, so it escalates as
-      // a hard error. An operator inspects the quarantine copies and
-      // re-opens.
-      std::lock_guard<std::mutex> lock(mutex_);
-      error_handler_.OnBackgroundError(BackgroundErrorReason::kScrub, s);
-    }
-    sl.lock();
+void DBImpl::BackgroundScrub() {
+  Status s;
+  {
+    std::lock_guard<std::mutex> pass_lock(scrub_pass_mutex_);
+    ScrubStats stats;
+    s = ScrubPass(/*throttle=*/true, &stats);
+  }
+  if (!s.ok() && s.IsCorruption() &&
+      !shutting_down_.load(std::memory_order_acquire)) {
+    // Proven damage the repair pipeline could not heal: reads of that
+    // file would fail or return wrong data, so it escalates as a hard
+    // error. An operator inspects the quarantine copies and re-opens.
+    std::lock_guard<std::mutex> lock(mutex_);
+    error_handler_.OnBackgroundError(BackgroundErrorReason::kScrub, s);
   }
 }
 

@@ -306,8 +306,9 @@ struct Options {
   /// compatible with older tooling.
   std::string node_name;
 
-  /// Wall-clock interval between background health evaluations
-  /// (util/health.h). 0 (default) disables the background thread:
+  /// Interval on the process clock (util/clock.h) between background
+  /// health evaluations (util/health.h). 0 (default) disables the
+  /// background thread:
   /// health is still evaluated on demand by DB::EvaluateHealth and the
   /// "shield.health" property. The simulator keeps this at 0 and
   /// drives evaluations explicitly so journals stay deterministic.

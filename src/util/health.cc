@@ -1,6 +1,5 @@
 #include "util/health.h"
 
-#include <chrono>
 #include <cstdio>
 
 namespace shield {
@@ -29,8 +28,6 @@ bool ParseHealthLevel(const std::string& name, HealthLevel* out) {
   }
   return true;
 }
-
-HealthMonitor::~HealthMonitor() { StopBackground(); }
 
 void HealthMonitor::RegisterDetector(const std::string& name,
                                      Detector detector) {
@@ -235,49 +232,6 @@ void HealthMonitor::ExportGauges(MetricsRegistry* registry,
       ->GetGauge("shield_health_overall",
                  "Worst detector level: 0 ok, 1 warn, 2 critical", base)
       ->Set(static_cast<double>(static_cast<int>(worst)));
-}
-
-void HealthMonitor::StartBackground(uint64_t interval_micros) {
-  std::lock_guard<std::mutex> lock(bg_mu_);
-  if (bg_running_ || interval_micros == 0) {
-    return;
-  }
-  bg_stop_ = false;
-  bg_running_ = true;
-  bg_thread_ = std::thread([this, interval_micros] {
-    BackgroundLoop(interval_micros);
-  });
-}
-
-void HealthMonitor::StopBackground() {
-  std::thread joinme;
-  {
-    std::lock_guard<std::mutex> lock(bg_mu_);
-    if (!bg_running_) {
-      return;
-    }
-    bg_stop_ = true;
-    bg_cv_.notify_all();
-    joinme = std::move(bg_thread_);
-    bg_running_ = false;
-  }
-  if (joinme.joinable()) {
-    joinme.join();
-  }
-}
-
-void HealthMonitor::BackgroundLoop(uint64_t interval_micros) {
-  std::unique_lock<std::mutex> lock(bg_mu_);
-  while (!bg_stop_) {
-    bg_cv_.wait_for(lock, std::chrono::microseconds(interval_micros),
-                    [this] { return bg_stop_; });
-    if (bg_stop_) {
-      return;
-    }
-    lock.unlock();
-    Evaluate();
-    lock.lock();
-  }
 }
 
 }  // namespace shield

@@ -1,12 +1,10 @@
 #ifndef SHIELD_UTIL_HEALTH_H_
 #define SHIELD_UTIL_HEALTH_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "util/metrics.h"
@@ -53,8 +51,9 @@ struct HealthStatus {
   std::string detail;
 };
 
-/// Evaluates a set of registered detectors — on demand and/or on a
-/// background cadence — and tracks per-detector level transitions.
+/// Evaluates a set of registered detectors on demand (the DB also
+/// calls Evaluate() from a PeriodicTask) and tracks per-detector level
+/// transitions.
 /// Detectors are pure sampling closures supplied by the owner (the DB
 /// wires stall/L0/scrub/KDS/rotation/replica probes in); the monitor
 /// owns only the ok/warn/critical state machine:
@@ -74,13 +73,11 @@ class HealthMonitor {
   using TransitionSink = std::function<void(const HealthTransition&)>;
 
   HealthMonitor() = default;
-  ~HealthMonitor();
 
   HealthMonitor(const HealthMonitor&) = delete;
   HealthMonitor& operator=(const HealthMonitor&) = delete;
 
-  /// Registration order is evaluation and report order. Not legal
-  /// after StartBackground().
+  /// Registration order is evaluation and report order.
   void RegisterDetector(const std::string& name, Detector detector);
 
   /// Called (outside the monitor's locks) with every transition an
@@ -104,11 +101,6 @@ class HealthMonitor {
   /// gauges (0/1/2) plus one `shield_health_overall`.
   void ExportGauges(MetricsRegistry* registry, const MetricLabels& base) const;
 
-  /// Background evaluation loop on a dedicated thread (wall-clock
-  /// cadence). Idempotent; StopBackground (or destruction) joins it.
-  void StartBackground(uint64_t interval_micros);
-  void StopBackground();
-
  private:
   struct DetectorState {
     std::string name;
@@ -119,8 +111,6 @@ class HealthMonitor {
     bool evaluated = false;
   };
 
-  void BackgroundLoop(uint64_t interval_micros);
-
   // Lock order: eval_mu_ before mu_. mu_ guards plain state copies
   // only and is never held across a detector call or any other
   // blocking work, so holding an outside lock (the DB mutex) while
@@ -130,12 +120,6 @@ class HealthMonitor {
   std::vector<DetectorState> detectors_;
   TransitionSink sink_;
   uint64_t evaluations_ = 0;
-
-  std::mutex bg_mu_;
-  std::condition_variable bg_cv_;
-  std::thread bg_thread_;
-  bool bg_stop_ = false;
-  bool bg_running_ = false;
 };
 
 }  // namespace shield

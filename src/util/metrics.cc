@@ -117,6 +117,15 @@ void WindowedHistogram::Record(uint64_t value) {
   slots_[slot].Add(value);
 }
 
+void WindowedHistogram::Clear() {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (int i = 0; i < kNumSlots; i++) {
+    slots_[i].Clear();
+    slot_epoch_[i] = kUnusedSlotEpoch;
+  }
+  ancient_.Clear();
+}
+
 void WindowedHistogram::MergeWindow(uint64_t window_micros,
                                     Histogram* out) const {
   out->Clear();
@@ -264,97 +273,100 @@ std::string MergeLabels(const std::string& encoded,
   return out;
 }
 
+void AppendHelpAndType(const std::string& name, const std::string& help,
+                       const char* type, std::string* out) {
+  if (!help.empty()) {
+    out->append("# HELP ").append(name).append(" ").append(
+        EscapeHelpText(help));
+    out->push_back('\n');
+  }
+  out->append("# TYPE ").append(name).append(" ").append(type);
+  out->push_back('\n');
+}
+
 }  // namespace
+
+void AppendSummaryFamily(
+    const std::string& name, const std::string& help,
+    const std::vector<std::pair<std::string, const WindowedHistogram*>>&
+        instruments,
+    std::string* out) {
+  char buf[64];
+  AppendHelpAndType(name, help, "summary", out);
+  for (const auto& [encoded, histogram] : instruments) {
+    const HistogramSnapshot full = histogram->Snapshot(0);
+    static const struct {
+      const char* q;
+      double HistogramSnapshot::*field;
+    } kQuantiles[] = {{"0.5", &HistogramSnapshot::p50},
+                      {"0.99", &HistogramSnapshot::p99},
+                      {"0.999", &HistogramSnapshot::p999}};
+    for (const auto& q : kQuantiles) {
+      out->append(name).append(MergeLabels(encoded, {{"quantile", q.q}}));
+      out->push_back(' ');
+      AppendValue(out, full.*(q.field));
+      out->push_back('\n');
+    }
+    out->append(name).append("_sum").append(encoded).push_back(' ');
+    AppendValue(out, full.sum);
+    out->push_back('\n');
+    out->append(name).append("_count").append(encoded).push_back(' ');
+    std::snprintf(buf, sizeof(buf), "%" PRIu64 "\n", full.count);
+    out->append(buf);
+  }
+  // Sliding-window p99s as a sibling gauge family: real SLO signal
+  // over recent traffic, not process lifetime.
+  AppendHelpAndType(name + "_window", "", "gauge", out);
+  static const struct {
+    const char* label;
+    uint64_t micros;
+  } kWindows[] = {{"10s", WindowedHistogram::kWindowShortMicros},
+                  {"1m", WindowedHistogram::kWindowLongMicros}};
+  for (const auto& [encoded, histogram] : instruments) {
+    for (const auto& w : kWindows) {
+      const HistogramSnapshot snap = histogram->Snapshot(w.micros);
+      static const struct {
+        const char* q;
+        double HistogramSnapshot::*field;
+      } kQuantiles[] = {{"0.99", &HistogramSnapshot::p99},
+                        {"0.999", &HistogramSnapshot::p999}};
+      for (const auto& q : kQuantiles) {
+        out->append(name).append("_window").append(MergeLabels(
+            encoded, {{"window", w.label}, {"quantile", q.q}}));
+        out->push_back(' ');
+        AppendValue(out, snap.*(q.field));
+        out->push_back('\n');
+      }
+    }
+  }
+}
 
 std::string MetricsRegistry::ToPrometheusText() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
-  char buf[128];
+  char buf[64];
   for (const auto& [name, family] : families_) {
+    if (family.type == MetricType::kHistogram) {
+      std::vector<std::pair<std::string, const WindowedHistogram*>> histograms;
+      for (const auto& [encoded, inst] : family.instruments) {
+        histograms.emplace_back(encoded, inst->histogram.get());
+      }
+      AppendSummaryFamily(name, family.help, histograms, &out);
+      continue;
+    }
     const bool counter = family.type == MetricType::kCounter;
     const std::string exposed = counter ? name + "_total" : name;
-    if (!family.help.empty()) {
-      out.append("# HELP ").append(exposed).append(" ").append(
-          EscapeHelpText(family.help));
-      out.push_back('\n');
-    }
-    out.append("# TYPE ").append(exposed);
-    switch (family.type) {
-      case MetricType::kCounter:
-        out.append(" counter\n");
-        break;
-      case MetricType::kGauge:
-        out.append(" gauge\n");
-        break;
-      case MetricType::kHistogram:
-        out.append(" summary\n");
-        break;
-    }
+    AppendHelpAndType(exposed, family.help, counter ? "counter" : "gauge",
+                      &out);
     for (const auto& [encoded, inst] : family.instruments) {
-      switch (family.type) {
-        case MetricType::kCounter: {
-          out.append(exposed).append(encoded).push_back(' ');
-          std::snprintf(buf, sizeof(buf), "%" PRIu64 "\n",
-                        inst->counter->value());
-          out.append(buf);
-          break;
-        }
-        case MetricType::kGauge: {
-          out.append(exposed).append(encoded).push_back(' ');
-          AppendValue(&out, inst->gauge->value());
-          out.push_back('\n');
-          break;
-        }
-        case MetricType::kHistogram: {
-          const HistogramSnapshot full = inst->histogram->Snapshot(0);
-          static const struct {
-            const char* q;
-            double HistogramSnapshot::*field;
-          } kQuantiles[] = {{"0.5", &HistogramSnapshot::p50},
-                            {"0.99", &HistogramSnapshot::p99},
-                            {"0.999", &HistogramSnapshot::p999}};
-          for (const auto& q : kQuantiles) {
-            out.append(name).append(
-                MergeLabels(encoded, {{"quantile", q.q}}));
-            out.push_back(' ');
-            AppendValue(&out, full.*(q.field));
-            out.push_back('\n');
-          }
-          out.append(name).append("_sum").append(encoded).push_back(' ');
-          AppendValue(&out, full.sum);
-          out.push_back('\n');
-          out.append(name).append("_count").append(encoded).push_back(' ');
-          std::snprintf(buf, sizeof(buf), "%" PRIu64 "\n", full.count);
-          out.append(buf);
-          break;
-        }
-      }
-    }
-    if (family.type == MetricType::kHistogram) {
-      // Sliding-window p99s as a sibling gauge family: real SLO
-      // signal over recent traffic, not process lifetime.
-      out.append("# TYPE ").append(name).append("_window gauge\n");
-      static const struct {
-        const char* label;
-        uint64_t micros;
-      } kWindows[] = {{"10s", WindowedHistogram::kWindowShortMicros},
-                      {"1m", WindowedHistogram::kWindowLongMicros}};
-      for (const auto& [encoded, inst] : family.instruments) {
-        for (const auto& w : kWindows) {
-          const HistogramSnapshot snap = inst->histogram->Snapshot(w.micros);
-          static const struct {
-            const char* q;
-            double HistogramSnapshot::*field;
-          } kQuantiles[] = {{"0.99", &HistogramSnapshot::p99},
-                            {"0.999", &HistogramSnapshot::p999}};
-          for (const auto& q : kQuantiles) {
-            out.append(name).append("_window").append(MergeLabels(
-                encoded, {{"window", w.label}, {"quantile", q.q}}));
-            out.push_back(' ');
-            AppendValue(&out, snap.*(q.field));
-            out.push_back('\n');
-          }
-        }
+      out.append(exposed).append(encoded).push_back(' ');
+      if (counter) {
+        std::snprintf(buf, sizeof(buf), "%" PRIu64 "\n",
+                      inst->counter->value());
+        out.append(buf);
+      } else {
+        AppendValue(&out, inst->gauge->value());
+        out.push_back('\n');
       }
     }
   }

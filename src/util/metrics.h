@@ -47,9 +47,8 @@ std::string EscapeLabelValue(const std::string& value);
 /// help text).
 std::string EscapeHelpText(const std::string& help);
 
-/// Monotonic counter. Add() is the normal path; Set() exists for
-/// adapters that mirror an external monotonic source (Statistics
-/// tickers) into the registry.
+/// Monotonic counter. Add() is the normal path; Set() copies in a
+/// count kept elsewhere (Statistics renders its tickers that way).
 class Counter {
  public:
   void Add(uint64_t delta) { v_.fetch_add(delta, std::memory_order_relaxed); }
@@ -112,6 +111,9 @@ class WindowedHistogram {
 
   void Record(uint64_t value);
 
+  /// Drops every sample.
+  void Clear();
+
   /// Snapshot over the trailing `window_micros`; 0 = full history
   /// (ancient + every live slot — exact, not approximate).
   HistogramSnapshot Snapshot(uint64_t window_micros) const;
@@ -128,6 +130,16 @@ class WindowedHistogram {
   mutable uint64_t slot_epoch_[kNumSlots];  // now / kSlotMicros, or kUnusedSlotEpoch
   mutable Histogram ancient_;
 };
+
+/// Appends one summary family in Prometheus text format: per label
+/// set (`instruments` pairs an encoded MetricLabels with its
+/// histogram) the full-history p50/p99/p999, `_sum` and `_count`, then
+/// a `<name>_window` gauge family with the 10s/1m p99 and p999.
+void AppendSummaryFamily(
+    const std::string& name, const std::string& help,
+    const std::vector<std::pair<std::string, const WindowedHistogram*>>&
+        instruments,
+    std::string* out);
 
 /// What kind of instrument a metric family holds.
 enum class MetricType { kCounter, kGauge, kHistogram };

@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <thread>
 
 namespace shield {
 
@@ -106,7 +105,7 @@ const char* HistogramName(Histograms histogram) {
 
 void Statistics::Reset() {
   for (auto& t : tickers_) t.store(0, std::memory_order_relaxed);
-  for (auto& h : histograms_) h.Clear();
+  for (auto& h : timers_) h.Clear();
 }
 
 std::string Statistics::ToString() const {
@@ -118,13 +117,13 @@ std::string Statistics::ToString() const {
     out.append(buf);
   }
   for (size_t i = 0; i < kNumHistograms; ++i) {
-    const Histogram& h = histograms_[i];
-    if (h.Count() == 0) continue;
+    const HistogramSnapshot h = timers_[i].Snapshot(0);
+    if (h.count == 0) continue;
     std::snprintf(buf, sizeof(buf),
                   "%-30s count=%" PRIu64 " avg=%.1f p50=%.1f p99=%.1f max=%" PRIu64
                   "\n",
-                  kHistogramNames[i], h.Count(), h.Average(),
-                  h.Percentile(50.0), h.Percentile(99.0), h.Max());
+                  kHistogramNames[i], h.count,
+                  h.sum / static_cast<double>(h.count), h.p50, h.p99, h.max);
     out.append(buf);
   }
   return out;
@@ -184,99 +183,23 @@ MetricLabels HistogramLabels(const char* dotted, const std::string& node) {
 
 }  // namespace
 
-void Statistics::AttachRegistry(MetricsRegistry* registry,
-                                const std::string& node) {
-  if (registry == nullptr) {
-    // Detach: publish the nulls first so no new reader can pick up a
-    // registry-owned pointer, then wait for readers already inside an
-    // adapter use to drain. Once this returns the registry (and every
-    // instrument it owns) may be destroyed.
-    for (auto& w : windowed_) {
-      w.store(nullptr);
-    }
-    for (auto& c : ticker_counters_) {
-      c.store(nullptr);
-    }
-    registry_.store(nullptr);
-    while (adapter_inflight_.load() != 0) {
-      std::this_thread::yield();
-    }
-    return;
-  }
-  // Attach: instruments before registry_, which gates SyncRegistry.
+std::string Statistics::ToPrometheusText(const std::string& node) const {
+  // Counters go through a throwaway registry for its escaping and
+  // `_total` formatting.
+  MetricsRegistry counters;
   for (size_t i = 0; i < kNumTickers; ++i) {
-    ticker_counters_[i].store(
-        registry->GetCounter(PrometheusMetricName(kTickerNames[i]), "",
-                             TickerLabels(kTickerNames[i], node)),
-        std::memory_order_release);
-  }
-  for (size_t i = 0; i < kNumHistograms; ++i) {
-    windowed_[i].store(
-        registry->GetHistogram(kLatencyFamily, kLatencyHelp,
-                               HistogramLabels(kHistogramNames[i], node)),
-        std::memory_order_release);
-  }
-  registry_.store(registry, std::memory_order_release);
-}
-
-void Statistics::SyncRegistry() const {
-  adapter_inflight_.fetch_add(1);
-  if (registry_.load() != nullptr) {
-    for (size_t i = 0; i < kNumTickers; ++i) {
-      Counter* c = ticker_counters_[i].load();
-      if (c != nullptr) {
-        c->Set(tickers_[i].load(std::memory_order_relaxed));
-      }
-    }
-  }
-  adapter_inflight_.fetch_sub(1);
-}
-
-std::string Statistics::ToPrometheusText() const {
-  adapter_inflight_.fetch_add(1);
-  MetricsRegistry* attached = registry_.load();
-  if (attached != nullptr) {
-    SyncRegistry();
-    std::string out = attached->ToPrometheusText();
-    adapter_inflight_.fetch_sub(1);
-    return out;
-  }
-  adapter_inflight_.fetch_sub(1);
-
-  // Standalone rendering: counters through an ephemeral registry (same
-  // escaping/_total formatting), then the latency summary family from
-  // the cumulative histograms directly (no windowed data exists
-  // without an attached registry).
-  MetricsRegistry reg;
-  for (size_t i = 0; i < kNumTickers; ++i) {
-    reg.GetCounter(PrometheusMetricName(kTickerNames[i]), "",
-                   TickerLabels(kTickerNames[i], std::string()))
+    counters
+        .GetCounter(PrometheusMetricName(kTickerNames[i]), "",
+                    TickerLabels(kTickerNames[i], node))
         ->Set(tickers_[i].load(std::memory_order_relaxed));
   }
-  std::string out = reg.ToPrometheusText();
-
-  char buf[256];
-  out.append("# TYPE ").append(kLatencyFamily).append(" summary\n");
+  std::string out = counters.ToPrometheusText();
+  std::vector<std::pair<std::string, const WindowedHistogram*>> timers;
   for (size_t i = 0; i < kNumHistograms; ++i) {
-    const Histogram& h = histograms_[i];
-    const std::string op = OpOf(kHistogramNames[i]);
-    static const struct {
-      const char* label;
-      double q;
-    } kQuantiles[] = {{"0.5", 50.0}, {"0.99", 99.0}, {"0.999", 99.9}};
-    for (const auto& q : kQuantiles) {
-      std::snprintf(buf, sizeof(buf), "%s{op=\"%s\",quantile=\"%s\"} %.1f\n",
-                    kLatencyFamily, op.c_str(), q.label,
-                    h.Count() > 0 ? h.Percentile(q.q) : 0.0);
-      out.append(buf);
-    }
-    std::snprintf(buf, sizeof(buf), "%s_sum{op=\"%s\"} %.0f\n", kLatencyFamily,
-                  op.c_str(), h.Average() * static_cast<double>(h.Count()));
-    out.append(buf);
-    std::snprintf(buf, sizeof(buf), "%s_count{op=\"%s\"} %" PRIu64 "\n",
-                  kLatencyFamily, op.c_str(), h.Count());
-    out.append(buf);
+    timers.emplace_back(HistogramLabels(kHistogramNames[i], node).Encode(),
+                        &timers_[i]);
   }
+  AppendSummaryFamily(kLatencyFamily, kLatencyHelp, timers, &out);
   return out;
 }
 

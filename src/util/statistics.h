@@ -153,18 +153,16 @@ constexpr size_t kNumHistograms = static_cast<size_t>(Histograms::kHistogramMax)
 
 const char* HistogramName(Histograms histogram);
 
-/// Process-wide metrics registry: one atomic counter per ticker plus
-/// one Histogram per timer. Shared by every layer that the Options
+/// Process-wide metrics store: one atomic counter per ticker plus one
+/// WindowedHistogram per timer. Shared by every layer that the Options
 /// object reaches (Env wrapper, crypto file layers, KDS, DS fabric,
-/// LSM internals). All methods are thread safe; tickers use relaxed
-/// atomics (they are statistically merged counts, not synchronization).
+/// LSM internals), and by every DB opened with it. All methods are
+/// thread safe; tickers use relaxed atomics (they are statistically
+/// merged counts, not synchronization).
 class Statistics {
  public:
   Statistics() {
     for (auto& t : tickers_) t.store(0, std::memory_order_relaxed);
-    for (auto& w : windowed_) w.store(nullptr, std::memory_order_relaxed);
-    for (auto& c : ticker_counters_)
-      c.store(nullptr, std::memory_order_relaxed);
   }
 
   void RecordTick(Tickers ticker, uint64_t count = 1) {
@@ -178,22 +176,12 @@ class Statistics {
   }
 
   void MeasureTime(Histograms histogram, uint64_t micros) {
-    histograms_[static_cast<size_t>(histogram)].Add(micros);
-    // The in-flight guard makes the registry-owned histogram safe to
-    // use: AttachRegistry(nullptr) nulls windowed_ and then waits for
-    // this count to drain, so a pointer loaded inside the guard stays
-    // alive for the duration of Record. Seq_cst on both the counter
-    // and the load keeps the load from moving above the increment.
-    adapter_inflight_.fetch_add(1);
-    WindowedHistogram* w = windowed_[static_cast<size_t>(histogram)].load();
-    if (w != nullptr) {
-      w->Record(micros);
-    }
-    adapter_inflight_.fetch_sub(1);
+    timers_[static_cast<size_t>(histogram)].Record(micros);
   }
 
-  const Histogram& GetHistogram(Histograms histogram) const {
-    return histograms_[static_cast<size_t>(histogram)];
+  /// Full-history summary of one timer.
+  HistogramSnapshot GetHistogram(Histograms histogram) const {
+    return timers_[static_cast<size_t>(histogram)].Snapshot(0);
   }
 
   /// Zeroes all tickers and clears all histograms. Not atomic across
@@ -204,48 +192,17 @@ class Statistics {
   std::string ToString() const;
 
   /// Prometheus text exposition (version 0.0.4): tickers become
-  /// `shield_<name>_total` counters (dots → underscores, label values
-  /// escaped), histograms become one `shield_op_latency_micros` summary
-  /// family labeled by op. With a registry attached the registry's full
-  /// contents are rendered instead (same families plus node labels,
-  /// sliding-window quantiles, and whatever gauges the owner added).
-  /// Served by DB::GetProperty("shield.metrics").
-  std::string ToPrometheusText() const;
-
-  /// Adapter onto the labeled MetricsRegistry: every ticker gets a
-  /// `shield_<name>` counter labeled {node, subsystem} and every timer
-  /// forwards live samples into a `shield_op_latency_micros` windowed
-  /// histogram labeled {node, op} — no call site changes. `registry`
-  /// must outlive this object or a later AttachRegistry(nullptr, "").
-  /// Detaching (null registry) publishes the null pointers and then
-  /// blocks until every in-flight adapter use (a windowed MeasureTime
-  /// sample, SyncRegistry, an attached ToPrometheusText) has drained,
-  /// so once it returns the registry may be destroyed even while other
-  /// threads keep using this Statistics object (their samples simply
-  /// stop mirroring).
-  void AttachRegistry(MetricsRegistry* registry, const std::string& node);
-
-  /// Copies current ticker values into the attached registry's
-  /// counters (histogram samples stream live and need no sync).
-  void SyncRegistry() const;
-
-  MetricsRegistry* registry() const {
-    return registry_.load(std::memory_order_acquire);
-  }
+  /// `shield_<name>_total` counters labeled by subsystem (dots become
+  /// underscores), timers one `shield_op_latency_micros` summary
+  /// family labeled by op, with 10s/1m sliding-window gauges. Every
+  /// sample also carries `node` when it is not empty. The DB serves it,
+  /// under its Options::node_name and followed by its own gauges, as
+  /// GetProperty("shield.metrics").
+  std::string ToPrometheusText(const std::string& node) const;
 
  private:
   std::atomic<uint64_t> tickers_[kNumTickers];
-  Histogram histograms_[kNumHistograms];
-
-  // Adapter state (null until AttachRegistry). All pointers are
-  // atomic: detach rewrites them while MeasureTime / SyncRegistry /
-  // ToPrometheusText read them from other threads. adapter_inflight_
-  // counts threads currently dereferencing registry-owned memory;
-  // detach spins on it so the registry can be freed afterwards.
-  std::atomic<MetricsRegistry*> registry_{nullptr};
-  std::atomic<WindowedHistogram*> windowed_[kNumHistograms];
-  std::atomic<Counter*> ticker_counters_[kNumTickers];
-  mutable std::atomic<uint64_t> adapter_inflight_{0};
+  WindowedHistogram timers_[kNumHistograms];
 };
 
 /// Null-safe helpers so call sites do not have to test for a

@@ -276,34 +276,76 @@ TEST(PrometheusFormatTest, RegistryOutputSurvivesStrictValidation) {
   EXPECT_NE(std::string::npos, text.find("shield_test_latency_micros_window"));
 }
 
-TEST(PrometheusFormatTest, DbMetricsPropertyValidates) {
-  // The whole `shield.metrics` surface — mirrored tickers, latency
-  // summaries, level/health/lag gauges — must pass the same strict
-  // grammar check end to end.
-  std::unique_ptr<Env> env = NewMemEnv();
+std::unique_ptr<DB> OpenFilledDb(Env* env, const std::string& name,
+                                 const std::string& node,
+                                 std::shared_ptr<Statistics> stats) {
   Options options;
-  options.env = env.get();
-  options.node_name = "writer";
-  options.statistics = CreateDBStatistics();
+  options.env = env;
+  options.node_name = node;
+  options.statistics = std::move(stats);
   DB* raw = nullptr;
-  ASSERT_TRUE(DB::Open(options, "/metricsdb", &raw).ok());
+  EXPECT_TRUE(DB::Open(options, name, &raw).ok());
   std::unique_ptr<DB> db(raw);
+  if (db == nullptr) {
+    return db;
+  }
   for (int i = 0; i < 200; i++) {
-    ASSERT_TRUE(
+    EXPECT_TRUE(
         db->Put(WriteOptions(), "key-" + std::to_string(i), "value").ok());
   }
-  ASSERT_TRUE(db->Flush().ok());
+  EXPECT_TRUE(db->Flush().ok());
   std::string value;
   for (int i = 0; i < 200; i++) {
-    ASSERT_TRUE(db->Get(ReadOptions(), "key-" + std::to_string(i), &value).ok());
+    EXPECT_TRUE(db->Get(ReadOptions(), "key-" + std::to_string(i), &value).ok());
   }
+  return db;
+}
 
+std::string MetricsOf(DB* db) {
   std::string text;
-  ASSERT_TRUE(db->GetProperty("shield.metrics", &text));
+  EXPECT_TRUE(db->GetProperty("shield.metrics", &text));
+  return text;
+}
+
+TEST(PrometheusFormatTest, DbMetricsPropertyValidates) {
+  // The whole `shield.metrics` surface — tickers, latency summaries,
+  // level/health/lag gauges — must pass the same strict grammar check
+  // end to end.
+  std::unique_ptr<Env> env = NewMemEnv();
+  auto stats = CreateDBStatistics();
+  std::unique_ptr<DB> writer = OpenFilledDb(env.get(), "/metricsdb", "writer", stats);
+  ASSERT_NE(nullptr, writer);
+
+  std::string text = MetricsOf(writer.get());
   ValidatePrometheusText(text);
   EXPECT_NE(std::string::npos, text.find("_total{"));
   EXPECT_NE(std::string::npos, text.find("node=\"writer\""));
   EXPECT_NE(std::string::npos, text.find("shield_health_level{"));
+
+  // A second DB sharing the Statistics object: each DB's text is valid
+  // on its own and carries only its own node's samples.
+  std::unique_ptr<DB> second =
+      OpenFilledDb(env.get(), "/metricsdb2", "second", stats);
+  ASSERT_NE(nullptr, second);
+  text = MetricsOf(writer.get());
+  ValidatePrometheusText(text);
+  EXPECT_EQ(std::string::npos, text.find("node=\"second\""));
+  text = MetricsOf(second.get());
+  ValidatePrometheusText(text);
+  EXPECT_EQ(std::string::npos, text.find("node=\"writer\""));
+
+  // The second DB's latency summaries and windows do not depend on the
+  // first DB staying open.
+  writer.reset();
+  text = MetricsOf(second.get());
+  ValidatePrometheusText(text);
+  EXPECT_NE(std::string::npos,
+            text.find("shield_op_latency_micros{node=\"second\",op=\"db.get\","
+                      "quantile=\"0.99\"}"));
+  EXPECT_NE(std::string::npos,
+            text.find("shield_op_latency_micros_window{node=\"second\","
+                      "op=\"db.get\",window=\"10s\""));
+  EXPECT_NE(std::string::npos, text.find("shield_level_files{level=\"0\",node=\"second\"}"));
 }
 
 TEST(PrometheusFormatTest, CrossTypeRegistrationIsSafe) {

@@ -5,6 +5,7 @@
 // under injected storage faults, and the backup -> revoke source ->
 // restore-to-new-identity flow against a shadow model.
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
@@ -380,6 +381,45 @@ TEST_F(RotationTest, BackgroundRotationJobRotatesOldDeks) {
   }
   EXPECT_TRUE(rotated) << "background rotation never rewrote the SSTs";
   VerifyAllKeys(db_.get());
+}
+
+TEST_F(RotationTest, CloseDuringPacedBackgroundPassIsPrompt) {
+  Open(env_.get());
+  FillAndFlush(0, 200);
+  Close();
+  uint64_t sst_bytes = 0;
+  std::vector<std::string> children;
+  ASSERT_TRUE(env_->GetChildren(kDbPath, &children).ok());
+  for (const std::string& child : children) {
+    uint64_t size = 0;
+    if (child.size() > 4 && child.substr(child.size() - 4) == ".sst" &&
+        env_->GetFileSize(std::string(kDbPath) + "/" + child, &size).ok()) {
+      sst_bytes += size;
+    }
+  }
+  ASSERT_GT(sst_bytes, 0u);
+
+  // Reopen with background rotation paced so the sleep after each file
+  // lasts about 60 s.
+  test::SstOpenCountingEnv counting_env(env_.get());
+  Options options = MakeOptions(&counting_env);
+  options.dek_rotation_interval_micros = 1000;
+  options.rotation_bytes_per_second = std::max<uint64_t>(1, sst_bytes / 60);
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, kDbPath, &raw).ok());
+  std::unique_ptr<DB> db(raw);
+
+  // Nothing else reads tables after this open: the first SST opened is
+  // the pass rewriting it.
+  for (int i = 0; i < 10000 && counting_env.sst_opens.load() == 0; i++) {
+    SleepForMicros(1000);
+  }
+  ASSERT_GT(counting_env.sst_opens.load(), 0) << "rotation pass never started";
+
+  const uint64_t start = NowMicros();
+  db.reset();
+  EXPECT_LT(NowMicros() - start, 5ull * 1000 * 1000)
+      << "close waited out the rotation pacing";
 }
 
 TEST_F(RotationTest, RotateNotSupportedWithoutShield) {

@@ -1,7 +1,8 @@
 // Tests for the self-healing integrity scrubber: tamper detection with
 // file/offset attribution (on every read path of a sealed SST block),
 // pre-auth-tag format compatibility, local salvage, replica repair on
-// disaggregated storage, and the background scrub thread.
+// disaggregated storage, and the background scrub thread (including a
+// close during a throttled pass).
 
 #include <algorithm>
 #include <atomic>
@@ -340,6 +341,43 @@ TEST_F(ScrubTest, BackgroundScrubThreadRepairsAutomatically) {
   EXPECT_TRUE(repaired);
   EXPECT_TRUE(mem_env_->FileExists(fname + ".quarantine"));
   EXPECT_EQ(Property(db_.get(), "error-handler-state"), "active");
+}
+
+TEST_F(ScrubTest, CloseDuringThrottledBackgroundPassIsPrompt) {
+  Open(MakeOptions());
+  WriteAndFlush(300);
+  db_.reset();
+  uint64_t sst_bytes = 0;
+  for (const std::string& sst : ListSstFiles(mem_env_.get())) {
+    uint64_t size = 0;
+    ASSERT_TRUE(
+        mem_env_->GetFileSize(std::string(kDbName) + "/" + sst, &size).ok());
+    sst_bytes += size;
+  }
+  ASSERT_GT(sst_bytes, 0u);
+
+  // Reopen with a background scrubber paced so one pass takes about
+  // 60 s.
+  test::SstOpenCountingEnv counting_env(fault_env_.get());
+  Options options = MakeOptions();
+  options.env = &counting_env;
+  options.scrub_interval_micros = 1000;
+  options.scrub_bytes_per_second = std::max<uint64_t>(1, sst_bytes / 60);
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, kDbName, &raw).ok());
+  std::unique_ptr<DB> db(raw);
+
+  // Nothing else reads tables after this open: the first SST opened is
+  // the pass's.
+  for (int i = 0; i < 10000 && counting_env.sst_opens.load() == 0; i++) {
+    SleepForMicros(1000);
+  }
+  ASSERT_GT(counting_env.sst_opens.load(), 0) << "scrub pass never started";
+
+  const uint64_t start = NowMicros();
+  db.reset();
+  EXPECT_LT(NowMicros() - start, 5ull * 1000 * 1000)
+      << "close waited out the scrub pacing";
 }
 
 // --- Sealed SST blocks: one flipped bit, every read path ---------------------

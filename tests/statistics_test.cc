@@ -55,14 +55,14 @@ TEST(StatisticsTest, RecordAndResetTickers) {
   EXPECT_EQ(0u, stats.GetTickerCount(Tickers::kKdsFailures));
 
   stats.MeasureTime(Histograms::kKdsLatencyMicros, 100);
-  EXPECT_EQ(1u, stats.GetHistogram(Histograms::kKdsLatencyMicros).Count());
+  EXPECT_EQ(1u, stats.GetHistogram(Histograms::kKdsLatencyMicros).count);
 
   const std::string dump = stats.ToString();
   EXPECT_NE(std::string::npos, dump.find("kds.requests"));
 
   stats.Reset();
   EXPECT_EQ(0u, stats.GetTickerCount(Tickers::kKdsRequests));
-  EXPECT_EQ(0u, stats.GetHistogram(Histograms::kKdsLatencyMicros).Count());
+  EXPECT_EQ(0u, stats.GetHistogram(Histograms::kKdsLatencyMicros).count);
 }
 
 TEST(StatisticsTest, NullSafeHelpers) {
@@ -95,41 +95,45 @@ TEST(StatisticsTest, ConcurrentTickersLoseNoCounts) {
             stats.GetTickerCount(Tickers::kCryptoBytesEncrypted));
 }
 
-TEST(StatisticsTest, DetachRegistryDrainsConcurrentUse) {
-  // Regression for a use-after-free: AttachRegistry(nullptr) — the
-  // ~DBImpl path when the Statistics object outlives the DB that owns
-  // the registry — must not return while another thread is mid-use of
-  // a registry-owned instrument. The registry here is scoped tighter
-  // than the worker threads, exactly like a DB closing under load;
-  // under TSan/ASan the old code races and touches freed memory.
-  Statistics stats;
+TEST(StatisticsTest, SharedAcrossDbsThatOpenAndClose) {
+  // One Statistics outlives the DBs that use it: threads keep timing
+  // and counting into it while DBs open, write, render `shield.metrics`
+  // and close. Nothing a closing DB owns may be reachable from the
+  // Statistics object (TSan/ASan catch a DB-owned instrument used after
+  // close), and no sample may be lost.
+  auto stats = CreateDBStatistics();
+  std::unique_ptr<Env> env = NewMemEnv();
   std::atomic<bool> stop{false};
+  std::atomic<uint64_t> timed{0};
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; t++) {
     workers.emplace_back([&] {
       while (!stop.load()) {
-        stats.MeasureTime(Histograms::kDbGetMicros, 10);
-        stats.RecordTick(Tickers::kKdsRequests, 1);
-        stats.SyncRegistry();
+        { StopWatch watch(stats.get(), Histograms::kDbGetMicros); }
+        stats->RecordTick(Tickers::kKdsRequests, 1);
+        timed.fetch_add(1);
       }
     });
   }
-  for (int round = 0; round < 50; round++) {
-    MetricsRegistry registry;
-    stats.AttachRegistry(&registry, "node");
-    for (int i = 0; i < 100; i++) {
-      stats.MeasureTime(Histograms::kDbWriteMicros, 5);
-    }
-    (void)stats.ToPrometheusText();
-    stats.AttachRegistry(nullptr, std::string());
-    // registry destroyed here; no worker may still hold its pointers.
+  for (int round = 0; round < 20; round++) {
+    Options options;
+    options.env = env.get();
+    options.statistics = stats;
+    options.node_name = "db-" + std::to_string(round % 3);
+    DB* raw = nullptr;
+    ASSERT_TRUE(DB::Open(options, "/db" + std::to_string(round % 3), &raw).ok());
+    std::unique_ptr<DB> db(raw);
+    ASSERT_TRUE(db->Put(WriteOptions(), "k" + std::to_string(round), "v").ok());
+    std::string text;
+    ASSERT_TRUE(db->GetProperty("shield.metrics", &text));
+    EXPECT_NE(std::string::npos, text.find("node=\"" + options.node_name));
   }
   stop.store(true);
   for (auto& w : workers) {
     w.join();
   }
-  // Detached: samples still land in the cumulative histograms.
-  EXPECT_GT(stats.GetHistogram(Histograms::kDbGetMicros).Count(), 0u);
+  EXPECT_EQ(timed.load(), stats->GetHistogram(Histograms::kDbGetMicros).count);
+  EXPECT_LE(timed.load(), stats->GetTickerCount(Tickers::kKdsRequests));
 }
 
 // --- Histogram properties ------------------------------------------------
@@ -289,8 +293,8 @@ TEST_F(StatisticsDBTest, WritePathPopulatesTickers) {
   EXPECT_GT(stats->GetTickerCount(Tickers::kLsmFlushBytesWritten), 0u);
   EXPECT_GT(stats->GetTickerCount(Tickers::kIoWalWriteBytes), 0u);
   EXPECT_GT(stats->GetTickerCount(Tickers::kCryptoHmacComputed), 0u);
-  EXPECT_GT(stats->GetHistogram(Histograms::kDbWriteMicros).Count(), 0u);
-  EXPECT_GT(stats->GetHistogram(Histograms::kFlushMicros).Count(), 0u);
+  EXPECT_GT(stats->GetHistogram(Histograms::kDbWriteMicros).count, 0u);
+  EXPECT_GT(stats->GetHistogram(Histograms::kFlushMicros).count, 0u);
 
   // The property dump carries the same registry.
   std::string dump;

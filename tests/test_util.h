@@ -4,7 +4,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,6 +47,24 @@ class ScratchDir {
   }
 
   std::string path_;
+};
+
+/// Passes everything through and counts the table files (`.sst`)
+/// opened for random-access reads, so a test can tell that a
+/// background pass has reached its first SST without sleeping.
+class SstOpenCountingEnv : public EnvWrapper {
+ public:
+  explicit SstOpenCountingEnv(Env* target) : EnvWrapper(target) {}
+
+  Status NewRandomAccessFile(const std::string& f,
+                             std::unique_ptr<RandomAccessFile>* r) override {
+    if (f.size() > 4 && f.compare(f.size() - 4, 4, ".sst") == 0) {
+      sst_opens.fetch_add(1);
+    }
+    return EnvWrapper::NewRandomAccessFile(f, r);
+  }
+
+  std::atomic<int> sst_opens{0};
 };
 
 /// Hex decode helper for test vectors.

@@ -1,3 +1,4 @@
+#include <atomic>
 #include <chrono>
 #include <set>
 #include <string>
@@ -12,6 +13,7 @@
 #include "util/crc32c.h"
 #include "util/histogram.h"
 #include "util/perf_context.h"
+#include "util/periodic_task.h"
 #include "util/random.h"
 #include "util/retry.h"
 #include "util/slice.h"
@@ -503,6 +505,104 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
   }
   // All 50 jobs must have run before destruction completed.
   EXPECT_EQ(50, counter.load());
+}
+
+// --- PeriodicTask ----------------------------------------------------
+
+constexpr uint64_t kHour = 3600ull * 1000 * 1000;
+
+// Waits up to 10 s of real time for `pred`.
+template <typename Pred>
+bool Eventually(Pred pred) {
+  for (int i = 0; i < 10000; i++) {
+    if (pred()) {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return pred();
+}
+
+TEST(PeriodicTaskTest, RunsOncePerDeadlineOnVirtualClock) {
+  sim::SimClock clock;
+  ScopedClockOverride override(&clock);
+  std::atomic<int> runs{0};
+  PeriodicTask task;
+  task.Start(kHour, [&] { runs.fetch_add(1); });
+
+  // Woken before the deadline, it re-reads the clock and keeps waiting.
+  clock.AdvanceBy(kHour - 1);
+  task.Wake();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(0, runs.load());
+
+  clock.AdvanceBy(1);
+  task.Wake();
+  ASSERT_TRUE(Eventually([&] { return runs.load() == 1; }));
+  // The next deadline is an interval after the run: no second run.
+  task.Wake();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(1, runs.load());
+  task.Stop();
+}
+
+TEST(PeriodicTaskTest, StopEndsIdleWaitAndPace) {
+  sim::SimClock clock;
+  ScopedClockOverride override(&clock);
+
+  // Idle: the first deadline is an hour of virtual time away.
+  PeriodicTask idle;
+  std::atomic<int> runs{0};
+  idle.Start(kHour, [&] { runs.fetch_add(1); });
+  idle.Stop();
+  EXPECT_EQ(0, runs.load());
+  EXPECT_TRUE(idle.stopping());
+
+  // Pacing inside a run: Pace waits on the clock until the task stops.
+  PeriodicTask pacer;
+  std::atomic<bool> pacing{false};
+  std::atomic<int> pace_result{-1};
+  pacer.Start(kHour, [&] {
+    pacing.store(true);
+    pace_result.store(pacer.Pace(kHour) ? 1 : 0);
+  }, /*run_now=*/true);
+  ASSERT_TRUE(Eventually([&] { return pacing.load(); }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(-1, pace_result.load()) << "Pace returned before its deadline";
+  pacer.Stop();
+  EXPECT_EQ(0, pace_result.load());
+  // Once stopped, Pace returns at once.
+  EXPECT_FALSE(pacer.Pace(kHour));
+}
+
+TEST(PeriodicTaskTest, StopIsIdempotentAndFinal) {
+  std::atomic<int> runs{0};
+  PeriodicTask task;
+  task.Start(kHour, [&] { runs.fetch_add(1); }, /*run_now=*/true);
+  ASSERT_TRUE(Eventually([&] { return runs.load() == 1; }));
+  task.Stop();
+  task.Stop();
+  // A stopped task stays stopped.
+  task.Start(1, [&] { runs.fetch_add(1); }, /*run_now=*/true);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(1, runs.load());
+}
+
+TEST(PeriodicTaskTest, ZeroIntervalStartsNoThread) {
+  std::atomic<int> runs{0};
+  PeriodicTask never;
+  never.Start(0, [&] { runs.fetch_add(1); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(0, runs.load());
+  never.Stop();
+
+  // With run_now, an interval of 0 runs exactly once.
+  PeriodicTask once;
+  once.Start(0, [&] { runs.fetch_add(1); }, /*run_now=*/true);
+  ASSERT_TRUE(Eventually([&] { return runs.load() == 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  once.Stop();
+  EXPECT_EQ(1, runs.load());
 }
 
 // --- RetryPolicy / RunWithRetry -------------------------------------
