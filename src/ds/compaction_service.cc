@@ -85,7 +85,7 @@ Status RemoteCompactionWorker::RunCompaction(const CompactionJobSpec& job,
       // The job names inputs by (number, size) only: their tails are
       // read block by block.
       s = Table::Open(options_.db_options, icmp_.get(), fname, std::move(file),
-                      size, /*tail_size=*/0, /*block_cache=*/nullptr, &table);
+                      size, /*tail_size=*/0, /*block_cache=*/{}, &table);
       if (!s.ok()) {
         return;
       }

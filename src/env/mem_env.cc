@@ -1,6 +1,12 @@
+#include <sys/mman.h>
+
+#include <algorithm>
+#include <cstring>
 #include <map>
 #include <mutex>
+#include <new>
 #include <set>
+#include <vector>
 
 #include "env/env.h"
 
@@ -8,35 +14,74 @@ namespace shield {
 
 namespace {
 
-// An in-memory file. Reads and writes are internally synchronized so a
-// reader can observe a file that a writer is still appending to (the
+// An in-memory file. Its bytes live in chunks mapped straight from the
+// OS, page-backed the way tmpfs holds a file: pages are resident once
+// written, and a deleted file returns them at once, whichever thread
+// wrote it. Reads and writes are internally synchronized so a reader
+// can observe a file that a writer is still appending to (the
 // read-only-instance catch-up path relies on this).
 class FileState {
  public:
+  FileState() = default;
+  FileState(const FileState&) = delete;
+  FileState& operator=(const FileState&) = delete;
+  ~FileState() {
+    for (char* chunk : chunks_) {
+      munmap(chunk, kChunkSize);
+    }
+  }
+
   void Append(const Slice& data) {
     std::lock_guard<std::mutex> lock(mu_);
-    contents_.append(data.data(), data.size());
+    const char* src = data.data();
+    size_t left = data.size();
+    while (left > 0) {
+      const size_t used = static_cast<size_t>(size_ % kChunkSize);
+      if (used == 0) {
+        void* chunk = mmap(nullptr, kChunkSize, PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (chunk == MAP_FAILED) {
+          throw std::bad_alloc();
+        }
+        chunks_.push_back(static_cast<char*>(chunk));
+      }
+      const size_t take = std::min(left, kChunkSize - used);
+      memcpy(chunks_.back() + used, src, take);
+      src += take;
+      left -= take;
+      size_ += take;
+    }
   }
 
   uint64_t Size() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return contents_.size();
+    return size_;
   }
 
   size_t Read(uint64_t offset, size_t n, char* scratch) const {
     std::lock_guard<std::mutex> lock(mu_);
-    if (offset >= contents_.size()) {
+    if (offset >= size_) {
       return 0;
     }
-    const size_t avail = contents_.size() - static_cast<size_t>(offset);
-    const size_t take = std::min(n, avail);
-    memcpy(scratch, contents_.data() + offset, take);
+    const size_t take =
+        static_cast<size_t>(std::min<uint64_t>(n, size_ - offset));
+    size_t done = 0;
+    while (done < take) {
+      const uint64_t at = offset + done;
+      const size_t in_chunk = static_cast<size_t>(at % kChunkSize);
+      const size_t piece = std::min(take - done, kChunkSize - in_chunk);
+      memcpy(scratch + done, chunks_[at / kChunkSize] + in_chunk, piece);
+      done += piece;
+    }
     return take;
   }
 
  private:
+  static constexpr size_t kChunkSize = 1 << 20;
+
   mutable std::mutex mu_;
-  std::string contents_;
+  std::vector<char*> chunks_;
+  uint64_t size_ = 0;
 };
 
 using FileRef = std::shared_ptr<FileState>;

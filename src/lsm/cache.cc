@@ -72,7 +72,10 @@ class LRUCacheShard {
     }
   }
 
-  void SetCapacity(size_t capacity) { capacity_ = capacity; }
+  void SetCapacity(size_t capacity, bool charge_metadata) {
+    capacity_ = capacity;
+    charge_metadata_ = charge_metadata;
+  }
 
   Cache::Handle* Insert(const Slice& key, void* value, size_t charge,
                         void (*deleter)(const Slice& key, void* value),
@@ -83,7 +86,7 @@ class LRUCacheShard {
         malloc(sizeof(LRUHandle) - 1 + key.size()));
     e->value = value;
     e->deleter = deleter;
-    e->charge = charge + MetaCharge(key.size());
+    e->charge = charge + (charge_metadata_ ? MetaCharge(key.size()) : 0);
     e->key_length = key.size();
     e->in_cache = false;
     e->priority = priority;
@@ -217,6 +220,7 @@ class LRUCacheShard {
 
   mutable std::mutex mutex_;
   size_t capacity_ = 0;
+  bool charge_metadata_ = true;
   size_t usage_ = 0;
 
   // Evictable entries (refs==1 and in_cache), oldest first, split by
@@ -234,7 +238,7 @@ constexpr int kNumShards = 1 << kNumShardBits;
 
 class ShardedLRUCache final : public Cache {
  public:
-  explicit ShardedLRUCache(size_t capacity) {
+  ShardedLRUCache(size_t capacity, bool charge_metadata) {
     // Floor split with the remainder spread over the first shards so
     // the per-shard capacities sum to exactly `capacity`. (A ceil
     // split would let the shards jointly exceed the configured budget
@@ -242,7 +246,8 @@ class ShardedLRUCache final : public Cache {
     const size_t base = capacity / kNumShards;
     const size_t extra = capacity % kNumShards;
     for (int i = 0; i < kNumShards; i++) {
-      shards_[i].SetCapacity(base + (static_cast<size_t>(i) < extra ? 1 : 0));
+      shards_[i].SetCapacity(base + (static_cast<size_t>(i) < extra ? 1 : 0),
+                             charge_metadata);
     }
   }
 
@@ -262,10 +267,6 @@ class ShardedLRUCache final : public Cache {
     return reinterpret_cast<LRUHandle*>(handle)->value;
   }
   void Erase(const Slice& key) override { shards_[Shard(key)].Erase(key); }
-  uint64_t NewId() override {
-    std::lock_guard<std::mutex> lock(id_mutex_);
-    return ++last_id_;
-  }
   size_t TotalCharge() const override {
     size_t total = 0;
     for (const auto& shard : shards_) {
@@ -290,14 +291,12 @@ class ShardedLRUCache final : public Cache {
   }
 
   LRUCacheShard shards_[kNumShards];
-  std::mutex id_mutex_;
-  uint64_t last_id_ = 0;
 };
 
 }  // namespace
 
-std::shared_ptr<Cache> NewLRUCache(size_t capacity) {
-  return std::make_shared<ShardedLRUCache>(capacity);
+std::shared_ptr<Cache> NewLRUCache(size_t capacity, bool charge_metadata) {
+  return std::make_shared<ShardedLRUCache>(capacity, charge_metadata);
 }
 
 }  // namespace shield

@@ -27,9 +27,10 @@ class Cache {
   /// a scan's block churn cannot push table metadata out to the fabric.
   enum class Priority { kLow, kHigh };
 
-  /// Inserts key->value with the given charge (the cache adds its own
-  /// per-entry bookkeeping overhead on top — see TotalCharge()). The
-  /// returned handle is referenced; callers must Release() it.
+  /// Inserts key->value with the given charge (a cache that charges
+  /// metadata adds its own per-entry bookkeeping overhead on top — see
+  /// TotalCharge()). The returned handle is referenced; callers must
+  /// Release() it.
   /// `deleter` runs when the entry is evicted and unreferenced.
   virtual Handle* Insert(const Slice& key, void* value, size_t charge,
                          void (*deleter)(const Slice& key, void* value),
@@ -42,18 +43,21 @@ class Cache {
   virtual void* Value(Handle* handle) = 0;
   virtual void Erase(const Slice& key) = 0;
 
-  /// A unique id for key-space partitioning among cache clients.
-  virtual uint64_t NewId() = 0;
-
-  /// Total memory accounted to resident entries: caller-supplied
-  /// charges plus the cache's own per-entry overhead (handle struct,
-  /// key copies, hash-table node). Stays <= the configured capacity
-  /// whenever no handles are outstanding (referenced entries cannot be
-  /// evicted, so pinning can push usage above capacity until release).
+  /// Total accounted to resident entries: caller-supplied charges plus,
+  /// when metadata is charged, the cache's own per-entry overhead
+  /// (handle struct, key copies, hash-table node). Stays <= the
+  /// configured capacity whenever no handles are outstanding
+  /// (referenced entries cannot be evicted, so pinning can push usage
+  /// above capacity until release).
   virtual size_t TotalCharge() const = 0;
 };
 
-std::shared_ptr<Cache> NewLRUCache(size_t capacity);
+/// A cache of `capacity` units. With `charge_metadata` (a byte budget)
+/// every entry also costs the cache's own bookkeeping bytes; without it
+/// an entry costs exactly its charge, so a cache whose entries each
+/// charge 1 holds `capacity` entries.
+std::shared_ptr<Cache> NewLRUCache(size_t capacity,
+                                   bool charge_metadata = true);
 
 }  // namespace shield
 

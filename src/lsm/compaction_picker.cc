@@ -28,7 +28,10 @@ Compaction* VersionSet::PickLeveledCompaction() {
   assert(level >= 0);
   assert(level + 1 < num_levels_);
 
-  Compaction* c = new Compaction(options_, level, level + 1);
+  // L0 compacts straight into the base level; the levels between are
+  // empty (VersionSet::Finalize).
+  Compaction* c = new Compaction(
+      options_, level, level == 0 ? current_->base_level_ : level + 1);
 
   // Pick the first file past compact_pointer_[level] (round-robin over
   // the keyspace so every file is eventually compacted — and under
@@ -68,17 +71,21 @@ Compaction* VersionSet::PickLeveledCompaction() {
 
 void VersionSet::SetupOtherInputs(Compaction* c) {
   const int level = c->level();
+  const int output_level = c->output_level();
   InternalKey smallest, largest;
   GetRange(c->inputs_[0], &smallest, &largest);
+  InternalKey all_start = smallest, all_limit = largest;
 
-  current_->GetOverlappingInputs(level + 1, &smallest, &largest,
-                                 &c->inputs_[1]);
-
-  InternalKey all_start, all_limit;
-  GetRange2(c->inputs_[0], c->inputs_[1], &all_start, &all_limit);
+  // An in-place job's output level is its input level: it has no
+  // second set of inputs to gather or grow.
+  if (output_level != level) {
+    current_->GetOverlappingInputs(output_level, &smallest, &largest,
+                                   &c->inputs_[1]);
+    GetRange2(c->inputs_[0], c->inputs_[1], &all_start, &all_limit);
+  }
 
   // Try to grow the level-`level` inputs without changing the
-  // level+1 inputs (pulls more work into one pass when free).
+  // output-level inputs (pulls more work into one pass when free).
   if (!c->inputs_[1].empty()) {
     std::vector<FileMetaData*> expanded0;
     current_->GetOverlappingInputs(level, &all_start, &all_limit, &expanded0);
@@ -93,7 +100,7 @@ void VersionSet::SetupOtherInputs(Compaction* c) {
       InternalKey new_start, new_limit;
       GetRange(expanded0, &new_start, &new_limit);
       std::vector<FileMetaData*> expanded1;
-      current_->GetOverlappingInputs(level + 1, &new_start, &new_limit,
+      current_->GetOverlappingInputs(output_level, &new_start, &new_limit,
                                      &expanded1);
       if (expanded1.size() == c->inputs_[1].size()) {
         c->inputs_[0] = expanded0;
@@ -106,8 +113,7 @@ void VersionSet::SetupOtherInputs(Compaction* c) {
   // Mark bottommost: no data below the output level within the key
   // range means tombstones can be dropped.
   bool data_below = false;
-  for (int lvl = c->output_level() + 1; lvl < num_levels_ && !data_below;
-       lvl++) {
+  for (int lvl = output_level + 1; lvl < num_levels_ && !data_below; lvl++) {
     Slice start_key = all_start.user_key();
     Slice limit_key = all_limit.user_key();
     data_below = SomeOverlap(lvl, start_key, limit_key);
@@ -226,6 +232,31 @@ Compaction* VersionSet::PickFifoCompaction() {
   return c;
 }
 
+void VersionSet::LimitManualInputs(int level, int output_level,
+                                   std::vector<FileMetaData*>* inputs) {
+  // A job's inputs stay live until its outputs install, so the job
+  // holds its bytes twice. Like RocksDB's max_compaction_bytes, the
+  // bound counts the files it merges into at the output level too.
+  const uint64_t limit = 10 * options_.target_file_size_base;
+  uint64_t total = 0;
+  for (size_t n = 0; n < inputs->size(); n++) {
+    total += (*inputs)[n]->file_size;
+    uint64_t overlap_bytes = 0;
+    if (output_level != level) {
+      std::vector<FileMetaData*> overlap;
+      current_->GetOverlappingInputs(output_level, &(*inputs)[0]->smallest,
+                                     &(*inputs)[n]->largest, &overlap);
+      for (const FileMetaData* f : overlap) {
+        overlap_bytes += f->file_size;
+      }
+    }
+    if (n > 0 && total + overlap_bytes > limit) {
+      inputs->resize(n);
+      return;
+    }
+  }
+}
+
 Compaction* VersionSet::CompactRange(int level, const InternalKey* begin,
                                      const InternalKey* end) {
   std::vector<FileMetaData*> inputs;
@@ -233,34 +264,55 @@ Compaction* VersionSet::CompactRange(int level, const InternalKey* begin,
   if (inputs.empty()) {
     return nullptr;
   }
-
-  // Avoid one compaction rewriting too much at once for levels > 0.
-  if (level > 0) {
-    const uint64_t limit = 25 * options_.target_file_size_base;
-    uint64_t total = 0;
-    for (size_t i = 0; i < inputs.size(); i++) {
-      total += inputs[i]->file_size;
-      if (total >= limit) {
-        inputs.resize(i + 1);
-        break;
-      }
-    }
+  if (options_.compaction_style != CompactionStyle::kLeveled) {
+    Compaction* c = new Compaction(options_, level, 0);
+    c->input_version_ = current_;
+    c->input_version_->Ref();
+    c->inputs_[0] = inputs;
+    c->max_output_file_size_ = UINT64_MAX;
+    c->bottommost_ = inputs.size() == current_->files_[0].size();
+    return c;
   }
 
-  const int output_level =
-      options_.compaction_style == CompactionStyle::kLeveled
-          ? std::min(level + 1, num_levels_ - 1)
-          : 0;
+  assert(level < num_levels_ - 1);
+  const int output_level = level == 0 ? current_->base_level_ : level + 1;
+  if (level > 0) {
+    LimitManualInputs(level, output_level, &inputs);
+  }
   Compaction* c = new Compaction(options_, level, output_level);
   c->input_version_ = current_;
   c->input_version_->Ref();
   c->inputs_[0] = inputs;
-  if (options_.compaction_style == CompactionStyle::kLeveled) {
-    SetupOtherInputs(c);
-  } else {
-    c->max_output_file_size_ = UINT64_MAX;
-    c->bottommost_ = inputs.size() == current_->files_[0].size();
+  SetupOtherInputs(c);
+  return c;
+}
+
+Compaction* VersionSet::CompactRangeInPlace(int level,
+                                            const InternalKey* begin,
+                                            const InternalKey* end,
+                                            uint64_t before_number) {
+  assert(level > 0);
+  std::vector<FileMetaData*> overlapping;
+  current_->GetOverlappingInputs(level, begin, end, &overlapping);
+  // The run must be adjacent in key order: outputs replace the inputs
+  // in the level, so skipping a newer file would make them overlap it.
+  std::vector<FileMetaData*> inputs;
+  for (FileMetaData* f : overlapping) {
+    if (f->number < before_number) {
+      inputs.push_back(f);
+    } else if (!inputs.empty()) {
+      break;
+    }
   }
+  if (inputs.empty()) {
+    return nullptr;
+  }
+  LimitManualInputs(level, level, &inputs);
+  Compaction* c = new Compaction(options_, level, level);
+  c->input_version_ = current_;
+  c->input_version_->Ref();
+  c->inputs_[0] = inputs;
+  SetupOtherInputs(c);
   return c;
 }
 

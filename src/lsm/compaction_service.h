@@ -31,7 +31,7 @@ struct CompactionJobSpec {
   SequenceNumber smallest_snapshot = 0;
   uint64_t max_output_file_size = 0;  // 0 = unbounded
   std::vector<CompactionInput> inputs0;  // files at `level`
-  std::vector<CompactionInput> inputs1;  // files at `level+1`
+  std::vector<CompactionInput> inputs1;  // files at `output_level`
   /// File numbers pre-allocated by the primary for outputs; the worker
   /// consumes them in order.
   std::vector<uint64_t> output_numbers;

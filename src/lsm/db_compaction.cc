@@ -647,48 +647,28 @@ Status DBImpl::DoOffloadedCompaction(Compaction* c, VersionEdit* edit,
   return s;
 }
 
-Status DBImpl::RunManualCompaction(int level, const InternalKey* begin,
-                                   const InternalKey* end) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  // Exclude background compactions while the manual one runs.
-  background_work_finished_signal_.wait(lock, [this] {
-    return !compaction_scheduled_ || !error_handler_.ok();
-  });
-  if (!error_handler_.ok()) {
-    return error_handler_.bg_error();
+// Runs one manual job to completion. mutex_ held, with background
+// compactions kept out (manual_compaction_running_).
+Status DBImpl::RunManualCompaction(Compaction* c) {
+  // Manual compactions always rewrite — never trivial-move.
+  CompactionState compact(c);
+  compact.smallest_snapshot = snapshots_.empty()
+                                  ? versions_->LastSequence()
+                                  : snapshots_.oldest()->sequence();
+  BackgroundErrorReason reason = BackgroundErrorReason::kCompaction;
+  Status status = DoCompactionWork(&compact, &reason);
+  c->ReleaseInputs();
+  RemoveObsoleteFiles();
+  delete c;
+  if (!status.ok() && !status.IsTransient() &&
+      !shutting_down_.load(std::memory_order_acquire)) {
+    // The caller sees the error directly, but a non-transient
+    // failure (e.g. a torn manifest) still leaves the DB in the
+    // same dangerous state a background job would have: record it
+    // so the state machine gates writes consistently. Transient
+    // manual failures are simply surfaced — the caller can retry.
+    error_handler_.OnBackgroundError(reason, status);
   }
-  manual_compaction_running_ = true;
-
-  Status status;
-  Compaction* c = versions_->CompactRange(level, begin, end);
-  if (c != nullptr) {
-    // Manual compactions always rewrite — never trivial-move. Under
-    // SHIELD, CompactRange doubles as the operator's forced
-    // DEK-rotation tool: every byte in the range is re-encrypted under
-    // fresh keys, and the old DEKs die with their files.
-    CompactionState compact(c);
-    compact.smallest_snapshot = snapshots_.empty()
-                                    ? versions_->LastSequence()
-                                    : snapshots_.oldest()->sequence();
-    BackgroundErrorReason reason = BackgroundErrorReason::kCompaction;
-    status = DoCompactionWork(&compact, &reason);
-    c->ReleaseInputs();
-    RemoveObsoleteFiles();
-    delete c;
-    if (!status.ok() && !status.IsTransient() &&
-        !shutting_down_.load(std::memory_order_acquire)) {
-      // The caller sees the error directly, but a non-transient
-      // failure (e.g. a torn manifest) still leaves the DB in the
-      // same dangerous state a background job would have: record it
-      // so the state machine gates writes consistently. Transient
-      // manual failures are simply surfaced — the caller can retry.
-      error_handler_.OnBackgroundError(reason, status);
-    }
-  }
-
-  manual_compaction_running_ = false;
-  MaybeScheduleCompaction();
-  background_work_finished_signal_.notify_all();
   return status;
 }
 
@@ -706,52 +686,67 @@ Status DBImpl::CompactRange(const Slice* begin, const Slice* end) {
     return s;
   }
 
-  if (options_.compaction_style != CompactionStyle::kLeveled) {
-    // Merge everything in one pass (all runs live at level 0).
-    InternalKey begin_key, end_key;
-    const InternalKey* b = nullptr;
-    const InternalKey* e = nullptr;
-    if (begin != nullptr) {
-      begin_key = InternalKey(*begin, kMaxSequenceNumber, kValueTypeForSeek);
-      b = &begin_key;
-    }
-    if (end != nullptr) {
-      end_key = InternalKey(*end, 0, static_cast<ValueType>(0));
-      e = &end_key;
-    }
-    return RunManualCompaction(0, b, e);
+  InternalKey begin_key, end_key;
+  const InternalKey* b = nullptr;
+  const InternalKey* e = nullptr;
+  if (begin != nullptr) {
+    begin_key = InternalKey(*begin, kMaxSequenceNumber, kValueTypeForSeek);
+    b = &begin_key;
+  }
+  if (end != nullptr) {
+    end_key = InternalKey(*end, 0, static_cast<ValueType>(0));
+    e = &end_key;
   }
 
-  int max_level_with_files = 1;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    Version* base = versions_->current();
-    for (int level = 1; level < versions_->num_levels(); level++) {
-      if (base->OverlapInLevel(level, begin, end)) {
-        max_level_with_files = level;
+  std::unique_lock<std::mutex> lock(mutex_);
+  // Background compactions, and other manual work, stay out for the
+  // whole call, so the levels below L0 change only by its own jobs.
+  background_work_finished_signal_.wait(lock, [this] {
+    return (!compaction_scheduled_ && !manual_compaction_running_) ||
+           !error_handler_.ok();
+  });
+  if (!error_handler_.ok()) {
+    return error_handler_.bg_error();
+  }
+  manual_compaction_running_ = true;
+
+  // Under SHIELD, CompactRange doubles as the operator's forced
+  // DEK-rotation tool: every SST in the range that was live when the
+  // call began is rewritten under fresh keys, and the old DEKs die with
+  // their files.
+  Compaction* c = nullptr;
+  if (options_.compaction_style != CompactionStyle::kLeveled) {
+    // Merge everything in one pass (all runs live at level 0).
+    if ((c = versions_->CompactRange(0, b, e)) != nullptr) {
+      s = RunManualCompaction(c);
+    }
+  } else {
+    // Push the range down to the last level. L0 takes one pass: it
+    // holds every L0 file in the range, and files flushed meanwhile are
+    // new. Each level below is compacted until no file there overlaps
+    // the range. Last, the last level's files that predate the call
+    // and were not merged into are rewritten in place; the call's own
+    // outputs are numbered after `first_new` and are left alone.
+    const uint64_t first_new = versions_->NewFileNumber();
+    const int last = versions_->num_levels() - 1;
+    for (int level = 0; s.ok() && level < last; level++) {
+      while (s.ok() && (c = versions_->CompactRange(level, b, e)) != nullptr) {
+        s = RunManualCompaction(c);
+        if (level == 0) {
+          break;
+        }
       }
     }
-  }
-  for (int level = 0;
-       level < std::min(max_level_with_files + 1,
-                        versions_->num_levels() - 1);
-       level++) {
-    InternalKey begin_key, end_key;
-    const InternalKey* b = nullptr;
-    const InternalKey* e = nullptr;
-    if (begin != nullptr) {
-      begin_key = InternalKey(*begin, kMaxSequenceNumber, kValueTypeForSeek);
-      b = &begin_key;
-    }
-    if (end != nullptr) {
-      end_key = InternalKey(*end, 0, static_cast<ValueType>(0));
-      e = &end_key;
-    }
-    s = RunManualCompaction(level, b, e);
-    if (!s.ok()) {
-      return s;
+    while (s.ok() && last > 0 &&
+           (c = versions_->CompactRangeInPlace(last, b, e, first_new)) !=
+               nullptr) {
+      s = RunManualCompaction(c);
     }
   }
+
+  manual_compaction_running_ = false;
+  MaybeScheduleCompaction();
+  background_work_finished_signal_.notify_all();
   return s;
 }
 

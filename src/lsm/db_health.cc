@@ -10,6 +10,7 @@
 #include "lsm/db_impl.h"
 #include "lsm/file_names.h"
 #include "util/clock.h"
+#include "util/statistics.h"
 
 namespace shield {
 
@@ -19,6 +20,10 @@ namespace {
 // mirrors these). Stalls are measured between two consecutive
 // evaluations, so thresholds are per-interval.
 constexpr uint64_t kStallCriticalMicros = 1 * 1000 * 1000;
+// Table-cache misses per lookup, over at least this many lookups. Past
+// warm-up an open table stays open, so misses are new files only.
+constexpr double kTableCacheMissWarnRatio = 0.1;
+constexpr uint64_t kTableCacheMinLookups = 1000;
 
 }  // namespace
 
@@ -81,6 +86,45 @@ void DBImpl::SetupHealthPlane() {
     }
     return s;
   });
+
+  // Table cache: the share of table lookups that had to open the SST
+  // since the last evaluation. A cache that holds nothing shows here as
+  // about one open per Get.
+  struct TableCacheCounts {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+  };
+  auto table_cache_counts = [this] {
+    TableCacheCounts c;
+    if (Statistics* stats = options_.statistics.get()) {
+      c.hits = stats->GetTickerCount(Tickers::kLsmTableCacheHit);
+      c.misses = stats->GetTickerCount(Tickers::kLsmTableCacheMiss);
+    }
+    return c;
+  };
+  auto last_table_cache =
+      std::make_shared<TableCacheCounts>(table_cache_counts());
+  health_monitor_.RegisterDetector(
+      "lsm.table_cache", [table_cache_counts, last_table_cache] {
+        HealthSample s;
+        const TableCacheCounts now = table_cache_counts();
+        // A reset Statistics counts from zero again.
+        auto since = [](uint64_t cur, uint64_t prev) {
+          return cur >= prev ? cur - prev : cur;
+        };
+        const uint64_t hits = since(now.hits, last_table_cache->hits);
+        const uint64_t misses = since(now.misses, last_table_cache->misses);
+        *last_table_cache = now;
+        if (hits + misses < kTableCacheMinLookups) {
+          return s;
+        }
+        s.value = static_cast<double>(misses) / (hits + misses);
+        if (s.value > kTableCacheMissWarnRatio) {
+          s.level = HealthLevel::kWarn;
+          s.detail = "table cache misses > 10% of lookups";
+        }
+        return s;
+      });
 
   // Scrub backlog: corruptions detected that repair has not resolved.
   health_monitor_.RegisterDetector("scrub.backlog", [this] {

@@ -175,8 +175,7 @@ class DBImpl final : public DB {
   Status FinishCompactionOutputFile(CompactionState* compact,
                                     Iterator* input);
   Status InstallCompactionResults(CompactionState* compact);
-  Status RunManualCompaction(int level, const InternalKey* begin,
-                             const InternalKey* end);
+  Status RunManualCompaction(Compaction* c);
 
   // Integrity scrubbing (db_scrub.cc).
   struct ScrubStats {

@@ -240,7 +240,7 @@ Status DBImpl::RebuildPlaintextIngest(const std::string& file_path,
   }
   std::unique_ptr<Table> table;
   s = Table::Open(options_, &internal_comparator_, file_path, std::move(src),
-                  src_size, /*tail_size=*/0, nullptr, &table);
+                  src_size, /*tail_size=*/0, /*block_cache=*/{}, &table);
   if (!s.ok()) {
     return s;
   }

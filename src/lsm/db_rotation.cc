@@ -280,7 +280,7 @@ Status DBImpl::RotateFile(uint64_t number, uint64_t* bytes, bool* skipped) {
     std::unique_ptr<Table> table;
     if (s.ok()) {
       s = Table::Open(options_, &internal_comparator_, fname, std::move(file),
-                      file_size, /*tail_size=*/0, /*block_cache=*/nullptr,
+                      file_size, /*tail_size=*/0, /*block_cache=*/{},
                       &table);
     }
     std::unique_ptr<WritableFile> outfile;

@@ -119,7 +119,7 @@ Status DBImpl::ScrubFile(int level, uint64_t number, uint64_t file_size,
   std::unique_ptr<Table> table;
   if (s.ok()) {
     s = Table::Open(options_, &internal_comparator_, fname, std::move(file),
-                    file_size, /*tail_size=*/0, /*block_cache=*/nullptr,
+                    file_size, /*tail_size=*/0, /*block_cache=*/{},
                       &table);
   }
   if (!s.ok()) {
@@ -270,7 +270,7 @@ Status DBImpl::RepairFromReplica(int level, uint64_t number,
     std::unique_ptr<Table> table;
     if (s.ok()) {
       s = Table::Open(options_, &internal_comparator_, temp, std::move(file),
-                      file_size, /*tail_size=*/0, /*block_cache=*/nullptr,
+                      file_size, /*tail_size=*/0, /*block_cache=*/{},
                       &table);
     }
     if (s.ok()) {
@@ -359,7 +359,7 @@ Status DBImpl::SalvageLocally(int level, uint64_t number,
     std::unique_ptr<Table> table;
     if (s.ok()) {
       s = Table::Open(options_, &internal_comparator_, fname, std::move(file),
-                      file_size, /*tail_size=*/0, /*block_cache=*/nullptr,
+                      file_size, /*tail_size=*/0, /*block_cache=*/{},
                       &table);
     }
     std::unique_ptr<WritableFile> outfile;

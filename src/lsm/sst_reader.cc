@@ -120,7 +120,7 @@ Status ReadBlockObjectCounted(RandomAccessFile* file,
 Status Table::Open(const Options& options, const InternalKeyComparator* icmp,
                    const std::string& fname,
                    std::unique_ptr<RandomAccessFile> file, uint64_t file_size,
-                   uint64_t tail_size, std::shared_ptr<Cache> block_cache,
+                   uint64_t tail_size, BlockCacheRef block_cache,
                    std::unique_ptr<Table>* table) {
   table->reset();
   constexpr size_t kFooterSize = Footer::kEncodedLength;
@@ -268,8 +268,8 @@ Status Table::Open(const Options& options, const InternalKeyComparator* icmp,
   t->index_block_ = std::move(index_block);
   t->properties_ = std::move(props);
   t->tail_size_ = file_size - std::min(tail_begin, file_size);
-  t->block_cache_ = std::move(block_cache);
-  t->cache_id_ = t->block_cache_ ? t->block_cache_->NewId() : 0;
+  t->block_cache_ = std::move(block_cache.cache);
+  t->file_number_ = block_cache.file_number;
   // The span is kept only while the index or the filter points into it.
   size_t metadata_bytes = 0;
   if (!index_owned || (has_filter && filter_space == nullptr)) {
@@ -296,7 +296,7 @@ Status Table::Open(const Options& options, const InternalKeyComparator* icmp,
   // guarantees the metadata itself is never evicted mid-life.
   if (t->block_cache_ != nullptr) {
     char pin_key[16];
-    EncodeFixed64(pin_key, t->cache_id_);
+    EncodeFixed64(pin_key, t->file_number_);
     EncodeFixed64(pin_key + 8, UINT64_MAX);  // no block lives at this offset
     t->metadata_pin_ =
         t->block_cache_->Insert(Slice(pin_key, sizeof(pin_key)), nullptr,
@@ -328,7 +328,7 @@ Iterator* Table::BlockReader(const ReadOptions& options,
   Cache::Handle* cache_handle = nullptr;
   if (block_cache_ != nullptr) {
     char cache_key_buffer[16];
-    EncodeFixed64(cache_key_buffer, cache_id_);
+    EncodeFixed64(cache_key_buffer, file_number_);
     EncodeFixed64(cache_key_buffer + 8, handle.offset());
     const Slice key(cache_key_buffer, sizeof(cache_key_buffer));
     cache_handle = block_cache_->Lookup(key);
@@ -525,7 +525,7 @@ void Table::MultiGet(const ReadOptions& options,
   for (BlockState& bs : blocks) {
     if (block_cache_ != nullptr) {
       char cache_key_buffer[16];
-      EncodeFixed64(cache_key_buffer, cache_id_);
+      EncodeFixed64(cache_key_buffer, file_number_);
       EncodeFixed64(cache_key_buffer + 8, bs.handle.offset());
       bs.cache_handle =
           block_cache_->Lookup(Slice(cache_key_buffer, sizeof(cache_key_buffer)));
@@ -616,7 +616,7 @@ void Table::MultiGet(const ReadOptions& options,
     if (bs.block != nullptr && bs.cache_handle == nullptr &&
         block_cache_ != nullptr && options.fill_cache) {
       char cache_key_buffer[16];
-      EncodeFixed64(cache_key_buffer, cache_id_);
+      EncodeFixed64(cache_key_buffer, file_number_);
       EncodeFixed64(cache_key_buffer + 8, bs.handle.offset());
       bs.cache_handle = block_cache_->Insert(
           Slice(cache_key_buffer, sizeof(cache_key_buffer)), bs.block,

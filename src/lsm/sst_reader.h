@@ -29,6 +29,16 @@ struct TableGetRequest {
   Status status;
 };
 
+/// The block cache a table reads through: `cache` (none when null),
+/// keyed by `file_number` and each block's offset. A table evicted from
+/// the table cache and opened again finds its blocks still cached. The
+/// cache must see each number name one file only, which holds for the
+/// block cache a DB owns: a DB never reuses a file number while open.
+struct BlockCacheRef {
+  std::shared_ptr<Cache> cache;
+  uint64_t file_number = 0;
+};
+
 /// An open, immutable SST file. Thread safe after Open.
 class Table {
  public:
@@ -47,7 +57,7 @@ class Table {
                      const std::string& fname,
                      std::unique_ptr<RandomAccessFile> file,
                      uint64_t file_size, uint64_t tail_size,
-                     std::shared_ptr<Cache> block_cache,
+                     BlockCacheRef block_cache,
                      std::unique_ptr<Table>* table);
 
   ~Table();
@@ -115,7 +125,7 @@ class Table {
   TableProperties properties_;
   uint64_t tail_size_ = 0;
   std::shared_ptr<Cache> block_cache_;
-  uint64_t cache_id_ = 0;
+  uint64_t file_number_ = 0;
 
   // The tail span read at open, kept only while the index block or the
   // filter was carved from it and points into it; a block read singly

@@ -24,7 +24,9 @@ TableCache::TableCache(std::string dbname, const Options& options,
       icmp_(icmp),
       files_(files),
       block_cache_(std::move(block_cache)),
-      cache_(NewLRUCache(static_cast<size_t>(max_open_tables))) {}
+      // Counted in tables: each entry charges 1 and nothing more.
+      cache_(NewLRUCache(static_cast<size_t>(max_open_tables),
+                         /*charge_metadata=*/false)) {}
 
 TableCache::~TableCache() = default;
 
@@ -49,7 +51,7 @@ Status TableCache::FindTable(const FileMetaData& file,
   }
   std::unique_ptr<Table> table;
   s = Table::Open(options_, icmp_, fname, std::move(reader), file.file_size,
-                  file.tail_size, block_cache_, &table);
+                  file.tail_size, {block_cache_, file.number}, &table);
   if (!s.ok()) {
     return s;
   }

@@ -17,8 +17,10 @@ namespace shield {
 /// Caches open Table readers keyed by file number. Opening an SST is
 /// expensive (a read of its tail, verifying and decrypting the index,
 /// properties and filter, and under SHIELD a DEK resolution), so
-/// readers are shared and kept hot. Every call names the file by its
-/// metadata: number, size and the tail size Table::Open reads with.
+/// readers are shared across threads and kept hot: up to
+/// `max_open_tables` of them, however large. Every call names the file
+/// by its metadata: number, size and the tail size Table::Open reads
+/// with.
 class TableCache {
  public:
   TableCache(std::string dbname, const Options& options,

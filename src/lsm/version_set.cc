@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 
 #include "lsm/file_names.h"
 #include "lsm/log_reader.h"
@@ -12,6 +13,14 @@
 namespace shield {
 
 namespace {
+
+int64_t TotalFileSize(const std::vector<FileMetaData*>& files) {
+  int64_t sum = 0;
+  for (const FileMetaData* f : files) {
+    sum += static_cast<int64_t>(f->file_size);
+  }
+  return sum;
+}
 
 // Binary search for the earliest file whose largest key >= key.
 // REQUIRES: files sorted by increasing smallest key, non-overlapping.
@@ -882,9 +891,6 @@ Status VersionSet::Recover() {
 }
 
 void VersionSet::Finalize(Version* v) {
-  int best_level = -1;
-  double best_score = -1;
-
   if (options_.compaction_style != CompactionStyle::kLeveled) {
     // Universal/FIFO keep everything in level 0; scoring happens in
     // the pickers.
@@ -893,34 +899,57 @@ void VersionSet::Finalize(Version* v) {
     return;
   }
 
-  for (int level = 0; level < num_levels_ - 1; level++) {
+  // Bottom-up targets, as RocksDB's level_compaction_dynamic_level_bytes
+  // sizes them. The last level holds the data: the largest level is
+  // taken to sit there, and each level above targets the one below it
+  // divided by the multiplier. The base level, which L0 compacts into,
+  // is the deepest level whose target fits max_bytes_for_level_base,
+  // but never below the first non-empty level, so the levels between
+  // L0 and the base are always empty and an L0 output can never land
+  // under older data. Every target is floored at the size of L0 when
+  // it triggers: a smaller base level would be spilled through by each
+  // L0 compaction.
+  const int last = num_levels_ - 1;
+  int first_nonempty = last;
+  double largest = 0;
+  for (int level = last; level >= 1; level--) {
+    const double bytes = static_cast<double>(TotalFileSize(v->files_[level]));
+    if (bytes > 0) {
+      first_nonempty = level;
+      largest = std::max(largest, bytes);
+    }
+  }
+  const double multiplier = options_.max_bytes_for_level_multiplier;
+  double target = largest;
+  int base = last;
+  while (base > first_nonempty ||
+         (base > 1 &&
+          target > static_cast<double>(options_.max_bytes_for_level_base))) {
+    target /= multiplier;
+    base--;
+  }
+  v->base_level_ = base;
+
+  const double floor =
+      static_cast<double>(options_.level0_file_num_compaction_trigger) *
+      static_cast<double>(options_.write_buffer_size);
+  v->compaction_level_ = -1;
+  v->compaction_score_ = -1;
+  for (int level = 0; level < last; level++) {
     double score;
     if (level == 0) {
-      score = v->files_[level].size() /
+      score = v->files_[0].size() /
               static_cast<double>(options_.level0_file_num_compaction_trigger);
     } else {
-      int64_t level_bytes = 0;
-      for (const FileMetaData* f : v->files_[level]) {
-        level_bytes += static_cast<int64_t>(f->file_size);
-      }
-      score = static_cast<double>(level_bytes) / MaxBytesForLevel(level);
+      // The levels above the base are empty and score 0.
+      score = static_cast<double>(TotalFileSize(v->files_[level])) /
+              std::max(largest / std::pow(multiplier, last - level), floor);
     }
-    if (score > best_score) {
-      best_level = level;
-      best_score = score;
+    if (score > v->compaction_score_) {
+      v->compaction_level_ = level;
+      v->compaction_score_ = score;
     }
   }
-
-  v->compaction_level_ = best_level;
-  v->compaction_score_ = best_score;
-}
-
-double VersionSet::MaxBytesForLevel(int level) const {
-  double result = static_cast<double>(options_.max_bytes_for_level_base);
-  for (int i = 1; i < level; i++) {
-    result *= options_.max_bytes_for_level_multiplier;
-  }
-  return result;
 }
 
 Status VersionSet::WriteSnapshot(log::Writer* log) {
@@ -942,11 +971,7 @@ int VersionSet::NumLevelFiles(int level) const {
 }
 
 int64_t VersionSet::NumLevelBytes(int level) const {
-  int64_t sum = 0;
-  for (const FileMetaData* f : current_->files_[level]) {
-    sum += static_cast<int64_t>(f->file_size);
-  }
-  return sum;
+  return TotalFileSize(current_->files_[level]);
 }
 
 void VersionSet::AddLiveFiles(std::set<uint64_t>* live) {
@@ -1006,7 +1031,7 @@ Iterator* VersionSet::MakeInputIterator(Compaction* c) {
   int num = 0;
   for (int which = 0; which < 2; which++) {
     if (!c->inputs_[which].empty()) {
-      if (c->level() + which == 0) {
+      if (which == 0 && c->level() == 0) {
         for (FileMetaData* f : c->inputs_[which]) {
           list[num++] = table_cache_->NewIterator(options, *f);
         }
@@ -1065,7 +1090,7 @@ bool Compaction::IsTrivialMove() const {
 void Compaction::AddInputDeletions(VersionEdit* edit) {
   for (int which = 0; which < 2; which++) {
     for (FileMetaData* f : inputs_[which]) {
-      edit->RemoveFile(level_ + which, f->number);
+      edit->RemoveFile(which == 0 ? level_ : output_level_, f->number);
     }
   }
 }

@@ -111,9 +111,11 @@ class Version {
   std::vector<FileMetaData*> files_[kMaxNumLevels];
 
   // Level that should be compacted next and its score (>= 1 means
-  // compaction needed). Computed by VersionSet::Finalize.
+  // compaction needed), and the level L0 compacts into under leveled
+  // compaction. Computed by VersionSet::Finalize.
   double compaction_score_ = -1;
   int compaction_level_ = -1;
+  int base_level_ = 1;
 };
 
 /// The mutable state: current version, file numbering, sequence
@@ -199,9 +201,21 @@ class VersionSet {
   /// nothing to do. Caller owns the result.
   Compaction* PickCompaction();
 
-  /// Manual compaction of [begin, end] at `level`.
+  /// Manual compaction of the files at `level` that overlap
+  /// [begin, end] (nullptr means unbounded) into the level below it
+  /// (L0 into the base level); nullptr when none overlaps. Above L0 a
+  /// job takes the first of those files, and more while it and the
+  /// output-level files it overlaps stay within 10 target-size files.
   Compaction* CompactRange(int level, const InternalKey* begin,
                            const InternalKey* end);
+
+  /// Manual rewrite, in place at `level`, of the first run of adjacent
+  /// files that overlap [begin, end] and are numbered below
+  /// `before_number`, bounded as CompactRange bounds a job; nullptr when
+  /// there is none.
+  Compaction* CompactRangeInPlace(int level, const InternalKey* begin,
+                                  const InternalKey* end,
+                                  uint64_t before_number);
 
   /// A merged iterator over all compaction inputs. Caller deletes.
   Iterator* MakeInputIterator(Compaction* c);
@@ -210,9 +224,6 @@ class VersionSet {
   const Options& options() const { return options_; }
   TableCache* table_cache() const { return table_cache_; }
   int num_levels() const { return num_levels_; }
-
-  /// Max bytes configured for `level` under leveled compaction.
-  double MaxBytesForLevel(int level) const;
 
  private:
   class Builder;
@@ -232,6 +243,8 @@ class VersionSet {
                  InternalKey* smallest, InternalKey* largest);
 
   Compaction* PickLeveledCompaction();
+  void LimitManualInputs(int level, int output_level,
+                         std::vector<FileMetaData*>* inputs);
   Compaction* PickUniversalCompaction();
   Compaction* PickFifoCompaction();
   bool SomeOverlap(int level, const Slice& smallest_user_key,
@@ -266,8 +279,10 @@ class VersionSet {
   std::string compact_pointer_[kMaxNumLevels];
 };
 
-/// A picked compaction job: inputs at `level` (and `level+1` for
-/// leveled), plus the edit under construction.
+/// A picked compaction job: inputs at `level` (and, for leveled, the
+/// overlapping files at `output_level`), plus the edit under
+/// construction. An in-place job (`level == output_level`) rewrites
+/// its `level` inputs only.
 class Compaction {
  public:
   ~Compaction();
@@ -283,7 +298,7 @@ class Compaction {
   uint64_t MaxOutputFileSize() const { return max_output_file_size_; }
 
   /// A move-only compaction: the input can be trivially re-linked to
-  /// the next level without merging.
+  /// the output level without merging.
   bool IsTrivialMove() const;
 
   /// FIFO: inputs are simply deleted, nothing is rewritten.

@@ -222,5 +222,48 @@ TEST_F(CompactionBehaviorTest, OverwriteHeavyWorkloadShrinks) {
   EXPECT_EQ(std::string(200, 'j'), value);
 }
 
+TEST_F(CompactionBehaviorTest, OverwriteWorkloadBoundsSpaceAmplification) {
+  // Bottom-up level targets: the last level holds the data and each
+  // level above it targets a tenth of the level below, so once drained
+  // the levels above the last add about 1/9 of the data, plus what L0
+  // holds below its trigger. Static targets let overwrites pile up
+  // above the bottom level instead.
+  options_.write_buffer_size = 64 * 1024;
+  options_.target_file_size_base = 64 * 1024;
+  options_.max_bytes_for_level_base = 256 * 1024;
+  Open();
+  constexpr int kKeys = 16000;
+  constexpr size_t kValueSize = 400;
+  Random rnd(7);
+  for (int i = 0; i < 4 * kKeys; i++) {
+    char key[16];
+    snprintf(key, sizeof(key), "k%07d", static_cast<int>(rnd.Uniform(kKeys)));
+    ASSERT_TRUE(db_->Put(WriteOptions(), key,
+                         std::string(kValueSize, static_cast<char>('a' + i % 26)))
+                    .ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  db_->WaitForIdle();
+
+  uint64_t live_bytes = 0;
+  std::vector<std::string> children;
+  ASSERT_TRUE(env_->GetChildren("/db", &children).ok());
+  for (const std::string& child : children) {
+    uint64_t size = 0;
+    if (child.size() > 4 && child.compare(child.size() - 4, 4, ".sst") == 0 &&
+        env_->GetFileSize("/db/" + child, &size).ok()) {
+      live_bytes += size;
+    }
+  }
+  std::unique_ptr<Iterator> iter(db_->NewIterator(ReadOptions()));
+  uint64_t unique_bytes = 0;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    unique_bytes += iter->key().size() + iter->value().size();
+  }
+  ASSERT_GT(unique_bytes, 0u);
+  EXPECT_LE(static_cast<double>(live_bytes) / unique_bytes, 1.25)
+      << live_bytes << " live bytes for " << unique_bytes << " unique";
+}
+
 }  // namespace
 }  // namespace shield

@@ -1,5 +1,6 @@
 #include <map>
 #include <memory>
+#include <set>
 
 #include "env/fault_injection_env.h"
 #include "gtest/gtest.h"
@@ -287,6 +288,47 @@ TEST_F(ShieldDBTest, CompactionRotatesDeks) {
     }
   }
   EXPECT_GT(rewritten, 0) << "the full compaction should rewrite data";
+}
+
+TEST_F(ShieldDBTest, CompactRangeRewritesEverySstLiveBeforeIt) {
+  // The forced-DEK-rotation contract: after CompactRange(nullptr,
+  // nullptr) no SST, and so no SST DEK, that was live before the call
+  // is live after it. Small target files make each level need many
+  // bounded jobs, and the second call finds all the data already at
+  // the last level.
+  Options options = MakeOptions();
+  options.target_file_size_base = 4 * 1024;
+  Open(options);
+  for (int i = 0; i < 20000; i++) {
+    char key[16];
+    snprintf(key, sizeof(key), "key%06d", i);
+    ASSERT_TRUE(db_->Put(WriteOptions(), key, std::string(100, 'c')).ok());
+  }
+  for (int pass = 0; pass < 2; pass++) {
+    const auto before = FileDekIds();
+    ASSERT_TRUE(db_->CompactRange(nullptr, nullptr).ok());
+    const auto after = FileDekIds();
+    std::set<std::string> before_deks;
+    int before_ssts = 0;
+    for (const auto& [file, id] : before) {
+      if (file.find(".sst") != std::string::npos) {
+        before_deks.insert(id);
+        before_ssts++;
+      }
+    }
+    ASSERT_GT(before_ssts, 25) << "pass " << pass;
+    int still_live = 0;
+    for (const auto& [file, id] : after) {
+      if (file.find(".sst") != std::string::npos &&
+          (before.count(file) != 0 || before_deks.count(id) != 0)) {
+        still_live++;
+      }
+    }
+    EXPECT_EQ(0, still_live) << "pass " << pass << ": of " << before_ssts;
+  }
+  std::string value;
+  ASSERT_TRUE(db_->Get(ReadOptions(), "key012345", &value).ok());
+  EXPECT_EQ(std::string(100, 'c'), value);
 }
 
 TEST_F(ShieldDBTest, DeletedFileDeksAreDestroyed) {
@@ -598,7 +640,7 @@ TEST_F(TailReadTest, UnknownTailSizeStillOpensAndAnswers) {
     std::unique_ptr<RandomAccessFile> file;
     ASSERT_TRUE(files->NewRandomAccessFile(sst_, &file).ok());
     const Status s = Table::Open(MakeOptions(), &icmp, sst_, std::move(file),
-                                 file_size, tail_size, nullptr, table);
+                                 file_size, tail_size, /*block_cache=*/{}, table);
     ASSERT_TRUE(s.ok()) << s.ToString();
   };
   auto get = [&](Table* table, int i) {

@@ -135,7 +135,7 @@ class FormatFixtureTest : public ::testing::TestWithParam<Fixture> {
     }
     std::unique_ptr<Table> table;
     s = Table::Open(Options(), &icmp_, Name(), std::move(file), size,
-                    /*tail_size=*/0, nullptr, &table);
+                    /*tail_size=*/0, /*block_cache=*/{}, &table);
     if (!s.ok()) {
       return s;
     }

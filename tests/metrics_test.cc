@@ -513,6 +513,44 @@ TEST(HealthMonitorTest, StatusReadsDoNotBlockOnSlowDetectors) {
   EXPECT_TRUE(transitions.empty()) << "level should be stable at warn";
 }
 
+TEST(HealthMonitorTest, TableCacheDetectorWarnsOnMissShare) {
+  // The detector reads the table-cache tickers of the DB's Statistics,
+  // which other DBs may share, and judges only the lookups since its
+  // last evaluation.
+  std::unique_ptr<Env> env = NewMemEnv();
+  auto stats = CreateDBStatistics();
+  Options options;
+  options.env = env.get();
+  options.statistics = stats;
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, "/tcdb", &raw).ok());
+  std::unique_ptr<DB> db(raw);
+  auto level = [&db] {
+    std::vector<HealthTransition> transitions;
+    EXPECT_TRUE(db->EvaluateHealth(&transitions).ok());
+    std::string json;
+    EXPECT_TRUE(db->GetProperty("shield.health", &json));
+    const size_t at = json.find("\"lsm.table_cache\"");
+    EXPECT_NE(std::string::npos, at);
+    return json.substr(at, json.find('}', at) - at);
+  };
+  level();
+
+  // 20% misses over 1000 lookups: warn.
+  stats->RecordTick(Tickers::kLsmTableCacheHit, 800);
+  stats->RecordTick(Tickers::kLsmTableCacheMiss, 200);
+  EXPECT_NE(std::string::npos, level().find("\"warn\""));
+
+  // 10% exactly is not over the threshold.
+  stats->RecordTick(Tickers::kLsmTableCacheHit, 900);
+  stats->RecordTick(Tickers::kLsmTableCacheMiss, 100);
+  EXPECT_NE(std::string::npos, level().find("\"ok\""));
+
+  // Too few lookups to judge, however many miss.
+  stats->RecordTick(Tickers::kLsmTableCacheMiss, 999);
+  EXPECT_NE(std::string::npos, level().find("\"ok\""));
+}
+
 // --- concurrency (TSan) ----------------------------------------------
 
 TEST(MetricsConcurrencyTest, ConcurrentRecordAndSnapshot) {

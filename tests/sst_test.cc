@@ -4,10 +4,13 @@
 #include "lsm/block.h"
 #include "lsm/block_builder.h"
 #include "lsm/cache.h"
+#include "lsm/file_names.h"
 #include "lsm/sst_builder.h"
 #include "lsm/sst_reader.h"
+#include "lsm/table_cache.h"
 #include "lsm/table_format.h"
 #include "util/random.h"
+#include "util/statistics.h"
 
 namespace shield {
 namespace {
@@ -176,7 +179,7 @@ class TableTest : public ::testing::Test {
     ASSERT_TRUE(file->Close().ok());
   }
 
-  void OpenTable(std::shared_ptr<Cache> cache = nullptr) {
+  void OpenTable(BlockCacheRef cache = {}) {
     std::unique_ptr<RandomAccessFile> file;
     ASSERT_TRUE(env_->NewRandomAccessFile("/table.sst", &file).ok());
     ASSERT_TRUE(Table::Open(options_, &icmp_, "/table.sst", std::move(file),
@@ -270,7 +273,7 @@ TEST_F(TableTest, BlockCacheServesRepeatReads) {
   }
   BuildTable(model);
   auto cache = NewLRUCache(1 << 20);
-  OpenTable(cache);
+  OpenTable({cache, /*file_number=*/1});
 
   bool found;
   GetValue("key100", &found);
@@ -320,7 +323,7 @@ TEST_F(TableTest, OpenRejectsTruncatedFile) {
   std::unique_ptr<Table> table;
   EXPECT_FALSE(
       Table::Open(options_, &icmp_, "/table.sst", std::move(file), 10,
-                  /*tail_size=*/0, nullptr, &table)
+                  /*tail_size=*/0, /*block_cache=*/{}, &table)
           .ok());
 }
 
@@ -377,9 +380,49 @@ TEST(CacheTest, PinnedEntriesSurviveEviction) {
   cache->Release(pinned);
 }
 
-TEST(CacheTest, NewIdsAreUnique) {
-  auto cache = NewLRUCache(100);
-  EXPECT_NE(cache->NewId(), cache->NewId());
+TEST_F(TableTest, TableReopenedAfterEvictServesBlocksFromCache) {
+  // Blocks are cached under the file's number, not under one open of
+  // it: a table the table cache evicts and opens again still finds
+  // them.
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < 200; i++) {
+    model["key" + std::to_string(i)] = std::string(50, 'x');
+  }
+  BuildTable(model);
+  ASSERT_TRUE(env_->RenameFile("/table.sst", TableFileName("/db", 7)).ok());
+  FileMetaData file;
+  file.number = 7;
+  file.file_size = file_size_;
+  file.tail_size = tail_size_;
+
+  auto stats = CreateDBStatistics();
+  options_.statistics = stats;
+  std::unique_ptr<DataFileFactory> files = NewPlainFileFactory(env_.get());
+  TableCache tables("/db", options_, &icmp_, files.get(),
+                    NewLRUCache(1 << 20), /*max_open_tables=*/1000);
+  auto get = [&] {
+    LookupKey lkey("key100", kMaxSequenceNumber);
+    std::string value;
+    ASSERT_TRUE(tables
+                    .Get(ReadOptions(), file, lkey.internal_key(), &value,
+                         [](void* arg, const Slice&, const Slice& v) {
+                           reinterpret_cast<std::string*>(arg)->assign(
+                               v.data(), v.size());
+                         })
+                    .ok());
+    EXPECT_EQ(std::string(50, 'x'), value);
+  };
+
+  get();
+  EXPECT_EQ(1u, stats->GetTickerCount(Tickers::kLsmTableCacheMiss));
+  EXPECT_EQ(1u, stats->GetTickerCount(Tickers::kLsmBlockCacheMiss));
+  EXPECT_EQ(0u, stats->GetTickerCount(Tickers::kLsmBlockCacheHit));
+
+  tables.Evict(7);
+  get();
+  EXPECT_EQ(2u, stats->GetTickerCount(Tickers::kLsmTableCacheMiss));
+  EXPECT_EQ(1u, stats->GetTickerCount(Tickers::kLsmBlockCacheMiss));
+  EXPECT_EQ(1u, stats->GetTickerCount(Tickers::kLsmBlockCacheHit));
 }
 
 }  // namespace
