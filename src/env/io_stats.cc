@@ -99,10 +99,6 @@ class CountingSequentialFile final : public SequentialFile {
   }
   Status Skip(uint64_t n) override { return base_->Skip(n); }
 
-  const crypto::BlockAuthenticator* block_authenticator() const override {
-    return base_->block_authenticator();
-  }
-
  private:
   std::unique_ptr<SequentialFile> base_;
   IoStats* stats_;
@@ -124,10 +120,6 @@ class CountingRandomAccessFile final : public RandomAccessFile {
     return s;
   }
   Status Size(uint64_t* size) const override { return base_->Size(size); }
-
-  const crypto::BlockAuthenticator* block_authenticator() const override {
-    return base_->block_authenticator();
-  }
 
  private:
   std::unique_ptr<RandomAccessFile> base_;
@@ -152,10 +144,6 @@ class CountingWritableFile final : public WritableFile {
   Status Sync() override { return base_->Sync(); }
   Status Close() override { return base_->Close(); }
   uint64_t GetFileSize() const override { return base_->GetFileSize(); }
-
-  const crypto::BlockAuthenticator* block_authenticator() const override {
-    return base_->block_authenticator();
-  }
 
  private:
   std::unique_ptr<WritableFile> base_;

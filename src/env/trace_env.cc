@@ -46,10 +46,6 @@ class TracingSequentialFile final : public SequentialFile {
     return s;
   }
 
-  const crypto::BlockAuthenticator* block_authenticator() const override {
-    return base_->block_authenticator();
-  }
-
  private:
   std::unique_ptr<SequentialFile> base_;
   const std::string fname_;
@@ -75,10 +71,6 @@ class TracingRandomAccessFile final : public RandomAccessFile {
   }
 
   Status Size(uint64_t* size) const override { return base_->Size(size); }
-
-  const crypto::BlockAuthenticator* block_authenticator() const override {
-    return base_->block_authenticator();
-  }
 
  private:
   std::unique_ptr<RandomAccessFile> base_;
@@ -117,10 +109,6 @@ class TracingWritableFile final : public WritableFile {
   Status Close() override { return base_->Close(); }
 
   uint64_t GetFileSize() const override { return base_->GetFileSize(); }
-
-  const crypto::BlockAuthenticator* block_authenticator() const override {
-    return base_->block_authenticator();
-  }
 
  private:
   std::unique_ptr<WritableFile> base_;

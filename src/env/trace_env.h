@@ -17,9 +17,6 @@ namespace shield {
 /// DBImpl interposes this directly above the physical Env — beneath
 /// encryption — so the captured offsets/lengths describe ciphertext
 /// I/O, which is what trace_replay re-issues against a raw directory.
-///
-/// The wrapper forwards block_authenticator() from the wrapped files so
-/// the authenticated read/write paths keep working through it.
 std::unique_ptr<Env> NewIOTracingEnv(Env* base);
 
 }  // namespace shield

@@ -112,23 +112,26 @@ void VersionSet::SetupOtherInputs(Compaction* c) {
 
   // Mark bottommost: no data below the output level within the key
   // range means tombstones can be dropped.
-  bool data_below = false;
-  for (int lvl = output_level + 1; lvl < num_levels_ && !data_below; lvl++) {
-    Slice start_key = all_start.user_key();
-    Slice limit_key = all_limit.user_key();
-    data_below = SomeOverlap(lvl, start_key, limit_key);
-  }
-  c->bottommost_ = !data_below;
+  c->bottommost_ = !DataBelow(c, all_start.user_key(), all_limit.user_key());
 
   GetRange(c->inputs_[0], &smallest, &largest);
   compact_pointer_[level] = largest.Encode().ToString();
   c->edit_.Clear();
 }
 
-bool VersionSet::SomeOverlap(int level, const Slice& smallest_user_key,
-                             const Slice& largest_user_key) {
-  return current_->OverlapInLevel(level, &smallest_user_key,
-                                  &largest_user_key);
+bool VersionSet::DataBelow(const Compaction* c,
+                           const Slice& smallest_user_key,
+                           const Slice& largest_user_key) {
+  if (c->OverlapsOtherL0File(smallest_user_key, largest_user_key)) {
+    return true;
+  }
+  for (int lvl = c->output_level() + 1; lvl < num_levels_; lvl++) {
+    if (current_->OverlapInLevel(lvl, &smallest_user_key,
+                                 &largest_user_key)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 Compaction* VersionSet::PickUniversalCompaction() {
@@ -314,6 +317,26 @@ Compaction* VersionSet::CompactRangeInPlace(int level,
   c->inputs_[0] = inputs;
   SetupOtherInputs(c);
   return c;
+}
+
+Compaction* VersionSet::CompactFileInPlace(uint64_t number) {
+  for (int level = 0; level < num_levels_; level++) {
+    for (FileMetaData* f : current_->files_[level]) {
+      if (f->number != number) {
+        continue;
+      }
+      Compaction* c = new Compaction(options_, level, level);
+      // One file in, one file out, whatever its size.
+      c->max_output_file_size_ = UINT64_MAX;
+      c->input_version_ = current_;
+      c->input_version_->Ref();
+      c->inputs_[0].push_back(f);
+      c->bottommost_ =
+          !DataBelow(c, f->smallest.user_key(), f->largest.user_key());
+      return c;
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace shield

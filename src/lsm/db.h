@@ -241,7 +241,8 @@ class DB {
 
   /// Online DEK rotation (active key lifecycle, beyond the paper's
   /// passive rotation-via-compaction): rewrites live SSTs selected by
-  /// `options` to fresh DEKs through the table-rewrite path, persisting
+  /// `options` to fresh DEKs, each as a one-file compaction in place
+  /// (offloaded when a compaction service is set), persisting
   /// progress in a rotation manifest after every file so a crash
   /// resumes instead of restarting. The old DEK is destroyed only
   /// after the replacement is durable. Pauses (returns the background

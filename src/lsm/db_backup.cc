@@ -1,9 +1,10 @@
-// Encrypted backup and restore. A backup is a directory holding the
-// physical (encrypted) images of the current version's SSTs, the
-// version MANIFEST, CURRENT and the live WAL, plus a BACKUP_MANIFEST
-// that records an HMAC-SHA256 tag per file and is itself MAC'd under
-// the backup key — a tampered or truncated backup is detected before a
-// single byte lands in the restore target.
+// Encrypted backup and restore. A backup is a signed bundle
+// (lsm/bundle.h): a directory holding the physical (encrypted) images
+// of the current version's SSTs, the version MANIFEST, CURRENT and the
+// live WAL, plus a BACKUP_MANIFEST that records an HMAC-SHA256 tag per
+// file and is itself MAC'd under the backup key — a tampered or
+// truncated backup is detected before a single byte lands in the
+// restore target.
 //
 // Under SHIELD the files stay encrypted at rest in the backup, but
 // every embedded DEK id is re-wrapped (Kds::RewrapDek) for the
@@ -24,128 +25,12 @@
 // acknowledged before the call (everything, when flush_before_backup
 // emptied the memtable).
 
-#include <sstream>
-
-#include "crypto/hmac.h"
+#include "lsm/bundle.h"
 #include "lsm/db_impl.h"
 #include "lsm/file_names.h"
-#include "shield/file_crypto.h"
 #include "util/trace.h"
 
 namespace shield {
-
-namespace {
-
-constexpr char kBackupMagic[] = "SHLDBAK1";
-constexpr uint32_t kBackupFormatVersion = 1;
-
-std::string BackupManifestName(const std::string& backup_dir) {
-  return backup_dir + "/BACKUP_MANIFEST";
-}
-
-std::string ToHexString(const Slice& data) {
-  static const char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(data.size() * 2);
-  for (size_t i = 0; i < data.size(); i++) {
-    const uint8_t b = static_cast<uint8_t>(data[i]);
-    out.push_back(kHex[b >> 4]);
-    out.push_back(kHex[b & 0xf]);
-  }
-  return out;
-}
-
-struct BackupFileEntry {
-  std::string name;  // basename within the backup directory
-  uint64_t size = 0;
-  std::string hmac_hex;
-  std::string old_dek_hex = "-";  // "-" when the file carries no DEK
-  std::string new_dek_hex = "-";
-};
-
-// The manifest is line-oriented text:
-//   SHLDBAK1
-//   format 1
-//   target <server id or ->
-//   file <name> <size> <hmac hex> <old dek hex|-> <new dek hex|->
-//   ...
-//   mac <hmac hex over every preceding byte>
-std::string EncodeBackupManifest(const std::string& target_server_id,
-                                 const std::vector<BackupFileEntry>& files,
-                                 const std::string& hmac_key) {
-  std::string out;
-  out.append(kBackupMagic);
-  out.append("\n");
-  out.append("format " + std::to_string(kBackupFormatVersion) + "\n");
-  out.append("target " +
-             (target_server_id.empty() ? std::string("-") : target_server_id) +
-             "\n");
-  for (const auto& f : files) {
-    out.append("file " + f.name + " " + std::to_string(f.size) + " " +
-               f.hmac_hex + " " + f.old_dek_hex + " " + f.new_dek_hex + "\n");
-  }
-  out.append("mac " + ToHexString(crypto::HmacSha256(hmac_key, out)) + "\n");
-  return out;
-}
-
-Status DecodeBackupManifest(const std::string& data,
-                            const std::string& hmac_key, std::string* target,
-                            std::vector<BackupFileEntry>* files) {
-  // The MAC covers everything up to (and including) the newline before
-  // the "mac " line.
-  const size_t mac_pos = data.rfind("mac ");
-  if (mac_pos == std::string::npos ||
-      (mac_pos != 0 && data[mac_pos - 1] != '\n')) {
-    return Status::Corruption("backup manifest missing MAC line");
-  }
-  const std::string body = data.substr(0, mac_pos);
-  std::string mac_line = data.substr(mac_pos + 4);
-  while (!mac_line.empty() &&
-         (mac_line.back() == '\n' || mac_line.back() == '\r')) {
-    mac_line.pop_back();
-  }
-  if (mac_line != ToHexString(crypto::HmacSha256(hmac_key, body))) {
-    return Status::Corruption(
-        "backup manifest MAC mismatch (tampered backup or wrong key)");
-  }
-
-  std::istringstream in(body);
-  std::string line;
-  if (!std::getline(in, line) || line != kBackupMagic) {
-    return Status::Corruption("bad backup manifest magic");
-  }
-  if (!std::getline(in, line) ||
-      line != "format " + std::to_string(kBackupFormatVersion)) {
-    return Status::NotSupported("unsupported backup manifest format");
-  }
-  if (!std::getline(in, line) || line.rfind("target ", 0) != 0) {
-    return Status::Corruption("backup manifest missing target line");
-  }
-  *target = line.substr(7);
-  if (*target == "-") {
-    target->clear();
-  }
-  files->clear();
-  while (std::getline(in, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    std::istringstream fields(line);
-    std::string tag;
-    BackupFileEntry entry;
-    fields >> tag >> entry.name >> entry.size >> entry.hmac_hex >>
-        entry.old_dek_hex >> entry.new_dek_hex;
-    if (fields.fail() || tag != "file" || entry.name.empty() ||
-        entry.name.find('/') != std::string::npos ||
-        entry.name.find("..") != std::string::npos) {
-      return Status::Corruption("bad backup manifest file entry: " + line);
-    }
-    files->push_back(std::move(entry));
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Status DBImpl::CreateBackup(const std::string& backup_dir,
                             const BackupOptions& backup_options) {
@@ -155,9 +40,8 @@ Status DBImpl::CreateBackup(const std::string& backup_dir,
   }
   ScopedTracerBinding trace_binding(&tracer_);
   TraceSpan span(SpanType::kBackup);
-  const bool shield_mode =
-      options_.encryption.mode == EncryptionMode::kShield;
-  if (!backup_options.target_server_id.empty() && !shield_mode) {
+  if (!backup_options.target_server_id.empty() &&
+      options_.encryption.mode != EncryptionMode::kShield) {
     return Status::InvalidArgument(
         "target_server_id requires SHIELD encryption");
   }
@@ -166,7 +50,7 @@ Status DBImpl::CreateBackup(const std::string& backup_dir,
   if (!s.ok()) {
     return s;
   }
-  if (raw_env_->FileExists(BackupManifestName(backup_dir))) {
+  if (raw_env_->FileExists(BundleManifestPath(kBackupBundle, backup_dir))) {
     return Status::InvalidArgument("backup_dir already contains a backup",
                                    backup_dir);
   }
@@ -234,7 +118,7 @@ Status DBImpl::CreateBackup(const std::string& backup_dir,
     sources.push_back(LogFileName(dbname_, wal_number));
   }
 
-  std::vector<BackupFileEntry> entries;
+  std::vector<BundleFileEntry> entries;
   uint64_t total_bytes = 0;
   for (const auto& src : sources) {
     if (!s.ok()) {
@@ -245,33 +129,15 @@ Status DBImpl::CreateBackup(const std::string& backup_dir,
     if (!s.ok()) {
       break;
     }
-    BackupFileEntry entry;
+    BundleFileEntry entry;
     entry.name = src.substr(src.rfind('/') + 1);
-
-    // Re-wrap the embedded DEK for the restore target. Non-SHIELD
-    // files (and all files when no target identity was given) are
-    // copied untouched.
-    ShieldFileHeader header;
-    if (shield_mode && !backup_options.target_server_id.empty() &&
-        ParseShieldFileHeader(contents, &header).ok()) {
-      Dek rewrapped;
-      s = dek_manager_->RewrapDek(header.dek_id,
-                                  backup_options.target_server_id,
-                                  &rewrapped);
-      if (!s.ok()) {
-        break;
-      }
-      entry.old_dek_hex = header.dek_id.ToHex();
-      entry.new_dek_hex = rewrapped.id.ToHex();
-      // dek_id occupies bytes [12, 12 + DekId::kSize) of the plaintext
-      // header (shield/file_crypto.cc). Ciphertext and block tags are
-      // keyed from the key material and nonce, both unchanged.
-      memcpy(contents.data() + 12, rewrapped.id.bytes.data(), DekId::kSize);
+    // Files stay encrypted; with a target identity their DEKs are
+    // re-wrapped for it.
+    s = SealBundleFile(dek_manager_.get(), backup_options.target_server_id,
+                       backup_options.hmac_key, &contents, &entry);
+    if (!s.ok()) {
+      break;
     }
-
-    entry.size = contents.size();
-    entry.hmac_hex = ToHexString(
-        crypto::HmacSha256(backup_options.hmac_key, contents));
     s = WriteStringToFile(raw_env_, contents, backup_dir + "/" + entry.name,
                           /*sync=*/true);
     if (!s.ok()) {
@@ -289,9 +155,9 @@ Status DBImpl::CreateBackup(const std::string& backup_dir,
     // (interrupted backup) never verifies, so it can never be restored.
     s = WriteStringToFile(
         raw_env_,
-        EncodeBackupManifest(backup_options.target_server_id, entries,
-                             backup_options.hmac_key),
-        BackupManifestName(backup_dir), /*sync=*/true);
+        EncodeBundleManifest(kBackupBundle, backup_options.target_server_id,
+                             entries, backup_options.hmac_key),
+        BundleManifestPath(kBackupBundle, backup_dir), /*sync=*/true);
   }
 
   {
@@ -315,51 +181,13 @@ Status DBImpl::CreateBackup(const std::string& backup_dir,
   return s;
 }
 
-namespace {
-
-// Loads the manifest, checks its MAC, then reads and HMAC-verifies
-// every listed file into *images (aligned with *entries).
-Status LoadAndVerifyBackup(Env* env, const std::string& backup_dir,
-                           const std::string& hmac_key,
-                           std::vector<BackupFileEntry>* entries,
-                           std::vector<std::string>* images) {
-  std::string manifest_data;
-  Status s =
-      ReadFileToString(env, BackupManifestName(backup_dir), &manifest_data);
-  if (!s.ok()) {
-    return s;
-  }
-  std::string target;
-  s = DecodeBackupManifest(manifest_data, hmac_key, &target, entries);
-  if (!s.ok()) {
-    return s;
-  }
-  images->resize(entries->size());
-  for (size_t i = 0; i < entries->size(); i++) {
-    const BackupFileEntry& entry = (*entries)[i];
-    s = ReadFileToString(env, backup_dir + "/" + entry.name, &(*images)[i]);
-    if (!s.ok()) {
-      return s;
-    }
-    if ((*images)[i].size() != entry.size ||
-        ToHexString(crypto::HmacSha256(hmac_key, (*images)[i])) !=
-            entry.hmac_hex) {
-      return Status::Corruption("backup file failed HMAC verification",
-                                entry.name);
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status DB::VerifyBackup(const Options& options, const std::string& backup_dir,
                         const RestoreOptions& restore_options) {
   Env* env = options.env != nullptr ? options.env : Env::Default();
-  std::vector<BackupFileEntry> entries;
-  std::vector<std::string> images;
-  return LoadAndVerifyBackup(env, backup_dir, restore_options.hmac_key,
-                             &entries, &images);
+  std::vector<BundleFileEntry> entries;
+  return LoadAndVerifyBundle(kBackupBundle, env, backup_dir,
+                             restore_options.hmac_key, &entries,
+                             /*images=*/nullptr);
 }
 
 Status DB::RestoreBackup(const Options& options,
@@ -375,10 +203,10 @@ Status DB::RestoreBackup(const Options& options,
 
   // Verify everything BEFORE writing anything: a bad backup leaves the
   // target directory untouched.
-  std::vector<BackupFileEntry> entries;
+  std::vector<BundleFileEntry> entries;
   std::vector<std::string> images;
-  Status s = LoadAndVerifyBackup(env, backup_dir, restore_options.hmac_key,
-                                 &entries, &images);
+  Status s = LoadAndVerifyBundle(kBackupBundle, env, backup_dir,
+                                 restore_options.hmac_key, &entries, &images);
   if (!s.ok()) {
     return s;
   }

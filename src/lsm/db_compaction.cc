@@ -648,8 +648,9 @@ Status DBImpl::DoOffloadedCompaction(Compaction* c, VersionEdit* edit,
 }
 
 // Runs one manual job to completion. mutex_ held, with background
-// compactions kept out (manual_compaction_running_).
-Status DBImpl::RunManualCompaction(Compaction* c) {
+// compactions kept out (manual_compaction_running_). Without
+// `remove_obsolete_files` the inputs stay on disk for the caller's GC.
+Status DBImpl::RunManualCompaction(Compaction* c, bool remove_obsolete_files) {
   // Manual compactions always rewrite — never trivial-move.
   CompactionState compact(c);
   compact.smallest_snapshot = snapshots_.empty()
@@ -658,7 +659,9 @@ Status DBImpl::RunManualCompaction(Compaction* c) {
   BackgroundErrorReason reason = BackgroundErrorReason::kCompaction;
   Status status = DoCompactionWork(&compact, &reason);
   c->ReleaseInputs();
-  RemoveObsoleteFiles();
+  if (remove_obsolete_files) {
+    RemoveObsoleteFiles();
+  }
   delete c;
   if (!status.ok() && !status.IsTransient() &&
       !shutting_down_.load(std::memory_order_acquire)) {

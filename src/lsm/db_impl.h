@@ -175,7 +175,7 @@ class DBImpl final : public DB {
   Status FinishCompactionOutputFile(CompactionState* compact,
                                     Iterator* input);
   Status InstallCompactionResults(CompactionState* compact);
-  Status RunManualCompaction(Compaction* c);
+  Status RunManualCompaction(Compaction* c, bool remove_obsolete_files = true);
 
   // Integrity scrubbing (db_scrub.cc).
   struct ScrubStats {
@@ -245,9 +245,10 @@ class DBImpl final : public DB {
   /// persisting progress after every file. rotation_pass_mutex_ held.
   Status RunRotation(RotationManifest* manifest, const RotateOptions& opts,
                      RotateResult* result, bool background);
-  /// Rewrites one live SST to a fresh DEK via the table-rewrite path.
-  /// Returns OK with *skipped=true when `number` already left the live
-  /// version (stale manifest entry).
+  /// Rewrites one live SST to a fresh DEK as a one-file compaction in
+  /// place at its level; the old file stays on disk for the caller's
+  /// GC. Returns OK with *skipped=true when `number` already left the
+  /// live version (stale manifest entry).
   Status RotateFile(uint64_t number, uint64_t* bytes, bool* skipped);
   /// One run of rotation_task_: the first resumes a rotation pending
   /// at open, the others are age-based passes.

@@ -21,19 +21,18 @@
 // DumpRange is the export side: the latest visible versions in
 // [begin, end] are written as freshly built SSTs (cut at
 // DumpOptions::max_file_bytes) plus a DUMP_MANIFEST that records an
-// HMAC-SHA256 tag per file and is itself MAC'd, mirroring the backup
-// manifest. With a target_server_id every dump file's DEK is
+// HMAC-SHA256 tag per file and is itself MAC'd: a dump is a signed
+// bundle, like a backup (lsm/bundle.h). With a target_server_id every
+// dump file's DEK is
 // re-wrapped for the target identity, so DumpRange + RestoreDump
 // migrates data between KDS identities without copying a DB
 // directory — and without the source's keys surviving revocation.
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
-#include <sstream>
 #include <vector>
 
-#include "crypto/hmac.h"
+#include "lsm/bundle.h"
 #include "lsm/db_impl.h"
 #include "lsm/file_names.h"
 #include "lsm/sst_builder.h"
@@ -41,150 +40,6 @@
 #include "shield/file_crypto.h"
 
 namespace shield {
-
-namespace {
-
-constexpr char kDumpMagic[] = "SHLDDMP1";
-constexpr uint32_t kDumpFormatVersion = 1;
-
-std::string DumpManifestName(const std::string& dump_dir) {
-  return dump_dir + "/DUMP_MANIFEST";
-}
-
-std::string ToHexString(const Slice& data) {
-  static const char kHex[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(data.size() * 2);
-  for (size_t i = 0; i < data.size(); i++) {
-    const uint8_t b = static_cast<uint8_t>(data[i]);
-    out.push_back(kHex[b >> 4]);
-    out.push_back(kHex[b & 0xf]);
-  }
-  return out;
-}
-
-struct DumpFileEntry {
-  std::string name;  // basename within the dump directory
-  uint64_t size = 0;
-  std::string hmac_hex;
-  std::string old_dek_hex = "-";  // "-" when the file carries no DEK
-  std::string new_dek_hex = "-";
-};
-
-// Same line-oriented shape as the backup manifest:
-//   SHLDDMP1
-//   format 1
-//   target <server id or ->
-//   file <name> <size> <hmac hex> <old dek hex|-> <new dek hex|->
-//   ...
-//   mac <hmac hex over every preceding byte>
-std::string EncodeDumpManifest(const std::string& target_server_id,
-                               const std::vector<DumpFileEntry>& files,
-                               const std::string& hmac_key) {
-  std::string out;
-  out.append(kDumpMagic);
-  out.append("\n");
-  out.append("format " + std::to_string(kDumpFormatVersion) + "\n");
-  out.append("target " +
-             (target_server_id.empty() ? std::string("-") : target_server_id) +
-             "\n");
-  for (const auto& f : files) {
-    out.append("file " + f.name + " " + std::to_string(f.size) + " " +
-               f.hmac_hex + " " + f.old_dek_hex + " " + f.new_dek_hex + "\n");
-  }
-  out.append("mac " + ToHexString(crypto::HmacSha256(hmac_key, out)) + "\n");
-  return out;
-}
-
-Status DecodeDumpManifest(const std::string& data,
-                          const std::string& hmac_key, std::string* target,
-                          std::vector<DumpFileEntry>* files) {
-  const size_t mac_pos = data.rfind("mac ");
-  if (mac_pos == std::string::npos ||
-      (mac_pos != 0 && data[mac_pos - 1] != '\n')) {
-    return Status::Corruption("dump manifest missing MAC line");
-  }
-  const std::string body = data.substr(0, mac_pos);
-  std::string mac_line = data.substr(mac_pos + 4);
-  while (!mac_line.empty() &&
-         (mac_line.back() == '\n' || mac_line.back() == '\r')) {
-    mac_line.pop_back();
-  }
-  if (mac_line != ToHexString(crypto::HmacSha256(hmac_key, body))) {
-    return Status::Corruption(
-        "dump manifest MAC mismatch (tampered dump or wrong key)");
-  }
-
-  std::istringstream in(body);
-  std::string line;
-  if (!std::getline(in, line) || line != kDumpMagic) {
-    return Status::Corruption("bad dump manifest magic");
-  }
-  if (!std::getline(in, line) ||
-      line != "format " + std::to_string(kDumpFormatVersion)) {
-    return Status::NotSupported("unsupported dump manifest format");
-  }
-  if (!std::getline(in, line) || line.rfind("target ", 0) != 0) {
-    return Status::Corruption("dump manifest missing target line");
-  }
-  *target = line.substr(7);
-  if (*target == "-") {
-    target->clear();
-  }
-  files->clear();
-  while (std::getline(in, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    std::istringstream fields(line);
-    std::string tag;
-    DumpFileEntry entry;
-    fields >> tag >> entry.name >> entry.size >> entry.hmac_hex >>
-        entry.old_dek_hex >> entry.new_dek_hex;
-    if (fields.fail() || tag != "file" || entry.name.empty() ||
-        entry.name.find('/') != std::string::npos ||
-        entry.name.find("..") != std::string::npos) {
-      return Status::Corruption("bad dump manifest file entry: " + line);
-    }
-    files->push_back(std::move(entry));
-  }
-  return Status::OK();
-}
-
-// Loads the dump manifest, checks its MAC, then reads and
-// HMAC-verifies every listed file. Restore runs this before touching
-// the target: a bad dump never installs anything.
-Status LoadAndVerifyDump(Env* env, const std::string& dump_dir,
-                         const std::string& hmac_key,
-                         std::vector<DumpFileEntry>* entries) {
-  std::string manifest_data;
-  Status s =
-      ReadFileToString(env, DumpManifestName(dump_dir), &manifest_data);
-  if (!s.ok()) {
-    return s;
-  }
-  std::string target;
-  s = DecodeDumpManifest(manifest_data, hmac_key, &target, entries);
-  if (!s.ok()) {
-    return s;
-  }
-  for (const auto& entry : *entries) {
-    std::string contents;
-    s = ReadFileToString(env, dump_dir + "/" + entry.name, &contents);
-    if (!s.ok()) {
-      return s;
-    }
-    if (contents.size() != entry.size ||
-        ToHexString(crypto::HmacSha256(hmac_key, contents)) !=
-            entry.hmac_hex) {
-      return Status::Corruption("dump file failed HMAC verification",
-                                entry.name);
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Status DBImpl::PrepareEncryptedIngest(const std::string& file_path,
                                       std::string* contents,
@@ -215,10 +70,7 @@ Status DBImpl::PrepareEncryptedIngest(const std::string& file_path,
   if (!s.ok()) {
     return s;
   }
-  // dek_id occupies bytes [12, 12 + DekId::kSize) of the plaintext
-  // header (shield/file_crypto.cc). Ciphertext and block tags are
-  // keyed from the key material and nonce, both unchanged.
-  memcpy(contents->data() + 12, adopted.id.bytes.data(), DekId::kSize);
+  SetShieldFileDekId(adopted.id, contents);
   dek_manager_->AdoptDek(adopted);
   *rewrapped = true;
   return Status::OK();
@@ -460,9 +312,8 @@ Status DBImpl::DumpRange(const std::string& dump_dir, const Slice* begin,
   if (read_only_) {
     return Status::NotSupported("dumps are created from the primary instance");
   }
-  const bool shield_mode =
-      options_.encryption.mode == EncryptionMode::kShield;
-  if (!dump_options.target_server_id.empty() && !shield_mode) {
+  if (!dump_options.target_server_id.empty() &&
+      options_.encryption.mode != EncryptionMode::kShield) {
     return Status::InvalidArgument(
         "target_server_id requires SHIELD encryption");
   }
@@ -476,7 +327,7 @@ Status DBImpl::DumpRange(const std::string& dump_dir, const Slice* begin,
   if (!s.ok()) {
     return s;
   }
-  if (raw_env_->FileExists(DumpManifestName(dump_dir))) {
+  if (raw_env_->FileExists(BundleManifestPath(kDumpBundle, dump_dir))) {
     return Status::InvalidArgument("dump_dir already contains a dump",
                                    dump_dir);
   }
@@ -574,7 +425,7 @@ Status DBImpl::DumpRange(const std::string& dump_dir, const Slice* begin,
 
   // Re-wrap each output's DEK for the target identity and record the
   // integrity entries over the final physical bytes.
-  std::vector<DumpFileEntry> entries;
+  std::vector<BundleFileEntry> entries;
   uint64_t total_bytes = 0;
   for (const auto& path : outputs) {
     if (!s.ok()) {
@@ -585,31 +436,16 @@ Status DBImpl::DumpRange(const std::string& dump_dir, const Slice* begin,
     if (!s.ok()) {
       break;
     }
-    DumpFileEntry entry;
+    BundleFileEntry entry;
     entry.name = path.substr(path.rfind('/') + 1);
-    if (shield_mode && !dump_options.target_server_id.empty()) {
-      ShieldFileHeader header;
-      s = ParseShieldFileHeader(contents, &header);
-      if (!s.ok()) {
-        break;
-      }
-      Dek rewrapped;
-      s = dek_manager_->RewrapDek(header.dek_id,
-                                  dump_options.target_server_id, &rewrapped);
-      if (!s.ok()) {
-        break;
-      }
-      entry.old_dek_hex = header.dek_id.ToHex();
-      entry.new_dek_hex = rewrapped.id.ToHex();
-      memcpy(contents.data() + 12, rewrapped.id.bytes.data(), DekId::kSize);
+    s = SealBundleFile(dek_manager_.get(), dump_options.target_server_id,
+                       dump_options.hmac_key, &contents, &entry);
+    if (s.ok() && entry.new_dek_hex != "-") {  // header re-wrapped
       s = WriteStringToFile(raw_env_, contents, path, /*sync=*/true);
-      if (!s.ok()) {
-        break;
-      }
     }
-    entry.size = contents.size();
-    entry.hmac_hex =
-        ToHexString(crypto::HmacSha256(dump_options.hmac_key, contents));
+    if (!s.ok()) {
+      break;
+    }
     total_bytes += contents.size();
     RecordTick(options_.statistics.get(), Tickers::kShieldDumpFiles, 1);
     RecordTick(options_.statistics.get(), Tickers::kShieldDumpBytes,
@@ -622,9 +458,9 @@ Status DBImpl::DumpRange(const std::string& dump_dir, const Slice* begin,
     // (interrupted dump) never verifies and never restores.
     s = WriteStringToFile(
         raw_env_,
-        EncodeDumpManifest(dump_options.target_server_id, entries,
-                           dump_options.hmac_key),
-        DumpManifestName(dump_dir), /*sync=*/true);
+        EncodeBundleManifest(kDumpBundle, dump_options.target_server_id,
+                             entries, dump_options.hmac_key),
+        BundleManifestPath(kDumpBundle, dump_dir), /*sync=*/true);
   }
 
   if (event_logger_ != nullptr) {
@@ -645,8 +481,10 @@ Status DBImpl::DumpRange(const std::string& dump_dir, const Slice* begin,
 Status DB::VerifyDump(const Options& options, const std::string& dump_dir,
                       const RestoreOptions& restore_options) {
   Env* env = options.env != nullptr ? options.env : Env::Default();
-  std::vector<DumpFileEntry> entries;
-  return LoadAndVerifyDump(env, dump_dir, restore_options.hmac_key, &entries);
+  std::vector<BundleFileEntry> entries;
+  return LoadAndVerifyBundle(kDumpBundle, env, dump_dir,
+                             restore_options.hmac_key, &entries,
+                             /*images=*/nullptr);
 }
 
 Status DB::RestoreDump(const Options& options, const std::string& dump_dir,
@@ -656,9 +494,10 @@ Status DB::RestoreDump(const Options& options, const std::string& dump_dir,
 
   // Verify everything BEFORE touching the target: a bad dump never
   // installs a single file.
-  std::vector<DumpFileEntry> entries;
-  Status s =
-      LoadAndVerifyDump(env, dump_dir, restore_options.hmac_key, &entries);
+  std::vector<BundleFileEntry> entries;
+  Status s = LoadAndVerifyBundle(kDumpBundle, env, dump_dir,
+                                 restore_options.hmac_key, &entries,
+                                 /*images=*/nullptr);
   if (!s.ok()) {
     return s;
   }

@@ -1,18 +1,16 @@
-// Online DEK rotation: rewrites live SSTs to fresh DEKs through the
-// table-rewrite path, with progress persisted in the ROTATION manifest
-// after every file so a crash mid-rotation resumes instead of
-// restarting. The old file's DEK is destroyed by garbage collection
-// only after its replacement is durable in the version MANIFEST *and*
-// the step is recorded in the rotation manifest, so no key is ever
-// lost to a crash. Extends the paper's passive rotation-via-compaction
-// (Section 5.2) into an on-demand / scheduled key-lifecycle job.
-
-#include <algorithm>
+// Online DEK rotation: rewrites each live SST to a fresh DEK as a
+// one-file compaction in place at its level, through the same job
+// CompactRange runs (offloaded to the CompactionService when one is
+// set). Progress is persisted in the ROTATION manifest after every
+// file, so a crash mid-rotation resumes instead of restarting. The old
+// file's DEK is destroyed by garbage collection only after its
+// replacement is durable in the version MANIFEST *and* the step is
+// recorded in the rotation manifest, so no key is ever lost to a
+// crash. Extends the paper's passive rotation-via-compaction (Section
+// 5.2) into an on-demand / scheduled key-lifecycle job.
 
 #include "lsm/db_impl.h"
 #include "lsm/file_names.h"
-#include "lsm/sst_builder.h"
-#include "lsm/sst_reader.h"
 #include "util/clock.h"
 #include "util/trace.h"
 
@@ -224,129 +222,33 @@ Status DBImpl::RunRotation(RotationManifest* manifest,
 Status DBImpl::RotateFile(uint64_t number, uint64_t* bytes, bool* skipped) {
   *bytes = 0;
   *skipped = false;
-
-  int level = -1;
-  uint64_t file_size = 0;
-  uint64_t new_number = 0;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    // Exclude compactions: the rewrite swaps version state at this
-    // level, and a concurrent compaction could be merging the very
-    // file being replaced.
-    background_work_finished_signal_.wait(lock, [this] {
-      return (!compaction_scheduled_ && !manual_compaction_running_) ||
-             shutting_down_.load(std::memory_order_acquire);
-    });
-    if (shutting_down_.load(std::memory_order_acquire)) {
-      return Status::IOError("shutting down");
-    }
-    if (!error_handler_.ok()) {
-      return error_handler_.bg_error();
-    }
-    std::vector<Version::LiveFileInfo> files;
-    versions_->current()->GetAllFiles(&files);
-    for (const auto& f : files) {
-      if (f.number == number) {
-        level = f.level;
-        file_size = f.file_size;
-        break;
-      }
-    }
-    if (level < 0) {
-      // Stale manifest entry: the file was compacted away (its DEK
-      // died with it) since the plan was persisted. Nothing to do.
-      *skipped = true;
-      return Status::OK();
-    }
-    manual_compaction_running_ = true;  // keeps compactions out
-    new_number = versions_->NewFileNumber();
-    pending_outputs_.insert(new_number);
-  }
-
-  // Copy every entry into a fresh SST through the normal table-build
-  // path; the SHIELD file factory gives the output a brand-new DEK.
-  // Unlike scrub salvage, rotation runs on healthy files: any read
-  // error aborts the rewrite and the old file stays live.
-  const std::string fname = TableFileName(dbname_, number);
-  Status s;
-  InternalKey smallest, largest;
-  SequenceNumber largest_seq = 0;
-  uint64_t entries = 0;
-  uint64_t new_size = 0;
-  uint64_t new_tail_size = 0;
-  {
-    std::unique_ptr<RandomAccessFile> file;
-    s = files_->NewRandomAccessFile(fname, &file);
-    std::unique_ptr<Table> table;
-    if (s.ok()) {
-      s = Table::Open(options_, &internal_comparator_, fname, std::move(file),
-                      file_size, /*tail_size=*/0, /*block_cache=*/{},
-                      &table);
-    }
-    std::unique_ptr<WritableFile> outfile;
-    if (s.ok()) {
-      s = files_->NewWritableFile(TableFileName(dbname_, new_number),
-                                  FileKind::kSst, &outfile);
-    }
-    if (s.ok()) {
-      auto builder = std::make_unique<TableBuilder>(
-          options_, &internal_comparator_, outfile.get());
-      ReadOptions read_options;
-      read_options.fill_cache = false;
-      std::unique_ptr<Iterator> iter(table->NewIterator(read_options));
-      bool first = true;
-      for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-        const Slice key = iter->key();
-        if (first) {
-          smallest.DecodeFrom(key);
-          first = false;
-        }
-        largest.DecodeFrom(key);
-        largest_seq = std::max(largest_seq, ExtractSequence(key));
-        builder->Add(key, iter->value());
-        entries++;
-      }
-      s = iter->status();
-      if (s.ok()) {
-        s = builder->Finish();
-      } else {
-        builder->Abandon();
-      }
-      new_size = builder->FileSize();
-      new_tail_size = builder->TailSize();
-      builder.reset();
-      if (s.ok()) {
-        s = outfile->Sync();
-      }
-      if (s.ok()) {
-        s = outfile->Close();
-      }
-    }
-  }
-
   std::unique_lock<std::mutex> lock(mutex_);
-  if (s.ok()) {
-    // Swap the rewritten file in at the same level. Level-0 recency is
-    // keyed on largest_seq, which the copy preserves, so ordering
-    // semantics survive the renumbering.
-    VersionEdit edit;
-    edit.RemoveFile(level, number);
-    if (entries > 0) {
-      edit.AddFile(level, new_number, new_size, smallest, largest,
-                   largest_seq, new_tail_size);
-    }
-    s = versions_->LogAndApply(&edit, &mutex_);
-    if (!s.ok() && !s.IsTransient() &&
-        !shutting_down_.load(std::memory_order_acquire)) {
-      // Same hazard as any manifest failure: the version log may be
-      // torn, so it halts the DB through the same path.
-      error_handler_.OnBackgroundError(BackgroundErrorReason::kManifestWrite,
-                                       s);
-    }
+  // Exclude compactions: a concurrent one could be merging the very
+  // file being rewritten.
+  background_work_finished_signal_.wait(lock, [this] {
+    return (!compaction_scheduled_ && !manual_compaction_running_) ||
+           shutting_down_.load(std::memory_order_acquire);
+  });
+  if (shutting_down_.load(std::memory_order_acquire)) {
+    return Status::IOError("shutting down");
   }
-  pending_outputs_.erase(new_number);
+  if (!error_handler_.ok()) {
+    return error_handler_.bg_error();
+  }
+  Compaction* c = versions_->CompactFileInPlace(number);
+  if (c == nullptr) {
+    // Stale manifest entry: the file was compacted away (its DEK
+    // died with it) since the plan was persisted. Nothing to do.
+    *skipped = true;
+    return Status::OK();
+  }
+  const uint64_t file_size = c->input(0, 0)->file_size;
+  // The compaction job, offloaded when a service is set, writes the
+  // output under a fresh DEK. The old file stays on disk until
+  // RunRotation has recorded the step.
+  manual_compaction_running_ = true;
+  Status s = RunManualCompaction(c, /*remove_obsolete_files=*/false);
   if (s.ok()) {
-    table_cache_->Evict(number);
     *bytes = file_size;
   }
   manual_compaction_running_ = false;

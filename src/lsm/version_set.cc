@@ -1096,6 +1096,9 @@ void Compaction::AddInputDeletions(VersionEdit* edit) {
 }
 
 bool Compaction::IsBaseLevelForKey(const Slice& user_key) {
+  if (OverlapsOtherL0File(user_key, user_key)) {
+    return false;
+  }
   const Comparator* user_cmp =
       input_version_->vset_->icmp_->user_comparator();
   const int num_levels = input_version_->vset_->num_levels_;
@@ -1113,6 +1116,24 @@ bool Compaction::IsBaseLevelForKey(const Slice& user_key) {
     }
   }
   return true;
+}
+
+bool Compaction::OverlapsOtherL0File(const Slice& smallest_user_key,
+                                     const Slice& largest_user_key) const {
+  if (output_level_ != 0) {
+    return false;
+  }
+  const Comparator* user_cmp =
+      input_version_->vset_->icmp_->user_comparator();
+  for (FileMetaData* f : input_version_->files_[0]) {
+    if (std::find(inputs_[0].begin(), inputs_[0].end(), f) ==
+            inputs_[0].end() &&
+        user_cmp->Compare(smallest_user_key, f->largest.user_key()) <= 0 &&
+        user_cmp->Compare(largest_user_key, f->smallest.user_key()) >= 0) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void Compaction::ReleaseInputs() {

@@ -217,6 +217,10 @@ class VersionSet {
                                   const InternalKey* end,
                                   uint64_t before_number);
 
+  /// Rewrite, in place at its level, of the live file `number` into
+  /// one output (DEK rotation); nullptr when no level holds it.
+  Compaction* CompactFileInPlace(uint64_t number);
+
   /// A merged iterator over all compaction inputs. Caller deletes.
   Iterator* MakeInputIterator(Compaction* c);
 
@@ -247,8 +251,10 @@ class VersionSet {
                          std::vector<FileMetaData*>* inputs);
   Compaction* PickUniversalCompaction();
   Compaction* PickFifoCompaction();
-  bool SomeOverlap(int level, const Slice& smallest_user_key,
-                   const Slice& largest_user_key);
+  /// True when a file outside `c`'s inputs, at or below its output
+  /// level, may hold older entries in the user-key range.
+  bool DataBelow(const Compaction* c, const Slice& smallest_user_key,
+                 const Slice& largest_user_key);
 
   const std::string dbname_;
   const Options options_;
@@ -314,6 +320,12 @@ class Compaction {
   /// True iff `user_key` cannot exist in levels below the output
   /// level (used to drop tombstones early).
   bool IsBaseLevelForKey(const Slice& user_key);
+
+  /// For a job in place at L0: true when an L0 file outside the inputs
+  /// overlaps the user-key range. Such a file may be older than the
+  /// inputs, so it counts as data below the job. False at other levels.
+  bool OverlapsOtherL0File(const Slice& smallest_user_key,
+                           const Slice& largest_user_key) const;
 
   void ReleaseInputs();
 

@@ -1,5 +1,6 @@
 #include "shield/file_crypto.h"
 
+#include <cassert>
 #include <cstring>
 
 #include "crypto/secure_random.h"
@@ -9,6 +10,8 @@ namespace shield {
 
 namespace {
 constexpr char kMagic[8] = {'S', 'H', 'L', 'D', 'F', 'I', 'L', '1'};
+// magic(8) | version | cipher | nonce_len | reserved, then the DEK-ID.
+constexpr size_t kDekIdOffset = 12;
 }  // namespace
 
 std::string EncodeShieldFileHeader(const ShieldFileHeader& header) {
@@ -18,8 +21,9 @@ std::string EncodeShieldFileHeader(const ShieldFileHeader& header) {
   out[9] = static_cast<char>(header.cipher);
   out[10] = static_cast<char>(header.nonce.size());
   out[11] = 0;  // reserved
-  memcpy(out.data() + 12, header.dek_id.bytes.data(), DekId::kSize);
-  memcpy(out.data() + 12 + DekId::kSize, header.nonce.data(),
+  memcpy(out.data() + kDekIdOffset, header.dek_id.bytes.data(),
+         DekId::kSize);
+  memcpy(out.data() + kDekIdOffset + DekId::kSize, header.nonce.data(),
          header.nonce.size());
   return out;
 }
@@ -51,9 +55,15 @@ Status ParseShieldFileHeader(const Slice& data, ShieldFileHeader* header) {
   }
   header->version = version;
   header->cipher = static_cast<crypto::CipherKind>(data[9]);
-  header->dek_id = DekId::FromSlice(Slice(data.data() + 12, DekId::kSize));
-  header->nonce.assign(data.data() + 12 + DekId::kSize, nonce_len);
+  header->dek_id =
+      DekId::FromSlice(Slice(data.data() + kDekIdOffset, DekId::kSize));
+  header->nonce.assign(data.data() + kDekIdOffset + DekId::kSize, nonce_len);
   return Status::OK();
+}
+
+void SetShieldFileDekId(const DekId& id, std::string* image) {
+  assert(image->size() >= kShieldHeaderSize);
+  memcpy(image->data() + kDekIdOffset, id.bytes.data(), DekId::kSize);
 }
 
 bool LooksLikeShieldFile(const Slice& data) {

@@ -48,6 +48,12 @@ struct ShieldFileHeader {
 std::string EncodeShieldFileHeader(const ShieldFileHeader& header);
 Status ParseShieldFileHeader(const Slice& data, ShieldFileHeader* header);
 
+/// Replaces the DEK-ID in the plaintext header of a SHIELD file image
+/// that ParseShieldFileHeader accepts. Ciphertext and block tags are
+/// keyed from the key material and nonce, not the id, so a re-wrapped
+/// DEK (a new id over the same key) needs nothing else patched.
+void SetShieldFileDekId(const DekId& id, std::string* image);
+
 /// True when `data` begins with the SHIELD file magic. Does NOT
 /// validate the rest of the header: a magic-bearing file that fails
 /// ParseShieldFileHeader is corrupt, not plaintext.

@@ -2,8 +2,10 @@
 //
 // Covers the rotation state machine (fresh plan, bounded pass, crash
 // resume from the ROTATION manifest, stale manifest entries), rotation
-// under injected storage faults, and the backup -> revoke source ->
-// restore-to-new-identity flow against a shadow model.
+// under injected storage faults, rotation as an in-place compaction
+// (local and offloaded), the backup -> revoke source ->
+// restore-to-new-identity flow against a shadow model, and the signed
+// bundle format backups and dumps share.
 
 #include <algorithm>
 #include <map>
@@ -12,10 +14,12 @@
 #include <string>
 #include <vector>
 
+#include "ds/compaction_worker.h"
 #include "env/fault_injection_env.h"
 #include "gtest/gtest.h"
 #include "kds/local_kds.h"
 #include "kds/sim_kds.h"
+#include "lsm/bundle.h"
 #include "lsm/db.h"
 #include "lsm/file_names.h"
 #include "lsm/rotation_manifest.h"
@@ -433,6 +437,127 @@ TEST_F(RotationTest, RotateNotSupportedWithoutShield) {
   EXPECT_TRUE(db->RotateDeks(opts, &result).IsNotSupported());
 }
 
+// Rotation rewrites each file as a one-file compaction in place at its
+// level, run locally or on a RemoteCompactionWorker.
+class RotationJobTest : public RotationTest,
+                        public ::testing::WithParamInterface<bool> {
+ protected:
+  ~RotationJobTest() override { db_.reset(); }  // before the worker goes
+
+  // Opens with every flush left at L0 and, for the offloaded run, the
+  // worker as the compaction service.
+  void OpenAtL0(uint64_t target_file_size_base) {
+    options_ = MakeOptions(env_.get());
+    options_.level0_file_num_compaction_trigger = 1000;
+    options_.target_file_size_base = target_file_size_base;
+    if (GetParam()) {
+      RemoteCompactionWorker::WorkerOptions worker_options;
+      worker_options.env = env_.get();
+      worker_options.db_options = options_;
+      worker_options.db_options.encryption.server_id = "worker";
+      worker_options.server_id = "worker";
+      worker_ = std::make_unique<RemoteCompactionWorker>(worker_options);
+      options_.compaction_service = worker_.get();
+    }
+    Reopen();
+  }
+
+  void Reopen() {
+    db_.reset();
+    DB* db = nullptr;
+    Status s = DB::Open(options_, kDbPath, &db);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    db_.reset(db);
+  }
+
+  std::vector<uint64_t> LiveSstNumbers() {
+    std::vector<std::string> paths;
+    EXPECT_TRUE(db_->GetLiveSstFiles(&paths).ok());
+    std::vector<uint64_t> numbers;
+    for (const std::string& path : paths) {
+      numbers.push_back(
+          strtoull(path.c_str() + path.rfind('/') + 1, nullptr, 10));
+    }
+    std::sort(numbers.begin(), numbers.end());
+    return numbers;
+  }
+
+  std::string FilesAtL0() {
+    std::string n;
+    EXPECT_TRUE(db_->GetProperty("shield.num-files-at-level0", &n));
+    return n;
+  }
+
+  void ExpectRanOnWorker() {
+    if (GetParam()) {
+      EXPECT_GT(worker_->jobs_run(), 0u);
+    }
+  }
+
+  Options options_;
+  std::unique_ptr<RemoteCompactionWorker> worker_;
+};
+
+// The other L0 files count as data below an in-place L0 job: rotating
+// the newest file must keep its tombstone over an older L0 value.
+TEST_P(RotationJobTest, RotatingL0TombstoneKeepsOlderValueDeleted) {
+  OpenAtL0(Options().target_file_size_base);
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", "old").ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->Delete(WriteOptions(), "k").ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  const std::vector<uint64_t> numbers = LiveSstNumbers();
+  ASSERT_EQ(2u, numbers.size());
+  ASSERT_EQ("2", FilesAtL0());
+
+  // Plan only the newest file (the tombstone), as a bounded pass that
+  // persisted it would.
+  RotationManifest manifest;
+  manifest.rotation_id = 1;
+  manifest.pending.push_back(numbers.back());
+  ASSERT_TRUE(manifest.Save(env_.get(), kDbPath).ok());
+  RotateResult result;
+  Status s = db_->RotateDeks(RotateOptions(), &result);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(1u, result.files_rotated);
+  ExpectRanOnWorker();
+
+  std::string value;
+  EXPECT_TRUE(db_->Get(ReadOptions(), "k", &value).IsNotFound()) << value;
+  Reopen();
+  EXPECT_TRUE(db_->Get(ReadOptions(), "k", &value).IsNotFound()) << value;
+}
+
+// One file in gives one file out, even past target_file_size_base.
+TEST_P(RotationJobTest, RotatingLargeL0FileKeepsFileCount) {
+  OpenAtL0(/*target_file_size_base=*/4 * 1024);
+  FillAndFlush(0, 100);
+  FillAndFlush(100, 100);
+  ASSERT_EQ("2", FilesAtL0());
+  for (uint64_t number : LiveSstNumbers()) {
+    uint64_t size = 0;
+    ASSERT_TRUE(
+        env_->GetFileSize(TableFileName(kDbPath, number), &size).ok());
+    ASSERT_GT(size, 2 * options_.target_file_size_base);
+  }
+  const std::set<std::string> before = SstDekIds(env_.get());
+
+  RotateResult result;
+  Status s = db_->RotateDeks(RotateOptions(), &result);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(2u, result.files_rotated);
+  ExpectRanOnWorker();
+  EXPECT_EQ("2", FilesAtL0());
+  ExpectDeksDeleted(before);
+  VerifyAllKeys(db_.get());
+}
+
+INSTANTIATE_TEST_SUITE_P(LocalAndOffloaded, RotationJobTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Offloaded" : "Local";
+                         });
+
 // --- Backup / restore -------------------------------------------------------
 
 class BackupTest : public ::testing::Test {
@@ -506,43 +631,6 @@ TEST_F(BackupTest, RestoreToNewIdentityAfterSourceRevoked) {
   }
 }
 
-TEST_F(BackupTest, TamperedBackupFailsVerificationBeforeAnyWrite) {
-  DB* raw = nullptr;
-  ASSERT_TRUE(DB::Open(MakeOptions("source"), "/src", &raw).ok());
-  std::unique_ptr<DB> db(raw);
-  WriteOptions wopts;
-  for (int i = 0; i < 100; i++) {
-    ASSERT_TRUE(db->Put(wopts, "k" + std::to_string(i), "v").ok());
-  }
-  ASSERT_TRUE(db->Flush().ok());
-  ASSERT_TRUE(db->CreateBackup("/backup", BackupOptions()).ok());
-  db.reset();
-
-  // Flip one byte of a backed-up SST.
-  std::vector<std::string> children;
-  ASSERT_TRUE(env_->GetChildren("/backup", &children).ok());
-  std::string victim;
-  for (const std::string& child : children) {
-    if (child.size() > 4 && child.substr(child.size() - 4) == ".sst") {
-      victim = "/backup/" + child;
-    }
-  }
-  ASSERT_FALSE(victim.empty());
-  std::string contents;
-  ASSERT_TRUE(ReadFileToString(env_.get(), victim, &contents).ok());
-  contents[contents.size() / 2] ^= 0x01;
-  ASSERT_TRUE(
-      WriteStringToFile(env_.get(), contents, victim, /*sync=*/true).ok());
-
-  Options options = MakeOptions("source");
-  RestoreOptions ropts;
-  EXPECT_TRUE(DB::VerifyBackup(options, "/backup", ropts).IsCorruption());
-  EXPECT_TRUE(DB::RestoreBackup(options, "/backup", "/restored", ropts)
-                  .IsCorruption());
-  // Nothing was written: the target directory must not exist as a DB.
-  EXPECT_FALSE(env_->FileExists(CurrentFileName("/restored")));
-}
-
 TEST_F(BackupTest, SecondBackupIntoSameDirRefused) {
   DB* raw = nullptr;
   ASSERT_TRUE(DB::Open(MakeOptions("source"), "/src", &raw).ok());
@@ -566,18 +654,204 @@ TEST_F(BackupTest, RestoreOntoExistingDbRefused) {
                   .IsInvalidArgument());
 }
 
-TEST_F(BackupTest, WrongHmacKeyFailsVerification) {
-  DB* raw = nullptr;
-  ASSERT_TRUE(DB::Open(MakeOptions("source"), "/src", &raw).ok());
-  std::unique_ptr<DB> db(raw);
-  ASSERT_TRUE(db->Put(WriteOptions(), "k", "v").ok());
-  BackupOptions bopts;
-  bopts.hmac_key = "right-key";
-  ASSERT_TRUE(db->CreateBackup("/backup", bopts).ok());
-  db.reset();
+// Backups and dumps are the same signed bundle; both must fail closed.
+class BundleTest : public BackupTest,
+                   public ::testing::WithParamInterface<bool> {
+ protected:
+  bool dump() const { return GetParam(); }
+
+  // Writes a bundle of `db` into `dir`, MAC'd under `hmac_key`.
+  Status WriteBundle(DB* db, const std::string& dir,
+                     const std::string& hmac_key) {
+    if (dump()) {
+      DumpOptions dopts;
+      dopts.hmac_key = hmac_key;
+      return db->DumpRange(dir, nullptr, nullptr, dopts);
+    }
+    BackupOptions bopts;
+    bopts.hmac_key = hmac_key;
+    return db->CreateBackup(dir, bopts);
+  }
+
+  Status VerifyBundle(const std::string& dir, const RestoreOptions& ropts) {
+    return dump() ? DB::VerifyDump(MakeOptions("source"), dir, ropts)
+                  : DB::VerifyBackup(MakeOptions("source"), dir, ropts);
+  }
+
+  Status RestoreBundle(const std::string& dir, const std::string& dbname,
+                       const RestoreOptions& ropts) {
+    return dump()
+               ? DB::RestoreDump(MakeOptions("source"), dir, dbname, ropts)
+               : DB::RestoreBackup(MakeOptions("source"), dir, dbname, ropts);
+  }
+
+  void WriteSourceBundle(const std::string& hmac_key) {
+    DB* raw = nullptr;
+    ASSERT_TRUE(DB::Open(MakeOptions("source"), "/src", &raw).ok());
+    std::unique_ptr<DB> db(raw);
+    for (int i = 0; i < 100; i++) {
+      ASSERT_TRUE(db->Put(WriteOptions(), "k" + std::to_string(i), "v").ok());
+    }
+    ASSERT_TRUE(db->Flush().ok());
+    Status s = WriteBundle(db.get(), "/bundle", hmac_key);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+};
+
+TEST_P(BundleTest, TamperedBundleFailsVerificationBeforeAnyWrite) {
+  WriteSourceBundle(RestoreOptions().hmac_key);
+
+  // Flip one byte of a bundled SST.
+  std::vector<std::string> children;
+  ASSERT_TRUE(env_->GetChildren("/bundle", &children).ok());
+  std::string victim;
+  for (const std::string& child : children) {
+    if (child.size() > 4 && child.substr(child.size() - 4) == ".sst") {
+      victim = "/bundle/" + child;
+    }
+  }
+  ASSERT_FALSE(victim.empty());
+  std::string contents;
+  ASSERT_TRUE(ReadFileToString(env_.get(), victim, &contents).ok());
+  contents[contents.size() / 2] ^= 0x01;
+  ASSERT_TRUE(
+      WriteStringToFile(env_.get(), contents, victim, /*sync=*/true).ok());
+
+  RestoreOptions ropts;
+  EXPECT_TRUE(VerifyBundle("/bundle", ropts).IsCorruption());
+  EXPECT_TRUE(RestoreBundle("/bundle", "/restored", ropts).IsCorruption());
+  // Nothing was written: the target directory must not exist as a DB.
+  EXPECT_FALSE(env_->FileExists(CurrentFileName("/restored")));
+}
+
+TEST_P(BundleTest, WrongHmacKeyFailsVerification) {
+  WriteSourceBundle("right-key");
   RestoreOptions ropts;
   ropts.hmac_key = "wrong-key";
-  EXPECT_FALSE(DB::VerifyBackup(MakeOptions("source"), "/backup", ropts).ok());
+  EXPECT_TRUE(VerifyBundle("/bundle", ropts).IsCorruption());
+  EXPECT_TRUE(RestoreBundle("/bundle", "/restored", ropts).IsCorruption());
+  EXPECT_FALSE(env_->FileExists(CurrentFileName("/restored")));
+  ropts.hmac_key = "right-key";
+  EXPECT_TRUE(VerifyBundle("/bundle", ropts).ok());
+}
+
+TEST_P(BundleTest, TamperedManifestFailsVerification) {
+  WriteSourceBundle(RestoreOptions().hmac_key);
+  const std::string manifest = BundleManifestPath(
+      dump() ? kDumpBundle : kBackupBundle, "/bundle");
+  std::string contents;
+  ASSERT_TRUE(ReadFileToString(env_.get(), manifest, &contents).ok());
+  const size_t target = contents.find("target -\n");
+  ASSERT_NE(std::string::npos, target);
+  contents.replace(target, 8, "target x");
+  ASSERT_TRUE(
+      WriteStringToFile(env_.get(), contents, manifest, /*sync=*/true).ok());
+  EXPECT_TRUE(VerifyBundle("/bundle", RestoreOptions()).IsCorruption());
+}
+
+INSTANTIATE_TEST_SUITE_P(BackupAndDump, BundleTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Dump" : "Backup";
+                         });
+
+// Manifest bytes pinned from an earlier build's backup and dump
+// encoders: bundles already on disk must keep verifying.
+std::vector<BundleFileEntry> GoldenEntries(const std::string& second_name) {
+  std::vector<BundleFileEntry> entries(2);
+  entries[0].name = "000007.sst";
+  entries[0].size = 5;
+  entries[0].hmac_hex =
+      "cba04651b7eec3115394f5c004fc468810a1e21a98cc492fe2bd75cdfce3ce7b";
+  entries[0].old_dek_hex = "00112233445566778899aabbccddeeff";
+  entries[0].new_dek_hex = "ffeeddccbbaa99887766554433221100";
+  entries[1].name = second_name;
+  entries[1].size = 4;
+  entries[1].hmac_hex =
+      "201b6b1a3c5f9fc41694f0459ff880e3d7912d25ca788230c16544775ce8f4f8";
+  return entries;
+}
+
+constexpr char kGoldenKey[] = "golden-key";
+
+TEST(BundleGoldenTest, BackupManifestBytes) {
+  const std::vector<BundleFileEntry> entries =
+      GoldenEntries("CURRENT");
+  EXPECT_EQ(
+      "SHLDBAK1\nformat 1\ntarget target-1\n"
+      "file 000007.sst 5 "
+      "cba04651b7eec3115394f5c004fc468810a1e21a98cc492fe2bd75cdfce3ce7b "
+      "00112233445566778899aabbccddeeff ffeeddccbbaa99887766554433221100\n"
+      "file CURRENT 4 "
+      "201b6b1a3c5f9fc41694f0459ff880e3d7912d25ca788230c16544775ce8f4f8 - -\n"
+      "mac 7410ee91b03015369d1493c4e9246df76848b5268e4184709fc721c7ac9c4b2a\n",
+      EncodeBundleManifest(kBackupBundle, "target-1", entries, kGoldenKey));
+  EXPECT_EQ(
+      "SHLDBAK1\nformat 1\ntarget -\n"
+      "file 000007.sst 5 "
+      "cba04651b7eec3115394f5c004fc468810a1e21a98cc492fe2bd75cdfce3ce7b "
+      "00112233445566778899aabbccddeeff ffeeddccbbaa99887766554433221100\n"
+      "file CURRENT 4 "
+      "201b6b1a3c5f9fc41694f0459ff880e3d7912d25ca788230c16544775ce8f4f8 - -\n"
+      "mac acf085f6bd5fa766dc25992bc8c07131a216698c28a225b402fa3c7375f60623\n",
+      EncodeBundleManifest(kBackupBundle, "", entries, kGoldenKey));
+}
+
+TEST(BundleGoldenTest, DumpManifestBytes) {
+  const std::vector<BundleFileEntry> entries =
+      GoldenEntries("000008.sst");
+  EXPECT_EQ(
+      "SHLDDMP1\nformat 1\ntarget target-1\n"
+      "file 000007.sst 5 "
+      "cba04651b7eec3115394f5c004fc468810a1e21a98cc492fe2bd75cdfce3ce7b "
+      "00112233445566778899aabbccddeeff ffeeddccbbaa99887766554433221100\n"
+      "file 000008.sst 4 "
+      "201b6b1a3c5f9fc41694f0459ff880e3d7912d25ca788230c16544775ce8f4f8 - -\n"
+      "mac 64e1eca162463efee2b2e1c99961d3638ade3c5aa9632f7398b1a95ae9c55582\n",
+      EncodeBundleManifest(kDumpBundle, "target-1", entries, kGoldenKey));
+  EXPECT_EQ(
+      "SHLDDMP1\nformat 1\ntarget -\n"
+      "file 000007.sst 5 "
+      "cba04651b7eec3115394f5c004fc468810a1e21a98cc492fe2bd75cdfce3ce7b "
+      "00112233445566778899aabbccddeeff ffeeddccbbaa99887766554433221100\n"
+      "file 000008.sst 4 "
+      "201b6b1a3c5f9fc41694f0459ff880e3d7912d25ca788230c16544775ce8f4f8 - -\n"
+      "mac a26d8fac41d2cdd9eba826953fa2e5b7b8b4186bba49aa59576d536a8eb1f047\n",
+      EncodeBundleManifest(kDumpBundle, "", entries, kGoldenKey));
+}
+
+// A bundle laid out with the golden manifest verifies, under its own
+// kind only. The files' tags are HMACs of "alpha" and "beta".
+TEST(BundleGoldenTest, GoldenBundlesVerify) {
+  std::unique_ptr<Env> env(NewMemEnv());
+  Options options;
+  options.env = env.get();
+  RestoreOptions ropts;
+  ropts.hmac_key = kGoldenKey;
+  for (const BundleKind* kind : {&kBackupBundle, &kDumpBundle}) {
+    const bool dump = kind == &kDumpBundle;
+    const std::string dir = dump ? "/dump" : "/backup";
+    const std::vector<BundleFileEntry> entries =
+        GoldenEntries(dump ? "000008.sst" : "CURRENT");
+    ASSERT_TRUE(env->CreateDirIfMissing(dir).ok());
+    ASSERT_TRUE(WriteStringToFile(env.get(), "alpha",
+                                  dir + "/" + entries[0].name, true)
+                    .ok());
+    ASSERT_TRUE(WriteStringToFile(env.get(), "beta",
+                                  dir + "/" + entries[1].name, true)
+                    .ok());
+    ASSERT_TRUE(WriteStringToFile(
+                    env.get(),
+                    EncodeBundleManifest(*kind, "target-1", entries,
+                                         kGoldenKey),
+                    BundleManifestPath(*kind, dir), true)
+                    .ok());
+  }
+  EXPECT_TRUE(DB::VerifyBackup(options, "/backup", ropts).ok());
+  EXPECT_TRUE(DB::VerifyDump(options, "/dump", ropts).ok());
+  // Each kind checks its own magic and manifest name.
+  ASSERT_TRUE(env->RenameFile("/dump/DUMP_MANIFEST", "/dump/BACKUP_MANIFEST")
+                  .ok());
+  EXPECT_TRUE(DB::VerifyBackup(options, "/dump", ropts).IsCorruption());
 }
 
 }  // namespace
