@@ -2,6 +2,7 @@
 
 #include "crypto/aes_ctr_kernels.h"
 #include "crypto/ctr_stream.h"
+#include "crypto/ghash.h"
 #include "crypto/sha256.h"
 #include "util/crc32c.h"
 
@@ -22,6 +23,7 @@ const char* CipherKindName(CipherKind kind) {
 
 std::string CryptoDispatch() {
   return std::string("aes-ctr=") + CtrTierName(ActiveCtrTier()) +
+         " ghash=" + GhashTierName(ActiveGhashTier()) +
          " sha256=" + Sha256::Implementation() +
          " crc32c=" + crc32c::Implementation();
 }

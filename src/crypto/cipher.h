@@ -53,8 +53,8 @@ class StreamCipher {
 };
 
 /// The crypto kernel tiers this process runs, for logs and properties:
-/// "aes-ctr=<tier> sha256=<impl> crc32c=<impl>", for example
-/// "aes-ctr=vaes512 sha256=sha-ni crc32c=sse4.2".
+/// "aes-ctr=<tier> ghash=<tier> sha256=<impl> crc32c=<impl>", for
+/// example "aes-ctr=vaes512 ghash=vpclmulqdq sha256=sha-ni crc32c=sse4.2".
 std::string CryptoDispatch();
 
 /// Creates a stream cipher. `key` must be CipherKeySize(kind) bytes and

@@ -10,22 +10,33 @@ namespace shield {
 
 namespace {
 
-// Format v1: CTR ciphertext only. Format v2 ("SHENCFS2") additionally
-// carries per-block/record HMAC tags emitted by sst_builder/log_writer.
-// The magic — not a config knob — decides what readers expect, so v1
-// files written before authentication existed stay readable.
-constexpr char kMagic[8] = {'S', 'H', 'E', 'N', 'C', 'F', 'S', '1'};
-constexpr char kMagicAuth[8] = {'S', 'H', 'E', 'N', 'C', 'F', 'S', '2'};
+// The magic, not a config knob, names a file's format, so files written
+// before authentication existed, or under an older MAC, stay readable:
+// v1 carries CTR ciphertext only, v2 HMAC-SHA256 block/record tags and
+// v3 (what authenticated files are written as) GHASH tags.
+struct Format {
+  char magic[8];
+  crypto::BlockMac mac;
+};
+constexpr Format kFormats[] = {
+    {{'S', 'H', 'E', 'N', 'C', 'F', 'S', '1'}, crypto::BlockMac::kNone},
+    {{'S', 'H', 'E', 'N', 'C', 'F', 'S', '2'}, crypto::BlockMac::kHmacSha256},
+    {{'S', 'H', 'E', 'N', 'C', 'F', 'S', '3'}, crypto::BlockMac::kGhash},
+};
+constexpr size_t kMagicSize = sizeof(Format::magic);
 
 // Header layout within the 4 KiB prologue:
 //   magic(8) | cipher(1) | nonce_len(1) | nonce(<=16) | zero padding
-std::string BuildHeader(crypto::CipherKind cipher, const std::string& nonce,
-                        bool authenticated) {
+std::string BuildHeader(const EncryptedFileParams& params) {
   std::string header(kEncFsHeaderSize, '\0');
-  memcpy(header.data(), authenticated ? kMagicAuth : kMagic, sizeof(kMagic));
-  header[8] = static_cast<char>(cipher);
-  header[9] = static_cast<char>(nonce.size());
-  memcpy(header.data() + 10, nonce.data(), nonce.size());
+  for (const Format& format : kFormats) {
+    if (format.mac == params.mac) {
+      memcpy(header.data(), format.magic, kMagicSize);
+    }
+  }
+  header[8] = static_cast<char>(params.cipher);
+  header[9] = static_cast<char>(params.nonce.size());
+  memcpy(header.data() + 10, params.nonce.data(), params.nonce.size());
   return header;
 }
 
@@ -33,15 +44,17 @@ std::string BuildHeader(crypto::CipherKind cipher, const std::string& nonce,
 // instance cipher and key. Fails closed (CheckHeaderCipher) on a header
 // that names another cipher than the instance key's.
 Status ParseHeader(const Slice& data, EncryptedFileParams* params) {
-  if (data.size() >= sizeof(kMagic) &&
-      memcmp(data.data(), kMagic, sizeof(kMagic)) == 0) {
-    params->authenticated = false;
-  } else if (data.size() >= sizeof(kMagicAuth) &&
-             memcmp(data.data(), kMagicAuth, sizeof(kMagicAuth)) == 0) {
-    params->authenticated = true;
-  } else {
+  const Format* found = nullptr;
+  for (const Format& format : kFormats) {
+    if (data.size() >= kMagicSize &&
+        memcmp(data.data(), format.magic, kMagicSize) == 0) {
+      found = &format;
+    }
+  }
+  if (found == nullptr) {
     return Status::Corruption("not an EncFS file");
   }
+  params->mac = found->mac;
   if (data.size() < kEncFsHeaderSize) {
     return Status::Corruption("truncated EncFS file header");
   }
@@ -77,9 +90,9 @@ class EncryptedEnv final : public EnvWrapper {
     EncryptedFileParams params = InstanceParams();
     params.nonce =
         crypto::SecureRandomString(crypto::CipherNonceSize(cipher_kind_));
-    params.authenticated = authenticate_blocks_;
-    s = base->Append(BuildHeader(cipher_kind_, params.nonce,
-                                 params.authenticated));
+    params.mac = authenticate_blocks_ ? crypto::BlockMac::kGhash
+                                      : crypto::BlockMac::kNone;
+    s = base->Append(BuildHeader(params));
     if (!s.ok()) {
       return s;
     }

@@ -38,11 +38,11 @@ namespace shield {
 /// individually (paying fresh per-operation cipher initialization,
 /// the Section 3.2 bottleneck).
 ///
-/// `authenticate_blocks`: when true, new files are written in format v2
-/// ("SHENCFS2"): their WritableFile exposes a BlockAuthenticator so
-/// sst_builder/log_writer append truncated HMAC-SHA256 tags over each
-/// encrypted block/record (encrypt-then-MAC). Readers auto-detect the
-/// format from the per-file magic, so v1 and v2 files coexist.
+/// `authenticate_blocks`: when true, new files are written in format v3
+/// ("SHENCFS3"): every SST block and log record carries a 16-byte GHASH
+/// tag over its ciphertext (encrypt-then-MAC, crypto/block_auth.h).
+/// Readers auto-detect the format from the per-file magic, so v1, v2
+/// (HMAC-SHA256 tags, "SHENCFS2") and v3 files coexist.
 ///
 /// `stats` (optional; must outlive the Env and every file it opens)
 /// receives crypto.bytes.encrypted/decrypted and per-cipher tickers,

@@ -29,7 +29,7 @@ class SequentialFile {
   virtual Status Skip(uint64_t n) = 0;
 
   /// Non-null when this file carries per-block authentication tags
-  /// (SHIELD/EncFS format v2): log_reader uses it to verify record tags
+  /// (SHIELD/EncFS format v2 or v3): log_reader uses it to verify record tags
   /// against the on-disk ciphertext. The authenticator is owned by the
   /// file and valid for its lifetime. Encrypting files are not always
   /// the outermost layer: a wrapper that may sit above one must forward

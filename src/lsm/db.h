@@ -193,8 +193,9 @@ class DB {
   ///   "shield.scrub-repaired-files", "shield.scrub-quarantined-files",
   ///   "shield.levelstats" (files/bytes per level, one row per level),
   ///   "shield.dek-cache-stats" (hits/misses/evictions/entries),
-  ///   "shield.crypto-dispatch" (AES-CTR, SHA-256 and CRC32C kernel
-  ///   tiers, e.g. "aes-ctr=vaes512 sha256=sha-ni crc32c=sse4.2"),
+  ///   "shield.crypto-dispatch" (AES-CTR, GHASH, SHA-256 and CRC32C
+  ///   kernel tiers, e.g.
+  ///   "aes-ctr=vaes512 ghash=vpclmulqdq sha256=sha-ni crc32c=sse4.2"),
   ///   "shield.rotation-state" ("idle" | "running" | "pending:<n>"),
   ///   "shield.rotation-files-rotated", "shield.dek.pending-deletes",
   ///   "shield.metrics" (Prometheus text exposition of all tickers and
@@ -231,7 +232,7 @@ class DB {
   }
 
   /// Walks every live SST and verifies each block's CRC — and, on
-  /// authenticated files, its HMAC tag — with fresh reads that bypass
+  /// authenticated files, its MAC tag — with fresh reads that bypass
   /// the block cache. Corrupt files are quarantined and, when
   /// Options::scrub_repair is set, repaired from the configured
   /// FileReplicaSource (disaggregated deployments) or salvaged locally.

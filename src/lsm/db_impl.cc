@@ -171,7 +171,7 @@ void DBImpl::SetupInfoLog() {
   w.Add("format_version_base",
         static_cast<uint64_t>(kShieldFormatVersionBase));
   w.Add("format_version_auth",
-        static_cast<uint64_t>(kShieldFormatVersionAuth));
+        static_cast<uint64_t>(kShieldFormatVersionGhash));
   w.Add("encryption_mode", mode);
   w.Add("cipher", crypto::CipherKindName(enc.cipher));
   w.Add("crypto_dispatch", crypto::CryptoDispatch());

@@ -1,5 +1,5 @@
 // The self-healing integrity scrubber: walks the live SSTs verifying
-// every block's CRC (and HMAC tag on authenticated files) with fresh
+// every block's CRC (and MAC tag on authenticated files) with fresh
 // reads, quarantines files that fail, and repairs them — by re-fetching
 // the disaggregated-storage replica when one is configured, by locally
 // salvaging the readable blocks otherwise.

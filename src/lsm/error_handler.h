@@ -106,7 +106,7 @@ class EventListener {
   /// error the DB escalated with.
   virtual void OnErrorRecoveryEnd(const Status& /*final_status*/) {}
 
-  /// The scrubber (or a read) proved a file fails CRC/HMAC
+  /// The scrubber (or a read) proved a file fails CRC/MAC
   /// verification.
   virtual void OnIntegrityViolation(const std::string& /*fname*/,
                                     const Status& /*status*/) {}

@@ -15,10 +15,10 @@ enum RecordType {
   kMiddleType = 3,
   kLastType = 4,
   // Authenticated variants: same fragment semantics as (type - 4), but
-  // the physical record is followed by a 16-byte truncated HMAC tag
-  // computed over header|payload at the record's absolute file offset.
-  // Writers emit these when the destination file carries a block
-  // authenticator (SHIELD header format v2); readers map them back to
+  // the physical record is followed by a 16-byte tag computed over
+  // header|payload at the record's absolute file offset. Writers emit
+  // these when the destination file carries a block authenticator
+  // (header format v2 or v3); readers map them back to
   // the base types after verifying the tag.
   kFullAuthType = 5,
   kFirstAuthType = 6,

@@ -21,7 +21,7 @@ namespace log {
 /// (crash recovery tolerates a torn final record).
 ///
 /// Authenticated record types (written when the file carries a block
-/// authenticator) are verified against their HMAC tag at the record's
+/// authenticator) are verified against their tag at the record's
 /// absolute offset, then mapped back to the base types before being
 /// returned, so callers never see the wire-level distinction.
 class Reader {

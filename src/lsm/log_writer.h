@@ -39,10 +39,11 @@ uint64_t PaddedEnvelopeSize(const std::vector<uint32_t>& buckets, uint64_t n);
 /// plaintext or ciphertext.
 ///
 /// When the destination file exposes a block authenticator (header
-/// format v2), every physical record is emitted as its authenticated
-/// type (base + kAuthTypeOffset) and followed by a 16-byte truncated
-/// HMAC tag over header|payload, keyed from the file DEK and bound to
-/// the record's absolute offset in the file.
+/// format v2 or v3), every physical record is emitted as its
+/// authenticated type (base + kAuthTypeOffset) and followed by a
+/// 16-byte tag over the ciphertext of header|payload, under the file's
+/// MAC (crypto/block_auth.h), keyed from the file key and bound to the
+/// record's absolute offset in the file.
 ///
 /// When padding buckets are configured, every logical record is
 /// wrapped in a `fixed32 real_len | data | zeros` envelope padded up

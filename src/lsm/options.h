@@ -120,11 +120,11 @@ struct EncryptionOptions {
   /// compaction. 1 = synchronous single-threaded encryption.
   int encryption_threads = 1;
 
-  /// Encrypt-then-MAC: append a truncated HMAC-SHA256 tag (keyed from
-  /// the file DEK) to every SST block and WAL/manifest record, verified
-  /// on every read. New files are written in format v2; readers decide
-  /// from each file's header, so flipping this knob never breaks
-  /// existing files. Applies to kEncFS and kShield.
+  /// Encrypt-then-MAC: append a 16-byte GHASH tag (keyed from the file
+  /// key) to every SST block and WAL/manifest record, verified on every
+  /// read. New files are written in format v3; readers decide from each
+  /// file's header, so flipping this knob never breaks existing files.
+  /// Applies to kEncFS and kShield.
   bool authenticate_blocks = true;
 
   /// WAL record padding (leakage countermeasure): when non-empty,

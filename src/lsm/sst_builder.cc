@@ -82,10 +82,10 @@ Status TableBuilder::WriteRawBlock(const Slice& contents,
   crc = crc32c::Extend(crc, trailer, 1);
   EncodeFixed32(trailer + 1, crc32c::Mask(crc));
   // Block and trailer go to the file as one sealed unit. An
-  // authenticated file (SHIELD/EncFS format v2) follows it with a tag
-  // over the unit's ciphertext, pinned to the block's offset. Readers
-  // know the tag is there from the file header, so handles and the
-  // footer keep their classic layout.
+  // authenticated file (SHIELD/EncFS format v2 or v3) follows it with a
+  // tag over the unit's ciphertext, pinned to the block's offset.
+  // Readers know the tag is there from the file header, so handles and
+  // the footer keep their classic layout.
   Status s = file_->AppendSealed(contents, Slice(trailer, kBlockTrailerSize));
   if (s.ok()) {
     offset_ += contents.size() + kBlockTrailerSize;

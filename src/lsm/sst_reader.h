@@ -94,7 +94,7 @@ class Table {
   uint64_t tail_size() const { return tail_size_; }
 
   /// Re-reads every block referenced by the index (bypassing the block
-  /// cache) and verifies its CRC and, on authenticated files, its HMAC
+  /// cache) and verifies its CRC and, on authenticated files, its MAC
   /// tag. Returns the first Corruption encountered. `on_block`, when
   /// set, receives the stored size of each verified block (used by the
   /// scrubber for rate limiting).

@@ -61,7 +61,7 @@ struct BlockContents {
 };
 
 /// Bytes a block takes in `file`: payload, trailer and, on an
-/// authenticated file (header format v2), the tag. Whether the tag is
+/// authenticated file (header format v2 or v3), the tag. Whether the tag is
 /// there is a per-file property, never guessed from content.
 uint64_t StoredBlockSize(const RandomAccessFile* file,
                          const BlockHandle& handle);

@@ -34,15 +34,15 @@ void RecordCryptoBytes(Statistics* stats, crypto::CipherKind kind,
           n);
 }
 
-// Null (and OK) for v1 files. The MAC key derives from the file key and
+// Null (and OK) for v1 files. The MAC keys derive from the file key and
 // nonce, so EncFS files sharing the instance key still get distinct
 // MAC keys.
 Status NewAuthenticator(const EncryptedFileParams& params, Statistics* stats,
                         std::unique_ptr<crypto::BlockAuthenticator>* out) {
-  if (!params.authenticated) {
+  if (params.mac == crypto::BlockMac::kNone) {
     return Status::OK();
   }
-  *out = crypto::NewBlockAuthenticator(params.cipher, params.key,
+  *out = crypto::NewBlockAuthenticator(params.mac, params.cipher, params.key,
                                        params.nonce);
   if (*out == nullptr) {
     return Status::InvalidArgument("cannot build block authenticator");

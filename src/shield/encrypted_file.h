@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 
+#include "crypto/block_auth.h"
 #include "crypto/cipher.h"
 #include "env/env.h"
 #include "env/io_stats.h"
@@ -27,12 +28,12 @@ struct EncryptedFileParams {
   /// Plaintext prologue ahead of logical byte 0 (4 KiB EncFS, 64 B
   /// SHIELD). Random-access reads skip it; sizes hide it.
   uint64_t header_size = 0;
-  /// Format v2: every SST block (a sealed unit, WritableFile::
-  /// AppendSealed) carries a tag over its ciphertext, which
-  /// RandomAccessFile::Unseal checks before decrypting; the file also
-  /// exposes a BlockAuthenticator so the log writer/reader tag WAL and
-  /// manifest records.
-  bool authenticated = false;
+  /// The MAC the header names. Unless kNone (format v1), every SST
+  /// block (a sealed unit, WritableFile::AppendSealed) carries a tag
+  /// over its ciphertext, which RandomAccessFile::Unseal checks before
+  /// decrypting; the file also exposes a BlockAuthenticator so the log
+  /// writer/reader tag WAL and manifest records.
+  crypto::BlockMac mac = crypto::BlockMac::kNone;
 };
 
 /// The fail-closed rule both header codecs apply to their cipher

@@ -40,8 +40,8 @@ Status ParseShieldFileHeader(const Slice& data, ShieldFileHeader* header) {
     return Status::Corruption("truncated SHIELD file header");
   }
   const uint8_t version = static_cast<uint8_t>(data[8]);
-  if (version != kShieldFormatVersionBase &&
-      version != kShieldFormatVersionAuth) {
+  if (version < kShieldFormatVersionBase ||
+      version > kShieldFormatVersionGhash) {
     return Status::NotSupported("unknown SHIELD file version");
   }
   if (data[11] != 0) {
@@ -117,6 +117,18 @@ class PlainFileFactory final : public DataFileFactory {
 
 // --- SHIELD factory --------------------------------------------------
 
+// The MAC of a SHIELD file of a parsed, so known, header version.
+crypto::BlockMac ShieldFileMac(uint8_t version) {
+  switch (version) {
+    case kShieldFormatVersionHmac:
+      return crypto::BlockMac::kHmacSha256;
+    case kShieldFormatVersionGhash:
+      return crypto::BlockMac::kGhash;
+    default:
+      return crypto::BlockMac::kNone;
+  }
+}
+
 // What the encrypted-file core needs of a SHIELD file. The header
 // version, not a config knob, decides tag presence, so version 1 files
 // written before authentication existed keep reading cleanly.
@@ -126,7 +138,7 @@ EncryptedFileParams ShieldFileParams(Dek dek, const ShieldFileHeader& header) {
   params.key = std::move(dek.key);
   params.nonce = header.nonce;
   params.header_size = kShieldHeaderSize;
-  params.authenticated = header.version >= kShieldFormatVersionAuth;
+  params.mac = ShieldFileMac(header.version);
   return params;
 }
 
@@ -159,7 +171,7 @@ class ShieldFileFactory final : public DataFileFactory {
       return s;
     }
     ShieldFileHeader header;
-    header.version = opts_.authenticate_blocks ? kShieldFormatVersionAuth
+    header.version = opts_.authenticate_blocks ? kShieldFormatVersionGhash
                                                : kShieldFormatVersionBase;
     header.cipher = dek.cipher;
     header.dek_id = dek.id;

@@ -27,16 +27,19 @@ namespace shield {
 ///
 /// Version negotiation: version 1 files carry CTR ciphertext only;
 /// version 2 files additionally authenticate every SST block / log
-/// record with a truncated HMAC-SHA256 tag (crypto/block_auth.h).
-/// Readers accept both versions — the header version, not a config
-/// knob, decides whether tags are expected, so pre-tag files stay
-/// readable forever.
+/// record with a truncated HMAC-SHA256 tag, version 3 files with a
+/// GHASH tag (crypto/block_auth.h). Readers accept all three — the
+/// header version, not a config knob, decides which tags are expected,
+/// so pre-tag and v2 files stay readable forever. New files are
+/// written as version 3, or as version 1 with authenticate_blocks off.
 constexpr uint64_t kShieldHeaderSize = 64;
 
 /// CTR encryption only (pre-authentication format).
 constexpr uint8_t kShieldFormatVersionBase = 1;
-/// CTR encryption + per-block HMAC authentication tags.
-constexpr uint8_t kShieldFormatVersionAuth = 2;
+/// CTR encryption + per-block HMAC-SHA256 tags. Read, not written.
+constexpr uint8_t kShieldFormatVersionHmac = 2;
+/// CTR encryption + per-block GHASH tags.
+constexpr uint8_t kShieldFormatVersionGhash = 3;
 
 struct ShieldFileHeader {
   uint8_t version = kShieldFormatVersionBase;

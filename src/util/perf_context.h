@@ -24,7 +24,7 @@ PerfLevel GetPerfLevel();
 /// Thread-local accumulator of per-operation micro-costs. A reader
 /// thread calls GetPerfContext()->Reset() before an operation, then
 /// inspects the fields after: a Get() decomposes into memtable probe,
-/// block reads, decryption, HMAC verification, and (on a DEK-cache
+/// block reads, decryption, block MAC verification, and (on a DEK-cache
 /// miss) KDS wait. The same fields sum — across all threads — to the
 /// matching global Statistics tickers, which is what statistics_test
 /// cross-checks.
@@ -46,6 +46,8 @@ struct PerfContext {
   uint64_t encrypt_micros = 0;
   uint64_t decrypt_bytes = 0;
   uint64_t decrypt_micros = 0;
+  // Block MACs (HMAC-SHA256 or GHASH, whichever the file's format
+  // names): tags produced for writing, tags checked, and time in both.
   uint64_t hmac_compute_count = 0;
   uint64_t hmac_verify_count = 0;
   uint64_t hmac_micros = 0;

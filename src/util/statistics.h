@@ -68,6 +68,9 @@ enum class Tickers : uint32_t {
   kCryptoBytesDecrypted,
   kCryptoAesBytes,
   kCryptoChaCha20Bytes,
+  // Block MACs of either kind (v2 HMAC-SHA256, v3 GHASH): tags produced
+  // for writing, tags checked (a check is not also a computation), and
+  // checks that failed.
   kCryptoHmacComputed,
   kCryptoHmacVerified,
   kCryptoHmacFailures,

@@ -1,10 +1,11 @@
-// Opens golden files written by an older build (tests/format_fixtures/,
-// see make_format_fixtures.cc there) with this build's EncFS and SHIELD
-// readers. Unlike every other test, which reads back what the same
-// build wrote, this one fails if a change to the encrypted-file code
-// moves a single on-disk byte: header layout, CTR offsets, MAC keys,
-// tag placement or WAL padding. It also re-seals the v2 tables through
-// this build's writer and compares the bytes.
+// Opens golden files, each written by the build that introduced its
+// format (tests/format_fixtures/, see make_format_fixtures.cc there),
+// with this build's EncFS and SHIELD readers. Unlike every other test,
+// which reads back what the same build wrote, this one fails if a
+// change to the encrypted-file code moves a single on-disk byte: header
+// layout, CTR offsets, MAC keys, tag placement or WAL padding. It also
+// re-seals the v2 and v3 tables through this build's writer and
+// compares the bytes.
 
 #include <algorithm>
 #include <fstream>
@@ -36,12 +37,16 @@ namespace {
 
 using KeyValues = std::vector<std::pair<std::string, std::string>>;
 
+constexpr crypto::BlockMac kNone = crypto::BlockMac::kNone;
+constexpr crypto::BlockMac kHmac = crypto::BlockMac::kHmacSha256;
+constexpr crypto::BlockMac kGhash = crypto::BlockMac::kGhash;
+
 enum class Stack { kEncFs, kShield };
 
 struct Fixture {
   const char* name;
   Stack stack;
-  bool authenticated;  // format v2
+  crypto::BlockMac mac;  // kNone for format v1
 
   bool is_sst() const { return std::string(name).ends_with(".sst"); }
   uint64_t header_size() const {
@@ -119,6 +124,14 @@ class FormatFixtureTest : public ::testing::TestWithParam<Fixture> {
                : shield_->NewSequentialFile(Name(), file);
   }
 
+  // The file's header must name the fixture's MAC.
+  template <typename File>
+  void ExpectMac(const File& file) {
+    const crypto::BlockAuthenticator* auth = file.block_authenticator();
+    EXPECT_EQ(GetParam().mac, auth == nullptr ? kNone : auth->mac())
+        << GetParam().name;
+  }
+
   // Scans the whole table; returns the first open or iteration error.
   Status ScanTable(KeyValues* out) {
     std::unique_ptr<RandomAccessFile> file;
@@ -126,8 +139,7 @@ class FormatFixtureTest : public ::testing::TestWithParam<Fixture> {
     if (!s.ok()) {
       return s;
     }
-    EXPECT_EQ(GetParam().authenticated,
-              file->block_authenticator() != nullptr);
+    ExpectMac(*file);
     uint64_t size = 0;
     s = file->Size(&size);
     if (!s.ok()) {
@@ -162,8 +174,7 @@ class FormatFixtureTest : public ::testing::TestWithParam<Fixture> {
     if (!s.ok()) {
       return s;
     }
-    EXPECT_EQ(GetParam().authenticated,
-              file->block_authenticator() != nullptr);
+    ExpectMac(*file);
     log::Reader reader(file.get(), &reporter, /*checksum=*/true);
     Slice record;
     std::string scratch;
@@ -176,7 +187,7 @@ class FormatFixtureTest : public ::testing::TestWithParam<Fixture> {
   // The key, nonce and format of the fixture, from its header.
   void HeaderParams(const std::string& header, EncryptedFileParams* params) {
     params->header_size = GetParam().header_size();
-    params->authenticated = GetParam().authenticated;
+    params->mac = GetParam().mac;
     if (GetParam().stack == Stack::kEncFs) {
       params->cipher = crypto::CipherKind::kAes128Ctr;
       params->key = fixture::kEncFsInstanceKey;
@@ -259,14 +270,14 @@ TEST_P(FormatFixtureTest, ReadsExpectedContents) {
     EXPECT_EQ(want, got);
   }
   EXPECT_EQ(0u, stats_->GetTickerCount(Tickers::kCryptoHmacFailures));
-  if (GetParam().authenticated) {
+  if (GetParam().mac != crypto::BlockMac::kNone) {
     EXPECT_GT(stats_->GetTickerCount(Tickers::kCryptoHmacVerified), 0u);
   }
 }
 
 // One flipped ciphertext bit in the first data block or among the first
-// records must surface as Corruption. SST blocks check the HMAC tag
-// before the CRC, so on v2 tables the tag is what catches it; the log
+// records must surface as Corruption. SST blocks check the tag before
+// the CRC, so on v2 and v3 tables the tag is what catches it; the log
 // reader checks a record's CRC first.
 TEST_P(FormatFixtureTest, FlippedCiphertextBitIsCorruption) {
   ASSERT_NO_FATAL_FAILURE(
@@ -275,7 +286,7 @@ TEST_P(FormatFixtureTest, FlippedCiphertextBitIsCorruption) {
   if (GetParam().is_sst()) {
     KeyValues got;
     s = ScanTable(&got);
-    EXPECT_EQ(GetParam().authenticated,
+    EXPECT_EQ(GetParam().mac != crypto::BlockMac::kNone,
               stats_->GetTickerCount(Tickers::kCryptoHmacFailures) > 0);
   } else {
     std::vector<std::string> got;
@@ -286,13 +297,17 @@ TEST_P(FormatFixtureTest, FlippedCiphertextBitIsCorruption) {
 
 INSTANTIATE_TEST_SUITE_P(
     Golden, FormatFixtureTest,
-    ::testing::Values(Fixture{"shield_v1.sst", Stack::kShield, false},
-                      Fixture{"shield_v2.sst", Stack::kShield, true},
-                      Fixture{"shield_v2_padded.log", Stack::kShield, true},
-                      Fixture{"encfs_v1.sst", Stack::kEncFs, false},
-                      Fixture{"encfs_v1.log", Stack::kEncFs, false},
-                      Fixture{"encfs_v2.sst", Stack::kEncFs, true},
-                      Fixture{"encfs_v2.log", Stack::kEncFs, true}),
+    ::testing::Values(Fixture{"shield_v1.sst", Stack::kShield, kNone},
+                      Fixture{"shield_v2.sst", Stack::kShield, kHmac},
+                      Fixture{"shield_v2_padded.log", Stack::kShield, kHmac},
+                      Fixture{"shield_v3.sst", Stack::kShield, kGhash},
+                      Fixture{"shield_v3_padded.log", Stack::kShield, kGhash},
+                      Fixture{"encfs_v1.sst", Stack::kEncFs, kNone},
+                      Fixture{"encfs_v1.log", Stack::kEncFs, kNone},
+                      Fixture{"encfs_v2.sst", Stack::kEncFs, kHmac},
+                      Fixture{"encfs_v2.log", Stack::kEncFs, kHmac},
+                      Fixture{"encfs_v3.sst", Stack::kEncFs, kGhash},
+                      Fixture{"encfs_v3.log", Stack::kEncFs, kGhash}),
     [](const ::testing::TestParamInfo<Fixture>& info) {
       std::string name = info.param.name;
       for (char& c : name) {
@@ -303,10 +318,10 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// Re-seals every block of a v2 table through the sealed write path, at
-// its offset, under the key and nonce of the fixture's header; the rest
-// (the footer) is appended unsealed. The result must be the committed
-// file byte for byte. SHIELD's writer seals in its SST chunk buffer,
+// Re-seals every block of a v2 or v3 table through the sealed write
+// path, at its offset, under the key, nonce and MAC of the fixture's
+// header; the rest (the footer) is appended unsealed. The result must
+// be the committed file byte for byte. SHIELD's writer seals in its SST chunk buffer,
 // EncFS's seals each block in its own encryption operation.
 class FormatResealTest : public FormatFixtureTest {};
 
@@ -374,11 +389,14 @@ TEST_P(FormatResealTest, ResealIsByteIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     Golden, FormatResealTest,
-    ::testing::Values(Fixture{"shield_v2.sst", Stack::kShield, true},
-                      Fixture{"encfs_v2.sst", Stack::kEncFs, true}),
+    ::testing::Values(Fixture{"shield_v2.sst", Stack::kShield, kHmac},
+                      Fixture{"encfs_v2.sst", Stack::kEncFs, kHmac},
+                      Fixture{"shield_v3.sst", Stack::kShield, kGhash},
+                      Fixture{"encfs_v3.sst", Stack::kEncFs, kGhash}),
     [](const ::testing::TestParamInfo<Fixture>& info) {
       return std::string(info.param.stack == Stack::kShield ? "shield"
-                                                            : "encfs");
+                                                            : "encfs") +
+             (info.param.mac == kHmac ? "" : "_v3");
     });
 
 }  // namespace

@@ -1,21 +1,23 @@
-// Writes the golden on-disk fixtures that format_fixture_test reads:
+// Writes golden on-disk fixtures that format_fixture_test reads:
 //
 //   make_format_fixtures <dir>
 //
 // SHIELD (per-file DEKs from fixture::FixtureKds, 64 B header):
-//   shield_v1.sst, shield_v2.sst, shield_v2_padded.log
+//   shield_v1.sst, shield_v3.sst, shield_v3_padded.log
 // EncFS (fixture::kEncFsInstanceKey, 4 KiB header):
-//   encfs_v1.sst, encfs_v1.log, encfs_v2.sst, encfs_v2.log
+//   encfs_v1.sst, encfs_v1.log, encfs_v3.sst, encfs_v3.log
 // and their expected contents: expected_kv.txt (one "key<TAB>value"
 // line per SST entry, in key order) and expected_records.txt (one WAL
 // record per line).
 //
-// v1 files carry CTR ciphertext only; v2 files also carry per-block and
-// per-record HMAC tags. Every file's nonce is random, so each run
-// writes different bytes. The committed fixtures are the output of one
-// run by an older build; regenerating them with the build whose
-// readers they check would prove nothing.
-
+// v1 files carry CTR ciphertext only; v3 files also carry per-block and
+// per-record GHASH tags. Every file's nonce is random, so each run
+// writes different bytes. Each committed fixture is the output of one
+// run by the build that introduced its format: the v1 files and the v2
+// files (HMAC-SHA256 tags, no longer written) by older builds, the v3
+// files by the build that introduced v3. Regenerating a fixture with a
+// later build, whose readers it checks, would prove nothing; copy in
+// only the files of a format the running build introduces.
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -104,14 +106,14 @@ Status WriteShield(Env* env, const std::string& dir) {
   opts.authenticate_blocks = true;
   auto factory = NewShieldFileFactory(env, &dek_manager, opts, nullptr);
   if (s.ok()) {
-    s = factory->NewWritableFile(dir + "/shield_v2.sst", FileKind::kSst,
+    s = factory->NewWritableFile(dir + "/shield_v3.sst", FileKind::kSst,
                                  &file);
   }
   if (s.ok()) {
     s = WriteSst(std::move(file));
   }
   if (s.ok()) {
-    s = factory->NewWritableFile(dir + "/shield_v2_padded.log",
+    s = factory->NewWritableFile(dir + "/shield_v3_padded.log",
                                  FileKind::kWal, &file);
   }
   if (s.ok()) {
@@ -125,7 +127,7 @@ Status WriteEncFs(Env* env, const std::string& dir, bool authenticated) {
   Status s = NewEncryptedEnv(env, crypto::CipherKind::kAes128Ctr,
                              fixture::kEncFsInstanceKey, &encfs,
                              /*wal_buffer_size=*/512, authenticated);
-  const std::string base = dir + (authenticated ? "/encfs_v2" : "/encfs_v1");
+  const std::string base = dir + (authenticated ? "/encfs_v3" : "/encfs_v1");
   std::unique_ptr<WritableFile> file;
   if (s.ok()) {
     s = encfs->NewWritableFile(base + ".sst", &file);

@@ -10,6 +10,7 @@
 
 #include "crypto/aes_ctr_kernels.h"
 #include "crypto/cipher.h"
+#include "crypto/ghash.h"
 #include "gtest/gtest.h"
 #include "kds/local_kds.h"
 #include "lsm/db.h"
@@ -236,6 +237,7 @@ TEST_P(DbModelTest, CryptoDispatchNamesTheActiveTiers) {
   ASSERT_TRUE(db_->GetProperty("shield.crypto-dispatch", &value));
   const std::map<std::string, std::set<std::string>> tiers = {
       {"aes-ctr", {"vaes512", "aes-ni", "portable"}},
+      {"ghash", {"vpclmulqdq", "pclmulqdq", "portable"}},
       {"sha256", {"sha-ni", "portable"}},
       {"crc32c", {"sse4.2", "portable"}}};
   std::istringstream fields(value);
@@ -248,10 +250,12 @@ TEST_P(DbModelTest, CryptoDispatchNamesTheActiveTiers) {
     EXPECT_TRUE(tiers.at(primitive).count(field.substr(eq + 1))) << value;
     named.insert(primitive);
   }
-  EXPECT_EQ(3u, named.size()) << value;
+  EXPECT_EQ(4u, named.size()) << value;
   EXPECT_EQ(crypto::CryptoDispatch(), value);
   EXPECT_EQ(0u, value.find(std::string("aes-ctr=") +
                            crypto::CtrTierName(crypto::ActiveCtrTier()) +
+                           " ghash=" +
+                           crypto::GhashTierName(crypto::ActiveGhashTier()) +
                            " "));
   std::string again;
   ASSERT_TRUE(db_->GetProperty("shield.crypto-dispatch", &again));

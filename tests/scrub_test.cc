@@ -66,6 +66,20 @@ std::vector<std::string> ListSstFiles(Env* env) {
   return ssts;
 }
 
+// The SHIELD header version of each table file in the DB directory.
+std::map<std::string, int> SstVersions(Env* env) {
+  std::map<std::string, int> versions;
+  for (const std::string& sst : ListSstFiles(env)) {
+    ShieldFileHeader header;
+    EXPECT_TRUE(
+        ReadShieldFileHeader(env, std::string(kDbName) + "/" + sst, &header)
+            .ok())
+        << sst;
+    versions[sst] = header.version;
+  }
+  return versions;
+}
+
 // Flips a bit 25% into the physical file: early data blocks, never the
 // footer/index region at the tail.
 void FlipBitInDataRegion(FaultInjectionEnv* fault_env, Env* raw_env,
@@ -209,6 +223,11 @@ TEST_F(ScrubTest, PreAuthTagFilesStillReadable) {
   Open(options);
   WriteAndFlush(300);
   db_.reset();
+  const std::map<std::string, int> v1_files = SstVersions(mem_env_.get());
+  ASSERT_FALSE(v1_files.empty());
+  for (const auto& [sst, version] : v1_files) {
+    EXPECT_EQ(kShieldFormatVersionBase, version) << sst;
+  }
 
   options.encryption.authenticate_blocks = true;
   Open(options);
@@ -221,13 +240,21 @@ TEST_F(ScrubTest, PreAuthTagFilesStillReadable) {
   ASSERT_TRUE(db_->VerifyIntegrity().ok());
   EXPECT_EQ(Property(db_.get(), "scrub-corruptions-detected"), "0");
 
-  // New SSTs written after the upgrade carry tags; both generations
-  // coexist in one tree.
+  // New SSTs written after the upgrade carry tags (format v3); both
+  // generations coexist in one tree.
   for (int i = 300; i < 400; i++) {
     shadow_[TestKey(i)] = TestValue(i);
     ASSERT_TRUE(db_->Put(WriteOptions(), TestKey(i), TestValue(i)).ok());
   }
   ASSERT_TRUE(db_->Flush().ok());
+  int new_files = 0;
+  for (const auto& [sst, version] : SstVersions(mem_env_.get())) {
+    if (v1_files.count(sst) == 0) {
+      EXPECT_EQ(kShieldFormatVersionGhash, version) << sst;
+      new_files++;
+    }
+  }
+  EXPECT_GT(new_files, 0);
   ASSERT_TRUE(db_->VerifyIntegrity().ok());
   ScanAgainstShadow(&matching, &missing, &wrong);
   EXPECT_EQ(matching, 400);
@@ -382,7 +409,7 @@ TEST_F(ScrubTest, CloseDuringThrottledBackgroundPassIsPrompt) {
 
 // --- Sealed SST blocks: one flipped bit, every read path ---------------------
 
-// Where in a format v2 block the bit is flipped: the tag covers the
+// Where in a format v3 block the bit is flipped: the tag covers the
 // ciphertext of payload and trailer, so each must fail its check.
 enum class SealedPart { kPayload, kTrailer, kTag };
 
@@ -396,7 +423,7 @@ void PrintTo(const SealedTamperParam& param, std::ostream* os) {
   *os << param.name;
 }
 
-// A DB under EncFS or SHIELD (format v2) whose table files the tests
+// A DB under EncFS or SHIELD (format v3) whose table files the tests
 // damage on the medium.
 class SealedFileTest : public ::testing::Test {
  protected:
@@ -428,17 +455,24 @@ class SealedFileTest : public ::testing::Test {
   }
 
   // Opens a table file of the DB the way the DB reads it, and gives the
-  // size of its plaintext file header.
+  // size of its plaintext file header. The header must name format v3,
+  // so that the tests cannot silently damage a file of another format.
   void OpenTableFile(const std::string& fname,
                      std::unique_ptr<RandomAccessFile>* file,
                      uint64_t* header_size) {
+    std::string bytes;
+    ASSERT_TRUE(ReadFileToString(env_.get(), fname, &bytes).ok());
     if (mode_ == EncryptionMode::kEncFS) {
+      ASSERT_EQ("SHENCFS3", bytes.substr(0, 8));
       ASSERT_TRUE(NewEncryptedEnv(env_.get(), crypto::CipherKind::kAes128Ctr,
                                   instance_key_, &encfs_)
                       .ok());
       ASSERT_TRUE(encfs_->NewRandomAccessFile(fname, file).ok());
       *header_size = kEncFsHeaderSize;
     } else {
+      ShieldFileHeader header;
+      ASSERT_TRUE(ParseShieldFileHeader(bytes, &header).ok());
+      ASSERT_EQ(kShieldFormatVersionGhash, header.version);
       dek_manager_ = std::make_unique<DekManager>(kds_.get(), "reader",
                                                   nullptr);
       EncryptionOptions opts;
@@ -449,6 +483,7 @@ class SealedFileTest : public ::testing::Test {
       *header_size = kShieldHeaderSize;
     }
     ASSERT_NE(nullptr, (*file)->block_authenticator());
+    ASSERT_EQ(crypto::BlockMac::kGhash, (*file)->block_authenticator()->mac());
   }
 
   // Finds the table's second data block and the first user key of each

@@ -307,6 +307,45 @@ TEST_F(StatisticsDBTest, WritePathPopulatesTickers) {
   EXPECT_NE(std::string::npos, io.find("sst"));
 }
 
+// A read verifies block tags and computes none: a Get-only phase moves
+// crypto.hmac.verified and PerfContext::hmac_verify_count, while the
+// computed count (tags produced for writing) stays put.
+TEST_F(StatisticsDBTest, ReadsVerifyTagsWithoutComputingAny) {
+  Open();
+  const std::string value(100, 'v');
+  constexpr int kKeys = 400;
+  for (int i = 0; i < kKeys; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), Key(i), value).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  db_->WaitForIdle();  // quiesce: no background writes during reads
+
+  Statistics* stats = options_.statistics.get();
+  const uint64_t computed_before =
+      stats->GetTickerCount(Tickers::kCryptoHmacComputed);
+  const uint64_t verified_before =
+      stats->GetTickerCount(Tickers::kCryptoHmacVerified);
+  const PerfLevel saved_level = GetPerfLevel();
+  SetPerfLevel(PerfLevel::kEnableCount);
+  GetPerfContext()->Reset();
+  for (int i = 0; i < kKeys; i++) {
+    std::string result;
+    ASSERT_TRUE(db_->Get(ReadOptions(), Key(i), &result).ok());
+    ASSERT_EQ(value, result);
+  }
+  const uint64_t perf_computed = GetPerfContext()->hmac_compute_count;
+  const uint64_t perf_verified = GetPerfContext()->hmac_verify_count;
+  SetPerfLevel(saved_level);
+  GetPerfContext()->Reset();
+
+  EXPECT_EQ(computed_before,
+            stats->GetTickerCount(Tickers::kCryptoHmacComputed));
+  EXPECT_GE(stats->GetTickerCount(Tickers::kCryptoHmacVerified),
+            verified_before + kKeys);
+  EXPECT_EQ(0u, perf_computed);
+  EXPECT_GE(perf_verified, static_cast<uint64_t>(kKeys));
+}
+
 // Every crypto byte is accounted at one site into both the global
 // ticker and the caller's thread-local PerfContext, so across any set
 // of reader threads: sum(per-thread decrypt_bytes) == ticker delta.
