@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "lsm/format.h"
@@ -12,11 +11,17 @@
 
 namespace shield {
 
-/// One SST input to an offloaded compaction: (file number, logical
-/// size). The worker resolves each file's DEK from the DEK-ID embedded
-/// in the file's own header — no file->key mapping crosses the wire
-/// (the paper's metadata-enabled DEK sharing, Section 5.4).
-using CompactionInput = std::pair<uint64_t, uint64_t>;
+/// One SST input to an offloaded compaction. The worker resolves each
+/// file's DEK from the DEK-ID embedded in the file's own header — no
+/// file->key mapping crosses the wire (the paper's metadata-enabled DEK
+/// sharing, Section 5.4).
+struct CompactionInput {
+  uint64_t number = 0;
+  uint64_t file_size = 0;  // logical size
+  /// FileMetaData::tail_size: the worker opens the table with one tail
+  /// read, as the primary's table cache does.
+  uint64_t tail_size = 0;
+};
 
 /// A compaction job shipped to a remote worker in a disaggregated
 /// setup. Both sides access the same shared storage; only metadata

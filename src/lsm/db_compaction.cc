@@ -1,40 +1,14 @@
 #include <algorithm>
 
+#include "lsm/compaction_job.h"
 #include "lsm/db_impl.h"
 #include "lsm/file_names.h"
-#include "lsm/sst_builder.h"
 #include "util/clock.h"
 #include "util/perf_context.h"
 #include "util/retry.h"
 #include "util/trace.h"
 
 namespace shield {
-
-struct DBImpl::CompactionState {
-  explicit CompactionState(Compaction* c) : compaction(c) {}
-
-  Compaction* const compaction;
-
-  // Sequence number below which overwritten/deleted entries can be
-  // dropped (oldest live snapshot).
-  SequenceNumber smallest_snapshot = 0;
-
-  struct Output {
-    uint64_t number;
-    uint64_t file_size;
-    InternalKey smallest, largest;
-    SequenceNumber largest_seq = 0;
-    uint64_t tail_size = 0;
-  };
-  std::vector<Output> outputs;
-
-  std::unique_ptr<WritableFile> outfile;
-  std::unique_ptr<TableBuilder> builder;
-
-  uint64_t total_bytes = 0;
-
-  Output* current_output() { return &outputs[outputs.size() - 1]; }
-};
 
 void DBImpl::MaybeScheduleFlush() {
   // mutex_ held.
@@ -121,7 +95,6 @@ Status DBImpl::CompactMemTable(BackgroundErrorReason* reason) {
   if (s.ok()) {
     imm_->Unref();
     imm_ = nullptr;
-    has_imm_.store(false, std::memory_order_release);
     RemoveObsoleteFiles();
   }
   return s;
@@ -162,11 +135,7 @@ void DBImpl::BackgroundCompaction() {
       reason = BackgroundErrorReason::kManifestWrite;
     }
   } else {
-    CompactionState compact(c);
-    compact.smallest_snapshot = snapshots_.empty()
-                                    ? versions_->LastSequence()
-                                    : snapshots_.oldest()->sequence();
-    status = DoCompactionWork(&compact, &reason);
+    status = DoCompactionWork(c, &reason);
     c->ReleaseInputs();
     RemoveObsoleteFiles();
   }
@@ -204,102 +173,23 @@ void DBImpl::BackgroundCompaction() {
   background_work_finished_signal_.notify_all();
 }
 
-Status DBImpl::OpenCompactionOutputFile(CompactionState* compact) {
-  assert(compact != nullptr);
-  assert(compact->builder == nullptr);
-  uint64_t file_number;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    file_number = versions_->NewFileNumber();
-    pending_outputs_.insert(file_number);
-    CompactionState::Output out;
-    out.number = file_number;
-    out.file_size = 0;
-    compact->outputs.push_back(out);
-  }
-
-  const std::string fname = TableFileName(dbname_, file_number);
-  Status s = files_->NewWritableFile(fname, FileKind::kSst,
-                                     &compact->outfile);
-  if (s.ok()) {
-    compact->builder = std::make_unique<TableBuilder>(
-        options_, &internal_comparator_, compact->outfile.get());
-  }
-  return s;
-}
-
-Status DBImpl::FinishCompactionOutputFile(CompactionState* compact,
-                                          Iterator* input) {
-  assert(compact != nullptr);
-  assert(compact->outfile != nullptr);
-  assert(compact->builder != nullptr);
-
-  const uint64_t output_number = compact->current_output()->number;
-  assert(output_number != 0);
-
-  Status s = input->status();
-  const uint64_t current_entries = compact->builder->NumEntries();
-  if (s.ok()) {
-    s = compact->builder->Finish();
-  } else {
-    compact->builder->Abandon();
-  }
-  const uint64_t current_bytes = compact->builder->FileSize();
-  compact->current_output()->file_size = current_bytes;
-  compact->current_output()->tail_size = compact->builder->TailSize();
-  compact->total_bytes += current_bytes;
-  compact->builder.reset();
-
-  if (s.ok()) {
-    s = compact->outfile->Sync();
-  }
-  if (s.ok()) {
-    s = compact->outfile->Close();
-  }
-  compact->outfile.reset();
-
-  if (s.ok() && current_entries == 0) {
-    // Empty output; drop it.
-    files_->DeleteFile(TableFileName(dbname_, output_number));
-    std::lock_guard<std::mutex> lock(mutex_);
-    pending_outputs_.erase(output_number);
-    compact->outputs.pop_back();
-  }
-  return s;
-}
-
-Status DBImpl::InstallCompactionResults(CompactionState* compact) {
-  // mutex_ held.
-  compact->compaction->AddInputDeletions(compact->compaction->edit());
-  const int output_level = compact->compaction->output_level();
-  for (const auto& out : compact->outputs) {
-    compact->compaction->edit()->AddFile(
-        output_level, out.number, out.file_size, out.smallest, out.largest,
-        out.largest_seq, out.tail_size);
-  }
-  Status s = versions_->LogAndApply(compact->compaction->edit(), &mutex_);
-  if (s.ok()) {
-    // Unpin only on success. On failure the manifest tail may already
-    // reference the outputs (partially-appended durable edit), so they
-    // must stay pinned — and on disk — until shutdown or a successful
-    // retry.
-    for (const auto& out : compact->outputs) {
-      pending_outputs_.erase(out.number);
-    }
-  }
-  return s;
-}
-
 // Performs the merge locally, or delegates to the configured
-// compaction service (offloaded compaction). Called with mutex_ held;
-// releases it during the heavy work.
-Status DBImpl::DoCompactionWork(CompactionState* compact,
-                                BackgroundErrorReason* reason) {
+// compaction service (offloaded compaction), then installs the
+// outputs. Called with mutex_ held; releases it during the heavy work.
+Status DBImpl::DoCompactionWork(Compaction* c, BackgroundErrorReason* reason) {
   const uint64_t start_micros = NowMicros();
-  Compaction* c = compact->compaction;
+  const SequenceNumber smallest_snapshot =
+      snapshots_.empty() ? versions_->LastSequence()
+                         : snapshots_.oldest()->sequence();
 
   CompactionStats stats;
   stats.count = 1;
+  for (int which = 0; which < 2; which++) {
+    for (int i = 0; i < c->num_input_files(which); i++) {
+      stats.bytes_read +=
+          static_cast<int64_t>(c->input(which, i)->file_size);
+    }
+  }
 
   ScopedTracerBinding trace_binding(&tracer_);
   TraceSpan comp_span(SpanType::kCompactionJob);
@@ -314,261 +204,160 @@ Status DBImpl::DoCompactionWork(CompactionState* compact,
     w.Add("offloaded", options_.compaction_service != nullptr);
     event_logger_->Emit(&w);
   }
-  // Every rewritten output gets a fresh DEK under SHIELD, so
-  // output_files doubles as the DEK-rotation count for the job.
-  auto emit_compaction_end = [this, c](const Status& s, int num_outputs,
-                                       const CompactionStats& cs) {
-    if (event_logger_ == nullptr) {
-      return;
+
+  // The output numbers this job holds in pending_outputs_: the local
+  // merge's outputs, or every number pre-allocated for the worker.
+  std::vector<uint64_t> pinned;
+  std::vector<CompactionOutputMeta> outputs;
+  Status s;
+  bool run_locally = options_.compaction_service == nullptr;
+  if (!run_locally) {
+    s = DoOffloadedCompaction(c, smallest_snapshot, &pinned, &outputs);
+    if (!s.ok()) {
+      // The remote service failed after its retry budget. Its outputs
+      // were never referenced by any manifest edit, so unpin them and
+      // let GC collect partial files.
+      for (const uint64_t number : pinned) {
+        pending_outputs_.erase(number);
+      }
+      pinned.clear();
+      if (!options_.offload_fallback_to_local ||
+          s.IsPermissionDenied() || s.IsCorruption() ||
+          shutting_down_.load(std::memory_order_acquire)) {
+        // Permission and corruption failures are deliberate rejections
+        // (e.g. the KDS revoked the worker after a breach), not
+        // unavailability; retrying the same bytes locally would mask
+        // the alarm, so they always surface to the caller.
+        *reason = BackgroundErrorReason::kOffload;
+      } else {
+        // Fall back to running the same compaction locally: an
+        // unreachable or flaky storage service must not stall the LSM
+        // shape.
+        run_locally = true;
+        offload_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+        if (event_logger_ != nullptr) {
+          JsonWriter w = event_logger_->NewEvent("offload_fallback");
+          w.Add("level", c->level());
+          w.Add("output_level", c->output_level());
+          w.Add("error", s.ToString());
+          event_logger_->Emit(&w);
+        }
+      }
     }
+  }
+
+  if (run_locally) {
+    const bool leveled =
+        options_.compaction_style == CompactionStyle::kLeveled;
+    CompactionJob job;
+    job.options = &options_;
+    job.icmp = &internal_comparator_;
+    job.files = files_.get();
+    job.dbname = dbname_;
+    job.smallest_snapshot = smallest_snapshot;
+    job.max_output_file_size = c->MaxOutputFileSize();
+    job.nothing_below = [c, leveled](const Slice& user_key) {
+      return c->bottommost() || (leveled && c->IsBaseLevelForKey(user_key));
+    };
+    job.new_file_number = [this, &pinned](uint64_t* number) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      *number = versions_->NewFileNumber();
+      pending_outputs_.insert(*number);
+      pinned.push_back(*number);
+      return Status::OK();
+    };
+    job.stop = &shutting_down_;
+
+    mutex_.unlock();
+    std::unique_ptr<Iterator> input(versions_->MakeInputIterator(c));
+    s = job.Run(input.get(), &outputs);
+    input.reset();
+    mutex_.lock();
+  }
+
+  stats.micros = static_cast<int64_t>(NowMicros() - start_micros);
+  for (const CompactionOutputMeta& out : outputs) {
+    stats.bytes_written += static_cast<int64_t>(out.file_size);
+  }
+  stats_[c->output_level()].Add(stats);
+
+  if (s.ok()) {
+    c->AddInputDeletions(c->edit());
+    for (const CompactionOutputMeta& out : outputs) {
+      c->edit()->AddFile(c->output_level(), out);
+    }
+    s = versions_->LogAndApply(c->edit(), &mutex_);
+    if (!s.ok()) {
+      // The manifest tail may already reference the outputs (a
+      // partially-appended durable edit), so they stay pinned — and on
+      // disk — until shutdown or a successful retry.
+      *reason = BackgroundErrorReason::kManifestWrite;
+      pinned.clear();
+    }
+  }
+  // Referenced by the installed version (see WriteLevel0Table for the
+  // race that keeps them pinned until now), or failed before any
+  // manifest write, so GC may collect the partial files: unpin either
+  // way.
+  for (const uint64_t number : pinned) {
+    pending_outputs_.erase(number);
+  }
+
+  const int num_outputs = static_cast<int>(outputs.size());
+  if (s.ok()) {
+    RecordTick(options_.statistics.get(), Tickers::kLsmCompactionBytesRead,
+               static_cast<uint64_t>(stats.bytes_read));
+    RecordTick(options_.statistics.get(), Tickers::kLsmCompactionBytesWritten,
+               static_cast<uint64_t>(stats.bytes_written));
+    MeasureTime(options_.statistics.get(), Histograms::kCompactionMicros,
+                static_cast<uint64_t>(stats.micros));
+    CompactionJobInfo info;
+    info.level = c->level();
+    info.output_level = c->output_level();
+    info.output_files = num_outputs;
+    info.bytes_read = static_cast<uint64_t>(stats.bytes_read);
+    info.bytes_written = static_cast<uint64_t>(stats.bytes_written);
+    info.micros = static_cast<uint64_t>(stats.micros);
+    for (const auto& listener : options_.listeners) {
+      listener->OnCompactionCompleted(info);
+    }
+  }
+  comp_span.MarkStatus(s);
+  if (event_logger_ != nullptr) {
     JsonWriter w = event_logger_->NewEvent("compaction_end");
     w.Add("level", c->level());
     w.Add("output_level", c->output_level());
     w.Add("output_files", num_outputs);
+    // Every rewritten output gets a fresh DEK under SHIELD, so
+    // output_files doubles as the DEK-rotation count for the job.
     if (options_.encryption.mode == EncryptionMode::kShield) {
       w.Add("dek_rotations", num_outputs);
     }
-    w.Add("bytes_read", static_cast<uint64_t>(cs.bytes_read));
-    w.Add("bytes_written", static_cast<uint64_t>(cs.bytes_written));
-    w.Add("micros", static_cast<uint64_t>(cs.micros));
+    w.Add("bytes_read", static_cast<uint64_t>(stats.bytes_read));
+    w.Add("bytes_written", static_cast<uint64_t>(stats.bytes_written));
+    w.Add("micros", static_cast<uint64_t>(stats.micros));
     w.Add("ok", s.ok());
     if (!s.ok()) {
       w.Add("error", s.ToString());
     }
     event_logger_->Emit(&w);
-  };
-
-  // Ticker + listener reporting for an installed compaction. Called
-  // with mutex_ held, after LogAndApply succeeded.
-  auto report_compaction = [this, c](const CompactionStats& cs, int nfiles) {
-    RecordTick(options_.statistics.get(), Tickers::kLsmCompactionBytesRead,
-               static_cast<uint64_t>(cs.bytes_read));
-    RecordTick(options_.statistics.get(), Tickers::kLsmCompactionBytesWritten,
-               static_cast<uint64_t>(cs.bytes_written));
-    MeasureTime(options_.statistics.get(), Histograms::kCompactionMicros,
-                static_cast<uint64_t>(cs.micros));
-    CompactionJobInfo info;
-    info.level = c->level();
-    info.output_level = c->output_level();
-    info.output_files = nfiles;
-    info.bytes_read = static_cast<uint64_t>(cs.bytes_read);
-    info.bytes_written = static_cast<uint64_t>(cs.bytes_written);
-    info.micros = static_cast<uint64_t>(cs.micros);
-    for (const auto& listener : options_.listeners) {
-      listener->OnCompactionCompleted(info);
-    }
-  };
-
-  if (options_.compaction_service != nullptr) {
-    VersionEdit edit;
-    Status s = DoOffloadedCompaction(c, &edit, &stats);
-    if (s.ok()) {
-      s = versions_->LogAndApply(&edit, &mutex_);
-      if (s.ok()) {
-        // Unpin the worker's outputs only after the edit is installed
-        // — see WriteLevel0Table for the race this prevents. On a
-        // manifest failure they stay pinned (the durable tail may
-        // reference them).
-        for (const uint64_t number : offload_pending_outputs_) {
-          pending_outputs_.erase(number);
-        }
-      } else {
-        *reason = BackgroundErrorReason::kManifestWrite;
-      }
-      const int num_outputs =
-          static_cast<int>(offload_pending_outputs_.size());
-      offload_pending_outputs_.clear();
-      stats.micros = static_cast<int64_t>(NowMicros() - start_micros);
-      stats_[c->output_level()].Add(stats);
-      if (s.ok()) {
-        report_compaction(stats, num_outputs);
-      }
-      comp_span.MarkStatus(s);
-      emit_compaction_end(s, num_outputs, stats);
-      return s;
-    }
-    // The remote service failed after its retry budget. Its outputs
-    // were never referenced by any manifest edit, so unpin them and
-    // let GC collect partial files.
-    for (const uint64_t number : offload_pending_outputs_) {
-      pending_outputs_.erase(number);
-    }
-    offload_pending_outputs_.clear();
-    if (!options_.offload_fallback_to_local ||
-        s.IsPermissionDenied() || s.IsCorruption() ||
-        shutting_down_.load(std::memory_order_acquire)) {
-      // Permission and corruption failures are deliberate rejections
-      // (e.g. the KDS revoked the worker after a breach), not
-      // unavailability; retrying the same bytes locally would mask the
-      // alarm, so they always surface to the caller.
-      *reason = BackgroundErrorReason::kOffload;
-      stats.micros = static_cast<int64_t>(NowMicros() - start_micros);
-      stats_[c->output_level()].Add(stats);
-      comp_span.MarkStatus(s);
-      emit_compaction_end(s, 0, stats);
-      return s;
-    }
-    // Fall back to running the same compaction locally: an unreachable
-    // or flaky storage service must not stall the LSM shape.
-    offload_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    if (event_logger_ != nullptr) {
-      JsonWriter w = event_logger_->NewEvent("offload_fallback");
-      w.Add("level", c->level());
-      w.Add("output_level", c->output_level());
-      w.Add("error", s.ToString());
-      event_logger_->Emit(&w);
-    }
-    stats = CompactionStats();
-    stats.count = 1;
   }
-
-  for (int which = 0; which < 2; which++) {
-    for (int i = 0; i < c->num_input_files(which); i++) {
-      stats.bytes_read +=
-          static_cast<int64_t>(c->input(which, i)->file_size);
-    }
-  }
-
-  const bool leveled =
-      options_.compaction_style == CompactionStyle::kLeveled;
-
-  mutex_.unlock();
-
-  std::unique_ptr<Iterator> input(versions_->MakeInputIterator(c));
-  input->SeekToFirst();
-  Status status;
-  ParsedInternalKey ikey;
-  std::string current_user_key;
-  bool has_current_user_key = false;
-  SequenceNumber last_sequence_for_key = kMaxSequenceNumber;
-
-  while (input->Valid() && !shutting_down_.load(std::memory_order_acquire)) {
-    // Give memtable flushes priority: they block writers.
-    if (has_imm_.load(std::memory_order_relaxed)) {
-      mutex_.lock();
-      MaybeScheduleFlush();
-      mutex_.unlock();
-    }
-
-    const Slice key = input->key();
-
-    bool drop = false;
-    if (!ParseInternalKey(key, &ikey)) {
-      // Corrupted key: pass it through so it is not silently lost.
-      current_user_key.clear();
-      has_current_user_key = false;
-      last_sequence_for_key = kMaxSequenceNumber;
-    } else {
-      if (!has_current_user_key ||
-          internal_comparator_.user_comparator()->Compare(
-              ikey.user_key, Slice(current_user_key)) != 0) {
-        // First occurrence of this user key.
-        current_user_key.assign(ikey.user_key.data(), ikey.user_key.size());
-        has_current_user_key = true;
-        last_sequence_for_key = kMaxSequenceNumber;
-      }
-
-      if (last_sequence_for_key <= compact->smallest_snapshot) {
-        // Shadowed by a newer entry for the same user key that every
-        // snapshot can already see.
-        drop = true;
-      } else if (ikey.type == kTypeDeletion &&
-                 ikey.sequence <= compact->smallest_snapshot &&
-                 (c->bottommost() ||
-                  (leveled && c->IsBaseLevelForKey(ikey.user_key)))) {
-        // Tombstone with nothing underneath it to hide.
-        drop = true;
-      }
-
-      last_sequence_for_key = ikey.sequence;
-    }
-
-    if (!drop) {
-      if (compact->builder == nullptr) {
-        status = OpenCompactionOutputFile(compact);
-        if (!status.ok()) {
-          break;
-        }
-      }
-      if (compact->builder->NumEntries() == 0) {
-        compact->current_output()->smallest.DecodeFrom(key);
-      }
-      compact->current_output()->largest.DecodeFrom(key);
-      compact->current_output()->largest_seq = std::max(
-          compact->current_output()->largest_seq, ExtractSequence(key));
-      compact->builder->Add(key, input->value());
-
-      if (compact->builder->FileSize() >= c->MaxOutputFileSize()) {
-        status = FinishCompactionOutputFile(compact, input.get());
-        if (!status.ok()) {
-          break;
-        }
-      }
-    }
-
-    input->Next();
-  }
-
-  if (status.ok() && shutting_down_.load(std::memory_order_acquire)) {
-    status = Status::IOError("deleting DB during compaction");
-  }
-  if (status.ok() && compact->builder != nullptr) {
-    status = FinishCompactionOutputFile(compact, input.get());
-  }
-  if (compact->builder != nullptr) {
-    // Shutdown or an error left an output open. Abandon it; the partial
-    // file stays in `outputs`, which the failure path below unpins.
-    compact->builder->Abandon();
-    compact->builder.reset();
-    compact->outfile->Close();
-    compact->outfile.reset();
-  }
-  if (status.ok()) {
-    status = input->status();
-  }
-  input.reset();
-
-  stats.micros = static_cast<int64_t>(NowMicros() - start_micros);
-  stats.bytes_written += static_cast<int64_t>(compact->total_bytes);
-
-  mutex_.lock();
-  stats_[c->output_level()].Add(stats);
-
-  if (status.ok()) {
-    // InstallCompactionResults unpins the outputs on success and keeps
-    // them pinned on a manifest failure (the durable tail may already
-    // reference them).
-    status = InstallCompactionResults(compact);
-    if (status.ok()) {
-      report_compaction(stats, static_cast<int>(compact->outputs.size()));
-    } else {
-      *reason = BackgroundErrorReason::kManifestWrite;
-    }
-  } else {
-    // Failed before any manifest write: the outputs are unreferenced,
-    // so unpin them and let GC collect the partial files.
-    for (const auto& out : compact->outputs) {
-      pending_outputs_.erase(out.number);
-    }
-  }
-  comp_span.MarkStatus(status);
-  emit_compaction_end(status, static_cast<int>(compact->outputs.size()),
-                      stats);
-  return status;
+  return s;
 }
 
-// Ships the compaction to the remote service and applies its results.
-// mutex_ held on entry/exit; released during the remote call.
-Status DBImpl::DoOffloadedCompaction(Compaction* c, VersionEdit* edit,
-                                     CompactionStats* stats) {
+// Ships the compaction to the remote service. mutex_ held on
+// entry/exit; released during the remote call. Every pre-allocated
+// output number is pinned in pending_outputs_ and listed in *pinned.
+Status DBImpl::DoOffloadedCompaction(Compaction* c,
+                                     SequenceNumber smallest_snapshot,
+                                     std::vector<uint64_t>* pinned,
+                                     std::vector<CompactionOutputMeta>* outputs) {
   CompactionJobSpec job;
   job.dbname = dbname_;
   job.level = c->level();
   job.output_level = c->output_level();
   job.bottommost = c->bottommost();
-  job.smallest_snapshot = snapshots_.empty()
-                              ? versions_->LastSequence()
-                              : snapshots_.oldest()->sequence();
+  job.smallest_snapshot = smallest_snapshot;
   job.max_output_file_size = c->MaxOutputFileSize() == UINT64_MAX
                                  ? 0
                                  : c->MaxOutputFileSize();
@@ -578,11 +367,10 @@ Status DBImpl::DoOffloadedCompaction(Compaction* c, VersionEdit* edit,
     for (int i = 0; i < c->num_input_files(which); i++) {
       const FileMetaData* f = c->input(which, i);
       (which == 0 ? job.inputs0 : job.inputs1)
-          .push_back({f->number, f->file_size});
+          .push_back({f->number, f->file_size, f->tail_size});
       input_bytes += f->file_size;
     }
   }
-  stats->bytes_read += static_cast<int64_t>(input_bytes);
 
   // Pre-allocate output file numbers: worst case one output per
   // target_file_size_base of input, plus slack.
@@ -595,6 +383,7 @@ Status DBImpl::DoOffloadedCompaction(Compaction* c, VersionEdit* edit,
     job.output_numbers.push_back(number);
     pending_outputs_.insert(number);
   }
+  *pinned = job.output_numbers;
 
   if (event_logger_ != nullptr) {
     JsonWriter w = event_logger_->NewEvent("offload_dispatch");
@@ -632,18 +421,8 @@ Status DBImpl::DoOffloadedCompaction(Compaction* c, VersionEdit* edit,
   }
 
   if (s.ok()) {
-    c->AddInputDeletions(edit);
-    for (const auto& out : result.outputs) {
-      InternalKey smallest, largest;
-      smallest.DecodeFrom(out.smallest_internal_key);
-      largest.DecodeFrom(out.largest_internal_key);
-      edit->AddFile(c->output_level(), out.number, out.file_size, smallest,
-                    largest, out.largest_seq, out.tail_size);
-    }
-    stats->bytes_written += static_cast<int64_t>(result.bytes_written);
+    *outputs = std::move(result.outputs);
   }
-  // The caller erases these from pending_outputs_ after LogAndApply.
-  offload_pending_outputs_ = job.output_numbers;
   return s;
 }
 
@@ -652,12 +431,8 @@ Status DBImpl::DoOffloadedCompaction(Compaction* c, VersionEdit* edit,
 // `remove_obsolete_files` the inputs stay on disk for the caller's GC.
 Status DBImpl::RunManualCompaction(Compaction* c, bool remove_obsolete_files) {
   // Manual compactions always rewrite — never trivial-move.
-  CompactionState compact(c);
-  compact.smallest_snapshot = snapshots_.empty()
-                                  ? versions_->LastSequence()
-                                  : snapshots_.oldest()->sequence();
   BackgroundErrorReason reason = BackgroundErrorReason::kCompaction;
-  Status status = DoCompactionWork(&compact, &reason);
+  Status status = DoCompactionWork(c, &reason);
   c->ReleaseInputs();
   if (remove_obsolete_files) {
     RemoveObsoleteFiles();

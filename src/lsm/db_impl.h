@@ -84,7 +84,6 @@ class DBImpl final : public DB {
  private:
   friend class DB;
 
-  struct CompactionState;
   struct LogWriterBatch;
 
   // A queued writer (group commit).
@@ -167,14 +166,10 @@ class DBImpl final : public DB {
   void BackgroundFlush();
   void BackgroundCompaction();
   Status CompactMemTable(BackgroundErrorReason* reason);  // mutex_ held
-  Status DoCompactionWork(CompactionState* compact,
-                          BackgroundErrorReason* reason);
-  Status DoOffloadedCompaction(Compaction* c, VersionEdit* edit,
-                               CompactionStats* stats);
-  Status OpenCompactionOutputFile(CompactionState* compact);
-  Status FinishCompactionOutputFile(CompactionState* compact,
-                                    Iterator* input);
-  Status InstallCompactionResults(CompactionState* compact);
+  Status DoCompactionWork(Compaction* c, BackgroundErrorReason* reason);
+  Status DoOffloadedCompaction(Compaction* c, SequenceNumber smallest_snapshot,
+                               std::vector<uint64_t>* pinned,
+                               std::vector<CompactionOutputMeta>* outputs);
   Status RunManualCompaction(Compaction* c, bool remove_obsolete_files = true);
 
   // Integrity scrubbing (db_scrub.cc).
@@ -309,7 +304,6 @@ class DBImpl final : public DB {
 
   MemTable* mem_ = nullptr;
   MemTable* imm_ = nullptr;  // being flushed
-  std::atomic<bool> has_imm_{false};
 
   std::unique_ptr<WritableFile> logfile_;
   uint64_t logfile_number_ = 0;
@@ -352,9 +346,6 @@ class DBImpl final : public DB {
   // reader still held one of their versions, oldest first. The lease
   // pins the oldest of them, so those readers keep their files.
   std::deque<std::unique_ptr<VersionSet>> retired_versions_;
-  // Output numbers of the in-flight offloaded compaction; unpinned by
-  // DoCompactionWork after the edit is installed.
-  std::vector<uint64_t> offload_pending_outputs_;
 
   std::unique_ptr<ThreadPool> bg_pool_;
   bool flush_scheduled_ = false;

@@ -33,9 +33,9 @@
 #include <vector>
 
 #include "lsm/bundle.h"
+#include "lsm/compaction_job.h"
 #include "lsm/db_impl.h"
 #include "lsm/file_names.h"
-#include "lsm/sst_builder.h"
 #include "lsm/sst_reader.h"
 #include "shield/file_crypto.h"
 
@@ -100,46 +100,31 @@ Status DBImpl::RebuildPlaintextIngest(const std::string& file_path,
   read_options.fill_cache = false;
   std::unique_ptr<Iterator> iter(table->NewIterator(read_options));
 
-  std::unique_ptr<WritableFile> file;
-  s = files_->NewWritableFile(fname, FileKind::kSst, &file);
-  if (!s.ok()) {
-    return s;
-  }
-  TableBuilder builder(options_, &internal_comparator_, file.get());
-  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+  SstOutput out(options_, &internal_comparator_);
+  s = out.Open(files_.get(), fname, /*number=*/0);
+  for (iter->SeekToFirst(); s.ok() && iter->Valid(); iter->Next()) {
     if (iter->key().size() < 8) {
       s = Status::Corruption("ingest source key is not an internal key",
                              file_path);
       break;
     }
-    builder.Add(iter->key(), iter->value());
-    if (!builder.status().ok()) {
-      s = builder.status();
-      break;
-    }
+    s = out.Add(iter->key(), iter->value());
   }
   if (s.ok()) {
     s = iter->status();
   }
-  if (s.ok() && builder.NumEntries() == 0) {
+  if (s.ok() && out.num_entries() == 0) {
     s = Status::InvalidArgument("ingest source table is empty", file_path);
   }
   if (!s.ok()) {
-    builder.Abandon();
     return s;
   }
-  s = builder.Finish();
+  CompactionOutputMeta meta;
+  s = out.Finish(&meta);
   if (s.ok()) {
-    s = file->Sync();
+    *file_size = meta.file_size;
   }
-  if (s.ok()) {
-    s = file->Close();
-  }
-  if (!s.ok()) {
-    return s;
-  }
-  *file_size = builder.FileSize();
-  return Status::OK();
+  return s;
 }
 
 Status DBImpl::InstallIngestedFile(uint64_t file_number, uint64_t file_size,
@@ -357,26 +342,9 @@ Status DBImpl::DumpRange(const std::string& dump_dir, const Slice* begin,
 
   const Comparator* user_cmp = internal_comparator_.user_comparator();
   std::vector<std::string> outputs;
-  std::unique_ptr<WritableFile> file;
-  std::unique_ptr<TableBuilder> builder;
-  uint64_t local_number = 0;
+  SstOutput out(options_, &internal_comparator_);
+  CompactionOutputMeta meta;
   uint64_t total_entries = 0;
-
-  auto finish_current = [&]() -> Status {
-    if (builder == nullptr) {
-      return Status::OK();
-    }
-    Status fs = builder->Finish();
-    if (fs.ok()) {
-      fs = file->Sync();
-    }
-    if (fs.ok()) {
-      fs = file->Close();
-    }
-    builder.reset();
-    file.reset();
-    return fs;
-  };
 
   if (begin != nullptr) {
     iter->Seek(*begin);
@@ -388,37 +356,26 @@ Status DBImpl::DumpRange(const std::string& dump_dir, const Slice* begin,
     if (end != nullptr && user_cmp->Compare(user_key, *end) > 0) {
       break;
     }
-    if (builder == nullptr) {
-      const std::string out = TableFileName(dump_dir, ++local_number);
-      s = files_->NewWritableFile(out, FileKind::kSst, &file);
+    if (!out.is_open()) {
+      const uint64_t number = outputs.size() + 1;
+      outputs.push_back(TableFileName(dump_dir, number));
+      s = out.Open(files_.get(), outputs.back(), number);
       if (!s.ok()) {
         break;
       }
-      builder = std::make_unique<TableBuilder>(options_,
-                                               &internal_comparator_,
-                                               file.get());
-      outputs.push_back(out);
     }
     InternalKey ikey(user_key, dump_seq, kTypeValue);
-    builder->Add(ikey.Encode(), iter->value());
+    s = out.Add(ikey.Encode(), iter->value());
     total_entries++;
-    if (!builder->status().ok()) {
-      s = builder->status();
-      break;
-    }
-    if (builder->FileSize() >= dump_options.max_file_bytes) {
-      s = finish_current();
+    if (s.ok() && out.file_size() >= dump_options.max_file_bytes) {
+      s = out.Finish(&meta);
     }
   }
   if (s.ok()) {
     s = iter->status();
   }
-  if (s.ok()) {
-    s = finish_current();
-  } else if (builder != nullptr) {
-    builder->Abandon();
-    builder.reset();
-    file.reset();
+  if (s.ok() && out.is_open()) {
+    s = out.Finish(&meta);
   }
   iter.reset();
   ReleaseSnapshot(snapshot);

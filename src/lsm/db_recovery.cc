@@ -1,9 +1,9 @@
 #include <algorithm>
 
+#include "lsm/compaction_job.h"
 #include "lsm/db_impl.h"
 #include "lsm/file_names.h"
 #include "lsm/log_reader.h"
-#include "lsm/sst_builder.h"
 #include "util/clock.h"
 #include "util/trace.h"
 
@@ -107,7 +107,7 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
                                 uint64_t* pending_output) {
   *pending_output = 0;
   const uint64_t start_micros = NowMicros();
-  FileMetaData meta;
+  CompactionOutputMeta meta;
   meta.number = versions_->NewFileNumber();
   pending_outputs_.insert(meta.number);
 
@@ -128,48 +128,30 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
   std::unique_ptr<Iterator> iter(mem->NewIterator());
 
   const std::string fname = TableFileName(dbname_, meta.number);
-  std::unique_ptr<WritableFile> file;
-  Status s = files_->NewWritableFile(fname, FileKind::kSst, &file);
+  SstOutput out(options_, &internal_comparator_);
+  Status s = out.Open(files_.get(), fname, meta.number);
   if (!s.ok()) {
     mutex_.lock();
     pending_outputs_.erase(meta.number);
     return s;
   }
-
-  {
-    TableBuilder builder(options_, &internal_comparator_, file.get());
-    iter->SeekToFirst();
-    if (iter->Valid()) {
-      meta.smallest.DecodeFrom(iter->key());
-      Slice key;
-      for (; iter->Valid(); iter->Next()) {
-        key = iter->key();
-        meta.largest_seq = std::max(meta.largest_seq, ExtractSequence(key));
-        builder.Add(key, iter->value());
-      }
-      meta.largest.DecodeFrom(key);
-      s = builder.Finish();
-      meta.file_size = builder.FileSize();
-      meta.tail_size = builder.TailSize();
-    } else {
-      builder.Abandon();
-    }
+  for (iter->SeekToFirst(); s.ok() && iter->Valid(); iter->Next()) {
+    s = out.Add(iter->key(), iter->value());
   }
-  if (s.ok()) {
-    s = file->Sync();
+  if (s.ok() && out.num_entries() > 0) {
+    s = out.Finish(&meta);
+  } else {
+    // An empty memtable (or a failed Add): no table; the file is
+    // deleted below.
+    out.Abandon();
   }
-  if (s.ok()) {
-    s = file->Close();
-  }
-  file.reset();
 
   mutex_.lock();
   if (s.ok() && meta.file_size > 0) {
     // Keep meta.number in pending_outputs_ until the caller has
     // installed the edit (see header comment).
     *pending_output = meta.number;
-    edit->AddFile(0, meta.number, meta.file_size, meta.smallest,
-                  meta.largest, meta.largest_seq, meta.tail_size);
+    edit->AddFile(0, meta);
   } else {
     pending_outputs_.erase(meta.number);
     files_->DeleteFile(fname);

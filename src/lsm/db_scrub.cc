@@ -4,11 +4,9 @@
 // the disaggregated-storage replica when one is configured, by locally
 // salvaging the readable blocks otherwise.
 
-#include <algorithm>
-
+#include "lsm/compaction_job.h"
 #include "lsm/db_impl.h"
 #include "lsm/file_names.h"
-#include "lsm/sst_builder.h"
 #include "lsm/sst_reader.h"
 #include "util/clock.h"
 #include "util/trace.h"
@@ -347,12 +345,9 @@ Status DBImpl::SalvageLocally(int level, uint64_t number,
   // that fail verification are dropped from the live set; their raw
   // bytes survive in the quarantine copy.
   Status s;
-  InternalKey smallest, largest;
-  SequenceNumber largest_seq = 0;
+  CompactionOutputMeta salvaged;
   uint64_t entries = 0;
   uint64_t dropped_blocks = 0;
-  uint64_t new_size = 0;
-  uint64_t new_tail_size = 0;
   {
     std::unique_ptr<RandomAccessFile> file;
     s = files_->NewRandomAccessFile(fname, &file);
@@ -362,40 +357,20 @@ Status DBImpl::SalvageLocally(int level, uint64_t number,
                       file_size, /*tail_size=*/0, /*block_cache=*/{},
                       &table);
     }
-    std::unique_ptr<WritableFile> outfile;
+    SstOutput out(options_, &internal_comparator_);
     if (s.ok()) {
-      s = files_->NewWritableFile(TableFileName(dbname_, new_number),
-                                  FileKind::kSst, &outfile);
+      s = out.Open(files_.get(), TableFileName(dbname_, new_number),
+                   new_number);
     }
     if (s.ok()) {
-      auto builder = std::make_unique<TableBuilder>(
-          options_, &internal_comparator_, outfile.get());
-      bool first = true;
       s = table->SalvageEntries(
           [&](const Slice& key, const Slice& value) {
-            if (first) {
-              smallest.DecodeFrom(key);
-              first = false;
-            }
-            largest.DecodeFrom(key);
-            largest_seq = std::max(largest_seq, ExtractSequence(key));
-            builder->Add(key, value);
-            entries++;
+            out.Add(key, value);  // a failed Add fails the Finish below
           },
           &dropped_blocks);
+      entries = out.num_entries();
       if (s.ok()) {
-        s = builder->Finish();
-      } else {
-        builder->Abandon();
-      }
-      new_size = builder->FileSize();
-      new_tail_size = builder->TailSize();
-      builder.reset();
-      if (s.ok()) {
-        s = outfile->Sync();
-      }
-      if (s.ok()) {
-        s = outfile->Close();
+        s = out.Finish(&salvaged);
       }
     }
   }
@@ -413,8 +388,7 @@ Status DBImpl::SalvageLocally(int level, uint64_t number,
     VersionEdit edit;
     edit.RemoveFile(level, number);
     if (entries > 0) {
-      edit.AddFile(level, new_number, new_size, smallest, largest,
-                   largest_seq, new_tail_size);
+      edit.AddFile(level, salvaged);
     }
     s = versions_->LogAndApply(&edit, &mutex_);
     if (!s.ok() && !s.IsTransient() &&

@@ -376,7 +376,6 @@ Status DBImpl::SwitchMemTable(std::unique_lock<std::mutex>& lock) {
   // replacement is fresh even if closing the old file failed above.
   log_tainted_ = false;
   imm_ = mem_;
-  has_imm_.store(true, std::memory_order_release);
   mem_ = new MemTable(internal_comparator_);
   mem_->Ref();
   MaybeScheduleFlush();

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "lsm/compaction_service.h"
 #include "lsm/format.h"
 #include "util/status.h"
 
@@ -82,6 +83,14 @@ class VersionEdit {
     f.largest_seq = largest_seq;
     f.tail_size = tail_size;
     new_files_.push_back(std::make_pair(level, f));
+  }
+  /// Adds a table an SstOutput (lsm/compaction_job.h) wrote.
+  void AddFile(int level, const CompactionOutputMeta& out) {
+    InternalKey smallest, largest;
+    smallest.DecodeFrom(out.smallest_internal_key);
+    largest.DecodeFrom(out.largest_internal_key);
+    AddFile(level, out.number, out.file_size, smallest, largest,
+            out.largest_seq, out.tail_size);
   }
 
   void RemoveFile(int level, uint64_t number) {

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cmath>
 
+#include "lsm/compaction_job.h"
 #include "lsm/file_names.h"
 #include "lsm/log_reader.h"
 #include "lsm/merger.h"
@@ -1015,13 +1016,7 @@ void VersionSet::GetRange2(const std::vector<FileMetaData*>& inputs1,
 }
 
 Iterator* VersionSet::MakeInputIterator(Compaction* c) {
-  ReadOptions options;
-  options.fill_cache = false;
-  // Compaction scans every input block exactly once in order: the
-  // ideal readahead consumer. Large prefetched spans replace
-  // block-sized round trips (and decrypt in parallel shards under
-  // SHIELD's multi-threaded chunk decryptor).
-  options.readahead_size = options_.compaction_readahead_size;
+  const ReadOptions options = CompactionReadOptions(options_);
 
   // Level-0 files must be iterated individually (they overlap); other
   // levels use a concatenating iterator.

@@ -1,4 +1,9 @@
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <utility>
+#include <vector>
 
 #include "ds/compaction_worker.h"
 #include "ds/network_sim.h"
@@ -6,6 +11,8 @@
 #include "gtest/gtest.h"
 #include "kds/sim_kds.h"
 #include "lsm/db.h"
+#include "lsm/sst_reader.h"
+#include "lsm/table_format.h"
 #include "sim/sim_clock.h"
 #include "test_util.h"
 #include "util/clock.h"
@@ -235,12 +242,16 @@ class OffloadTest : public ::testing::Test {
     return options;
   }
 
-  void StartWorker(const Options& db_options) {
+  // The worker runs on the storage server: by default on its direct
+  // (no network) env.
+  void StartWorker(const Options& db_options, Env* env = nullptr) {
+    if (env == nullptr) {
+      env = service_->server_env();
+    }
     RemoteCompactionWorker::WorkerOptions worker_options;
-    // The worker runs on the storage server: direct (no network) env.
-    worker_options.env = service_->server_env();
+    worker_options.env = env;
     worker_options.db_options = db_options;
-    worker_options.db_options.env = service_->server_env();
+    worker_options.db_options.env = env;
     worker_options.db_options.encryption.server_id = "worker";
     worker_options.server_id = "worker";
     worker_ = std::make_unique<RemoteCompactionWorker>(worker_options);
@@ -334,6 +345,299 @@ TEST_F(OffloadTest, WorkerOnPlaintextDb) {
   EXPECT_GT(worker_->jobs_run(), 0u);
   std::string value;
   ASSERT_TRUE(db->Get(ReadOptions(), "key69", &value).ok());
+}
+
+// Records every physical read of each SST opened through it, with the
+// file's stored size at open.
+class SstReadRecorder : public EnvWrapper {
+ public:
+  struct FileReads {
+    uint64_t stored_size = 0;
+    std::vector<std::pair<uint64_t, size_t>> reads;  // (offset, length)
+  };
+
+  explicit SstReadRecorder(Env* target) : EnvWrapper(target) {}
+
+  Status NewRandomAccessFile(const std::string& fname,
+                             std::unique_ptr<RandomAccessFile>* result) override {
+    Status s = target()->NewRandomAccessFile(fname, result);
+    if (s.ok() && fname.size() > 4 &&
+        fname.compare(fname.size() - 4, 4, ".sst") == 0) {
+      std::lock_guard<std::mutex> lock(mu_);
+      FileReads* file = &files_[fname];
+      EXPECT_TRUE(target()->GetFileSize(fname, &file->stored_size).ok());
+      result->reset(new File(std::move(*result), this, file));
+    }
+    return s;
+  }
+
+  std::map<std::string, FileReads> files() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return files_;
+  }
+
+ private:
+  class File : public RandomAccessFile {
+   public:
+    File(std::unique_ptr<RandomAccessFile> base, SstReadRecorder* env,
+         FileReads* reads)
+        : base_(std::move(base)), env_(env), reads_(reads) {}
+    Status Read(uint64_t offset, size_t n, Slice* result,
+                char* scratch) const override {
+      {
+        std::lock_guard<std::mutex> lock(env_->mu_);
+        reads_->reads.emplace_back(offset, n);
+      }
+      return base_->Read(offset, n, result, scratch);
+    }
+    Status Size(uint64_t* size) const override { return base_->Size(size); }
+
+   private:
+    std::unique_ptr<RandomAccessFile> base_;
+    SstReadRecorder* const env_;
+    FileReads* const reads_;
+  };
+
+  mutable std::mutex mu_;
+  std::map<std::string, FileReads> files_;
+};
+
+TEST_F(OffloadTest, WorkerOpensInputsWithOneTailRead) {
+  Options options = DbOptions();
+  options.level0_file_num_compaction_trigger = 1000;  // CompactRange only
+  options.write_buffer_size = 1 << 20;  // one table per Flush
+  SstReadRecorder recorder(service_->server_env());
+  StartWorker(options, &recorder);
+  options.compaction_service = worker_.get();
+
+  DB* raw_db = nullptr;
+  ASSERT_TRUE(DB::Open(options, "/dsdb", &raw_db).ok());
+  std::unique_ptr<DB> db(raw_db);
+  for (int table = 0; table < 3; table++) {
+    for (int i = 0; i < 1000; i++) {
+      ASSERT_TRUE(db->Put(WriteOptions(), "key" + std::to_string(1000 + i),
+                          std::string(100, static_cast<char>('a' + table)))
+                      .ok());
+    }
+    ASSERT_TRUE(db->Flush().ok());
+  }
+  ASSERT_TRUE(db->CompactRange(nullptr, nullptr).ok());
+  ASSERT_EQ(1u, worker_->jobs_run());
+
+  // The worker opened the three flushed tables and nothing else.
+  const auto files = recorder.files();
+  ASSERT_EQ(3u, files.size());
+  for (const auto& [fname, file] : files) {
+    SCOPED_TRACE(fname);
+    const auto& reads = file.reads;
+    // The open reads the SHIELD header, then the whole tail in one read
+    // that ends at the end of the file.
+    ASSERT_GE(reads.size(), 3u);
+    EXPECT_EQ(0u, reads[0].first);
+    EXPECT_EQ(kShieldHeaderSize, reads[0].second);
+    EXPECT_EQ(file.stored_size, reads[1].first + reads[1].second);
+    EXPECT_GT(reads[1].second, Footer::kEncodedLength);
+    // The scan reads the data blocks through the compaction readahead:
+    // far fewer reads than the table has 4 KiB blocks.
+    const uint64_t data_bytes = reads[1].first - kShieldHeaderSize;
+    EXPECT_LT(reads.size() - 2, data_bytes / options.block_size / 2);
+  }
+}
+
+// --- One compaction job on both paths -----------------------------------------
+
+// Two plaintext DBs over one MemEnv: one compacts locally, the other
+// offloads every compaction to a RemoteCompactionWorker. Background
+// compactions stay out (only CompactRange compacts), so given the same
+// writes both run the same jobs.
+class CompactionPathsTest : public ::testing::Test {
+ protected:
+  CompactionPathsTest() : env_(NewMemEnv()) {
+    RemoteCompactionWorker::WorkerOptions worker_options;
+    worker_options.env = env_.get();
+    worker_options.db_options = DbOptions();
+    worker_ = std::make_unique<RemoteCompactionWorker>(worker_options);
+  }
+
+  Options DbOptions() {
+    Options options;
+    options.env = env_.get();
+    options.write_buffer_size = 64 * 1024;
+    options.target_file_size_base = 32 * 1024;
+    options.level0_file_num_compaction_trigger = 1000;
+    options.level0_slowdown_writes_trigger = 1000;
+    options.level0_stop_writes_trigger = 1000;
+    return options;
+  }
+
+  std::unique_ptr<DB> Open(const std::string& name, bool offload) {
+    Options options = DbOptions();
+    if (offload) {
+      options.compaction_service = worker_.get();
+    }
+    DB* db = nullptr;
+    const Status s = DB::Open(options, name, &db);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return std::unique_ptr<DB>(db);
+  }
+
+  struct Output {
+    std::string smallest, largest;  // internal keys
+    std::vector<std::pair<std::string, std::string>> entries;
+    std::string bytes;
+  };
+
+  // Every live SST, in key order.
+  std::vector<Output> LiveOutputs(DB* db) {
+    std::vector<std::string> paths;
+    EXPECT_TRUE(db->GetLiveSstFiles(&paths).ok());
+    const InternalKeyComparator icmp(BytewiseComparator());
+    std::vector<Output> outputs;
+    for (const std::string& path : paths) {
+      Output out;
+      EXPECT_TRUE(ReadFileToString(env_.get(), path, &out.bytes).ok());
+      std::unique_ptr<RandomAccessFile> file;
+      EXPECT_TRUE(env_->NewRandomAccessFile(path, &file).ok());
+      std::unique_ptr<Table> table;
+      const Status s = Table::Open(DbOptions(), &icmp, path, std::move(file),
+                                   out.bytes.size(), /*tail_size=*/0,
+                                   /*block_cache=*/{}, &table);
+      EXPECT_TRUE(s.ok()) << path << ": " << s.ToString();
+      if (!s.ok()) {
+        continue;
+      }
+      std::unique_ptr<Iterator> it(table->NewIterator(ReadOptions()));
+      for (it->SeekToFirst(); it->Valid(); it->Next()) {
+        out.entries.emplace_back(it->key().ToString(), it->value().ToString());
+      }
+      EXPECT_TRUE(it->status().ok());
+      EXPECT_FALSE(out.entries.empty()) << path;
+      if (!out.entries.empty()) {
+        out.smallest = out.entries.front().first;
+        out.largest = out.entries.back().first;
+      }
+      outputs.push_back(std::move(out));
+    }
+    std::sort(outputs.begin(), outputs.end(),
+              [&icmp](const Output& a, const Output& b) {
+                return icmp.Compare(a.smallest, b.smallest) < 0;
+              });
+    return outputs;
+  }
+
+  static std::vector<std::string> FilesPerLevel(DB* db) {
+    std::vector<std::string> counts;
+    for (int level = 0; level < Options().num_levels; level++) {
+      std::string count;
+      EXPECT_TRUE(db->GetProperty(
+          "shield.num-files-at-level" + std::to_string(level), &count));
+      counts.push_back(count);
+    }
+    return counts;
+  }
+
+  size_t SstFilesInDir(const std::string& name) {
+    std::vector<std::string> children;
+    EXPECT_TRUE(env_->GetChildren(name, &children).ok());
+    return std::count_if(children.begin(), children.end(),
+                         [](const std::string& child) {
+                           return child.size() > 4 &&
+                                  child.compare(child.size() - 4, 4, ".sst") ==
+                                      0;
+                         });
+  }
+
+  std::unique_ptr<Env> env_;
+  std::unique_ptr<RemoteCompactionWorker> worker_;
+};
+
+// A seeded mix of overwrites and deletes, with a snapshot held from the
+// middle of the first round, compacted twice: the second CompactRange
+// merges new L0 data into the bottom level and rewrites the rest in
+// place. Both paths must leave the same tables.
+TEST_F(CompactionPathsTest, LocalAndOffloadedJobsWriteTheSameTables) {
+  std::vector<Output> results[2];
+  std::vector<std::string> levels[2];
+  for (const bool offload : {false, true}) {
+    SCOPED_TRACE(offload ? "offloaded" : "local");
+    std::unique_ptr<DB> db = Open(offload ? "/offload" : "/local", offload);
+    ASSERT_NE(nullptr, db);
+    Random rnd(301);
+    const Snapshot* snapshot = nullptr;
+    for (int round = 0; round < 2; round++) {
+      for (int i = 0; i < 3000; i++) {
+        const std::string key = "key" + std::to_string(1000 + rnd.Uniform(800));
+        if (rnd.Uniform(4) == 0) {
+          ASSERT_TRUE(db->Delete(WriteOptions(), key).ok());
+        } else {
+          ASSERT_TRUE(db->Put(WriteOptions(), key,
+                              std::string(100 + rnd.Uniform(100),
+                                          static_cast<char>('a' + i % 26)))
+                          .ok());
+        }
+        if (round == 0 && i == 1500) {
+          snapshot = db->GetSnapshot();
+        }
+      }
+      ASSERT_TRUE(db->CompactRange(nullptr, nullptr).ok());
+    }
+    results[offload] = LiveOutputs(db.get());
+    levels[offload] = FilesPerLevel(db.get());
+    db->ReleaseSnapshot(snapshot);
+  }
+  EXPECT_GT(worker_->jobs_run(), 0u);
+
+  const std::vector<Output>& local = results[0];
+  const std::vector<Output>& offloaded = results[1];
+  EXPECT_EQ(levels[0], levels[1]);
+  ASSERT_GE(local.size(), 3u);
+  ASSERT_EQ(local.size(), offloaded.size());
+  for (size_t i = 0; i < local.size(); i++) {
+    SCOPED_TRACE("output " + std::to_string(i));
+    EXPECT_EQ(local[i].smallest, offloaded[i].smallest);
+    EXPECT_EQ(local[i].largest, offloaded[i].largest);
+    EXPECT_EQ(local[i].entries, offloaded[i].entries);
+    EXPECT_TRUE(local[i].bytes == offloaded[i].bytes);
+  }
+
+  // The mix reached both drop rules' exceptions: the snapshot kept
+  // shadowed versions and the tombstones that hide older values.
+  size_t tombstones = 0, shadowed = 0;
+  std::string previous_user_key;
+  for (const Output& out : local) {
+    for (const auto& [key, value] : out.entries) {
+      ParsedInternalKey ikey;
+      ASSERT_TRUE(ParseInternalKey(key, &ikey));
+      tombstones += ikey.type == kTypeDeletion;
+      shadowed += ikey.user_key == Slice(previous_user_key);
+      previous_user_key = ikey.user_key.ToString();
+    }
+  }
+  EXPECT_GT(tombstones, 0u);
+  EXPECT_GT(shadowed, 0u);
+}
+
+// A job whose every entry is dropped opens no output: no table is
+// installed and no file is left behind.
+TEST_F(CompactionPathsTest, JobThatDropsEverythingLeavesNothing) {
+  for (const bool offload : {false, true}) {
+    SCOPED_TRACE(offload ? "offloaded" : "local");
+    const std::string name = offload ? "/offload" : "/local";
+    std::unique_ptr<DB> db = Open(name, offload);
+    ASSERT_NE(nullptr, db);
+    ASSERT_TRUE(db->Put(WriteOptions(), "doomed", "value").ok());
+    ASSERT_TRUE(db->Delete(WriteOptions(), "doomed").ok());
+    const uint64_t jobs_before = worker_->jobs_run();
+    ASSERT_TRUE(db->CompactRange(nullptr, nullptr).ok());
+    EXPECT_EQ(offload ? jobs_before + 1 : jobs_before, worker_->jobs_run());
+
+    std::vector<std::string> live;
+    ASSERT_TRUE(db->GetLiveSstFiles(&live).ok());
+    EXPECT_TRUE(live.empty());
+    EXPECT_EQ(0u, SstFilesInDir(name));
+    std::string value;
+    EXPECT_TRUE(db->Get(ReadOptions(), "doomed", &value).IsNotFound());
+  }
 }
 
 // --- Read-only instances ----------------------------------------------------------
