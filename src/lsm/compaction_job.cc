@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "lsm/file_names.h"
 
@@ -55,7 +56,7 @@ Status SstOutput::Finish(CompactionOutputMeta* meta) {
     s = file_->Close();
   }
   file_.reset();
-  *meta = meta_;
+  *meta = std::move(meta_);
   return s;
 }
 
@@ -139,7 +140,7 @@ Status CompactionJob::Run(Iterator* input,
     if (s.ok() && out.file_size() >= max_output_file_size) {
       s = out.Finish(&meta);
       if (s.ok()) {
-        outputs->push_back(meta);
+        outputs->push_back(std::move(meta));
       }
     }
     if (!s.ok()) {
@@ -156,7 +157,7 @@ Status CompactionJob::Run(Iterator* input,
   if (s.ok() && out.is_open()) {
     s = out.Finish(&meta);
     if (s.ok()) {
-      outputs->push_back(meta);
+      outputs->push_back(std::move(meta));
     }
   }
   // Shutdown or an error may have left an output open: the destructor
