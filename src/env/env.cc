@@ -50,6 +50,18 @@ Status WriteStringToFile(Env* env, const Slice& data, const std::string& fname,
   return s;
 }
 
+Status ReplaceFileAtomically(Env* env, const Slice& data,
+                             const std::string& tmp, const std::string& fname) {
+  Status s = WriteStringToFile(env, data, tmp, /*sync=*/true);
+  if (s.ok()) {
+    s = env->RenameFile(tmp, fname);
+  }
+  if (!s.ok()) {
+    env->RemoveFile(tmp);
+  }
+  return s;
+}
+
 Status ReadFileToString(Env* env, const std::string& fname, std::string* data) {
   data->clear();
   std::unique_ptr<SequentialFile> file;

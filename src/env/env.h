@@ -214,6 +214,11 @@ std::unique_ptr<Env> NewMemEnv();
 
 Status WriteStringToFile(Env* env, const Slice& data, const std::string& fname,
                          bool sync);
+/// Replaces `fname` with `data` atomically: writes and syncs `tmp`, then
+/// renames it over `fname`, so a reader sees the old contents or the
+/// new, never a torn file. `tmp` is removed on any failure.
+Status ReplaceFileAtomically(Env* env, const Slice& data,
+                             const std::string& tmp, const std::string& fname);
 Status ReadFileToString(Env* env, const std::string& fname, std::string* data);
 
 }  // namespace shield

@@ -203,13 +203,8 @@ Status SecureDekCache::Persist() {
   file.append(crypto::HmacSha256(mac_key, file));
 
   // Write-then-rename for atomicity against crashes mid-persist.
-  const std::string tmp = path_ + ".tmp";
   return RunWithRetry(CacheIoRetryPolicy(), [&] {
-    Status ws = WriteStringToFile(env_, file, tmp, /*sync=*/true);
-    if (!ws.ok()) {
-      return ws;
-    }
-    return env_->RenameFile(tmp, path_);
+    return ReplaceFileAtomically(env_, file, path_ + ".tmp", path_);
   });
 }
 

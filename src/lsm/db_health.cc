@@ -1,6 +1,7 @@
 // Cluster health plane: detector registration, catch-up lag probes and
-// the labeled-gauge refresh behind the "shield.metrics" property
-// (util/health.h has the state machine, util/metrics.h the registry).
+// the DB's own gauge families in the "shield.metrics" property
+// (util/health.h has the state machine, util/metrics.h the text
+// encoders).
 
 #include <algorithm>
 #include <memory>
@@ -24,6 +25,29 @@ constexpr uint64_t kStallCriticalMicros = 1 * 1000 * 1000;
 // warm-up an open table stays open, so misses are new files only.
 constexpr double kTableCacheMissWarnRatio = 0.1;
 constexpr uint64_t kTableCacheMinLookups = 1000;
+
+/// Reads the manifest position the primary last published: the
+/// descriptor CURRENT names and that descriptor's size. Returns OK
+/// with `*published` false while CURRENT is mid-publish (no trailing
+/// newline yet) or names no descriptor.
+Status ReadPublishedManifest(Env* env, const std::string& dbname,
+                             bool* published, ManifestPosition* pos) {
+  *published = false;
+  std::string current;
+  Status s = ReadFileToString(env, CurrentFileName(dbname), &current);
+  if (!s.ok() || current.empty() || current.back() != '\n') {
+    return s;
+  }
+  current.resize(current.size() - 1);
+  DbFileType type;
+  if (!ParseFileName(current, &pos->manifest_number, &type) ||
+      type != DbFileType::kDescriptorFile) {
+    return Status::OK();
+  }
+  s = env->GetFileSize(dbname + "/" + current, &pos->offset);
+  *published = s.ok();
+  return s;
+}
 
 }  // namespace
 
@@ -250,42 +274,29 @@ Status DBImpl::ComputeCatchupLag(uint64_t* lag_bytes,
   if (!read_only_ || files_ == nullptr) {
     return Status::OK();
   }
-  Env* env = files_->env();
-  std::string current;
-  Status s = ReadFileToString(env, CurrentFileName(dbname_), &current);
-  if (!s.ok()) {
-    return s;
-  }
-  if (current.empty() || current.back() != '\n') {
-    // The primary is mid-publish; report no measurable lag this probe.
-    return Status::OK();
-  }
-  current.resize(current.size() - 1);
-  uint64_t number = 0;
-  DbFileType type;
-  if (!ParseFileName(current, &number, &type) ||
-      type != DbFileType::kDescriptorFile) {
-    return Status::OK();
-  }
-  uint64_t size = 0;
-  s = env->GetFileSize(dbname_ + "/" + current, &size);
-  if (!s.ok()) {
+  bool published = false;
+  ManifestPosition pos;
+  Status s = ReadPublishedManifest(files_->env(), dbname_, &published, &pos);
+  if (!s.ok() || !published) {
+    // Unreachable storage is the error; a primary mid-publish is no
+    // measurable lag this probe.
     return s;
   }
   const uint64_t applied =
       catchup_applied_manifest_.load(std::memory_order_acquire);
   const uint64_t applied_bytes =
       catchup_applied_manifest_bytes_.load(std::memory_order_acquire);
-  if (number != applied) {
+  if (pos.manifest_number != applied) {
     // The primary rolled to a fresh manifest we have not applied: the
     // whole new descriptor is unapplied state.
-    *lag_generations = number > applied ? number - applied : 1;
-    *lag_bytes = size;
-  } else if (size > applied_bytes) {
+    *lag_generations =
+        pos.manifest_number > applied ? pos.manifest_number - applied : 1;
+    *lag_bytes = pos.offset;
+  } else if (pos.offset > applied_bytes) {
     // Same manifest, grown: the primary appended version edits (flush
     // or compaction publishes) past our applied prefix.
     *lag_generations = 1;
-    *lag_bytes = size - applied_bytes;
+    *lag_bytes = pos.offset - applied_bytes;
   }
   catchup_lag_bytes_.store(*lag_bytes, std::memory_order_release);
   catchup_lag_generations_.store(*lag_generations, std::memory_order_release);
@@ -296,62 +307,58 @@ void DBImpl::RecordCatchupApplied() {
   if (!read_only_ || files_ == nullptr) {
     return;
   }
-  Env* env = files_->env();
-  std::string current;
-  if (!ReadFileToString(env, CurrentFileName(dbname_), &current).ok() ||
-      current.empty() || current.back() != '\n') {
+  bool published = false;
+  ManifestPosition pos;
+  if (!ReadPublishedManifest(files_->env(), dbname_, &published, &pos).ok() ||
+      !published) {
     return;
   }
-  current.resize(current.size() - 1);
-  uint64_t number = 0;
-  DbFileType type;
-  if (!ParseFileName(current, &number, &type) ||
-      type != DbFileType::kDescriptorFile) {
-    return;
-  }
-  uint64_t size = 0;
-  if (!env->GetFileSize(dbname_ + "/" + current, &size).ok()) {
-    return;
-  }
-  catchup_applied_manifest_.store(number, std::memory_order_release);
-  catchup_applied_manifest_bytes_.store(size, std::memory_order_release);
+  catchup_applied_manifest_.store(pos.manifest_number,
+                                  std::memory_order_release);
+  catchup_applied_manifest_bytes_.store(pos.offset, std::memory_order_release);
   catchup_lag_bytes_.store(0, std::memory_order_release);
   catchup_lag_generations_.store(0, std::memory_order_release);
 }
 
-void DBImpl::RefreshMetricsGauges() {
+void DBImpl::AppendMetricsGauges(std::string* out) {
   MetricLabels base;
   if (!options_.node_name.empty()) {
     base.Set("node", options_.node_name);
   }
-  for (int level = 0; level < versions_->num_levels(); level++) {
+  std::vector<std::pair<int, int64_t>> levels;  // files, bytes per level
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (int level = 0; level < versions_->num_levels(); level++) {
+      levels.emplace_back(versions_->NumLevelFiles(level),
+                          versions_->NumLevelBytes(level));
+    }
+  }
+  std::vector<std::pair<std::string, double>> files, bytes;
+  for (size_t level = 0; level < levels.size(); level++) {
     MetricLabels labels = base;
     labels.Set("level", std::to_string(level));
-    metrics_
-        .GetGauge("shield_level_files", "Live SST files per LSM level",
-                  labels)
-        ->Set(static_cast<double>(versions_->NumLevelFiles(level)));
-    metrics_
-        .GetGauge("shield_level_bytes", "Live SST bytes per LSM level",
-                  labels)
-        ->Set(static_cast<double>(versions_->NumLevelBytes(level)));
+    files.emplace_back(labels.Encode(), levels[level].first);
+    bytes.emplace_back(labels.Encode(), levels[level].second);
   }
+  health_monitor_.AppendGauges(base, out);
+  AppendGaugeFamily("shield_level_bytes", "Live SST bytes per LSM level",
+                    std::move(bytes), out);
+  AppendGaugeFamily("shield_level_files", "Live SST files per LSM level",
+                    std::move(files), out);
   if (read_only_) {
-    metrics_
-        .GetGauge("shield_replica_catchup_lag_bytes",
-                  "Manifest bytes published by the primary but not yet "
-                  "applied by this replica",
-                  base)
-        ->Set(static_cast<double>(
-            catchup_lag_bytes_.load(std::memory_order_relaxed)));
-    metrics_
-        .GetGauge("shield_replica_catchup_lag_generations",
-                  "Manifest generations this replica is behind the primary",
-                  base)
-        ->Set(static_cast<double>(
-            catchup_lag_generations_.load(std::memory_order_relaxed)));
+    const double lag_bytes =
+        catchup_lag_bytes_.load(std::memory_order_relaxed);
+    const double lag_generations =
+        catchup_lag_generations_.load(std::memory_order_relaxed);
+    AppendGaugeFamily("shield_replica_catchup_lag_bytes",
+                      "Manifest bytes published by the primary but not yet "
+                      "applied by this replica",
+                      {{base.Encode(), lag_bytes}}, out);
+    AppendGaugeFamily("shield_replica_catchup_lag_generations",
+                      "Manifest generations this replica is behind the "
+                      "primary",
+                      {{base.Encode(), lag_generations}}, out);
   }
-  health_monitor_.ExportGauges(&metrics_, base);
 }
 
 }  // namespace shield

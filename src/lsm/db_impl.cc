@@ -716,31 +716,27 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     return true;
   }
 
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (in.starts_with("num-files-at-level")) {
-    in.remove_prefix(strlen("num-files-at-level"));
-    const int level = atoi(in.ToString().c_str());
-    if (level < 0 || level >= versions_->num_levels()) {
-      return false;
-    }
-    *value = std::to_string(versions_->NumLevelFiles(level));
-    return true;
-  }
+  // Only the level table needs mutex_; every Get takes it too, so the
+  // Statistics and IoStats text (atomics and their own locks) renders
+  // after it is released.
   if (in == Slice("stats")) {
     char buf[256];
     snprintf(buf, sizeof(buf),
              "level  files  size(MB)  time(s)  read(MB)  write(MB)\n"
              "-----------------------------------------------------\n");
     value->append(buf);
-    for (int level = 0; level < versions_->num_levels(); level++) {
-      const int files = versions_->NumLevelFiles(level);
-      if (stats_[level].micros > 0 || files > 0) {
-        snprintf(buf, sizeof(buf), "%3d %8d %8.1f %8.1f %9.1f %9.1f\n", level,
-                 files, versions_->NumLevelBytes(level) / 1048576.0,
-                 stats_[level].micros / 1e6,
-                 stats_[level].bytes_read / 1048576.0,
-                 stats_[level].bytes_written / 1048576.0);
-        value->append(buf);
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      for (int level = 0; level < versions_->num_levels(); level++) {
+        const int files = versions_->NumLevelFiles(level);
+        if (stats_[level].micros > 0 || files > 0) {
+          snprintf(buf, sizeof(buf), "%3d %8d %8.1f %8.1f %9.1f %9.1f\n",
+                   level, files, versions_->NumLevelBytes(level) / 1048576.0,
+                   stats_[level].micros / 1e6,
+                   stats_[level].bytes_read / 1048576.0,
+                   stats_[level].bytes_written / 1048576.0);
+          value->append(buf);
+        }
       }
     }
     value->append("io: ");
@@ -749,6 +745,27 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     if (options_.statistics != nullptr) {
       value->append(options_.statistics->ToString());
     }
+    return true;
+  }
+  if (in == Slice("metrics")) {
+    if (options_.statistics == nullptr) {
+      return false;
+    }
+    // The Statistics families under this DB's node label, then this
+    // DB's own gauges; the two share no family name.
+    *value = options_.statistics->ToPrometheusText(options_.node_name);
+    AppendMetricsGauges(value);
+    return true;
+  }
+
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (in.starts_with("num-files-at-level")) {
+    in.remove_prefix(strlen("num-files-at-level"));
+    const int level = atoi(in.ToString().c_str());
+    if (level < 0 || level >= versions_->num_levels()) {
+      return false;
+    }
+    *value = std::to_string(versions_->NumLevelFiles(level));
     return true;
   }
   if (in == Slice("io-stats")) {
@@ -873,17 +890,6 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
              static_cast<unsigned long long>(
                  dek_manager_ ? dek_manager_->entries() : 0));
     *value = buf;
-    return true;
-  }
-  if (in == Slice("metrics")) {
-    if (options_.statistics == nullptr) {
-      return false;
-    }
-    // The Statistics families under this DB's node label, then this
-    // DB's own gauges; the two share no family name.
-    RefreshMetricsGauges();
-    *value = options_.statistics->ToPrometheusText(options_.node_name);
-    value->append(metrics_.ToPrometheusText());
     return true;
   }
   return false;

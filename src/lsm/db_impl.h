@@ -217,10 +217,10 @@ class DBImpl final : public DB {
   /// detectors with health_monitor_ and wires the transition sink to
   /// the event logger. Called once at the end of Recover().
   void SetupHealthPlane();
-  /// Refreshes the DB-level gauges (levels, health, catch-up lag) in
-  /// metrics_ — called while serving the "shield.metrics" property.
-  /// REQUIRES: mutex_ held.
-  void RefreshMetricsGauges();
+  /// Appends this DB's gauge families (health, levels, catch-up lag)
+  /// for the "shield.metrics" property, in name order.
+  /// REQUIRES: mutex_ not held.
+  void AppendMetricsGauges(std::string* out);
   /// Replica catch-up lag versus the primary's published state: bytes
   /// of manifest not yet applied and manifest generations behind.
   /// Writers report zero. Returns non-OK when the shared storage is
@@ -373,7 +373,6 @@ class DBImpl final : public DB {
   bool rotation_pending_at_open_ = false;
   std::atomic<bool> rotation_running_{false};
   std::atomic<uint64_t> rotation_files_rotated_{0};
-  std::atomic<uint64_t> rotation_passes_{0};
   // Files still owed by the persisted rotation manifest (for the
   // "shield.rotation-state" property).
   std::atomic<uint64_t> rotation_pending_files_{0};
@@ -391,13 +390,10 @@ class DBImpl final : public DB {
   CompactionStats stats_[kMaxNumLevels];
   std::atomic<uint64_t> stall_micros_{0};
 
-  // Cluster health plane (db_health.cc). metrics_ holds this DB's own
-  // gauges (levels, health, catch-up lag), refreshed on property reads
-  // and rendered after the Options::statistics text. health_monitor_
-  // owns the detector state machines; transitions are emitted as
+  // Cluster health plane (db_health.cc). health_monitor_ owns the
+  // detector state machines; transitions are emitted as
   // "health_transition" events. health_task_ evaluates it every
   // health_interval_micros.
-  MetricsRegistry metrics_;
   HealthMonitor health_monitor_;
   PeriodicTask health_task_;
   // Manifest state the last successful Recover/TryCatchUp applied

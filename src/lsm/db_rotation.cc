@@ -111,7 +111,6 @@ Status DBImpl::RunRotation(RotationManifest* manifest,
   ScopedTracerBinding trace_binding(&tracer_);
   TraceSpan span(SpanType::kRotationPass);
   rotation_running_.store(true, std::memory_order_release);
-  rotation_passes_.fetch_add(1, std::memory_order_relaxed);
   Statistics* stats = options_.statistics.get();
   RecordTick(stats, Tickers::kShieldRotationPasses, 1);
 

@@ -63,16 +63,8 @@ Status DecodeFileLease(const Slice& data, FileLease* lease) {
 Status WriteFileLease(Env* env, const std::string& dbname, uint64_t id,
                       const FileLease& lease) {
   const std::string fname = LeaseFileName(dbname, id);
-  const std::string tmp = fname + ".tmp";
-  Status s = WriteStringToFile(env, EncodeFileLease(lease), tmp,
-                               /*sync=*/true);
-  if (s.ok()) {
-    s = env->RenameFile(tmp, fname);
-  }
-  if (!s.ok()) {
-    env->RemoveFile(tmp);
-  }
-  return s;
+  return ReplaceFileAtomically(env, EncodeFileLease(lease), fname + ".tmp",
+                               fname);
 }
 
 bool OldestLeasedPosition(Env* env, const std::string& dbname,

@@ -129,15 +129,9 @@ Status SetCurrentFile(Env* env, const std::string& dbname,
   std::string contents = DescriptorFileName("", descriptor_number);
   // Strip the leading '/' that MakeFileName-style helpers add.
   contents = contents.substr(1) + "\n";
-  const std::string tmp = TempFileName(dbname, descriptor_number);
-  Status s = WriteStringToFile(env, contents, tmp, /*sync=*/true);
-  if (s.ok()) {
-    s = env->RenameFile(tmp, CurrentFileName(dbname));
-  }
-  if (!s.ok()) {
-    env->RemoveFile(tmp);
-  }
-  return s;
+  return ReplaceFileAtomically(env, contents,
+                               TempFileName(dbname, descriptor_number),
+                               CurrentFileName(dbname));
 }
 
 }  // namespace shield

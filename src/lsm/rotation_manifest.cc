@@ -89,15 +89,7 @@ Status RotationManifest::Save(Env* env, const std::string& dbname) const {
   std::string data;
   EncodeTo(&data);
   const std::string fname = RotationManifestFileName(dbname);
-  const std::string tmp = fname + ".tmp";
-  Status s = WriteStringToFile(env, data, tmp, /*sync=*/true);
-  if (s.ok()) {
-    s = env->RenameFile(tmp, fname);
-  }
-  if (!s.ok()) {
-    env->RemoveFile(tmp);
-  }
-  return s;
+  return ReplaceFileAtomically(env, data, fname + ".tmp", fname);
 }
 
 Status RotationManifest::Load(Env* env, const std::string& dbname,

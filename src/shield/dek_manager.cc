@@ -202,10 +202,8 @@ void DekManager::PersistPendingLocked() {
   // Best effort, atomically: a torn queue file must never be read back
   // as a valid id, and a failed persist only costs re-deleting an
   // already-deleted DEK (NotFound == success) after a crash.
-  const std::string tmp = pending_path_ + ".tmp";
-  if (WriteStringToFile(pending_env_, data, tmp, /*sync=*/true).ok()) {
-    pending_env_->RenameFile(tmp, pending_path_);
-  }
+  ReplaceFileAtomically(pending_env_, data, pending_path_ + ".tmp",
+                        pending_path_);
 }
 
 Status DekManager::ConfigurePendingDeletes(Env* env, const std::string& path) {

@@ -47,11 +47,10 @@ std::vector<HealthTransition> HealthMonitor::Evaluate() {
   // eval_mu_ serializes evaluations (detector closures never run
   // concurrently with each other), but detectors must run with mu_
   // RELEASED: they take their owner's locks (the DB mutex) and do real
-  // I/O (KDS probe, manifest reads), while status readers — some of
-  // which already hold those owner locks, e.g. ExportGauges during a
-  // property read — take mu_. Running detectors under mu_ is an ABBA
-  // deadlock with the DB mutex and blocks every status read on
-  // detector I/O.
+  // I/O (KDS probe, manifest reads), while status readers — which may
+  // already hold those owner locks — take mu_. Running detectors under
+  // mu_ is an ABBA deadlock with the DB mutex and blocks every status
+  // read on detector I/O.
   std::lock_guard<std::mutex> eval_lock(eval_mu_);
   std::vector<Detector> fns;
   TransitionSink sink;
@@ -210,28 +209,27 @@ std::string HealthMonitor::ToJson() const {
   return out;
 }
 
-void HealthMonitor::ExportGauges(MetricsRegistry* registry,
-                                 const MetricLabels& base) const {
-  // Copy status first and touch the registry with mu_ released:
-  // callers may hold their own locks (the DB mutex during a property
-  // read), so mu_ must only ever guard plain state copies here.
+void HealthMonitor::AppendGauges(const MetricLabels& base,
+                                 std::string* out) const {
   const std::vector<HealthStatus> status = CurrentStatus();
   HealthLevel worst = HealthLevel::kOk;
+  std::vector<std::pair<std::string, double>> levels;
   for (const auto& d : status) {
     MetricLabels labels = base;
     labels.Set("detector", d.detector);
-    registry
-        ->GetGauge("shield_health_level",
-                   "Detector level: 0 ok, 1 warn, 2 critical", labels)
-        ->Set(static_cast<double>(static_cast<int>(d.level)));
+    levels.emplace_back(labels.Encode(),
+                        static_cast<double>(static_cast<int>(d.level)));
     if (static_cast<int>(d.level) > static_cast<int>(worst)) {
       worst = d.level;
     }
   }
-  registry
-      ->GetGauge("shield_health_overall",
-                 "Worst detector level: 0 ok, 1 warn, 2 critical", base)
-      ->Set(static_cast<double>(static_cast<int>(worst)));
+  AppendGaugeFamily("shield_health_level",
+                    "Detector level: 0 ok, 1 warn, 2 critical",
+                    std::move(levels), out);
+  const double overall = static_cast<int>(worst);
+  AppendGaugeFamily("shield_health_overall",
+                    "Worst detector level: 0 ok, 1 warn, 2 critical",
+                    {{base.Encode(), overall}}, out);
 }
 
 }  // namespace shield

@@ -66,7 +66,7 @@ struct HealthStatus {
 /// concurrently with each other — but they run with the monitor's
 /// state lock RELEASED, so detectors may take their owner's locks and
 /// do blocking I/O, and status reads (CurrentStatus/Overall/ToJson/
-/// ExportGauges) never block on a slow detector.
+/// AppendGauges) never block on a slow detector.
 class HealthMonitor {
  public:
   using Detector = std::function<HealthSample()>;
@@ -97,9 +97,9 @@ class HealthMonitor {
   /// "value":...,"detail":...},...]}` — the `shield.health` property.
   std::string ToJson() const;
 
-  /// Mirrors current levels into `shield_health_level{detector=...}`
-  /// gauges (0/1/2) plus one `shield_health_overall`.
-  void ExportGauges(MetricsRegistry* registry, const MetricLabels& base) const;
+  /// Appends current levels as `shield_health_level{detector=...}`
+  /// gauges (0/1/2), then one `shield_health_overall` gauge.
+  void AppendGauges(const MetricLabels& base, std::string* out) const;
 
  private:
   struct DetectorState {

@@ -169,74 +169,13 @@ HistogramSnapshot WindowedHistogram::Snapshot(uint64_t window_micros) const {
   return snap;
 }
 
-MetricsRegistry::Instrument* MetricsRegistry::GetInstrument(
-    const std::string& name, const std::string& help,
-    const MetricLabels& labels, MetricType type) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Family& family = families_[name];
-  if (family.instruments.empty()) {
-    family.type = type;
-    family.help = help;
-  } else if (family.help.empty() && !help.empty()) {
-    family.help = help;
-  }
-  const std::string encoded = labels.Encode();
-  auto it = family.instruments.find(encoded);
-  if (it == family.instruments.end()) {
-    auto inst = std::make_unique<Instrument>();
-    inst->encoded_labels = encoded;
-    it = family.instruments.emplace(encoded, std::move(inst)).first;
-  }
-  // The family keeps the type it was first registered with, but a
-  // later cross-type registration of the same name must not leave a
-  // null behind either pointer the system dereferences: back-fill the
-  // kind the encoder renders (family.type) and the kind this caller
-  // asked for. The mismatched caller gets a working instrument that
-  // simply is not what the family exports.
-  auto ensure = [](Instrument* inst, MetricType t) {
-    switch (t) {
-      case MetricType::kCounter:
-        if (inst->counter == nullptr) {
-          inst->counter = std::make_unique<Counter>();
-        }
-        break;
-      case MetricType::kGauge:
-        if (inst->gauge == nullptr) {
-          inst->gauge = std::make_unique<Gauge>();
-        }
-        break;
-      case MetricType::kHistogram:
-        if (inst->histogram == nullptr) {
-          inst->histogram = std::make_unique<WindowedHistogram>();
-        }
-        break;
-    }
-  };
-  ensure(it->second.get(), family.type);
-  ensure(it->second.get(), type);
-  return it->second.get();
-}
-
-Counter* MetricsRegistry::GetCounter(const std::string& name,
-                                     const std::string& help,
-                                     const MetricLabels& labels) {
-  return GetInstrument(name, help, labels, MetricType::kCounter)->counter.get();
-}
-
-Gauge* MetricsRegistry::GetGauge(const std::string& name,
-                                 const std::string& help,
-                                 const MetricLabels& labels) {
-  return GetInstrument(name, help, labels, MetricType::kGauge)->gauge.get();
-}
-
-WindowedHistogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                                 const std::string& help,
-                                                 const MetricLabels& labels) {
-  return GetInstrument(name, help, labels, MetricType::kHistogram)
-      ->histogram.get();
-}
-
 namespace {
+
+void AppendValue(std::string* out, uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
+  out->append(buf);
+}
 
 void AppendValue(std::string* out, double v) {
   char buf[64];
@@ -284,7 +223,36 @@ void AppendHelpAndType(const std::string& name, const std::string& help,
   out->push_back('\n');
 }
 
+template <typename Value>
+void AppendFamily(const std::string& name, const std::string& help,
+                  const char* type,
+                  std::vector<std::pair<std::string, Value>> samples,
+                  std::string* out) {
+  if (samples.empty()) {
+    return;
+  }
+  std::sort(samples.begin(), samples.end());
+  AppendHelpAndType(name, help, type, out);
+  for (const auto& [encoded, value] : samples) {
+    out->append(name).append(encoded).push_back(' ');
+    AppendValue(out, value);
+    out->push_back('\n');
+  }
+}
+
 }  // namespace
+
+void AppendCounterFamily(const std::string& name, const std::string& help,
+                         std::vector<std::pair<std::string, uint64_t>> samples,
+                         std::string* out) {
+  AppendFamily(name + "_total", help, "counter", std::move(samples), out);
+}
+
+void AppendGaugeFamily(const std::string& name, const std::string& help,
+                       std::vector<std::pair<std::string, double>> samples,
+                       std::string* out) {
+  AppendFamily(name, help, "gauge", std::move(samples), out);
+}
 
 void AppendSummaryFamily(
     const std::string& name, const std::string& help,
@@ -339,38 +307,6 @@ void AppendSummaryFamily(
       }
     }
   }
-}
-
-std::string MetricsRegistry::ToPrometheusText() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  char buf[64];
-  for (const auto& [name, family] : families_) {
-    if (family.type == MetricType::kHistogram) {
-      std::vector<std::pair<std::string, const WindowedHistogram*>> histograms;
-      for (const auto& [encoded, inst] : family.instruments) {
-        histograms.emplace_back(encoded, inst->histogram.get());
-      }
-      AppendSummaryFamily(name, family.help, histograms, &out);
-      continue;
-    }
-    const bool counter = family.type == MetricType::kCounter;
-    const std::string exposed = counter ? name + "_total" : name;
-    AppendHelpAndType(exposed, family.help, counter ? "counter" : "gauge",
-                      &out);
-    for (const auto& [encoded, inst] : family.instruments) {
-      out.append(exposed).append(encoded).push_back(' ');
-      if (counter) {
-        std::snprintf(buf, sizeof(buf), "%" PRIu64 "\n",
-                      inst->counter->value());
-        out.append(buf);
-      } else {
-        AppendValue(&out, inst->gauge->value());
-        out.push_back('\n');
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace shield

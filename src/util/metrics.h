@@ -1,10 +1,7 @@
 #ifndef SHIELD_UTIL_METRICS_H_
 #define SHIELD_UTIL_METRICS_H_
 
-#include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -46,34 +43,6 @@ std::string EscapeLabelValue(const std::string& value);
 /// Escapes a HELP string: backslash and newline (quotes are legal in
 /// help text).
 std::string EscapeHelpText(const std::string& help);
-
-/// Monotonic counter. Add() is the normal path; Set() copies in a
-/// count kept elsewhere (Statistics renders its tickers that way).
-class Counter {
- public:
-  void Add(uint64_t delta) { v_.fetch_add(delta, std::memory_order_relaxed); }
-  void Set(uint64_t value) { v_.store(value, std::memory_order_relaxed); }
-  uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> v_{0};
-};
-
-/// Point-in-time gauge (level, backlog, lag, state).
-class Gauge {
- public:
-  void Set(double value) { v_.store(value, std::memory_order_relaxed); }
-  void Add(double delta) {
-    double cur = v_.load(std::memory_order_relaxed);
-    while (!v_.compare_exchange_weak(cur, cur + delta,
-                                     std::memory_order_relaxed)) {
-    }
-  }
-  double value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> v_{0.0};
-};
 
 /// Point-in-time percentile summary of a histogram (cumulative or one
 /// sliding window).
@@ -131,6 +100,23 @@ class WindowedHistogram {
   mutable Histogram ancient_;
 };
 
+// Prometheus text exposition (format 0.0.4). A counter or gauge call
+// appends one family: an escaped `# HELP` line (omitted when `help` is
+// empty), one `# TYPE` line, then its samples. A sample pairs an
+// encoded MetricLabels with its value; samples come out in encoded
+// label order, and a family without samples appends nothing. Callers
+// append families in name order, so a scrape lists them sorted.
+
+/// A counter family: `<name>_total` samples, exact to the last count.
+void AppendCounterFamily(const std::string& name, const std::string& help,
+                         std::vector<std::pair<std::string, uint64_t>> samples,
+                         std::string* out);
+
+/// A gauge family (level, backlog, lag, state).
+void AppendGaugeFamily(const std::string& name, const std::string& help,
+                       std::vector<std::pair<std::string, double>> samples,
+                       std::string* out);
+
 /// Appends one summary family in Prometheus text format: per label
 /// set (`instruments` pairs an encoded MetricLabels with its
 /// histogram) the full-history p50/p99/p999, `_sum` and `_count`, then
@@ -140,56 +126,6 @@ void AppendSummaryFamily(
     const std::vector<std::pair<std::string, const WindowedHistogram*>>&
         instruments,
     std::string* out);
-
-/// What kind of instrument a metric family holds.
-enum class MetricType { kCounter, kGauge, kHistogram };
-
-/// A labeled metrics registry: families keyed by metric name, each
-/// holding one instrument per label set. Instruments are created on
-/// first Get* and live as long as the registry (returned pointers are
-/// stable). ToPrometheusText() renders every family as well-formed
-/// Prometheus text exposition (format 0.0.4): escaped HELP, one TYPE
-/// per family, `_total` on counters, summaries with cumulative
-/// quantiles plus `<name>_window` gauges for the 10s/1m sliding
-/// windows. Thread safe.
-class MetricsRegistry {
- public:
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  /// `name` is the full Prometheus family name without the `_total`
-  /// suffix (the encoder appends it for counters). `help` is recorded
-  /// on first registration; later calls may pass "".
-  Counter* GetCounter(const std::string& name, const std::string& help,
-                      const MetricLabels& labels);
-  Gauge* GetGauge(const std::string& name, const std::string& help,
-                  const MetricLabels& labels);
-  WindowedHistogram* GetHistogram(const std::string& name,
-                                  const std::string& help,
-                                  const MetricLabels& labels);
-
-  std::string ToPrometheusText() const;
-
- private:
-  struct Instrument {
-    std::string encoded_labels;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<WindowedHistogram> histogram;
-  };
-  struct Family {
-    MetricType type = MetricType::kCounter;
-    std::string help;
-    std::map<std::string, std::unique_ptr<Instrument>> instruments;
-  };
-
-  Instrument* GetInstrument(const std::string& name, const std::string& help,
-                            const MetricLabels& labels, MetricType type);
-
-  mutable std::mutex mu_;
-  std::map<std::string, Family> families_;
-};
 
 }  // namespace shield
 

@@ -1,7 +1,10 @@
 #include "util/statistics.h"
 
+#include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cstdio>
+#include <numeric>
 
 namespace shield {
 
@@ -181,19 +184,30 @@ MetricLabels HistogramLabels(const char* dotted, const std::string& node) {
   return labels;
 }
 
+/// Ticker indexes in family-name order, the order a scrape lists them.
+const std::array<size_t, kNumTickers>& TickersByFamilyName() {
+  static const std::array<size_t, kNumTickers> order = [] {
+    std::array<size_t, kNumTickers> o;
+    std::iota(o.begin(), o.end(), size_t{0});
+    std::sort(o.begin(), o.end(), [](size_t a, size_t b) {
+      return PrometheusMetricName(kTickerNames[a]) <
+             PrometheusMetricName(kTickerNames[b]);
+    });
+    return o;
+  }();
+  return order;
+}
+
 }  // namespace
 
 std::string Statistics::ToPrometheusText(const std::string& node) const {
-  // Counters go through a throwaway registry for its escaping and
-  // `_total` formatting.
-  MetricsRegistry counters;
-  for (size_t i = 0; i < kNumTickers; ++i) {
-    counters
-        .GetCounter(PrometheusMetricName(kTickerNames[i]), "",
-                    TickerLabels(kTickerNames[i], node))
-        ->Set(tickers_[i].load(std::memory_order_relaxed));
+  std::string out;
+  for (size_t i : TickersByFamilyName()) {
+    AppendCounterFamily(PrometheusMetricName(kTickerNames[i]), "",
+                        {{TickerLabels(kTickerNames[i], node).Encode(),
+                          tickers_[i].load(std::memory_order_relaxed)}},
+                        &out);
   }
-  std::string out = counters.ToPrometheusText();
   std::vector<std::pair<std::string, const WindowedHistogram*>> timers;
   for (size_t i = 0; i < kNumHistograms; ++i) {
     timers.emplace_back(HistogramLabels(kHistogramNames[i], node).Encode(),

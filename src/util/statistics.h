@@ -196,7 +196,7 @@ class Statistics {
 
   /// Prometheus text exposition (version 0.0.4): tickers become
   /// `shield_<name>_total` counters labeled by subsystem (dots become
-  /// underscores), timers one `shield_op_latency_micros` summary
+  /// underscores), in family-name order, then timers one `shield_op_latency_micros` summary
   /// family labeled by op, with 10s/1m sliding-window gauges. Every
   /// sample also carries `node` when it is not empty. The DB serves it,
   /// under its Options::node_name and followed by its own gauges, as

@@ -1,9 +1,10 @@
-// Labeled metrics registry: strict Prometheus text-format conformance
+// Metrics text encoders: strict Prometheus text-format conformance
 // (a promtool-style grammar check over every emitted line, including
 // the DB's `shield.metrics` property), windowed-histogram snapshot
 // properties under slot rotation on a controlled clock, and concurrent
 // record/snapshot traffic for TSan.
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstdlib>
@@ -244,36 +245,73 @@ void ValidatePrometheusText(const std::string& text) {
 
 // --- Prometheus conformance ------------------------------------------
 
-TEST(PrometheusFormatTest, RegistryOutputSurvivesStrictValidation) {
-  MetricsRegistry reg;
+TEST(PrometheusFormatTest, EncoderOutputSurvivesStrictValidation) {
   // Escaping torture: quotes, backslashes and newlines in label values
   // and help text must all round-trip through the encoder as legal
   // exposition-format escapes.
-  reg.GetCounter("shield_test_requests", "requests with \\ and\nnewline",
-                 MetricLabels{{"node", "he said \"hi\"\\"},
-                              {"op", "get\nput"}})
-      ->Add(42);
-  reg.GetCounter("shield_test_requests", "", MetricLabels{{"node", "w"}})
-      ->Add(7);
-  reg.GetGauge("shield_test_depth", "queue depth", MetricLabels{})->Set(2.5);
-  WindowedHistogram* h = reg.GetHistogram(
-      "shield_test_latency_micros", "op latency", MetricLabels{{"op", "get"}});
+  std::string text;
+  AppendCounterFamily(
+      "shield_test_requests", "requests with \\ and\nnewline",
+      {{MetricLabels{{"node", "w"}}.Encode(), 7},
+       {MetricLabels{{"op", "get\nput"}, {"node", "he said \"hi\"\\"}}
+            .Encode(),
+        42}},
+      &text);
+  AppendGaugeFamily("shield_test_depth", "queue depth",
+                    {{MetricLabels{}.Encode(), 2.5}}, &text);
+  WindowedHistogram h;
   for (int i = 1; i <= 100; i++) {
-    h->Record(static_cast<uint64_t>(i) * 10);
+    h.Record(static_cast<uint64_t>(i) * 10);
   }
-
-  const std::string text = reg.ToPrometheusText();
+  AppendSummaryFamily("shield_test_latency_micros", "op latency",
+                      {{MetricLabels{{"op", "get"}}.Encode(), &h}}, &text);
   ValidatePrometheusText(text);
 
-  // Counters expose _total; escapes are on the wire.
-  EXPECT_NE(std::string::npos, text.find("shield_test_requests_total{"));
-  EXPECT_NE(std::string::npos, text.find("\\\"hi\\\""));
-  EXPECT_NE(std::string::npos, text.find("get\\nput"));
-  EXPECT_NE(std::string::npos, text.find("and\\nnewline"));
+  // Counters expose _total; escapes are on the wire; samples come out
+  // in encoded-label order.
+  EXPECT_NE(std::string::npos,
+            text.find("# HELP shield_test_requests_total requests with "
+                      "\\\\ and\\nnewline\n"));
+  EXPECT_NE(std::string::npos,
+            text.find("shield_test_requests_total{node=\"he said "
+                      "\\\"hi\\\"\\\\\",op=\"get\\nput\"} 42\n"
+                      "shield_test_requests_total{node=\"w\"} 7\n"));
+  EXPECT_NE(std::string::npos,
+            text.find("# TYPE shield_test_depth gauge\n"
+                      "shield_test_depth 2.5\n"));
   // Summaries carry cumulative quantiles and sliding-window gauges.
   EXPECT_NE(std::string::npos,
             text.find("shield_test_latency_micros{op=\"get\",quantile=\"0.99\"}"));
   EXPECT_NE(std::string::npos, text.find("shield_test_latency_micros_window"));
+
+  // A family without samples appends nothing.
+  std::string empty;
+  AppendGaugeFamily("shield_test_none", "no samples", {}, &empty);
+  EXPECT_EQ("", empty);
+}
+
+TEST(PrometheusFormatTest, TickerFamiliesComeOutInNameOrder) {
+  // Scrapes have always listed the ticker families sorted by name
+  // (without the `_total` suffix), not in Tickers enum order; diffs of
+  // two scrapes rely on that order.
+  Statistics stats;
+  const std::string text = stats.ToPrometheusText("n");
+  ValidatePrometheusText(text);
+  std::vector<std::string> counters;
+  const std::string suffix = "_total counter\n";
+  size_t pos = 0;
+  while ((pos = text.find("# TYPE ", pos)) != std::string::npos) {
+    const size_t end = text.find('\n', pos) + 1;
+    const std::string line = text.substr(pos + 7, end - pos - 7);
+    if (line.size() > suffix.size() &&
+        line.compare(line.size() - suffix.size(), suffix.size(), suffix) ==
+            0) {
+      counters.push_back(line.substr(0, line.size() - suffix.size()));
+    }
+    pos = end;
+  }
+  ASSERT_EQ(static_cast<size_t>(kNumTickers), counters.size());
+  EXPECT_TRUE(std::is_sorted(counters.begin(), counters.end()));
 }
 
 std::unique_ptr<DB> OpenFilledDb(Env* env, const std::string& name,
@@ -346,39 +384,6 @@ TEST(PrometheusFormatTest, DbMetricsPropertyValidates) {
             text.find("shield_op_latency_micros_window{node=\"second\","
                       "op=\"db.get\",window=\"10s\""));
   EXPECT_NE(std::string::npos, text.find("shield_level_files{level=\"0\",node=\"second\"}"));
-}
-
-TEST(PrometheusFormatTest, CrossTypeRegistrationIsSafe) {
-  // Registering an existing family name under a different instrument
-  // type must neither hand the caller a null pointer nor leave an
-  // instrument the encoder would null-deref. The family keeps its
-  // first-registered type; mismatched registrations get working (if
-  // unexported) instruments.
-  MetricsRegistry reg;
-  reg.GetCounter("shield_mixed", "first as counter", MetricLabels{})->Add(3);
-  Gauge* g = reg.GetGauge("shield_mixed", "", MetricLabels{});
-  ASSERT_NE(nullptr, g);
-  g->Set(7.5);
-  WindowedHistogram* h = reg.GetHistogram("shield_mixed", "", MetricLabels{});
-  ASSERT_NE(nullptr, h);
-  h->Record(11);
-  // New label set entering through the wrong type still renders as the
-  // family's type.
-  Gauge* g2 =
-      reg.GetGauge("shield_mixed", "", MetricLabels{{"node", "other"}});
-  ASSERT_NE(nullptr, g2);
-
-  const std::string text = reg.ToPrometheusText();
-  ValidatePrometheusText(text);
-  EXPECT_NE(std::string::npos, text.find("shield_mixed_total 3"));
-  EXPECT_NE(std::string::npos, text.find("shield_mixed_total{node=\"other\"}"));
-
-  // And the mirror image: gauge family first, counter second.
-  reg.GetGauge("shield_mixed_g", "as gauge", MetricLabels{})->Set(1);
-  Counter* c = reg.GetCounter("shield_mixed_g", "", MetricLabels{});
-  ASSERT_NE(nullptr, c);
-  c->Add(1);
-  ValidatePrometheusText(reg.ToPrometheusText());
 }
 
 // --- windowed histogram properties -----------------------------------
@@ -474,11 +479,10 @@ TEST(WindowedHistogramTest, ClockStartingAtZeroLosesNothing) {
 TEST(HealthMonitorTest, StatusReadsDoNotBlockOnSlowDetectors) {
   // Regression for an ABBA deadlock: a detector taking its owner's
   // lock (the DB mutex) while a thread holding that same lock reads
-  // monitor state (ExportGauges during a property read). Detectors
+  // monitor state. Detectors
   // must run with the monitor's state lock released, so status reads
   // complete even while a detector is blocked on the owner lock.
   HealthMonitor monitor;
-  MetricsRegistry reg;
   std::mutex owner_mu;
   std::atomic<bool> in_detector{false};
   monitor.RegisterDetector("owner.locked", [&] {
@@ -496,14 +500,14 @@ TEST(HealthMonitorTest, StatusReadsDoNotBlockOnSlowDetectors) {
     std::this_thread::yield();
   }
   // The evaluator is now inside the detector, blocked on owner_mu.
-  // Every status read — including the registry export the DB performs
-  // under its own mutex — must return instead of deadlocking.
+  // Every status read — including the gauge families of a metrics
+  // scrape — must return instead of deadlocking.
   EXPECT_EQ(HealthLevel::kOk, monitor.Overall());
   EXPECT_FALSE(monitor.CurrentStatus().empty());
   EXPECT_NE(std::string::npos, monitor.ToJson().find("owner.locked"));
-  monitor.ExportGauges(&reg, MetricLabels{});
-  EXPECT_NE(std::string::npos,
-            reg.ToPrometheusText().find("shield_health_overall"));
+  std::string gauges;
+  monitor.AppendGauges(MetricLabels{}, &gauges);
+  EXPECT_NE(std::string::npos, gauges.find("shield_health_overall"));
 
   owner_lock.unlock();
   evaluator.join();
@@ -580,38 +584,42 @@ TEST(MetricsConcurrencyTest, ConcurrentRecordAndSnapshot) {
   EXPECT_EQ(static_cast<uint64_t>(kThreads) * kPerThread, wh.Snapshot(0).count);
 }
 
-TEST(MetricsConcurrencyTest, ConcurrentRegistryUseAndEncode) {
-  MetricsRegistry reg;
-  // Seed one family so the encoder thread never sees an empty (and
-  // thus grammar-violating, no-trailing-newline) exposition.
-  reg.GetCounter("shield_conc_seed", "seed", MetricLabels{})->Add(1);
+TEST(MetricsConcurrencyTest, ScrapeWhileWritingAndFlushing) {
+  // `shield.metrics` and `shield.stats` read the level table under the
+  // DB mutex and render everything else after releasing it, while
+  // writes, flushes and compactions go on.
+  std::unique_ptr<Env> env = NewMemEnv();
+  Options options;
+  options.env = env.get();
+  options.node_name = "w";
+  options.statistics = CreateDBStatistics();
+  options.write_buffer_size = 16 * 1024;
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, "/scrapedb", &raw).ok());
+  std::unique_ptr<DB> db(raw);
   std::atomic<bool> stop{false};
-  std::thread encoder([&] {
-    while (!stop.load()) {
-      ValidatePrometheusText(reg.ToPrometheusText());
+  std::thread scraper([&] {
+    for (int n = 0; n < 50 || !stop.load(); n++) {
+      std::string text;
+      ASSERT_TRUE(db->GetProperty("shield.metrics", &text));
+      ValidatePrometheusText(text);
+      ASSERT_TRUE(db->GetProperty("shield.stats", &text));
+      ASSERT_NE(std::string::npos, text.find("io: "));
     }
   });
-  std::vector<std::thread> writers;
-  for (int t = 0; t < 4; t++) {
-    writers.emplace_back([&reg, t] {
-      MetricLabels labels{{"node", "n" + std::to_string(t)}};
-      for (int i = 0; i < 5000; i++) {
-        reg.GetCounter("shield_conc_ops", "ops", labels)->Add(1);
-        reg.GetGauge("shield_conc_depth", "depth", labels)
-            ->Set(static_cast<double>(i));
-        reg.GetHistogram("shield_conc_lat", "lat", labels)
-            ->Record(static_cast<uint64_t>(i % 1009));
-      }
-    });
+  std::string value;
+  for (int i = 0; i < 2000; i++) {
+    const std::string key = "key-" + std::to_string(i % 500);
+    ASSERT_TRUE(db->Put(WriteOptions(), key, std::string(100, 'v')).ok());
+    ASSERT_TRUE(db->Get(ReadOptions(), key, &value).ok());
   }
-  for (auto& t : writers) {
-    t.join();
-  }
+  ASSERT_TRUE(db->Flush().ok());
   stop.store(true);
-  encoder.join();
-  const std::string text = reg.ToPrometheusText();
-  ValidatePrometheusText(text);
-  EXPECT_NE(std::string::npos, text.find("shield_conc_ops_total{node=\"n0\"}"));
+  scraper.join();
+  std::string text;
+  ASSERT_TRUE(db->GetProperty("shield.metrics", &text));
+  EXPECT_NE(std::string::npos,
+            text.find("shield_lsm_flush_bytes_written_total{node=\"w\""));
 }
 
 }  // namespace

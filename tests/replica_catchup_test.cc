@@ -26,6 +26,7 @@
 #include "lsm/write_batch.h"
 #include "shield/file_crypto.h"
 #include "util/clock.h"
+#include "util/statistics.h"
 
 namespace shield {
 namespace {
@@ -63,7 +64,10 @@ class ReplicaCatchupTest : public ::testing::Test {
     writer_.reset(raw);
     ASSERT_TRUE(writer_->Flush().ok());  // publish an initial manifest
     raw = nullptr;
-    ASSERT_TRUE(DB::OpenReadOnly(DbOptions(), "/catchup", &raw).ok());
+    Options replica_options = DbOptions();
+    replica_options.node_name = "replica";
+    replica_options.statistics = replica_statistics_;
+    ASSERT_TRUE(DB::OpenReadOnly(replica_options, "/catchup", &raw).ok());
     replica_.reset(raw);
   }
 
@@ -194,6 +198,8 @@ class ReplicaCatchupTest : public ::testing::Test {
   }
 
   bool shield_ = false;
+  // Statistics of the replica OpenWriterAndReplica opens, if any.
+  std::shared_ptr<Statistics> replica_statistics_;
   std::shared_ptr<LocalKds> kds_ = std::make_shared<LocalKds>();
   std::unique_ptr<Env> base_;
   std::unique_ptr<FaultInjectionEnv> fault_env_;
@@ -375,8 +381,11 @@ TEST_F(ReplicaCatchupTest, ConcurrentCatchUpSeesOnlyAtomicGenerations) {
 // shared manifest: zero on a caught-up replica, nonzero once the
 // writer publishes new version edits, and back to zero after the next
 // successful TryCatchUp (the same signal the replica.catchup health
-// detector and the shield_replica_catchup_lag_* gauges consume).
+// detector and the shield_replica_catchup_lag_* gauges consume). The
+// gauges in the replica's `shield.metrics` report what the last probe
+// measured, so after each property read they equal it.
 TEST_F(ReplicaCatchupTest, LagPropertiesDrainToZeroAfterCatchUp) {
+  replica_statistics_ = CreateDBStatistics();
   OpenWriterAndReplica();
 
   auto lag = [&](const char* prop) {
@@ -384,20 +393,37 @@ TEST_F(ReplicaCatchupTest, LagPropertiesDrainToZeroAfterCatchUp) {
     EXPECT_TRUE(replica_->GetProperty(prop, &v)) << prop;
     return v.empty() ? 0ull : std::stoull(v);
   };
+  auto gauge = [&](const std::string& family) {
+    std::string text;
+    EXPECT_TRUE(replica_->GetProperty("shield.metrics", &text));
+    const std::string sample = family + "{node=\"replica\"} ";
+    const size_t at = text.find("\n" + sample);
+    EXPECT_NE(std::string::npos, at) << family;
+    return at == std::string::npos
+               ? ~0ull
+               : std::stoull(text.substr(at + 1 + sample.size()));
+  };
+  // Returns the generation lag after checking both gauges against the
+  // properties.
+  auto checked_lag = [&] {
+    const uint64_t generations = lag("shield.replica.catchup-lag-generations");
+    const uint64_t bytes = lag("shield.replica.catchup-lag-bytes");
+    EXPECT_EQ(generations, gauge("shield_replica_catchup_lag_generations"));
+    EXPECT_EQ(bytes, gauge("shield_replica_catchup_lag_bytes"));
+    EXPECT_EQ(generations == 0, bytes == 0);
+    return generations;
+  };
 
   ASSERT_TRUE(replica_->TryCatchUp().ok());
-  EXPECT_EQ(0u, lag("shield.replica.catchup-lag-generations"));
-  EXPECT_EQ(0u, lag("shield.replica.catchup-lag-bytes"));
+  EXPECT_EQ(0u, checked_lag());
 
   // A flush appends version edits past the replica's applied prefix.
   WriteGeneration(1);
   ASSERT_TRUE(writer_->Flush().ok());
-  EXPECT_GT(lag("shield.replica.catchup-lag-generations"), 0u);
-  EXPECT_GT(lag("shield.replica.catchup-lag-bytes"), 0u);
+  EXPECT_GT(checked_lag(), 0u);
 
   ASSERT_TRUE(replica_->TryCatchUp().ok());
-  EXPECT_EQ(0u, lag("shield.replica.catchup-lag-generations"));
-  EXPECT_EQ(0u, lag("shield.replica.catchup-lag-bytes"));
+  EXPECT_EQ(0u, checked_lag());
   EXPECT_EQ(GenValue(1), ObservedGeneration());
 
   // The writer's own probe never reports lag: the properties are
