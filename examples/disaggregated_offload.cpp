@@ -54,6 +54,8 @@ int main() {
   worker_options.db_options = engine_options;
   worker_options.db_options.env = storage.server_env();
   worker_options.db_options.encryption.server_id = "compaction-worker";
+  // The worker's own Statistics: its KDS count covers the worker alone.
+  worker_options.db_options.statistics = CreateDBStatistics();
   worker_options.server_id = "compaction-worker";
   RemoteCompactionWorker worker(worker_options);
 
@@ -93,7 +95,9 @@ int main() {
   primary->WaitForIdle();
   printf("  worker ran %llu job(s); worker KDS round-trips: %llu\n",
          static_cast<unsigned long long>(worker.jobs_run()),
-         static_cast<unsigned long long>(worker.kds_requests()));
+         static_cast<unsigned long long>(
+             worker_options.db_options.statistics->GetTickerCount(
+                 Tickers::kKdsRequests)));
 
   // --- A read-only replica on yet another server.
   auto replica_env = NewRemoteEnv(&storage, nullptr);

@@ -97,6 +97,8 @@ int main(int argc, char** argv) {
     Options options;
     options.write_buffer_size = 64 * 1024;  // small, to create many SSTs
     options.encryption.mode = EncryptionMode::kShield;
+    // The KDS and DEK-cache counts printed below read these tickers.
+    options.statistics = CreateDBStatistics();
     DestroyDB(options, dir);
 
     DB* raw_db = nullptr;

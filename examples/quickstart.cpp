@@ -27,6 +27,8 @@ int main(int argc, char** argv) {
   // Turn on SHIELD: per-file DEKs, rotation via compaction, buffered
   // WAL encryption. Everything else is default.
   options.encryption.mode = shield::EncryptionMode::kShield;
+  // Counters such as "shield.kds-requests" read these tickers.
+  options.statistics = shield::CreateDBStatistics();
 
   shield::DestroyDB(options, path);  // fresh start for the demo
 

@@ -28,9 +28,9 @@ RemoteCompactionWorker::RemoteCompactionWorker(const WorkerOptions& options)
     if (kds_ == nullptr) {
       kds_ = std::make_shared<LocalKds>();
     }
-    dek_manager_ = std::make_unique<DekManager>(kds_.get(),
-                                                options_.server_id,
-                                                /*secure_cache=*/nullptr);
+    dek_manager_ = std::make_unique<DekManager>(
+        kds_.get(), options_.server_id, /*secure_cache=*/nullptr,
+        db_options.statistics.get());
     if (db_options.encryption.encryption_threads > 1) {
       encryption_pool_ = std::make_unique<ThreadPool>(
           static_cast<size_t>(db_options.encryption.encryption_threads));
@@ -69,8 +69,7 @@ Status RemoteCompactionWorker::RunCompaction(const CompactionJobSpec& job,
   std::vector<std::unique_ptr<Table>> tables;
   std::vector<Iterator*> iters;
   Status s;
-  const ReadOptions read_options =
-      CompactionReadOptions(options_.db_options);
+  const ReadOptions read_options = CompactionReadOptions();
 
   auto open_inputs = [&](const std::vector<CompactionInput>& inputs) {
     for (const CompactionInput& in : inputs) {

@@ -26,7 +26,9 @@ class RemoteCompactionWorker final : public CompactionService {
     /// Storage-side Env the worker uses to access shared files.
     Env* env = nullptr;
     /// Engine options (block size, comparator, ...). Encryption mode
-    /// selects plaintext vs SHIELD output files.
+    /// selects plaintext vs SHIELD output files; `statistics`, when
+    /// set, counts the worker's KDS round trips (input DEK fetches and
+    /// output DEK creations) in its kds.* tickers.
     Options db_options;
     /// Identity this worker presents to the KDS.
     std::string server_id = "compaction-worker-1";
@@ -42,12 +44,6 @@ class RemoteCompactionWorker final : public CompactionService {
 
   Status RunCompaction(const CompactionJobSpec& job,
                        CompactionJobResult* result) override;
-
-  /// KDS round-trips the worker performed (input DEK fetches + output
-  /// DEK creations).
-  uint64_t kds_requests() const {
-    return dek_manager_ ? dek_manager_->kds_requests() : 0;
-  }
 
   uint64_t jobs_run() const { return jobs_run_; }
 

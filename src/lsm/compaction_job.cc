@@ -8,14 +8,22 @@
 
 namespace shield {
 
-ReadOptions CompactionReadOptions(const Options& options) {
+namespace {
+
+// Stored bytes each compaction input prefetches per read: one storage
+// round trip per span on disaggregated storage.
+constexpr size_t kCompactionReadaheadSize = 256 * 1024;
+
+}  // namespace
+
+ReadOptions CompactionReadOptions() {
   ReadOptions read_options;
   read_options.fill_cache = false;
   // Compaction scans every input block exactly once in order: the
   // ideal readahead consumer. Large prefetched spans replace
   // block-sized round trips (and decrypt in parallel shards under
   // SHIELD's multi-threaded chunk decryptor).
-  read_options.readahead_size = options.compaction_readahead_size;
+  read_options.readahead_size = kCompactionReadaheadSize;
   return read_options;
 }
 

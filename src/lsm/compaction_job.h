@@ -18,10 +18,10 @@
 namespace shield {
 
 /// How a compaction reads its inputs: every block exactly once, in
-/// order, so no block-cache fill and the full compaction readahead.
+/// order, so no block-cache fill and a 256 KiB readahead window.
 /// The local job (VersionSet::MakeInputIterator) and the offload
 /// worker both read through these options.
-ReadOptions CompactionReadOptions(const Options& options);
+ReadOptions CompactionReadOptions();
 
 /// One SST being written: a file opened through a DataFileFactory
 /// (so under SHIELD it gets a fresh DEK) wrapped in a TableBuilder.

@@ -184,22 +184,29 @@ class DB {
 
   /// DB introspection. Supported properties:
   ///   "shield.num-files-at-level<N>", "shield.stats",
-  ///   "shield.io-stats", "shield.sstables", "shield.kds-requests",
-  ///   "shield.dek-cache-hits", "shield.approximate-memtable-bytes",
-  ///   "shield.stall-micros", "shield.offload-fallbacks",
-  ///   "shield.recovery-salvaged-logs",
+  ///   "shield.io-stats", "shield.sstables",
+  ///   "shield.approximate-memtable-bytes", "shield.last-sequence",
   ///   "shield.error-handler-state", "shield.background-error",
-  ///   "shield.error-recoveries", "shield.scrub-corruptions-detected",
-  ///   "shield.scrub-repaired-files", "shield.scrub-quarantined-files",
+  ///   "shield.error-recoveries",
   ///   "shield.levelstats" (files/bytes per level, one row per level),
-  ///   "shield.dek-cache-stats" (hits/misses/evictions/entries),
   ///   "shield.crypto-dispatch" (AES-CTR, GHASH, SHA-256 and CRC32C
   ///   kernel tiers, e.g.
   ///   "aes-ctr=vaes512 ghash=vpclmulqdq sha256=sha-ni crc32c=sse4.2"),
   ///   "shield.rotation-state" ("idle" | "running" | "pending:<n>"),
-  ///   "shield.rotation-files-rotated", "shield.dek.pending-deletes",
-  ///   "shield.metrics" (Prometheus text exposition of all tickers and
-  ///   histograms; requires Options::statistics)
+  ///   "shield.dek.pending-deletes", "shield.health",
+  ///   "shield.replica.catchup-lag-bytes",
+  ///   "shield.replica.catchup-lag-generations".
+  /// Counter properties read their ticker in Options::statistics and
+  /// return false without one: "shield.stall-micros",
+  ///   "shield.offload-fallbacks", "shield.recovery-salvaged-logs",
+  ///   "shield.scrub-corruptions-detected", "shield.scrub-repaired-files",
+  ///   "shield.scrub-quarantined-files", "shield.rotation-files-rotated",
+  ///   "shield.kds-requests", "shield.dek-cache-hits",
+  ///   "shield.dek-cache-stats" (hits/misses/evictions counts, then
+  ///   entries, the DEKs held now), and "shield.metrics" (Prometheus
+  ///   text exposition of all tickers and histograms, then this DB's
+  ///   gauges). A Statistics shared by several DBs, or reused across a
+  ///   reopen, adds up their events.
   /// "shield.stats" includes the per-level compaction table, the
   /// physical I/O split, and — when Options::statistics is set — the
   /// full ticker/histogram dump (util/statistics.h).

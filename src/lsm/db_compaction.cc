@@ -234,7 +234,8 @@ Status DBImpl::DoCompactionWork(Compaction* c, BackgroundErrorReason* reason) {
         // unreachable or flaky storage service must not stall the LSM
         // shape.
         run_locally = true;
-        offload_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+        RecordTick(options_.statistics.get(), Tickers::kLsmOffloadFallbacks,
+                   1);
         if (event_logger_ != nullptr) {
           JsonWriter w = event_logger_->NewEvent("offload_fallback");
           w.Add("level", c->level());

@@ -49,6 +49,39 @@ Status ReadPublishedManifest(Env* env, const std::string& dbname,
   return s;
 }
 
+/// The growth of some tickers between evaluations, and its sum since
+/// registration. A Statistics reset in between counts from zero again,
+/// so a reset neither inflates nor wraps a delta. Detector closures are
+/// copied per evaluation, so they hold one by shared_ptr.
+struct TickerGrowth {
+  TickerGrowth(Statistics* stats, std::vector<Tickers> tickers)
+      : stats(stats), tickers(std::move(tickers)) {
+    for (Tickers ticker : this->tickers) {
+      last.push_back(Count(ticker));
+    }
+    delta = total = std::vector<uint64_t>(last.size(), 0);
+  }
+
+  uint64_t Count(Tickers ticker) const {
+    return stats != nullptr ? stats->GetTickerCount(ticker) : 0;
+  }
+
+  /// Sets `delta` to the growth since the last Update and adds it to
+  /// `total`.
+  void Update() {
+    for (size_t i = 0; i < tickers.size(); i++) {
+      const uint64_t now = Count(tickers[i]);
+      delta[i] = now >= last[i] ? now - last[i] : now;
+      total[i] += delta[i];
+      last[i] = now;
+    }
+  }
+
+  Statistics* const stats;
+  const std::vector<Tickers> tickers;
+  std::vector<uint64_t> last, delta, total;
+};
+
 }  // namespace
 
 void DBImpl::SetupHealthPlane() {
@@ -69,15 +102,18 @@ void DBImpl::SetupHealthPlane() {
     }
   });
 
+  // The event detectors below read the DB's Statistics, which other
+  // DBs may share, as growth since their registration or last run.
+  Statistics* const stats = options_.statistics.get();
+
   // Write stalls the foreground path actually paid since the last
   // evaluation.
-  auto last_stall = std::make_shared<uint64_t>(
-      stall_micros_.load(std::memory_order_relaxed));
-  health_monitor_.RegisterDetector("write.stall", [this, last_stall] {
+  auto stalls = std::make_shared<TickerGrowth>(
+      stats, std::vector<Tickers>{Tickers::kLsmStallMicros});
+  health_monitor_.RegisterDetector("write.stall", [stalls] {
     HealthSample s;
-    const uint64_t now = stall_micros_.load(std::memory_order_relaxed);
-    const uint64_t delta = now >= *last_stall ? now - *last_stall : 0;
-    *last_stall = now;
+    stalls->Update();
+    const uint64_t delta = stalls->delta[0];
     s.value = static_cast<double>(delta);
     if (delta >= kStallCriticalMicros) {
       s.level = HealthLevel::kCritical;
@@ -114,51 +150,37 @@ void DBImpl::SetupHealthPlane() {
   // Table cache: the share of table lookups that had to open the SST
   // since the last evaluation. A cache that holds nothing shows here as
   // about one open per Get.
-  struct TableCacheCounts {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-  };
-  auto table_cache_counts = [this] {
-    TableCacheCounts c;
-    if (Statistics* stats = options_.statistics.get()) {
-      c.hits = stats->GetTickerCount(Tickers::kLsmTableCacheHit);
-      c.misses = stats->GetTickerCount(Tickers::kLsmTableCacheMiss);
-    }
-    return c;
-  };
-  auto last_table_cache =
-      std::make_shared<TableCacheCounts>(table_cache_counts());
-  health_monitor_.RegisterDetector(
-      "lsm.table_cache", [table_cache_counts, last_table_cache] {
-        HealthSample s;
-        const TableCacheCounts now = table_cache_counts();
-        // A reset Statistics counts from zero again.
-        auto since = [](uint64_t cur, uint64_t prev) {
-          return cur >= prev ? cur - prev : cur;
-        };
-        const uint64_t hits = since(now.hits, last_table_cache->hits);
-        const uint64_t misses = since(now.misses, last_table_cache->misses);
-        *last_table_cache = now;
-        if (hits + misses < kTableCacheMinLookups) {
-          return s;
-        }
-        s.value = static_cast<double>(misses) / (hits + misses);
-        if (s.value > kTableCacheMissWarnRatio) {
-          s.level = HealthLevel::kWarn;
-          s.detail = "table cache misses > 10% of lookups";
-        }
-        return s;
-      });
-
-  // Scrub backlog: corruptions detected that repair has not resolved.
-  health_monitor_.RegisterDetector("scrub.backlog", [this] {
+  auto table_cache = std::make_shared<TickerGrowth>(
+      stats, std::vector<Tickers>{Tickers::kLsmTableCacheHit,
+                                  Tickers::kLsmTableCacheMiss});
+  health_monitor_.RegisterDetector("lsm.table_cache", [table_cache] {
     HealthSample s;
-    const uint64_t detected =
-        scrub_corruptions_detected_.load(std::memory_order_relaxed);
-    const uint64_t repaired =
-        scrub_repaired_files_.load(std::memory_order_relaxed);
-    const uint64_t quarantined =
-        scrub_quarantined_files_.load(std::memory_order_relaxed);
+    table_cache->Update();
+    const uint64_t hits = table_cache->delta[0];
+    const uint64_t misses = table_cache->delta[1];
+    if (hits + misses < kTableCacheMinLookups) {
+      return s;
+    }
+    s.value = static_cast<double>(misses) / (hits + misses);
+    if (s.value > kTableCacheMissWarnRatio) {
+      s.level = HealthLevel::kWarn;
+      s.detail = "table cache misses > 10% of lookups";
+    }
+    return s;
+  });
+
+  // Scrub backlog: corruptions detected since open that repair has not
+  // resolved, summed from the scrub tickers' growth.
+  auto scrub = std::make_shared<TickerGrowth>(
+      stats, std::vector<Tickers>{Tickers::kShieldScrubCorruptions,
+                                  Tickers::kShieldScrubRepaired,
+                                  Tickers::kShieldScrubQuarantined});
+  health_monitor_.RegisterDetector("scrub.backlog", [scrub] {
+    HealthSample s;
+    scrub->Update();
+    const uint64_t detected = scrub->total[0];
+    const uint64_t repaired = scrub->total[1];
+    const uint64_t quarantined = scrub->total[2];
     const uint64_t backlog = detected >= repaired ? detected - repaired : 0;
     s.value = static_cast<double>(backlog);
     if (backlog > 0 && quarantined > repaired) {
@@ -298,8 +320,6 @@ Status DBImpl::ComputeCatchupLag(uint64_t* lag_bytes,
     *lag_generations = 1;
     *lag_bytes = pos.offset - applied_bytes;
   }
-  catchup_lag_bytes_.store(*lag_bytes, std::memory_order_release);
-  catchup_lag_generations_.store(*lag_generations, std::memory_order_release);
   return Status::OK();
 }
 
@@ -316,8 +336,6 @@ void DBImpl::RecordCatchupApplied() {
   catchup_applied_manifest_.store(pos.manifest_number,
                                   std::memory_order_release);
   catchup_applied_manifest_bytes_.store(pos.offset, std::memory_order_release);
-  catchup_lag_bytes_.store(0, std::memory_order_release);
-  catchup_lag_generations_.store(0, std::memory_order_release);
 }
 
 void DBImpl::AppendMetricsGauges(std::string* out) {
@@ -345,19 +363,22 @@ void DBImpl::AppendMetricsGauges(std::string* out) {
                     std::move(bytes), out);
   AppendGaugeFamily("shield_level_files", "Live SST files per LSM level",
                     std::move(files), out);
-  if (read_only_) {
-    const double lag_bytes =
-        catchup_lag_bytes_.load(std::memory_order_relaxed);
-    const double lag_generations =
-        catchup_lag_generations_.load(std::memory_order_relaxed);
+  // The lag is probed as the scrape is taken; a replica that cannot
+  // read the shared CURRENT file has no lag to report (its
+  // replica.catchup detector says why).
+  uint64_t lag_bytes = 0;
+  uint64_t lag_generations = 0;
+  if (read_only_ && ComputeCatchupLag(&lag_bytes, &lag_generations).ok()) {
     AppendGaugeFamily("shield_replica_catchup_lag_bytes",
                       "Manifest bytes published by the primary but not yet "
                       "applied by this replica",
-                      {{base.Encode(), lag_bytes}}, out);
+                      {{base.Encode(), static_cast<double>(lag_bytes)}},
+                      out);
     AppendGaugeFamily("shield_replica_catchup_lag_generations",
                       "Manifest generations this replica is behind the "
                       "primary",
-                      {{base.Encode(), lag_generations}}, out);
+                      {{base.Encode(), static_cast<double>(lag_generations)}},
+                      out);
   }
 }
 

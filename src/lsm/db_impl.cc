@@ -58,6 +58,24 @@ Options SanitizeOptions(const Options& src) {
   return result;
 }
 
+// Counter properties: each reads the one ticker that counts its event
+// in the DB's Statistics.
+struct CounterProperty {
+  const char* name;
+  Tickers ticker;
+};
+constexpr CounterProperty kCounterProperties[] = {
+    {"stall-micros", Tickers::kLsmStallMicros},
+    {"offload-fallbacks", Tickers::kLsmOffloadFallbacks},
+    {"recovery-salvaged-logs", Tickers::kLsmRecoverySalvagedLogs},
+    {"scrub-corruptions-detected", Tickers::kShieldScrubCorruptions},
+    {"scrub-repaired-files", Tickers::kShieldScrubRepaired},
+    {"scrub-quarantined-files", Tickers::kShieldScrubQuarantined},
+    {"rotation-files-rotated", Tickers::kShieldRotationFilesRewritten},
+    {"kds-requests", Tickers::kKdsRequests},
+    {"dek-cache-hits", Tickers::kShieldDekCacheHit},
+};
+
 }  // namespace
 
 DBImpl::DBImpl(const Options& raw_options, const std::string& dbname,
@@ -542,7 +560,8 @@ Status DBImpl::Recover() {
         // record replayed before the damage is kept; only unsynced —
         // hence unacknowledged — data can be missing. Salvage and
         // continue.
-        recovery_salvaged_logs_.fetch_add(1, std::memory_order_relaxed);
+        RecordTick(options_.statistics.get(),
+                   Tickers::kLsmRecoverySalvagedLogs, 1);
         if (event_logger_ != nullptr && event_logger_->enabled()) {
           JsonWriter w = event_logger_->NewEvent("wal_salvage");
           w.Add("log_number", log_number);
@@ -747,13 +766,37 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     }
     return true;
   }
+  // Counters live in the Statistics alone: without one there is
+  // nothing to read.
+  Statistics* const stats = options_.statistics.get();
+  auto count = [stats](Tickers ticker) {
+    return std::to_string(stats->GetTickerCount(ticker));
+  };
+  for (const CounterProperty& counter : kCounterProperties) {
+    if (in == Slice(counter.name)) {
+      if (stats != nullptr) {
+        *value = count(counter.ticker);
+      }
+      return stats != nullptr;
+    }
+  }
+  if (in == Slice("dek-cache-stats")) {
+    if (stats != nullptr) {
+      *value = "hits=" + count(Tickers::kShieldDekCacheHit) +
+               " misses=" + count(Tickers::kShieldDekCacheMiss) +
+               " evictions=" + count(Tickers::kShieldDekCacheEvictions) +
+               " entries=" +
+               std::to_string(dek_manager_ ? dek_manager_->entries() : 0);
+    }
+    return stats != nullptr;
+  }
   if (in == Slice("metrics")) {
-    if (options_.statistics == nullptr) {
+    if (stats == nullptr) {
       return false;
     }
     // The Statistics families under this DB's node label, then this
     // DB's own gauges; the two share no family name.
-    *value = options_.statistics->ToPrometheusText(options_.node_name);
+    *value = stats->ToPrometheusText(options_.node_name);
     AppendMetricsGauges(value);
     return true;
   }
@@ -776,14 +819,6 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     *value = versions_->current()->DebugString();
     return true;
   }
-  if (in == Slice("kds-requests")) {
-    *value = std::to_string(dek_manager_ ? dek_manager_->kds_requests() : 0);
-    return true;
-  }
-  if (in == Slice("dek-cache-hits")) {
-    *value = std::to_string(dek_manager_ ? dek_manager_->cache_hits() : 0);
-    return true;
-  }
   if (in == Slice("approximate-memtable-bytes")) {
     size_t total = mem_ != nullptr ? mem_->ApproximateMemoryUsage() : 0;
     if (imm_ != nullptr) {
@@ -799,20 +834,6 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     *value = std::to_string(versions_->LastSequence());
     return true;
   }
-  if (in == Slice("stall-micros")) {
-    *value = std::to_string(stall_micros_.load(std::memory_order_relaxed));
-    return true;
-  }
-  if (in == Slice("offload-fallbacks")) {
-    *value =
-        std::to_string(offload_fallbacks_.load(std::memory_order_relaxed));
-    return true;
-  }
-  if (in == Slice("recovery-salvaged-logs")) {
-    *value = std::to_string(
-        recovery_salvaged_logs_.load(std::memory_order_relaxed));
-    return true;
-  }
   if (in == Slice("error-handler-state")) {
     *value = DbErrorStateName(error_handler_.state());
     return true;
@@ -825,21 +846,6 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
     *value = std::to_string(error_handler_.recoveries());
     return true;
   }
-  if (in == Slice("scrub-corruptions-detected")) {
-    *value = std::to_string(
-        scrub_corruptions_detected_.load(std::memory_order_relaxed));
-    return true;
-  }
-  if (in == Slice("scrub-repaired-files")) {
-    *value =
-        std::to_string(scrub_repaired_files_.load(std::memory_order_relaxed));
-    return true;
-  }
-  if (in == Slice("scrub-quarantined-files")) {
-    *value = std::to_string(
-        scrub_quarantined_files_.load(std::memory_order_relaxed));
-    return true;
-  }
   if (in == Slice("rotation-state")) {
     if (rotation_running_.load(std::memory_order_acquire)) {
       *value = "running";
@@ -848,11 +854,6 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
           rotation_pending_files_.load(std::memory_order_relaxed);
       *value = pending > 0 ? "pending:" + std::to_string(pending) : "idle";
     }
-    return true;
-  }
-  if (in == Slice("rotation-files-rotated")) {
-    *value = std::to_string(
-        rotation_files_rotated_.load(std::memory_order_relaxed));
     return true;
   }
   if (in == Slice("dek.pending-deletes")) {
@@ -875,21 +876,6 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
   }
   if (in == Slice("crypto-dispatch")) {
     *value = crypto::CryptoDispatch();
-    return true;
-  }
-  if (in == Slice("dek-cache-stats")) {
-    char buf[160];
-    snprintf(buf, sizeof(buf),
-             "hits=%llu misses=%llu evictions=%llu entries=%llu",
-             static_cast<unsigned long long>(
-                 dek_manager_ ? dek_manager_->cache_hits() : 0),
-             static_cast<unsigned long long>(
-                 dek_manager_ ? dek_manager_->cache_misses() : 0),
-             static_cast<unsigned long long>(
-                 dek_manager_ ? dek_manager_->evictions() : 0),
-             static_cast<unsigned long long>(
-                 dek_manager_ ? dek_manager_->entries() : 0));
-    *value = buf;
     return true;
   }
   return false;

@@ -217,8 +217,9 @@ class DBImpl final : public DB {
   /// detectors with health_monitor_ and wires the transition sink to
   /// the event logger. Called once at the end of Recover().
   void SetupHealthPlane();
-  /// Appends this DB's gauge families (health, levels, catch-up lag)
-  /// for the "shield.metrics" property, in name order.
+  /// Appends this DB's gauge families (health, levels and, on a
+  /// replica, the catch-up lag probed now) for the "shield.metrics"
+  /// property, in name order.
   /// REQUIRES: mutex_ not held.
   void AppendMetricsGauges(std::string* out);
   /// Replica catch-up lag versus the primary's published state: bytes
@@ -372,23 +373,11 @@ class DBImpl final : public DB {
   // finishes that rotation before anything else.
   bool rotation_pending_at_open_ = false;
   std::atomic<bool> rotation_running_{false};
-  std::atomic<uint64_t> rotation_files_rotated_{0};
   // Files still owed by the persisted rotation manifest (for the
   // "shield.rotation-state" property).
   std::atomic<uint64_t> rotation_pending_files_{0};
 
-  std::atomic<uint64_t> scrub_corruptions_detected_{0};
-  std::atomic<uint64_t> scrub_repaired_files_{0};
-  std::atomic<uint64_t> scrub_quarantined_files_{0};
-  // Offloaded compactions that fell back to local execution after the
-  // service exhausted its retries ("shield.offload-fallbacks").
-  std::atomic<uint64_t> offload_fallbacks_{0};
-  // WALs whose replay was cut short by damage that crash semantics
-  // explain, tolerated because paranoid_checks is off
-  // ("shield.recovery-salvaged-logs").
-  std::atomic<uint64_t> recovery_salvaged_logs_{0};
   CompactionStats stats_[kMaxNumLevels];
-  std::atomic<uint64_t> stall_micros_{0};
 
   // Cluster health plane (db_health.cc). health_monitor_ owns the
   // detector state machines; transitions are emitted as
@@ -400,10 +389,6 @@ class DBImpl final : public DB {
   // (read-only instances): baseline for catch-up lag.
   std::atomic<uint64_t> catchup_applied_manifest_{0};
   std::atomic<uint64_t> catchup_applied_manifest_bytes_{0};
-  // Last published catch-up lag, mirrored into gauges and the
-  // replica.catchup detector.
-  std::atomic<uint64_t> catchup_lag_bytes_{0};
-  std::atomic<uint64_t> catchup_lag_generations_{0};
 };
 
 }  // namespace shield

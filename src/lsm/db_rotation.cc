@@ -155,7 +155,6 @@ Status DBImpl::RunRotation(RotationManifest* manifest,
       rotated_this_pass++;
       result->files_rotated++;
       result->bytes_rotated += bytes;
-      rotation_files_rotated_.fetch_add(1, std::memory_order_relaxed);
       RecordTick(stats, Tickers::kShieldRotationFilesRewritten, 1);
       RecordTick(stats, Tickers::kShieldRotationBytesRewritten, bytes);
     }

@@ -66,7 +66,7 @@ Status DBImpl::ScrubPass(bool throttle, ScrubStats* stats) {
     }
 
     stats->corrupt_files++;
-    scrub_corruptions_detected_.fetch_add(1, std::memory_order_relaxed);
+    RecordTick(options_.statistics.get(), Tickers::kShieldScrubCorruptions, 1);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       const std::string fname = TableFileName(dbname_, f.number);
@@ -212,7 +212,7 @@ Status DBImpl::QuarantineFile(uint64_t number) {
     s = close_status;
   }
   if (s.ok()) {
-    scrub_quarantined_files_.fetch_add(1, std::memory_order_relaxed);
+    RecordTick(options_.statistics.get(), Tickers::kShieldScrubQuarantined, 1);
     if (event_logger_ != nullptr) {
       JsonWriter w = event_logger_->NewEvent("quarantine");
       w.Add("file_number", number);
@@ -302,7 +302,7 @@ Status DBImpl::RepairFromReplica(int level, uint64_t number,
       listener->OnFileRepaired(fname, /*from_replica=*/true);
     }
   }
-  scrub_repaired_files_.fetch_add(1, std::memory_order_relaxed);
+  RecordTick(options_.statistics.get(), Tickers::kShieldScrubRepaired, 1);
   if (event_logger_ != nullptr) {
     JsonWriter w = event_logger_->NewEvent("file_repaired");
     w.Add("file_number", number);
@@ -405,7 +405,7 @@ Status DBImpl::SalvageLocally(int level, uint64_t number,
     for (const auto& listener : options_.listeners) {
       listener->OnFileRepaired(fname, /*from_replica=*/false);
     }
-    scrub_repaired_files_.fetch_add(1, std::memory_order_relaxed);
+    RecordTick(options_.statistics.get(), Tickers::kShieldScrubRepaired, 1);
     if (event_logger_ != nullptr) {
       JsonWriter w = event_logger_->NewEvent("file_repaired");
       w.Add("file_number", number);

@@ -266,7 +266,6 @@ Status DBImpl::MakeRoomForWrite(std::unique_lock<std::mutex>& lock,
   bool allow_delay = !force;
   Status s;
   auto record_stall = [this](uint64_t micros) {
-    stall_micros_.fetch_add(micros, std::memory_order_relaxed);
     RecordTick(options_.statistics.get(), Tickers::kLsmStallMicros, micros);
     PerfAdd(&PerfContext::write_stall_micros, micros);
   };

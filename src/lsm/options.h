@@ -269,13 +269,6 @@ struct Options {
   /// On-demand VerifyIntegrity is never throttled.
   uint64_t scrub_bytes_per_second = 8 * 1024 * 1024;
 
-  /// Readahead window for compaction input files: each input is read
-  /// through a prefetch buffer of up to this many stored bytes,
-  /// turning per-block fetches into large sequential spans — one
-  /// storage round trip per span on disaggregated storage. 0 disables
-  /// compaction readahead.
-  size_t compaction_readahead_size = 256 * 1024;
-
   /// When the scrubber finds a corrupt SST: quarantine a raw copy and
   /// repair it (replica re-fetch, else local salvage). When false the
   /// scrubber only detects and quarantines.

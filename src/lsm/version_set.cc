@@ -1016,7 +1016,7 @@ void VersionSet::GetRange2(const std::vector<FileMetaData*>& inputs1,
 }
 
 Iterator* VersionSet::MakeInputIterator(Compaction* c) {
-  const ReadOptions options = CompactionReadOptions(options_);
+  const ReadOptions options = CompactionReadOptions();
 
   // Level-0 files must be iterated individually (they overlap); other
   // levels use a concatenating iterator.

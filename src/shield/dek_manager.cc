@@ -42,7 +42,6 @@ uint64_t DekManager::entries() const {
 
 Status DekManager::KdsRoundTrip(const char* op_name,
                                 const std::function<Status()>& op) {
-  kds_requests_.fetch_add(1, std::memory_order_relaxed);
   RecordTick(stats_, Tickers::kKdsRequests, 1);
   PerfAdd(&PerfContext::kds_request_count, 1);
   uint64_t elapsed = 0;
@@ -116,7 +115,6 @@ Status DekManager::ResolveDek(const DekId& id, Dek* out) {
     auto it = memory_.find(id);
     if (it != memory_.end()) {
       *out = it->second;
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
       RecordTick(stats_, Tickers::kShieldDekCacheHit, 1);
       return Status::OK();
     }
@@ -124,11 +122,9 @@ Status DekManager::ResolveDek(const DekId& id, Dek* out) {
   if (secure_cache_ != nullptr && secure_cache_->Get(id, out).ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     memory_[id] = *out;
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
     RecordTick(stats_, Tickers::kShieldDekCacheHit, 1);
     return Status::OK();
   }
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
   RecordTick(stats_, Tickers::kShieldDekCacheMiss, 1);
   Status s =
       KdsRoundTrip("get", [&] { return kds_->GetDek(server_id_, id, out); });
@@ -149,7 +145,7 @@ Status DekManager::ForgetDek(const DekId& id) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (memory_.erase(id) > 0) {
-      evictions_.fetch_add(1, std::memory_order_relaxed);
+      RecordTick(stats_, Tickers::kShieldDekCacheEvictions, 1);
     }
     created_micros_.erase(id);
   }

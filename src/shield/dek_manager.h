@@ -1,7 +1,6 @@
 #ifndef SHIELD_SHIELD_DEK_MANAGER_H_
 #define SHIELD_SHIELD_DEK_MANAGER_H_
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -26,7 +25,8 @@ class DekManager {
  public:
   /// `kds` must outlive the manager. `secure_cache` may be null.
   /// `stats` (optional, must outlive the manager) receives kds.* and
-  /// shield.dek.* tickers plus the KDS latency histogram.
+  /// shield.dek.* tickers plus the KDS latency histogram: they are the
+  /// only count of this manager's KDS round trips and cache outcomes.
   DekManager(Kds* kds, std::string server_id, SecureDekCache* secure_cache,
              Statistics* stats = nullptr);
 
@@ -86,22 +86,6 @@ class DekManager {
   /// as infinitely old).
   uint64_t DekAgeMicros(const DekId& id) const;
 
-  /// KDS round-trips performed (creates + fetches + deletes).
-  uint64_t kds_requests() const {
-    return kds_requests_.load(std::memory_order_relaxed);
-  }
-  /// Resolutions served from memory or the secure cache.
-  uint64_t cache_hits() const {
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
-  /// Resolutions that had to fall through to a KDS round trip.
-  uint64_t cache_misses() const {
-    return cache_misses_.load(std::memory_order_relaxed);
-  }
-  /// DEKs dropped from the in-memory cache (ForgetDek on file delete).
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
   /// DEKs currently held in memory.
   uint64_t entries() const;
 
@@ -124,11 +108,6 @@ class DekManager {
   SecureDekCache* const secure_cache_;
   Statistics* const stats_;
   EventLogger* event_logger_ = nullptr;
-
-  std::atomic<uint64_t> kds_requests_{0};
-  std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> cache_misses_{0};
-  std::atomic<uint64_t> evictions_{0};
 
   mutable std::mutex mu_;
   std::map<DekId, Dek> memory_;

@@ -40,6 +40,8 @@ const char* const kTickerNames[] = {
     "lsm.table.cache.hit",
     "lsm.table.cache.miss",
     "lsm.stall.micros",
+    "lsm.offload.fallbacks",
+    "lsm.recovery.salvaged.logs",
     "lsm.multiget.keys",
     "lsm.multiget.batches",
     "crypto.bytes.encrypted",
@@ -53,6 +55,7 @@ const char* const kTickerNames[] = {
     "shield.dek.destroyed",
     "shield.dek.cache.hit",
     "shield.dek.cache.miss",
+    "shield.dek.cache.evictions",
     "shield.chunk.encrypt.shards",
     "shield.wal.buffer.drains",
     "kds.requests",
@@ -80,6 +83,9 @@ const char* const kTickerNames[] = {
     "lsm.ingest.bytes",
     "shield.dump.files",
     "shield.dump.bytes",
+    "shield.scrub.corruptions",
+    "shield.scrub.repaired",
+    "shield.scrub.quarantined",
 };
 
 static_assert(sizeof(kTickerNames) / sizeof(kTickerNames[0]) == kNumTickers,

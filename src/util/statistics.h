@@ -56,6 +56,11 @@ enum class Tickers : uint32_t {
   kLsmTableCacheHit,
   kLsmTableCacheMiss,
   kLsmStallMicros,
+  // Offloaded compactions run locally after the service exhausted its
+  // retries, and WALs whose replay recovery cut short at damage that
+  // crash semantics explain (tolerated without paranoid_checks).
+  kLsmOffloadFallbacks,
+  kLsmRecoverySalvagedLogs,
   // MultiGet batching: keys asked across all MultiGet calls, and
   // coalesced multi-block fetches issued (each batch is one storage
   // round trip that would have been several under sequential Gets).
@@ -80,6 +85,8 @@ enum class Tickers : uint32_t {
   kShieldDekDestroyed,
   kShieldDekCacheHit,
   kShieldDekCacheMiss,
+  // DEKs dropped from the in-memory cache (ForgetDek on file delete).
+  kShieldDekCacheEvictions,
   kShieldChunkEncryptShards,
   kShieldWalBufferDrains,
 
@@ -128,6 +135,13 @@ enum class Tickers : uint32_t {
   kLsmIngestBytes,
   kShieldDumpFiles,
   kShieldDumpBytes,
+
+  // Integrity scrubber (lsm/db_scrub.cc): corrupt files found, files
+  // repaired (from a replica or by local salvage) and files whose
+  // damaged image was quarantined.
+  kShieldScrubCorruptions,
+  kShieldScrubRepaired,
+  kShieldScrubQuarantined,
 
   kTickerMax,  // not a ticker
 };

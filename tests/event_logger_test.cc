@@ -543,7 +543,9 @@ TEST_F(DBLogTest, LevelStatsProperty) {
 
 TEST_F(DBLogTest, DekCacheStatsProperty) {
   // Without SHIELD encryption there is no DEK manager: all-zero stats.
-  Open(MakeOptions());
+  Options plain = MakeOptions();
+  plain.statistics = CreateDBStatistics();
+  Open(plain);
   std::string value;
   ASSERT_TRUE(db_->GetProperty("shield.dek-cache-stats", &value));
   EXPECT_EQ("hits=0 misses=0 evictions=0 entries=0", value);
@@ -553,6 +555,7 @@ TEST_F(DBLogTest, DekCacheStatsProperty) {
   options.env = env_.get();
   options.encryption.mode = EncryptionMode::kShield;
   options.encryption.kds = std::make_shared<LocalKds>();
+  options.statistics = CreateDBStatistics();
   db_.reset();
   DB* raw = nullptr;
   ASSERT_TRUE(DB::Open(options, "/db2", &raw).ok());
@@ -586,6 +589,54 @@ TEST_F(DBLogTest, MetricsPropertyRequiresStatistics) {
   EXPECT_NE(std::string::npos, value.find("shield_"));
   EXPECT_NE(std::string::npos, value.find("shield_level_files{level=\"0\"}"));
   EXPECT_NE(std::string::npos, value.find("shield_level_bytes"));
+}
+
+TEST_F(DBLogTest, CounterPropertiesReadTheirTickers) {
+  const std::pair<const char*, Tickers> counters[] = {
+      {"shield.stall-micros", Tickers::kLsmStallMicros},
+      {"shield.offload-fallbacks", Tickers::kLsmOffloadFallbacks},
+      {"shield.recovery-salvaged-logs", Tickers::kLsmRecoverySalvagedLogs},
+      {"shield.scrub-corruptions-detected", Tickers::kShieldScrubCorruptions},
+      {"shield.scrub-repaired-files", Tickers::kShieldScrubRepaired},
+      {"shield.scrub-quarantined-files", Tickers::kShieldScrubQuarantined},
+      {"shield.rotation-files-rotated",
+       Tickers::kShieldRotationFilesRewritten},
+      {"shield.kds-requests", Tickers::kKdsRequests},
+      {"shield.dek-cache-hits", Tickers::kShieldDekCacheHit},
+  };
+
+  // Without a Statistics there is no count to read; state properties
+  // still answer.
+  Open(MakeOptions());
+  std::string value;
+  for (const auto& [name, ticker] : counters) {
+    EXPECT_FALSE(db_->GetProperty(name, &value)) << name;
+  }
+  EXPECT_FALSE(db_->GetProperty("shield.dek-cache-stats", &value));
+  EXPECT_TRUE(db_->GetProperty("shield.rotation-state", &value));
+  EXPECT_EQ("idle", value);
+  db_.reset();
+
+  // With one, each property is its ticker, whoever ticked it. Distinct
+  // counts catch a property wired to the wrong ticker.
+  Options options = MakeOptions();
+  options.statistics = CreateDBStatistics();
+  Open(options);
+  Statistics* stats = options.statistics.get();
+  uint64_t count = 100;
+  for (const auto& [name, ticker] : counters) {
+    stats->RecordTick(ticker, count++);
+  }
+  stats->RecordTick(Tickers::kShieldDekCacheMiss, 7);
+  stats->RecordTick(Tickers::kShieldDekCacheEvictions, 3);
+  for (const auto& [name, ticker] : counters) {
+    ASSERT_TRUE(db_->GetProperty(name, &value)) << name;
+    EXPECT_EQ(std::to_string(stats->GetTickerCount(ticker)), value) << name;
+  }
+  ASSERT_TRUE(db_->GetProperty("shield.dek-cache-hits", &value));
+  EXPECT_EQ("108", value);
+  ASSERT_TRUE(db_->GetProperty("shield.dek-cache-stats", &value));
+  EXPECT_EQ("hits=108 misses=7 evictions=3 entries=0", value);
 }
 
 }  // namespace

@@ -284,28 +284,32 @@ TEST(DekManagerTest, ResolutionChain) {
   std::unique_ptr<SecureDekCache> cache;
   ASSERT_TRUE(SecureDekCache::Open(env.get(), "/c", "pk", &cache).ok());
 
-  DekManager manager(kds.get(), "s1", cache.get());
+  // Each manager counts into its own Statistics.
+  Statistics stats;
+  DekManager manager(kds.get(), "s1", cache.get(), &stats);
   Dek dek;
   ASSERT_TRUE(manager.CreateDek(crypto::CipherKind::kAes128Ctr, &dek).ok());
-  EXPECT_EQ(1u, manager.kds_requests());
+  EXPECT_EQ(1u, stats.GetTickerCount(Tickers::kKdsRequests));
 
   // Memory hit: no extra KDS request.
   Dek out;
   ASSERT_TRUE(manager.ResolveDek(dek.id, &out).ok());
-  EXPECT_EQ(1u, manager.kds_requests());
-  EXPECT_EQ(1u, manager.cache_hits());
+  EXPECT_EQ(1u, stats.GetTickerCount(Tickers::kKdsRequests));
+  EXPECT_EQ(1u, stats.GetTickerCount(Tickers::kShieldDekCacheHit));
 
   // A fresh manager (simulating restart) hits the secure cache, not
   // the KDS.
-  DekManager restarted(kds.get(), "s1", cache.get());
+  Statistics restarted_stats;
+  DekManager restarted(kds.get(), "s1", cache.get(), &restarted_stats);
   ASSERT_TRUE(restarted.ResolveDek(dek.id, &out).ok());
-  EXPECT_EQ(0u, restarted.kds_requests());
+  EXPECT_EQ(0u, restarted_stats.GetTickerCount(Tickers::kKdsRequests));
   EXPECT_EQ(dek.key, out.key);
 
   // Without the cache, resolution goes to the KDS.
-  DekManager uncached(kds.get(), "s2", nullptr);
+  Statistics uncached_stats;
+  DekManager uncached(kds.get(), "s2", nullptr, &uncached_stats);
   ASSERT_TRUE(uncached.ResolveDek(dek.id, &out).ok());
-  EXPECT_EQ(1u, uncached.kds_requests());
+  EXPECT_EQ(1u, uncached_stats.GetTickerCount(Tickers::kKdsRequests));
 }
 
 TEST(DekManagerTest, ForgetDekRemovesEverywhere) {
@@ -314,21 +318,26 @@ TEST(DekManagerTest, ForgetDekRemovesEverywhere) {
   std::unique_ptr<SecureDekCache> cache;
   ASSERT_TRUE(SecureDekCache::Open(env.get(), "/c", "pk", &cache).ok());
 
-  DekManager manager(kds.get(), "s1", cache.get());
+  Statistics stats;
+  DekManager manager(kds.get(), "s1", cache.get(), &stats);
   Dek dek;
   ASSERT_TRUE(manager.CreateDek(crypto::CipherKind::kAes128Ctr, &dek).ok());
   ASSERT_TRUE(manager.ForgetDek(dek.id).ok());
 
   EXPECT_EQ(0u, kds->NumDeks());
   EXPECT_EQ(0u, cache->NumDeks());
+  EXPECT_EQ(1u, stats.GetTickerCount(Tickers::kShieldDekCacheEvictions));
   Dek out;
   EXPECT_FALSE(manager.ResolveDek(dek.id, &out).ok());
 }
 
 TEST(DekManagerTest, ForgetUnknownDekIsOk) {
   auto kds = std::make_shared<LocalKds>();
-  DekManager manager(kds.get(), "s1", nullptr);
+  Statistics stats;
+  DekManager manager(kds.get(), "s1", nullptr, &stats);
   EXPECT_TRUE(manager.ForgetDek(DekId::Generate()).ok());
+  // Nothing was in memory, so nothing was evicted.
+  EXPECT_EQ(0u, stats.GetTickerCount(Tickers::kShieldDekCacheEvictions));
 }
 
 
@@ -594,10 +603,11 @@ TEST_F(SecureDekCacheTest, TornCacheFileQuarantinedAndFallsThroughToKds) {
   EXPECT_TRUE(cache->Get(dek.id, &out).IsNotFound());
 
   // Resolution falls through to the KDS and re-populates the cache.
-  DekManager manager(kds.get(), "s1", cache.get());
+  Statistics stats;
+  DekManager manager(kds.get(), "s1", cache.get(), &stats);
   ASSERT_TRUE(manager.ResolveDek(dek.id, &out).ok());
   EXPECT_EQ(dek.key, out.key);
-  EXPECT_EQ(1u, manager.cache_misses());
+  EXPECT_EQ(1u, stats.GetTickerCount(Tickers::kShieldDekCacheMiss));
   EXPECT_EQ(1u, cache->NumDeks());
 }
 

@@ -517,6 +517,23 @@ TEST(HealthMonitorTest, StatusReadsDoNotBlockOnSlowDetectors) {
   EXPECT_TRUE(transitions.empty()) << "level should be stable at warn";
 }
 
+// Runs one health evaluation of `db` and returns the level `detector`
+// reached.
+std::string EvaluateDetector(DB* db, const std::string& detector) {
+  std::vector<HealthTransition> transitions;
+  EXPECT_TRUE(db->EvaluateHealth(&transitions).ok());
+  std::string json;
+  EXPECT_TRUE(db->GetProperty("shield.health", &json));
+  const std::string key = "{\"name\":\"" + detector + "\",\"level\":\"";
+  const size_t at = json.find(key);
+  EXPECT_NE(std::string::npos, at) << detector;
+  if (at == std::string::npos) {
+    return "";
+  }
+  const size_t begin = at + key.size();
+  return json.substr(begin, json.find('"', begin) - begin);
+}
+
 TEST(HealthMonitorTest, TableCacheDetectorWarnsOnMissShare) {
   // The detector reads the table-cache tickers of the DB's Statistics,
   // which other DBs may share, and judges only the lookups since its
@@ -529,30 +546,71 @@ TEST(HealthMonitorTest, TableCacheDetectorWarnsOnMissShare) {
   DB* raw = nullptr;
   ASSERT_TRUE(DB::Open(options, "/tcdb", &raw).ok());
   std::unique_ptr<DB> db(raw);
-  auto level = [&db] {
-    std::vector<HealthTransition> transitions;
-    EXPECT_TRUE(db->EvaluateHealth(&transitions).ok());
-    std::string json;
-    EXPECT_TRUE(db->GetProperty("shield.health", &json));
-    const size_t at = json.find("\"lsm.table_cache\"");
-    EXPECT_NE(std::string::npos, at);
-    return json.substr(at, json.find('}', at) - at);
-  };
+  auto level = [&db] { return EvaluateDetector(db.get(), "lsm.table_cache"); };
   level();
 
   // 20% misses over 1000 lookups: warn.
   stats->RecordTick(Tickers::kLsmTableCacheHit, 800);
   stats->RecordTick(Tickers::kLsmTableCacheMiss, 200);
-  EXPECT_NE(std::string::npos, level().find("\"warn\""));
+  EXPECT_EQ("warn", level());
 
   // 10% exactly is not over the threshold.
   stats->RecordTick(Tickers::kLsmTableCacheHit, 900);
   stats->RecordTick(Tickers::kLsmTableCacheMiss, 100);
-  EXPECT_NE(std::string::npos, level().find("\"ok\""));
+  EXPECT_EQ("ok", level());
 
   // Too few lookups to judge, however many miss.
   stats->RecordTick(Tickers::kLsmTableCacheMiss, 999);
-  EXPECT_NE(std::string::npos, level().find("\"ok\""));
+  EXPECT_EQ("ok", level());
+}
+
+TEST(HealthMonitorTest, StallAndScrubDetectorsReadTickerGrowth) {
+  // Both detectors read the DB's Statistics as growth since their last
+  // evaluation, so a Statistics::Reset in between neither fires nor
+  // clears one.
+  std::unique_ptr<Env> env = NewMemEnv();
+  auto stats = CreateDBStatistics();
+  Options options;
+  options.env = env.get();
+  options.statistics = stats;
+  DB* raw = nullptr;
+  ASSERT_TRUE(DB::Open(options, "/detdb", &raw).ok());
+  std::unique_ptr<DB> db(raw);
+  auto stall = [&db] { return EvaluateDetector(db.get(), "write.stall"); };
+  auto scrub = [&db] { return EvaluateDetector(db.get(), "scrub.backlog"); };
+  EXPECT_EQ("ok", stall());
+  EXPECT_EQ("ok", scrub());
+
+  // write.stall: any stall since the last evaluation warns, a second or
+  // more is critical, and an evaluation without one is ok again.
+  stats->RecordTick(Tickers::kLsmStallMicros, 500);
+  EXPECT_EQ("warn", stall());
+  stats->RecordTick(Tickers::kLsmStallMicros, 1000 * 1000);
+  EXPECT_EQ("critical", stall());
+  EXPECT_EQ("ok", stall());
+  // After a reset the ticker restarts below the last reading: what it
+  // counted since the reset is the growth, neither zero nor a wrapped
+  // difference.
+  stats->Reset();
+  stats->RecordTick(Tickers::kLsmStallMicros, 300);
+  EXPECT_EQ("warn", stall());
+  EXPECT_EQ("ok", stall());
+
+  // scrub.backlog: a corruption awaiting repair warns, a quarantine with
+  // no repair is critical, and the repair clears both.
+  stats->RecordTick(Tickers::kShieldScrubCorruptions, 1);
+  EXPECT_EQ("warn", scrub());
+  stats->RecordTick(Tickers::kShieldScrubQuarantined, 1);
+  EXPECT_EQ("critical", scrub());
+  stats->RecordTick(Tickers::kShieldScrubRepaired, 1);
+  EXPECT_EQ("ok", scrub());
+  // A reset does not forget a corruption that is still awaiting repair.
+  stats->RecordTick(Tickers::kShieldScrubCorruptions, 1);
+  EXPECT_EQ("warn", scrub());
+  stats->Reset();
+  EXPECT_EQ("warn", scrub());
+  stats->RecordTick(Tickers::kShieldScrubRepaired, 1);
+  EXPECT_EQ("ok", scrub());
 }
 
 // --- concurrency (TSan) ----------------------------------------------

@@ -382,8 +382,9 @@ TEST_F(ReplicaCatchupTest, ConcurrentCatchUpSeesOnlyAtomicGenerations) {
 // writer publishes new version edits, and back to zero after the next
 // successful TryCatchUp (the same signal the replica.catchup health
 // detector and the shield_replica_catchup_lag_* gauges consume). The
-// gauges in the replica's `shield.metrics` report what the last probe
-// measured, so after each property read they equal it.
+// gauges in the replica's `shield.metrics` probe the lag when the
+// scrape is taken, so they report it before any property read and
+// equal the properties after one.
 TEST_F(ReplicaCatchupTest, LagPropertiesDrainToZeroAfterCatchUp) {
   replica_statistics_ = CreateDBStatistics();
   OpenWriterAndReplica();
@@ -418,8 +419,11 @@ TEST_F(ReplicaCatchupTest, LagPropertiesDrainToZeroAfterCatchUp) {
   EXPECT_EQ(0u, checked_lag());
 
   // A flush appends version edits past the replica's applied prefix.
+  // The first scrape after it already sees the lag.
   WriteGeneration(1);
   ASSERT_TRUE(writer_->Flush().ok());
+  EXPECT_GT(gauge("shield_replica_catchup_lag_generations"), 0u);
+  EXPECT_GT(gauge("shield_replica_catchup_lag_bytes"), 0u);
   EXPECT_GT(checked_lag(), 0u);
 
   ASSERT_TRUE(replica_->TryCatchUp().ok());

@@ -134,6 +134,7 @@ class ScrubTest : public ::testing::Test {
     options.encryption.mode = EncryptionMode::kShield;
     options.encryption.kds = kds_;
     options.listeners = {listener_};
+    options.statistics = stats_;
     return options;
   }
 
@@ -178,6 +179,9 @@ class ScrubTest : public ::testing::Test {
   std::unique_ptr<FaultInjectionEnv> fault_env_;
   std::shared_ptr<LocalKds> kds_;
   std::shared_ptr<ScrubListener> listener_;
+  // Holds the counts the scrub properties read. A reopen keeps it, so
+  // counts carry over; no test here scrubs before it reopens.
+  std::shared_ptr<Statistics> stats_ = CreateDBStatistics();
   std::map<std::string, std::string> shadow_;
   std::unique_ptr<DB> db_;
 };
@@ -859,6 +863,7 @@ TEST(DisaggregatedScrubTest, FaultScheduleEndsActiveWithZeroLoss) {
   options.encryption.kds = std::make_shared<LocalKds>();
   options.listeners = {listener};
   options.replica_source = &service;
+  options.statistics = CreateDBStatistics();
   RetryPolicy resume;
   resume.max_attempts = 1 << 20;
   resume.initial_backoff_micros = 200;

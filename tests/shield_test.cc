@@ -382,7 +382,8 @@ TEST_F(ShieldFactoryTest, CrossManagerSharing) {
   ASSERT_TRUE(file->Append("shared across servers").ok());
   ASSERT_TRUE(file->Close().ok());
 
-  DekManager worker_manager(kds_.get(), "worker", nullptr);
+  Statistics worker_stats;
+  DekManager worker_manager(kds_.get(), "worker", nullptr, &worker_stats);
   EncryptionOptions opts;
   opts.mode = EncryptionMode::kShield;
   auto worker_factory =
@@ -393,7 +394,7 @@ TEST_F(ShieldFactoryTest, CrossManagerSharing) {
   Slice result;
   ASSERT_TRUE(reader->Read(21, &result, scratch).ok());
   EXPECT_EQ("shared across servers", result.ToString());
-  EXPECT_EQ(1u, worker_manager.kds_requests());
+  EXPECT_EQ(1u, worker_stats.GetTickerCount(Tickers::kKdsRequests));
 }
 
 // --- Header read at open, both modes ----------------------------------
