@@ -49,15 +49,19 @@ enum class BlockMac : uint8_t {
 /// the offset pins every block to its position, defeating block
 /// transplants within and across files.
 ///
-/// SST blocks are sealed by the encrypted-file core
-/// (shield/encrypted_file.h), which holds the ciphertext it has just
-/// produced or read and MACs it directly: TagCiphertext and
-/// VerifyCiphertext. WAL and manifest records are tagged above the
-/// file wrapper, by the log writer and reader, which see plaintext
-/// only; for them the authenticator keeps its own instance of the
-/// file's deterministic, offset-seekable CTR cipher and re-encrypts the
-/// plaintext to rebuild the ciphertext it MACs: ComputeTag and
-/// VerifyTag. Both pairs use the file's MAC.
+/// Every tag is formed over stored bytes. SST blocks and WAL and
+/// manifest records are sealed units of the encrypted-file core
+/// (shield/encrypted_file.h), which MACs the ciphertext it has just
+/// produced: TagCiphertext. Readers check a tag over the stored bytes
+/// before they trust (or decrypt) anything: VerifyCiphertext, called
+/// by RandomAccessFile::Unseal for SST blocks and by log::Reader for
+/// records.
+///
+/// ComputeTag and VerifyTag MAC plaintext by re-encrypting it with the
+/// authenticator's own instance of the file's cipher. Files do not call
+/// them: they, TagPlaintext and the cipher are kept for perfbench's
+/// `crypto.hmac_ns_per_kib` until a benchmark change moves that metric
+/// onto VerifyCiphertext.
 ///
 /// Thread-compatible: all methods are const and the cipher is seekable,
 /// so concurrent compute/verify calls are safe.
@@ -75,6 +79,7 @@ class BlockAuthenticator {
 
   BlockMac mac() const { return mac_; }
 
+  /// Kept for perfbench's `crypto.hmac_ns_per_kib` (see above).
   /// Computes the tag for plaintext `parts` (concatenated) that the
   /// file wrapper will encrypt starting at logical byte `offset`.
   /// Writes kBlockAuthTagSize bytes to `tag`. Fails (propagating the
@@ -83,6 +88,7 @@ class BlockAuthenticator {
   Status ComputeTag(uint64_t offset, std::initializer_list<Slice> parts,
                     char* tag) const;
 
+  /// Kept for perfbench's `crypto.hmac_ns_per_kib` (see above).
   /// Verifies, in constant time, that `tag` matches plaintext `data`
   /// decrypted from logical byte `offset`. A cipher failure verifies
   /// as false: data at an unaddressable offset cannot be trusted.
@@ -111,6 +117,7 @@ class BlockAuthenticator {
   class TagStream;
 
   // The tag of plaintext `parts`, re-encrypted at `offset`; uncounted.
+  // Kept for perfbench, with cipher_.
   Status TagPlaintext(uint64_t offset, std::initializer_list<Slice> parts,
                       char* tag) const;
   // The tag of stored bytes; uncounted.
@@ -130,9 +137,10 @@ class BlockAuthenticator {
 };
 
 /// Builds the authenticator of `mac` together with its private cipher
-/// instance (used by ComputeTag/VerifyTag). Returns nullptr for kNone
-/// or on cipher construction failure (caller treats the file as
-/// unauthenticated and surfaces the error separately if needed).
+/// instance (used only by ComputeTag/VerifyTag, kept for perfbench).
+/// Returns nullptr for kNone or on cipher construction failure (caller
+/// treats the file as unauthenticated and surfaces the error separately
+/// if needed).
 std::unique_ptr<BlockAuthenticator> NewBlockAuthenticator(
     BlockMac mac, CipherKind kind, const Slice& file_key,
     const Slice& file_nonce);

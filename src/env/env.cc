@@ -19,12 +19,20 @@ Status RandomAccessFile::Decrypt(uint64_t /*offset*/, Slice* /*result*/,
   return Status::OK();
 }
 
+Status SequentialFile::Decrypt(uint64_t /*offset*/, Slice* /*result*/,
+                               char* /*scratch*/) const {
+  if (block_authenticator() != nullptr) {
+    return Status::NotSupported("file wrapper does not forward Decrypt");
+  }
+  return Status::OK();
+}
+
 Status WritableFile::AppendSealed(const Slice& data, const Slice& trailer) {
   if (block_authenticator() != nullptr) {
     return Status::NotSupported("file wrapper does not forward AppendSealed");
   }
   Status s = Append(data);
-  if (s.ok()) {
+  if (s.ok() && !trailer.empty()) {
     s = Append(trailer);
   }
   return s;

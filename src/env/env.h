@@ -28,17 +28,30 @@ class SequentialFile {
 
   virtual Status Skip(uint64_t n) = 0;
 
-  /// Non-null when this file carries per-block authentication tags
-  /// (SHIELD/EncFS format v2 or v3): log_reader uses it to verify record tags
-  /// against the on-disk ciphertext. The authenticator is owned by the
-  /// file and valid for its lifetime. Encrypting files are not always
-  /// the outermost layer: a wrapper that may sit above one must forward
-  /// this and, on random-access and writable files, the sealed-block
-  /// calls. The SST readahead wrapper (env/readahead_file.h) is such a
-  /// wrapper.
+  /// Non-null when every sealed unit (WritableFile::AppendSealed: an
+  /// SST block, a log record) is followed by its tag (SHIELD/EncFS
+  /// format v2 or v3). The authenticator is owned by the file and valid
+  /// for its lifetime. Encrypting files are not always the outermost
+  /// layer: a wrapper that may sit above one must forward this and the
+  /// stored-image and sealed-unit calls, as the SST readahead wrapper
+  /// (env/readahead_file.h) does.
   virtual const crypto::BlockAuthenticator* block_authenticator() const {
     return nullptr;
   }
+
+  /// Read(), but of the stored image: for an encrypting file the
+  /// ciphertext (the header is still skipped).
+  virtual Status ReadStored(size_t n, Slice* result, char* scratch) {
+    return Read(n, result, scratch);
+  }
+
+  /// Turns `*result`, stored bytes ReadStored returned for logical
+  /// `offset`, into what Read() would have returned: decrypted into
+  /// `scratch` (room for result->size() bytes) by an encrypting file,
+  /// left as is by one that stores plaintext. The default serves the
+  /// latter and fails closed for a wrapper that forwards
+  /// block_authenticator() but not this.
+  virtual Status Decrypt(uint64_t offset, Slice* result, char* scratch) const;
 };
 
 /// A file supporting positional reads (SST block fetches).
@@ -103,19 +116,19 @@ class WritableFile {
   /// Bytes appended so far (the logical write offset).
   virtual uint64_t GetFileSize() const = 0;
 
-  /// See SequentialFile::block_authenticator(); log_writer uses it to
-  /// emit record tags, and non-null means AppendSealed appends a tag.
+  /// See SequentialFile::block_authenticator(); non-null means
+  /// AppendSealed appends a tag.
   virtual const crypto::BlockAuthenticator* block_authenticator() const {
     return nullptr;
   }
 
-  /// Appends `data` then `trailer` (an SST block and its trailer) as one
-  /// sealed unit. An encrypting file encrypts the unit and, when
-  /// block_authenticator() is non-null, follows it with a
-  /// kBlockAuthTagSize-byte tag over the unit's ciphertext, stored
-  /// encrypted at its own offset. The default serves files that store
-  /// plaintext and fails closed for a wrapper that forwards
-  /// block_authenticator() but not this.
+  /// Appends `data` then `trailer` (an SST block and its trailer, or a
+  /// log record's header|payload and no trailer) as one sealed unit. An
+  /// encrypting file encrypts the unit and, when block_authenticator()
+  /// is non-null, follows it with a kBlockAuthTagSize-byte tag over the
+  /// unit's ciphertext, stored encrypted at its own offset. The default
+  /// serves files that store plaintext and fails closed for a wrapper
+  /// that forwards block_authenticator() but not this.
   virtual Status AppendSealed(const Slice& data, const Slice& trailer);
 };
 

@@ -33,7 +33,7 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, MemTable* replica_mem,
   LogReporter reporter;
   Status replay_corruption;
   reporter.status = &replay_corruption;
-  log::Reader reader(file.get(), &reporter, /*checksum=*/true);
+  log::Reader reader(file.get(), &reporter);
 
   Slice record;
   std::string scratch;

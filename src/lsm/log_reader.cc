@@ -8,14 +8,12 @@
 namespace shield {
 namespace log {
 
-Reader::Reader(SequentialFile* file, Reporter* reporter, bool checksum)
+Reader::Reader(SequentialFile* file, Reporter* reporter)
     : file_(file),
       reporter_(reporter),
-      checksum_(checksum),
       auth_(file->block_authenticator()),
-      backing_store_(new char[kBlockSize]) {}
-
-Reader::~Reader() { delete[] backing_store_; }
+      backing_store_(new char[kBlockSize]),
+      stored_store_(auth_ != nullptr ? new char[kBlockSize] : nullptr) {}
 
 bool Reader::ReadRecord(Slice* record, std::string* scratch) {
   scratch->clear();
@@ -137,6 +135,24 @@ void Reader::ReportDrop(uint64_t bytes, const Status& reason) {
   }
 }
 
+unsigned int Reader::DropBlock(const char* reason) {
+  ReportCorruption(buffer_.size(), reason);
+  buffer_.clear();
+  return kBadRecord;
+}
+
+Status Reader::ReadBlock() {
+  if (auth_ == nullptr) {
+    return file_->Read(kBlockSize, &buffer_, backing_store_.get());
+  }
+  Status s = file_->ReadStored(kBlockSize, &stored_, stored_store_.get());
+  if (s.ok()) {
+    buffer_ = stored_;
+    s = file_->Decrypt(end_of_buffer_offset_, &buffer_, backing_store_.get());
+  }
+  return s;
+}
+
 unsigned int Reader::ReadPhysicalRecord(Slice* result) {
   while (true) {
     if (buffer_.size() < static_cast<size_t>(kHeaderSize)) {
@@ -149,7 +165,7 @@ unsigned int Reader::ReadPhysicalRecord(Slice* result) {
         Status status;
         constexpr int kMaxReadAttempts = 5;
         for (int attempt = 1;; attempt++) {
-          status = file_->Read(kBlockSize, &buffer_, backing_store_);
+          status = ReadBlock();
           if (status.ok() || !status.IsTransient() ||
               attempt >= kMaxReadAttempts) {
             break;
@@ -186,13 +202,11 @@ unsigned int Reader::ReadPhysicalRecord(Slice* result) {
         type == static_cast<unsigned int>(kPadFirstAuthType);
     const size_t tag_size = authenticated ? crypto::kBlockAuthTagSize : 0;
     if (kHeaderSize + length + tag_size > buffer_.size()) {
-      const size_t drop_size = buffer_.size();
-      buffer_.clear();
       if (!eof_) {
-        ReportCorruption(drop_size, "bad record length");
-        return kBadRecord;
+        return DropBlock("bad record length");
       }
       // Truncated record at EOF: the writer crashed mid-write.
+      buffer_.clear();
       return kEof;
     }
 
@@ -202,30 +216,27 @@ unsigned int Reader::ReadPhysicalRecord(Slice* result) {
       return kBadRecord;
     }
 
-    if (checksum_) {
-      const uint32_t expected_crc = crc32c::Unmask(DecodeFixed32(header));
-      const uint32_t actual_crc = crc32c::Value(header + 6, 1 + length);
-      if (actual_crc != expected_crc) {
-        const size_t drop_size = buffer_.size();
-        buffer_.clear();
-        ReportCorruption(drop_size, "checksum mismatch");
-        return kBadRecord;
+    if (auth_ != nullptr) {
+      // Every record of an authenticated log carries a tag (decrypted
+      // in buffer_) over its stored bytes at its absolute offset;
+      // buffer_ ends where stored_ does, at end_of_buffer_offset_. A
+      // record without a tag is not trusted, however valid its CRC.
+      if (!authenticated) {
+        return DropBlock("unauthenticated record in an authenticated log");
+      }
+      if (!auth_->VerifyCiphertext(
+              end_of_buffer_offset_ - buffer_.size(),
+              Slice(stored_.data() + stored_.size() - buffer_.size(),
+                    kHeaderSize + length),
+              Slice(header + kHeaderSize + length, tag_size))) {
+        return DropBlock("record authentication tag mismatch");
       }
     }
 
-    if (authenticated && auth_ != nullptr) {
-      // Absolute offset of this record's header in the file: the
-      // buffer always ends at end_of_buffer_offset_ regardless of how
-      // much has been consumed from its front.
-      const uint64_t record_offset = end_of_buffer_offset_ - buffer_.size();
-      if (!auth_->VerifyTag(record_offset,
-                            Slice(header, kHeaderSize + length),
-                            Slice(header + kHeaderSize + length, tag_size))) {
-        const size_t drop_size = buffer_.size();
-        buffer_.clear();
-        ReportCorruption(drop_size, "record authentication tag mismatch");
-        return kBadRecord;
-      }
+    const uint32_t expected_crc = crc32c::Unmask(DecodeFixed32(header));
+    const uint32_t actual_crc = crc32c::Value(header + 6, 1 + length);
+    if (actual_crc != expected_crc) {
+      return DropBlock("checksum mismatch");
     }
 
     buffer_.remove_prefix(kHeaderSize + length + tag_size);

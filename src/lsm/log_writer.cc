@@ -45,7 +45,9 @@ Writer::Writer(WritableFile* dest, uint64_t dest_length,
                const std::vector<uint32_t>& padding_buckets,
                Statistics* stats)
     : dest_(dest),
-      auth_(dest->block_authenticator()),
+      tag_size_(dest->block_authenticator() != nullptr
+                    ? crypto::kBlockAuthTagSize
+                    : 0),
       block_offset_(dest_length % kBlockSize),
       logical_offset_(dest_length),
       pad_buckets_(SanitizePaddingBuckets(padding_buckets)),
@@ -99,8 +101,7 @@ Status Writer::AddRecordImpl(const Slice& slice, bool padded) {
   // Authenticated records carry their tag inside the block, so the
   // trailer-fill threshold and the per-fragment payload budget both
   // shrink by the tag size.
-  const size_t tag_size = auth_ != nullptr ? crypto::kBlockAuthTagSize : 0;
-  const int min_record = kHeaderSize + static_cast<int>(tag_size);
+  const int min_record = kHeaderSize + static_cast<int>(tag_size_);
 
   if (padded) {
     // Start padded records on a fresh block when they would otherwise
@@ -132,24 +133,15 @@ Status Writer::AddRecordImpl(const Slice& slice, bool padded) {
     // empty fragments), and with padding enabled such degenerate
     // fragments would add block-position-dependent sizes to the wire.
     if (leftover < min_record || (leftover == min_record && left > 0)) {
-      // Fill the block trailer with zeros and switch blocks.
-      if (leftover > 0) {
-        static const char kZeroes[32] = {0};
-        static_assert(
-            sizeof(kZeroes) >= kHeaderSize + crypto::kBlockAuthTagSize,
-            "zero filler must cover the largest trailer");
-        s = dest_->Append(Slice(kZeroes, leftover));
-        if (!s.ok()) {
-          return s;
-        }
-        logical_offset_ += static_cast<uint64_t>(leftover);
+      s = FillBlockTrailer();
+      if (!s.ok()) {
+        return s;
       }
-      block_offset_ = 0;
     }
 
     const size_t avail =
         static_cast<size_t>(kBlockSize - block_offset_) - kHeaderSize -
-        tag_size;
+        tag_size_;
     const size_t fragment_length = (left < avail) ? left : avail;
 
     RecordType type;
@@ -179,13 +171,12 @@ Status Writer::EmitPhysicalRecord(RecordType t, const char* ptr,
   // The wire type distinguishes authenticated records so a reader can
   // tell from the header alone whether a tag follows the payload.
   RecordType wire_type = t;
-  if (auth_ != nullptr) {
+  if (tag_size_ > 0) {
     wire_type = static_cast<RecordType>(
         t + (t >= kPadFullType ? kPadAuthTypeOffset : kAuthTypeOffset));
   }
-  const size_t tag_size = auth_ != nullptr ? crypto::kBlockAuthTagSize : 0;
-  assert(block_offset_ + kHeaderSize + static_cast<int>(length + tag_size) <=
-         kBlockSize);
+  const size_t stored = kHeaderSize + length + tag_size_;
+  assert(block_offset_ + stored <= static_cast<size_t>(kBlockSize));
 
   char buf[kHeaderSize];
   buf[4] = static_cast<char>(length & 0xff);
@@ -196,45 +187,24 @@ Status Writer::EmitPhysicalRecord(RecordType t, const char* ptr,
   crc = crc32c::Mask(crc);
   EncodeFixed32(buf, crc);
 
-  // Assemble header|payload|tag and hand the destination ONE Append.
-  // Encrypted destinations pay a cipher seek per Append, so the
-  // previous three-append shape tripled that fixed cost; assembling
-  // first also means a tag-computation failure writes nothing at all
-  // instead of leaving a tagless partial record behind.
-  rec_scratch_.clear();
-  rec_scratch_.reserve(kHeaderSize + length + tag_size);
-  rec_scratch_.append(buf, kHeaderSize);
+  // header|payload reaches the destination as ONE sealed unit: an
+  // encrypted destination pays a cipher seek per append, and an
+  // authenticated one follows the unit with its tag, bound to the
+  // record's absolute offset in this file (a record copied elsewhere
+  // fails verification).
+  rec_scratch_.assign(buf, kHeaderSize);
   rec_scratch_.append(ptr, length);
-
-  Status s;
-  if (auth_ != nullptr) {
-    // The tag covers the header and payload image at this record's
-    // absolute offset, binding the record to its position in this
-    // file (a record copied elsewhere fails verification).
-    char tag[crypto::kBlockAuthTagSize];
-    s = auth_->ComputeTag(
-        logical_offset_,
-        {Slice(rec_scratch_.data(), rec_scratch_.size())}, tag);
-    if (s.ok()) {
-      rec_scratch_.append(tag, sizeof(tag));
-    }
-  }
+  Status s = dest_->AppendSealed(Slice(rec_scratch_), Slice());
   if (s.ok()) {
-    s = dest_->Append(Slice(rec_scratch_));
-    if (s.ok()) {
-      // Advance only once the bytes were accepted by the destination:
-      // a failed Append must leave the offsets where they were, so a
-      // retry on this writer (e.g. after a transient fault, before the
-      // taint/roll path replaces the file) computes its CRC-covered
-      // header and its authentication tag at the offset where the
-      // record will actually land — not one record-length beyond it.
-      // A failed Flush after a successful Append still advances: the
-      // destination owns those bytes (SHIELD's buffered WAL tracks its
-      // own durability watermark for them).
-      block_offset_ += kHeaderSize + static_cast<int>(length + tag_size);
-      logical_offset_ += kHeaderSize + length + tag_size;
-      s = dest_->Flush();
-    }
+    // Advance only once the destination accepted the bytes: a retry on
+    // this writer after a failed append (a transient fault, before the
+    // taint/roll path replaces the file) must lay out its record where
+    // it will land. A failed Flush after a successful append still
+    // advances: the destination owns those bytes (SHIELD's buffered WAL
+    // tracks its own durability watermark for them).
+    block_offset_ += static_cast<int>(stored);
+    logical_offset_ += stored;
+    s = dest_->Flush();
   }
   return s;
 }

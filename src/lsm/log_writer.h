@@ -13,10 +13,6 @@
 
 namespace shield {
 
-namespace crypto {
-class BlockAuthenticator;
-}  // namespace crypto
-
 namespace log {
 
 /// Normalizes a padding-bucket configuration: sorted ascending, zeros
@@ -38,12 +34,14 @@ uint64_t PaddedEnvelopeSize(const std::vector<uint32_t>& buckets, uint64_t n);
 /// so the log format itself is unchanged whether the bytes on disk are
 /// plaintext or ciphertext.
 ///
-/// When the destination file exposes a block authenticator (header
-/// format v2 or v3), every physical record is emitted as its
-/// authenticated type (base + kAuthTypeOffset) and followed by a
-/// 16-byte tag over the ciphertext of header|payload, under the file's
-/// MAC (crypto/block_auth.h), keyed from the file key and bound to the
-/// record's absolute offset in the file.
+/// Every physical record (header|payload) reaches the file as one
+/// sealed unit (WritableFile::AppendSealed). When the destination file
+/// exposes a block authenticator (header format v2 or v3), the record
+/// is emitted as its authenticated type (base + kAuthTypeOffset) and
+/// the file follows it with a 16-byte tag over its ciphertext, under
+/// the file's MAC (crypto/block_auth.h), keyed from the file key and
+/// bound to the record's absolute offset in the file. The writer makes
+/// no crypto call of its own.
 ///
 /// When padding buckets are configured, every logical record is
 /// wrapped in a `fixed32 real_len | data | zeros` envelope padded up
@@ -84,11 +82,12 @@ class Writer {
   Status FillBlockTrailer();
 
   WritableFile* dest_;
-  // Borrowed from dest_; null for unauthenticated files.
-  const crypto::BlockAuthenticator* auth_;
+  // Bytes of the tag the file appends after each record: 0 for
+  // unauthenticated files.
+  const size_t tag_size_;
   int block_offset_ = 0;
-  // Absolute logical offset of the next byte written; the HMAC tag of
-  // each record is bound to this so records cannot be relocated.
+  // Absolute logical offset of the next byte written; the tag of each
+  // record is bound to this so records cannot be relocated.
   uint64_t logical_offset_ = 0;
 
   // Sorted bucket sizes for record padding; empty = disabled.
@@ -99,10 +98,9 @@ class Writer {
   // type byte to reduce overhead.
   uint32_t type_crc_[kMaxRecordType + 1];
 
-  // Reused assembly buffer for header|payload|tag so each physical
-  // record reaches the destination file as a single Append. For
-  // encrypted destinations that matters: every Append pays a cipher
-  // seek, so three appends per record tripled the fixed cost.
+  // Reused assembly buffer for header|payload, so each physical record
+  // reaches the destination file as one sealed unit; also holds the
+  // zeros of a block trailer.
   std::string rec_scratch_;
   // Reused envelope buffer for padded records (fixed32 len|data|zeros).
   std::string pad_scratch_;

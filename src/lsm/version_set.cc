@@ -824,7 +824,7 @@ Status VersionSet::Recover() {
     LogReporter reporter;
     Status log_damage;
     reporter.status = &log_damage;
-    log::Reader reader(file.get(), &reporter, /*checksum=*/true);
+    log::Reader reader(file.get(), &reporter);
     Slice record;
     std::string scratch;
     while (reader.ReadRecord(&record, &scratch) && s.ok() &&

@@ -151,7 +151,7 @@ class EncryptedWritableFile final : public WritableFile {
     if (buffer_.empty()) {
       return Status::OK();
     }
-    if (kind_ == FileKind::kWal) {
+    if (kind_ == FileKind::kWal && buffer_size_ > 0) {
       RecordTick(stats_, Tickers::kShieldWalBufferDrains, 1);
     }
     Status s = EncryptAndAppend(buffer_.data(), buffer_.size());
@@ -388,14 +388,22 @@ class EncryptedSequentialFile final : public SequentialFile {
       : base_(std::move(base)), decryptor_(std::move(decryptor)) {}
 
   Status Read(size_t n, Slice* result, char* scratch) override {
+    const uint64_t offset = logical_offset_;
+    Status s = ReadStored(n, result, scratch);
+    return s.ok() ? Decrypt(offset, result, scratch) : s;
+  }
+
+  Status ReadStored(size_t n, Slice* result, char* scratch) override {
     Status s = base_->Read(n, result, scratch);
-    if (s.ok()) {
-      s = decryptor_->Decrypt(logical_offset_, result, scratch);
-    }
     if (s.ok()) {
       logical_offset_ += result->size();
     }
     return s;
+  }
+
+  Status Decrypt(uint64_t offset, Slice* result,
+                 char* scratch) const override {
+    return decryptor_->Decrypt(offset, result, scratch);
   }
 
   Status Skip(uint64_t n) override {

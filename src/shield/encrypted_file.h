@@ -28,11 +28,11 @@ struct EncryptedFileParams {
   /// Plaintext prologue ahead of logical byte 0 (4 KiB EncFS, 64 B
   /// SHIELD). Random-access reads skip it; sizes hide it.
   uint64_t header_size = 0;
-  /// The MAC the header names. Unless kNone (format v1), every SST
-  /// block (a sealed unit, WritableFile::AppendSealed) carries a tag
-  /// over its ciphertext, which RandomAccessFile::Unseal checks before
-  /// decrypting; the file also exposes a BlockAuthenticator so the log
-  /// writer/reader tag WAL and manifest records.
+  /// The MAC the header names. Unless kNone (format v1), every sealed
+  /// unit (WritableFile::AppendSealed: an SST block, a WAL or manifest
+  /// record) carries a tag over its ciphertext, formed here. Readers
+  /// check it over the stored bytes before decrypting: Unseal for SST
+  /// blocks, log::Reader through block_authenticator() for records.
   crypto::BlockMac mac = crypto::BlockMac::kNone;
 };
 

@@ -572,7 +572,8 @@ TEST(BlockAuthTest, GhashTagKnownAnswer) {
 }
 
 TEST(BlockAuthTest, PlaintextTagIsTheCiphertextTag) {
-  // ComputeTag/VerifyTag (log records) re-encrypt the plaintext and MAC
+  // ComputeTag/VerifyTag (kept for perfbench's crypto.hmac_ns_per_kib,
+  // which must time the tag files carry) re-encrypt the plaintext and MAC
   // the result: the same tag TagCiphertext gives the stored bytes, for
   // either MAC, across a 4 KiB re-encryption chunk and split parts.
   Random rnd(3);

@@ -824,6 +824,12 @@ TEST(RecoveryHardeningTest, ShieldRidesOutFlakyKds) {
 
 // --- Randomized seeded schedules --------------------------------------
 
+bool IsHalted(DB* db) {
+  std::string state;
+  return db->GetProperty("shield.error-handler-state", &state) &&
+         state == "halted";
+}
+
 /// One full fault schedule: several cycles of (verify, faulty workload,
 /// crash). A shadow model tracks what the DB acknowledged; `dirty`
 /// holds keys whose durable value is ambiguous (written since the last
@@ -906,8 +912,9 @@ void RunFaultSchedule(uint64_t seed, EncryptionMode mode,
       }
     }
 
-    // Faulty workload phase.
+    // Faulty workload phase. It ends early when the DB halts.
     fenv.SetFaultsEnabled(true);
+    bool halted = false;
     for (int op = 0; op < 120; op++) {
       const std::string key = "key" + std::to_string(rnd.Uniform(64));
       universe.insert(key);
@@ -945,10 +952,21 @@ void RunFaultSchedule(uint64_t seed, EncryptionMode mode,
               model[dkey] = got;
             } else if (s.IsNotFound()) {
               model.erase(dkey);
+            } else if (!s.IsCorruption() && IsHalted(db.get())) {
+              // A background job the flush scheduled took a permanent
+              // injected fault after Flush() returned, and the halted
+              // DB refuses reads with that error. Nothing more can be
+              // observed before recovery: keep the keys dirty and go
+              // to the crash step.
+              halted = true;
+              break;
             } else {
               FAIL() << "corrupt read of dirty key " << dkey << ": "
                      << s.ToString();
             }
+          }
+          if (halted) {
+            break;
           }
           fenv.SetFaultsEnabled(true);
           dirty.clear();  // everything acknowledged is now in SSTs

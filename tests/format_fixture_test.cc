@@ -4,11 +4,12 @@
 // which reads back what the same build wrote, this one fails if a
 // change to the encrypted-file code moves a single on-disk byte: header
 // layout, CTR offsets, MAC keys, tag placement or WAL padding. It also
-// re-seals the v2 and v3 tables through this build's writer and
-// compares the bytes.
+// re-seals the v2 and v3 tables and logs through this build's writers
+// and compares the bytes.
 
 #include <algorithm>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -24,12 +25,15 @@
 #include "lsm/block.h"
 #include "lsm/iterator.h"
 #include "lsm/log_reader.h"
+#include "lsm/log_writer.h"
 #include "lsm/options.h"
 #include "lsm/sst_reader.h"
 #include "lsm/table_format.h"
 #include "shield/dek_manager.h"
 #include "shield/encrypted_file.h"
 #include "shield/file_crypto.h"
+#include "util/coding.h"
+#include "util/crc32c.h"
 #include "util/statistics.h"
 
 namespace shield {
@@ -95,17 +99,17 @@ class FormatFixtureTest : public ::testing::TestWithParam<Fixture> {
                                    stats_.get());
   }
 
-  // Copies the fixture into the in-memory Env, with the bit at physical
-  // byte `flip_at` inverted when it is set.
-  void Install(int64_t flip_at = -1) {
+  // Copies the fixture into the in-memory Env, its bytes first passed
+  // through `edit` when it is set.
+  void Install(const std::function<void(std::string*)>& edit = nullptr) {
     std::string bytes;
     ASSERT_TRUE(
         ReadFileToString(Env::Default(), FixturePath(GetParam().name), &bytes)
             .ok())
         << GetParam().name;
     ASSERT_GT(bytes.size(), GetParam().header_size());
-    if (flip_at >= 0) {
-      bytes[flip_at] ^= 0x10;
+    if (edit) {
+      edit(&bytes);
     }
     ASSERT_TRUE(WriteStringToFile(env_.get(), bytes, Name(), false).ok());
   }
@@ -175,7 +179,7 @@ class FormatFixtureTest : public ::testing::TestWithParam<Fixture> {
       return s;
     }
     ExpectMac(*file);
-    log::Reader reader(file.get(), &reporter, /*checksum=*/true);
+    log::Reader reader(file.get(), &reporter);
     Slice record;
     std::string scratch;
     while (reader.ReadRecord(&record, &scratch)) {
@@ -276,23 +280,24 @@ TEST_P(FormatFixtureTest, ReadsExpectedContents) {
 }
 
 // One flipped ciphertext bit in the first data block or among the first
-// records must surface as Corruption. SST blocks check the tag before
-// the CRC, so on v2 and v3 tables the tag is what catches it; the log
-// reader checks a record's CRC first.
+// records must surface as Corruption. SST blocks and log records both
+// check the tag before the CRC, so on v2 and v3 files the tag is what
+// catches it.
 TEST_P(FormatFixtureTest, FlippedCiphertextBitIsCorruption) {
+  const size_t flip_at = GetParam().header_size() + 100;
   ASSERT_NO_FATAL_FAILURE(
-      Install(static_cast<int64_t>(GetParam().header_size()) + 100));
+      Install([flip_at](std::string* bytes) { (*bytes)[flip_at] ^= 0x10; }));
   Status s;
   if (GetParam().is_sst()) {
     KeyValues got;
     s = ScanTable(&got);
-    EXPECT_EQ(GetParam().mac != crypto::BlockMac::kNone,
-              stats_->GetTickerCount(Tickers::kCryptoHmacFailures) > 0);
   } else {
     std::vector<std::string> got;
     s = ReplayLog(&got);
   }
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(GetParam().mac != crypto::BlockMac::kNone,
+            stats_->GetTickerCount(Tickers::kCryptoHmacFailures) > 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -318,12 +323,60 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// Re-seals every block of a v2 or v3 table through the sealed write
-// path, at its offset, under the key, nonce and MAC of the fixture's
-// header; the rest (the footer) is appended unsealed. The result must
-// be the committed file byte for byte. SHIELD's writer seals in its SST chunk buffer,
-// EncFS's seals each block in its own encryption operation.
-class FormatResealTest : public FormatFixtureTest {};
+// Re-seals a v2 or v3 fixture through the sealed write path, under the
+// key, nonce and MAC of the fixture's header. The result must be the
+// committed file byte for byte.
+// - A table: every block is re-sealed at its offset; the rest (the
+//   footer) is appended unsealed. SHIELD's writer seals in its SST
+//   chunk buffer, EncFS's seals each block in its own encryption
+//   operation.
+// - A log: expected_records.txt is re-written through log::Writer, with
+//   the fixture padding buckets for SHIELD. SHIELD's writer seals in its
+//   WAL buffer, EncFS's seals each record as it is appended.
+class FormatResealTest : public FormatFixtureTest {
+ protected:
+  void ResealTable(WritableFile* writer) {
+    std::unique_ptr<RandomAccessFile> reader;
+    ASSERT_TRUE(OpenRandom(&reader).ok());
+    uint64_t size = 0;
+    ASSERT_TRUE(reader->Size(&size).ok());
+    std::string plain(size, '\0');
+    Slice plain_read;
+    ASSERT_TRUE(reader->Read(0, size, &plain_read, plain.data()).ok());
+    ASSERT_EQ(size, plain_read.size());
+    std::vector<BlockHandle> blocks;
+    ASSERT_NO_FATAL_FAILURE(TableBlocks(reader.get(), size, &blocks));
+
+    uint64_t cursor = 0;
+    for (const BlockHandle& block : blocks) {
+      ASSERT_LE(cursor, block.offset());
+      ASSERT_TRUE(
+          writer->Append(Slice(plain.data() + cursor, block.offset() - cursor))
+              .ok());
+      const char* payload = plain.data() + block.offset();
+      ASSERT_TRUE(writer
+                      ->AppendSealed(Slice(payload, block.size()),
+                                     Slice(payload + block.size(),
+                                           kBlockTrailerSize))
+                      .ok());
+      cursor = block.offset() + block.size() + kBlockTrailerSize +
+               crypto::kBlockAuthTagSize;
+      ASSERT_EQ(cursor, writer->GetFileSize());
+    }
+    ASSERT_TRUE(
+        writer->Append(Slice(plain.data() + cursor, size - cursor)).ok());
+  }
+
+  void ResealLog(WritableFile* writer) {
+    const std::vector<uint32_t> buckets =
+        GetParam().stack == Stack::kShield ? fixture::kPaddingBuckets
+                                           : std::vector<uint32_t>();
+    log::Writer log(writer, 0, buckets, /*stats=*/nullptr);
+    for (const std::string& record : ReadLines("expected_records.txt")) {
+      ASSERT_TRUE(log.AddRecord(record).ok());
+    }
+  }
+};
 
 TEST_P(FormatResealTest, ResealIsByteIdentical) {
   ASSERT_NO_FATAL_FAILURE(Install());
@@ -333,48 +386,27 @@ TEST_P(FormatResealTest, ResealIsByteIdentical) {
   ASSERT_NO_FATAL_FAILURE(HeaderParams(
       committed.substr(0, GetParam().header_size()), &params));
 
-  std::unique_ptr<RandomAccessFile> reader;
-  ASSERT_TRUE(OpenRandom(&reader).ok());
-  uint64_t size = 0;
-  ASSERT_TRUE(reader->Size(&size).ok());
-  std::string plain(size, '\0');
-  Slice plain_read;
-  ASSERT_TRUE(reader->Read(0, size, &plain_read, plain.data()).ok());
-  ASSERT_EQ(size, plain_read.size());
-  std::vector<BlockHandle> blocks;
-  ASSERT_NO_FATAL_FAILURE(TableBlocks(reader.get(), size, &blocks));
-
   std::unique_ptr<WritableFile> base;
   ASSERT_TRUE(env_->NewWritableFile("/resealed", &base).ok());
   ASSERT_TRUE(
       base->Append(Slice(committed.data(), GetParam().header_size())).ok());
-  const size_t buffer_size = GetParam().stack == Stack::kShield
-                                 ? EncryptionOptions().sst_chunk_size
-                                 : 0;
-  std::unique_ptr<WritableFile> writer;
-  ASSERT_TRUE(NewEncryptedWritableFile(std::move(base), params, FileKind::kSst,
-                                       buffer_size, /*pool=*/nullptr,
-                                       /*threads=*/1, /*stats=*/nullptr,
-                                       &writer)
-                  .ok());
-  uint64_t cursor = 0;
-  for (const BlockHandle& block : blocks) {
-    ASSERT_LE(cursor, block.offset());
-    ASSERT_TRUE(
-        writer->Append(Slice(plain.data() + cursor, block.offset() - cursor))
-            .ok());
-    const char* payload = plain.data() + block.offset();
-    ASSERT_TRUE(writer
-                    ->AppendSealed(Slice(payload, block.size()),
-                                   Slice(payload + block.size(),
-                                         kBlockTrailerSize))
-                    .ok());
-    cursor = block.offset() + block.size() + kBlockTrailerSize +
-             crypto::kBlockAuthTagSize;
-    ASSERT_EQ(cursor, writer->GetFileSize());
+  const bool is_sst = GetParam().is_sst();
+  size_t buffer_size = 0;
+  if (GetParam().stack == Stack::kShield) {
+    buffer_size = is_sst ? EncryptionOptions().sst_chunk_size
+                         : EncryptionOptions().wal_buffer_size;
   }
-  ASSERT_TRUE(
-      writer->Append(Slice(plain.data() + cursor, size - cursor)).ok());
+  std::unique_ptr<WritableFile> writer;
+  ASSERT_TRUE(NewEncryptedWritableFile(
+                  std::move(base), params,
+                  is_sst ? FileKind::kSst : FileKind::kWal, buffer_size,
+                  /*pool=*/nullptr, /*threads=*/1, /*stats=*/nullptr, &writer)
+                  .ok());
+  if (is_sst) {
+    ASSERT_NO_FATAL_FAILURE(ResealTable(writer.get()));
+  } else {
+    ASSERT_NO_FATAL_FAILURE(ResealLog(writer.get()));
+  }
   ASSERT_TRUE(writer->Close().ok());
 
   std::string resealed;
@@ -392,11 +424,72 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Fixture{"shield_v2.sst", Stack::kShield, kHmac},
                       Fixture{"encfs_v2.sst", Stack::kEncFs, kHmac},
                       Fixture{"shield_v3.sst", Stack::kShield, kGhash},
-                      Fixture{"encfs_v3.sst", Stack::kEncFs, kGhash}),
+                      Fixture{"encfs_v3.sst", Stack::kEncFs, kGhash},
+                      Fixture{"shield_v2_padded.log", Stack::kShield, kHmac},
+                      Fixture{"encfs_v2.log", Stack::kEncFs, kHmac},
+                      Fixture{"shield_v3_padded.log", Stack::kShield, kGhash},
+                      Fixture{"encfs_v3.log", Stack::kEncFs, kGhash}),
     [](const ::testing::TestParamInfo<Fixture>& info) {
       return std::string(info.param.stack == Stack::kShield ? "shield"
                                                             : "encfs") +
-             (info.param.mac == kHmac ? "" : "_v3");
+             (info.param.mac == kHmac ? "" : "_v3") +
+             (info.param.is_sst() ? "" : "_log");
+    });
+
+// A log record's header|payload of `type`, with a valid CRC.
+std::string RecordImage(log::RecordType type, const std::string& payload) {
+  std::string image(log::kHeaderSize, '\0');
+  image[4] = static_cast<char>(payload.size() & 0xff);
+  image[5] = static_cast<char>(payload.size() >> 8);
+  image[6] = static_cast<char>(type);
+  image += payload;
+  EncodeFixed32(image.data(),
+                crc32c::Mask(crc32c::Value(image.data() + 6,
+                                           1 + payload.size())));
+  return image;
+}
+
+// Forges a record into an authenticated log without its key. The first
+// records of expected_records.txt are known plaintext; XORing their
+// stored bytes with (known ^ chosen) rewrites the second one as a
+// tagless kFullType record with a chosen payload and a valid CRC,
+// followed by a zero header that makes a reader skip the rest of the
+// block. CRC and record type check out, but an authenticated log
+// carries no tagless record: it must be Corruption.
+class ForgedRecordTest : public FormatFixtureTest {};
+
+TEST_P(ForgedRecordTest, UnauthenticatedRecordIsCorruption) {
+  const std::vector<std::string> records = ReadLines("expected_records.txt");
+  ASSERT_GE(records.size(), 2u);
+  const uint64_t second_offset = log::kHeaderSize + records[0].size() +
+                                 crypto::kBlockAuthTagSize;
+  const std::string known = RecordImage(log::kFullAuthType, records[1]);
+  const std::string forged =
+      RecordImage(log::kFullType, "forged") + std::string(log::kHeaderSize,
+                                                          '\0');
+  ASSERT_LE(forged.size(), known.size());
+  const size_t forge_at = GetParam().header_size() + second_offset;
+  ASSERT_NO_FATAL_FAILURE(Install([&](std::string* bytes) {
+    char* at = bytes->data() + forge_at;
+    for (size_t i = 0; i < forged.size(); i++) {
+      at[i] ^= known[i] ^ forged[i];
+    }
+  }));
+
+  std::vector<std::string> got;
+  Status s = ReplayLog(&got);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(records[0], got[0]);
+  EXPECT_EQ(0, std::count(got.begin(), got.end(), "forged"));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Golden, ForgedRecordTest,
+    ::testing::Values(Fixture{"encfs_v2.log", Stack::kEncFs, kHmac},
+                      Fixture{"encfs_v3.log", Stack::kEncFs, kGhash}),
+    [](const ::testing::TestParamInfo<Fixture>& info) {
+      return std::string(info.param.mac == kHmac ? "encfs_v2" : "encfs_v3");
     });
 
 }  // namespace

@@ -38,7 +38,7 @@ class LogTest : public ::testing::Test {
   std::vector<std::string> ReadAll(CountingReporter* reporter = nullptr) {
     std::unique_ptr<SequentialFile> file;
     EXPECT_TRUE(env_->NewSequentialFile("/log", &file).ok());
-    Reader reader(file.get(), reporter, /*checksum=*/true);
+    Reader reader(file.get(), reporter);
     std::vector<std::string> records;
     Slice record;
     std::string scratch;

@@ -7,9 +7,11 @@
 #include "encfs/encrypted_env.h"
 #include "gtest/gtest.h"
 #include "kds/local_kds.h"
+#include "lsm/log_writer.h"
 #include "shield/chunk_encryptor.h"
 #include "test_util.h"
 #include "util/random.h"
+#include "util/statistics.h"
 
 namespace shield {
 namespace {
@@ -300,6 +302,38 @@ TEST_F(ShieldFactoryTest, WalBufferDrainsAtThreshold) {
   ASSERT_TRUE(env_->GetFileSize("/000004.log", &raw_size).ok());
   EXPECT_EQ(kShieldHeaderSize + 100, raw_size);
   ASSERT_TRUE(wal->Close().ok());
+}
+
+// Log records reach a WAL as sealed units. Only a WAL buffer drains:
+// an unbuffered WAL encrypts and tags each record as it is appended and
+// ticks no drain, a buffered one drains once, on Close.
+TEST_F(ShieldFactoryTest, OnlyBufferedWalsTickDrains) {
+  for (size_t buffer_size : {0, 512}) {
+    SCOPED_TRACE("wal_buffer_size " + std::to_string(buffer_size));
+    EncryptionOptions opts;
+    opts.mode = EncryptionMode::kShield;
+    opts.wal_buffer_size = buffer_size;
+    auto stats = CreateDBStatistics();
+    auto factory = NewShieldFileFactory(env_.get(), &dek_manager_, opts,
+                                        nullptr, stats.get());
+    std::unique_ptr<WritableFile> wal;
+    ASSERT_TRUE(
+        factory->NewWritableFile("/000005.log", FileKind::kWal, &wal).ok());
+    ASSERT_NE(nullptr, wal->block_authenticator());
+    log::Writer writer(wal.get());
+    for (int i = 0; i < 10; i++) {
+      ASSERT_TRUE(writer.AddRecord("record-" + std::to_string(i)).ok());
+    }
+    uint64_t raw_size;
+    ASSERT_TRUE(env_->GetFileSize("/000005.log", &raw_size).ok());
+    EXPECT_EQ(kShieldHeaderSize + (buffer_size == 0 ? writer.logical_offset()
+                                                    : 0),
+              raw_size);
+    ASSERT_TRUE(wal->Close().ok());
+    EXPECT_EQ(buffer_size == 0 ? 0u : 1u,
+              stats->GetTickerCount(Tickers::kShieldWalBufferDrains));
+    EXPECT_EQ(10u, stats->GetTickerCount(Tickers::kCryptoHmacComputed));
+  }
 }
 
 TEST_F(ShieldFactoryTest, EachFileUniqueDek) {
