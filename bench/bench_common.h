@@ -39,7 +39,6 @@ inline Options MonolithOptions() {
   options.write_buffer_size =
       static_cast<size_t>(EnvInt("SHIELD_BENCH_WRITE_BUFFER", 4 << 20));
   options.block_cache_size = 32 << 20;
-  options.max_background_jobs = 2;
   return options;
 }
 

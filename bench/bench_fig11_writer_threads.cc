@@ -38,7 +38,6 @@ void Run() {
     for (Engine engine :
          {Engine::kUnencrypted, Engine::kShield, Engine::kShieldWalBuf}) {
       Options options = MonolithOptions();
-      options.max_background_jobs = 16;
       options.statistics = stats;
       ApplyEngine(engine, &options);
       auto db = OpenFresh(options, "fig11");

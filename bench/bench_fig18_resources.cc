@@ -1,8 +1,9 @@
 // Figure 18: resource sensitivity in the offloaded-compaction DS setup.
 // The paper varies CPU cores / RAM via cgroups and bandwidth via tc;
 // here the same ceilings are applied at the layer the engine consumes
-// them: CPU -> background+encryption thread budget, RAM -> memtable +
-// block-cache budget, bandwidth -> the network simulator's token
+// them: CPU -> encryption thread budget (the engine runs one flush and
+// one compaction lane, and compaction is offloaded here), RAM ->
+// memtable + block-cache budget, bandwidth -> the network simulator's token
 // bucket. Paper: bandwidth dominates (+77% when raised), CPU/RAM have
 // modest impact; SHIELD stays within ~20% under all ceilings.
 
@@ -17,7 +18,6 @@ BenchResult RunOne(const std::string& label, Engine engine, int cpu_threads,
                    size_t ram_bytes, uint64_t bandwidth_bps) {
   auto cluster = MakeDsCluster(/*rtt_us=*/200, bandwidth_bps);
   Options options = cluster->MakeDbOptions(engine, /*offload=*/true);
-  options.max_background_jobs = cpu_threads;
   options.encryption.encryption_threads = cpu_threads;
   options.write_buffer_size = ram_bytes / 4;
   options.block_cache_size = ram_bytes / 2;

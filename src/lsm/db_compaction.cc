@@ -1,5 +1,3 @@
-#include <algorithm>
-
 #include "lsm/compaction_job.h"
 #include "lsm/db_impl.h"
 #include "lsm/file_names.h"
@@ -22,13 +20,36 @@ void DBImpl::MaybeScheduleFlush() {
 
 void DBImpl::MaybeScheduleCompaction() {
   // mutex_ held.
-  if (compaction_scheduled_ || shutting_down_.load(std::memory_order_acquire) ||
+  if (compaction_slot_held_ ||
+      shutting_down_.load(std::memory_order_acquire) ||
       !error_handler_.ok() || bg_pool_ == nullptr ||
-      manual_compaction_running_ || !versions_->NeedsCompaction()) {
+      !versions_->NeedsCompaction()) {
     return;
   }
-  compaction_scheduled_ = true;
+  compaction_slot_held_ = true;
   bg_pool_->Schedule([this] { BackgroundCompaction(); });
+}
+
+Status DBImpl::AcquireCompactionSlot(std::unique_lock<std::mutex>* lock) {
+  background_work_finished_signal_.wait(*lock, [this] {
+    return !compaction_slot_held_ ||
+           shutting_down_.load(std::memory_order_acquire) ||
+           !error_handler_.ok();
+  });
+  if (shutting_down_.load(std::memory_order_acquire)) {
+    return Status::IOError("shutting down");
+  }
+  if (!error_handler_.ok()) {
+    return error_handler_.bg_error();
+  }
+  compaction_slot_held_ = true;
+  return Status::OK();
+}
+
+void DBImpl::ReleaseCompactionSlot() {
+  compaction_slot_held_ = false;
+  MaybeScheduleCompaction();
+  background_work_finished_signal_.notify_all();
 }
 
 void DBImpl::BackgroundFlush() {
@@ -104,8 +125,7 @@ void DBImpl::BackgroundCompaction() {
   std::unique_lock<std::mutex> lock(mutex_);
   if (shutting_down_.load(std::memory_order_acquire) ||
       !error_handler_.ok()) {
-    compaction_scheduled_ = false;
-    background_work_finished_signal_.notify_all();
+    ReleaseCompactionSlot();
     return;
   }
 
@@ -165,12 +185,10 @@ void DBImpl::BackgroundCompaction() {
     lock.lock();
   }
 
-  compaction_scheduled_ = false;
   // More work may have become available (or been created by this
   // compaction).
-  MaybeScheduleCompaction();
+  ReleaseCompactionSlot();
   MaybeScheduleFlush();
-  background_work_finished_signal_.notify_all();
 }
 
 // Performs the merge locally, or delegates to the configured
@@ -410,7 +428,7 @@ Status DBImpl::DoOffloadedCompaction(Compaction* c,
     // declared failed; each attempt restarts from the same spec and
     // rewrites the same output numbers from scratch.
     RetryPolicy policy;
-    policy.max_attempts = std::max(1, options_.offload_max_attempts);
+    policy.max_attempts = 3;
     policy.initial_backoff_micros = 2000;
     policy.max_backoff_micros = 200 * 1000;
     s = RunWithRetry(policy, [&] {
@@ -427,9 +445,9 @@ Status DBImpl::DoOffloadedCompaction(Compaction* c,
   return s;
 }
 
-// Runs one manual job to completion. mutex_ held, with background
-// compactions kept out (manual_compaction_running_). Without
-// `remove_obsolete_files` the inputs stay on disk for the caller's GC.
+// Runs one manual job to completion. mutex_ held, with the compaction
+// slot held. Without `remove_obsolete_files` the inputs stay on disk
+// for the caller's GC.
 Status DBImpl::RunManualCompaction(Compaction* c, bool remove_obsolete_files) {
   // Manual compactions always rewrite — never trivial-move.
   BackgroundErrorReason reason = BackgroundErrorReason::kCompaction;
@@ -480,14 +498,10 @@ Status DBImpl::CompactRange(const Slice* begin, const Slice* end) {
   std::unique_lock<std::mutex> lock(mutex_);
   // Background compactions, and other manual work, stay out for the
   // whole call, so the levels below L0 change only by its own jobs.
-  background_work_finished_signal_.wait(lock, [this] {
-    return (!compaction_scheduled_ && !manual_compaction_running_) ||
-           !error_handler_.ok();
-  });
-  if (!error_handler_.ok()) {
-    return error_handler_.bg_error();
+  s = AcquireCompactionSlot(&lock);
+  if (!s.ok()) {
+    return s;
   }
-  manual_compaction_running_ = true;
 
   // Under SHIELD, CompactRange doubles as the operator's forced
   // DEK-rotation tool: every SST in the range that was live when the
@@ -523,9 +537,7 @@ Status DBImpl::CompactRange(const Slice* begin, const Slice* end) {
     }
   }
 
-  manual_compaction_running_ = false;
-  MaybeScheduleCompaction();
-  background_work_finished_signal_.notify_all();
+  ReleaseCompactionSlot();
   return s;
 }
 

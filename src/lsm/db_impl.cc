@@ -27,9 +27,6 @@ Options SanitizeOptions(const Options& src) {
     result.env = Env::Default();
   }
   result.num_levels = std::max(1, std::min(result.num_levels, kMaxNumLevels));
-  if (result.max_background_jobs < 1) {
-    result.max_background_jobs = 1;
-  }
   if (result.encryption.encryption_threads < 1) {
     result.encryption.encryption_threads = 1;
   }
@@ -109,7 +106,7 @@ DBImpl::~DBImpl() {
     std::unique_lock<std::mutex> lock(mutex_);
     shutting_down_.store(true, std::memory_order_release);
     background_work_finished_signal_.wait(lock, [this] {
-      return !flush_scheduled_ && !compaction_scheduled_;
+      return !flush_scheduled_ && !compaction_slot_held_;
     });
   }
   bg_pool_.reset();  // joins workers
@@ -211,7 +208,6 @@ void DBImpl::SetupInfoLog() {
         : options_.compaction_style == CompactionStyle::kUniversal
             ? "universal"
             : "fifo");
-  w.Add("max_background_jobs", options_.max_background_jobs);
   w.Add("sync_wal", options_.sync_wal);
   w.Add("paranoid_checks", options_.paranoid_checks);
   event_logger_->Emit(&w);
@@ -605,8 +601,9 @@ Status DBImpl::Recover() {
     mem_->Ref();
   }
 
-  bg_pool_ = std::make_unique<ThreadPool>(
-      static_cast<size_t>(options_.max_background_jobs));
+  // One flush lane and one compaction lane: at most one job of each
+  // kind is ever queued, so neither waits behind the other.
+  bg_pool_ = std::make_unique<ThreadPool>(2);
 
   RemoveObsoleteFiles();
   MaybeScheduleCompaction();
@@ -672,14 +669,14 @@ void DBImpl::WaitForIdle() {
         shutting_down_.load(std::memory_order_acquire)) {
       return;
     }
-    if (imm_ != nullptr || flush_scheduled_ || compaction_scheduled_) {
+    if (imm_ != nullptr || flush_scheduled_ || compaction_slot_held_) {
       background_work_finished_signal_.wait(lock);
       continue;
     }
     if (versions_ != nullptr && versions_->NeedsCompaction() &&
-        !manual_compaction_running_ && bg_pool_ != nullptr) {
+        bg_pool_ != nullptr) {
       MaybeScheduleCompaction();
-      if (!compaction_scheduled_) {
+      if (!compaction_slot_held_) {
         return;  // could not schedule (shutdown)
       }
       continue;

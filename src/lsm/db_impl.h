@@ -163,6 +163,12 @@ class DBImpl final : public DB {
   // flush whose manifest install failed reports kManifestWrite).
   void MaybeScheduleFlush();    // mutex_ held
   void MaybeScheduleCompaction();  // mutex_ held
+  // The compaction slot admits one compaction, background or manual,
+  // at a time. Acquire waits for it under `lock` (on mutex_) and fails
+  // on shutdown or a background error; Release (mutex_ held) frees it,
+  // schedules a background compaction if one is due and wakes waiters.
+  Status AcquireCompactionSlot(std::unique_lock<std::mutex>* lock);
+  void ReleaseCompactionSlot();
   void BackgroundFlush();
   void BackgroundCompaction();
   Status CompactMemTable(BackgroundErrorReason* reason);  // mutex_ held
@@ -350,8 +356,7 @@ class DBImpl final : public DB {
 
   std::unique_ptr<ThreadPool> bg_pool_;
   bool flush_scheduled_ = false;
-  bool compaction_scheduled_ = false;
-  bool manual_compaction_running_ = false;
+  bool compaction_slot_held_ = false;
 
   std::unique_ptr<VersionSet> versions_;
 

@@ -223,35 +223,26 @@ Status DBImpl::RotateFile(uint64_t number, uint64_t* bytes, bool* skipped) {
   std::unique_lock<std::mutex> lock(mutex_);
   // Exclude compactions: a concurrent one could be merging the very
   // file being rewritten.
-  background_work_finished_signal_.wait(lock, [this] {
-    return (!compaction_scheduled_ && !manual_compaction_running_) ||
-           shutting_down_.load(std::memory_order_acquire);
-  });
-  if (shutting_down_.load(std::memory_order_acquire)) {
-    return Status::IOError("shutting down");
-  }
-  if (!error_handler_.ok()) {
-    return error_handler_.bg_error();
+  Status s = AcquireCompactionSlot(&lock);
+  if (!s.ok()) {
+    return s;
   }
   Compaction* c = versions_->CompactFileInPlace(number);
   if (c == nullptr) {
     // Stale manifest entry: the file was compacted away (its DEK
     // died with it) since the plan was persisted. Nothing to do.
     *skipped = true;
-    return Status::OK();
+  } else {
+    const uint64_t file_size = c->input(0, 0)->file_size;
+    // The compaction job, offloaded when a service is set, writes the
+    // output under a fresh DEK. The old file stays on disk until
+    // RunRotation has recorded the step.
+    s = RunManualCompaction(c, /*remove_obsolete_files=*/false);
+    if (s.ok()) {
+      *bytes = file_size;
+    }
   }
-  const uint64_t file_size = c->input(0, 0)->file_size;
-  // The compaction job, offloaded when a service is set, writes the
-  // output under a fresh DEK. The old file stays on disk until
-  // RunRotation has recorded the step.
-  manual_compaction_running_ = true;
-  Status s = RunManualCompaction(c, /*remove_obsolete_files=*/false);
-  if (s.ok()) {
-    *bytes = file_size;
-  }
-  manual_compaction_running_ = false;
-  MaybeScheduleCompaction();
-  background_work_finished_signal_.notify_all();
+  ReleaseCompactionSlot();
   return s;
 }
 

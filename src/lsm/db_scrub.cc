@@ -317,26 +317,21 @@ Status DBImpl::SalvageLocally(int level, uint64_t number,
   const std::string fname = TableFileName(dbname_, number);
 
   uint64_t new_number = 0;
+  Status s;
   {
     std::unique_lock<std::mutex> lock(mutex_);
     // Exclude compactions: the salvage swaps version state at this
     // level, and a concurrent compaction could be merging the very
     // file being replaced.
-    background_work_finished_signal_.wait(lock, [this] {
-      return (!compaction_scheduled_ && !manual_compaction_running_) ||
-             shutting_down_.load(std::memory_order_acquire);
-    });
-    if (shutting_down_.load(std::memory_order_acquire)) {
-      return Status::IOError("shutting down");
-    }
-    if (!error_handler_.ok()) {
-      return error_handler_.bg_error();
+    s = AcquireCompactionSlot(&lock);
+    if (!s.ok()) {
+      return s;
     }
     if (!versions_->current()->ContainsFile(level, number)) {
       // Compacted away since the scan: the damage left the live set.
+      ReleaseCompactionSlot();
       return Status::OK();
     }
-    manual_compaction_running_ = true;  // keeps compactions out
     new_number = versions_->NewFileNumber();
     pending_outputs_.insert(new_number);
   }
@@ -344,7 +339,6 @@ Status DBImpl::SalvageLocally(int level, uint64_t number,
   // Rewrite every readable entry into a fresh SST. Entries in blocks
   // that fail verification are dropped from the live set; their raw
   // bytes survive in the quarantine copy.
-  Status s;
   CompactionOutputMeta salvaged;
   uint64_t entries = 0;
   uint64_t dropped_blocks = 0;
@@ -419,9 +413,7 @@ Status DBImpl::SalvageLocally(int level, uint64_t number,
     // failed salvage the unreferenced output is left to the next GC.
     RemoveObsoleteFiles();
   }
-  manual_compaction_running_ = false;
-  MaybeScheduleCompaction();
-  background_work_finished_signal_.notify_all();
+  ReleaseCompactionSlot();
   return s;
 }
 

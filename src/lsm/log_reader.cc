@@ -1,5 +1,7 @@
 #include "lsm/log_reader.h"
 
+#include <algorithm>
+
 #include "crypto/block_auth.h"
 #include "util/clock.h"
 #include "util/coding.h"
@@ -212,6 +214,14 @@ unsigned int Reader::ReadPhysicalRecord(Slice* result) {
 
     if (type == kZeroType && length == 0) {
       // Zero-filled padding (or preallocated space); skip the block.
+      // An authenticated log's fill carries no tag, so it must at least
+      // decrypt to zeros: a forged zero header must not drop the rest
+      // of the block unreported.
+      if (auth_ != nullptr &&
+          std::any_of(buffer_.data(), buffer_.data() + buffer_.size(),
+                      [](char c) { return c != 0; })) {
+        return DropBlock("non-zero block trailer fill");
+      }
       buffer_.clear();
       return kBadRecord;
     }

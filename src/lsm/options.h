@@ -216,9 +216,6 @@ struct Options {
   /// FIFO compaction: drop oldest files once total size exceeds this.
   uint64_t fifo_max_table_files_size = 256 * 1024 * 1024;
 
-  /// Background flush+compaction worker threads.
-  int max_background_jobs = 2;
-
   /// fsync the WAL on every write (durability vs throughput).
   bool sync_wal = false;
 
@@ -226,10 +223,6 @@ struct Options {
   /// running locally (offloaded compaction in disaggregated storage;
   /// paper Section 5.6). Not owned.
   CompactionService* compaction_service = nullptr;
-
-  /// Attempts per offloaded compaction before the job is considered
-  /// failed (transient service errors are retried with backoff).
-  int offload_max_attempts = 3;
 
   /// When offloaded compaction exhausts its attempts, run the
   /// compaction locally instead of surfacing an error. Keeps the

@@ -33,16 +33,6 @@ void ThreadPool::Schedule(std::function<void()> job) {
   work_cv_.notify_one();
 }
 
-void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-size_t ThreadPool::QueueDepth() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
 void ThreadPool::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
@@ -53,7 +43,6 @@ void ThreadPool::WorkerLoop() {
     }
     std::function<void()> job = std::move(queue_.front());
     queue_.pop_front();
-    active_++;
     lock.unlock();
     // Pooled threads outlive the ops they serve: chunk-decrypt and
     // shard-apply jobs charge this thread's PerfContext, and whatever
@@ -62,10 +51,6 @@ void ThreadPool::WorkerLoop() {
     GetPerfContext()->Reset();
     job();
     lock.lock();
-    active_--;
-    if (queue_.empty() && active_ == 0) {
-      idle_cv_.notify_all();
-    }
   }
 }
 

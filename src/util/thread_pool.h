@@ -17,6 +17,8 @@ namespace shield {
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);
+  /// Runs every queued job, including those queued by running jobs,
+  /// then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -25,20 +27,12 @@ class ThreadPool {
   /// Enqueues a job. Safe from any thread, including pool workers.
   void Schedule(std::function<void()> job);
 
-  /// Blocks until the queue is empty and all workers are idle.
-  void WaitIdle();
-
-  size_t num_threads() const { return threads_.size(); }
-  size_t QueueDepth();
-
  private:
   void WorkerLoop();
 
   std::mutex mu_;
   std::condition_variable work_cv_;
-  std::condition_variable idle_cv_;
   std::deque<std::function<void()>> queue_;
-  size_t active_ = 0;
   bool shutting_down_ = false;
   std::vector<std::thread> threads_;
 };

@@ -1,9 +1,15 @@
 // Behavioural tests of compaction picking and versioning, driven
 // through the public DB interface plus direct VersionSet interactions.
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <future>
 #include <map>
+#include <mutex>
 
 #include "gtest/gtest.h"
+#include "lsm/compaction_service.h"
 #include "lsm/db.h"
 #include "lsm/db_impl.h"
 #include "test_util.h"
@@ -263,6 +269,127 @@ TEST_F(CompactionBehaviorTest, OverwriteWorkloadBoundsSpaceAmplification) {
   ASSERT_GT(unique_bytes, 0u);
   EXPECT_LE(static_cast<double>(live_bytes) / unique_bytes, 1.25)
       << live_bytes << " live bytes for " << unique_bytes << " unique";
+}
+
+// --- Background lanes and the compaction slot ---------------------------
+
+// Holds every offloaded compaction until Open(), then fails it
+// transiently, so the DB falls back to running the job locally.
+class GatedCompactionService final : public CompactionService {
+ public:
+  Status RunCompaction(const CompactionJobSpec& /*job*/,
+                       CompactionJobResult* /*result*/) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    calls_++;
+    running_++;
+    max_running_ = std::max(max_running_, running_);
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+    running_--;
+    return Status::TryAgain("gated compaction service");
+  }
+
+  // Waits up to `timeout` for the service's `n`-th call.
+  bool WaitForCalls(int n, std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [&] { return calls_ >= n; });
+  }
+
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+  int max_running() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return max_running_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  int calls_ = 0;
+  int running_ = 0;
+  int max_running_ = 0;
+};
+
+// Generous: these waits end at once unless the engine is at fault.
+constexpr std::chrono::seconds kLaneTimeout{20};
+
+class CompactionLaneTest : public CompactionBehaviorTest {
+ protected:
+  ~CompactionLaneTest() override {
+    service_.Open();  // a held job would block the close
+    db_.reset();
+  }
+
+  void Put(int i, int round) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), "key" + std::to_string(i),
+                         "v" + std::to_string(round))
+                    .ok());
+  }
+
+  // Opens the DB and leaves a background compaction held in the
+  // service. Both flushes write the same keys, so the compaction merges
+  // overlapping files: no trivial move, which would skip the service.
+  void OpenWithHeldCompaction() {
+    options_.compaction_service = &service_;
+    options_.level0_file_num_compaction_trigger = 2;
+    Open();
+    for (int round = 0; round < 2; round++) {
+      for (int i = 0; i < 100; i++) {
+        ASSERT_NO_FATAL_FAILURE(Put(i, round));
+      }
+      ASSERT_TRUE(db_->Flush().ok());
+    }
+    ASSERT_TRUE(service_.WaitForCalls(1, kLaneTimeout));
+  }
+
+  void ExpectRound(int round) {
+    for (int i = 0; i < 100; i++) {
+      std::string value;
+      ASSERT_TRUE(
+          db_->Get(ReadOptions(), "key" + std::to_string(i), &value).ok())
+          << i;
+      EXPECT_EQ("v" + std::to_string(round), value) << i;
+    }
+  }
+
+  GatedCompactionService service_;
+};
+
+TEST_F(CompactionLaneTest, FlushRunsWhileCompactionIsHeld) {
+  ASSERT_NO_FATAL_FAILURE(OpenWithHeldCompaction());
+  for (int i = 0; i < 100; i++) {
+    ASSERT_NO_FATAL_FAILURE(Put(i, 2));
+  }
+  // The flush has its own lane: it must not queue behind the held job.
+  std::future<Status> flushed =
+      std::async(std::launch::async, [this] { return db_->Flush(); });
+  const bool in_time =
+      flushed.wait_for(kLaneTimeout) == std::future_status::ready;
+  service_.Open();
+  EXPECT_TRUE(in_time);
+  const Status s = flushed.get();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  db_->WaitForIdle();
+  ExpectRound(2);
+}
+
+TEST_F(CompactionLaneTest, CompactRangeWaitsForTheCompactionSlot) {
+  ASSERT_NO_FATAL_FAILURE(OpenWithHeldCompaction());
+  std::future<Status> compacted = std::async(
+      std::launch::async, [this] { return db_->CompactRange(nullptr, nullptr); });
+  // A second job reaching the service would be CompactRange's,
+  // overlapping the held one.
+  EXPECT_FALSE(service_.WaitForCalls(2, std::chrono::milliseconds(200)));
+  service_.Open();
+  const Status s = compacted.get();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(1, service_.max_running());
+  ExpectRound(1);
 }
 
 }  // namespace

@@ -27,7 +27,7 @@
 #include "kds/local_kds.h"
 #include "lsm/compaction_service.h"
 #include "lsm/db.h"
-#include "util/clock.h"
+#include "sim/sim_clock.h"
 #include "util/random.h"
 #include "util/retry.h"
 #include "util/statistics.h"
@@ -463,14 +463,20 @@ TEST(NetworkFaultTest, PartitionFailsTransferUntilHealed) {
 }
 
 TEST(NetworkFaultTest, TimedPartitionAutoHeals) {
+  sim::SimClock clock;
   NetworkSimOptions nopts;
   nopts.rtt_micros = 0;
+  nopts.clock = &clock;
   NetworkSimulator net(nopts);
 
   net.StartPartitionFor(2000);
   EXPECT_TRUE(net.TryTransfer(1, true).IsTransient());
-  SleepForMicros(3000);
+  clock.AdvanceBy(1999);
+  EXPECT_TRUE(net.partitioned());
+  EXPECT_TRUE(net.TryTransfer(1, true).IsTransient());
+  clock.AdvanceBy(1);
   EXPECT_TRUE(net.TryTransfer(1, true).ok());
+  EXPECT_FALSE(net.partitioned());
 }
 
 TEST(NetworkFaultTest, PacketErrorsFailRequests) {
@@ -587,7 +593,6 @@ TEST(OffloadFallbackTest, FallsBackToLocalCompaction) {
   options.env = env.get();
   options.write_buffer_size = 16 * 1024;
   options.compaction_service = &service;
-  options.offload_max_attempts = 2;
   options.offload_fallback_to_local = true;
   options.statistics = CreateDBStatistics();
 
@@ -625,7 +630,6 @@ TEST(OffloadFallbackTest, NoFallbackSurfacesTheError) {
   Options options;
   options.env = env.get();
   options.compaction_service = &service;
-  options.offload_max_attempts = 2;
   options.offload_fallback_to_local = false;
 
   DB* raw = nullptr;

@@ -164,10 +164,15 @@ class FormatFixtureTest : public ::testing::TestWithParam<Fixture> {
   }
 
   // Replays the whole log; returns the first corruption it reported.
-  Status ReplayLog(std::vector<std::string>* out) {
+  // Returns the first corruption reported; `dropped_bytes`, when set,
+  // receives the bytes all reports dropped.
+  Status ReplayLog(std::vector<std::string>* out,
+                   uint64_t* dropped_bytes = nullptr) {
     struct Reporter final : log::Reader::Reporter {
       Status status;
-      void Corruption(size_t /*bytes*/, const Status& s) override {
+      uint64_t dropped = 0;
+      void Corruption(size_t bytes, const Status& s) override {
+        dropped += bytes;
         if (status.ok()) {
           status = s;
         }
@@ -184,6 +189,9 @@ class FormatFixtureTest : public ::testing::TestWithParam<Fixture> {
     std::string scratch;
     while (reader.ReadRecord(&record, &scratch)) {
       out->push_back(record.ToString());
+    }
+    if (dropped_bytes != nullptr) {
+      *dropped_bytes = reporter.dropped;
     }
     return reporter.status;
   }
@@ -449,39 +457,71 @@ std::string RecordImage(log::RecordType type, const std::string& payload) {
   return image;
 }
 
-// Forges a record into an authenticated log without its key. The first
+// Forges records into an authenticated log without its key. The first
 // records of expected_records.txt are known plaintext; XORing their
-// stored bytes with (known ^ chosen) rewrites the second one as a
-// tagless kFullType record with a chosen payload and a valid CRC,
-// followed by a zero header that makes a reader skip the rest of the
-// block. CRC and record type check out, but an authenticated log
-// carries no tagless record: it must be Corruption.
-class ForgedRecordTest : public FormatFixtureTest {};
+// stored bytes with (known ^ chosen) rewrites them to chosen plaintext.
+class ForgedRecordTest : public FormatFixtureTest {
+ protected:
+  void SetUp() override {
+    records_ = ReadLines("expected_records.txt");
+    ASSERT_GE(records_.size(), 2u);
+  }
 
+  // Installs the log with the start of its second record rewritten to
+  // `forged`.
+  void ForgeSecondRecord(const std::string& forged) {
+    const std::string known = RecordImage(log::kFullAuthType, records_[1]);
+    ASSERT_LE(forged.size(), known.size());
+    const size_t forge_at = GetParam().header_size() + SecondOffset();
+    ASSERT_NO_FATAL_FAILURE(Install([&](std::string* bytes) {
+      char* at = bytes->data() + forge_at;
+      for (size_t i = 0; i < forged.size(); i++) {
+        at[i] ^= known[i] ^ forged[i];
+      }
+    }));
+  }
+
+  // The second record's offset in the log's first block.
+  uint64_t SecondOffset() const {
+    return log::kHeaderSize + records_[0].size() + crypto::kBlockAuthTagSize;
+  }
+
+  std::vector<std::string> records_;
+};
+
+// The second record becomes a tagless kFullType record with a chosen
+// payload and a valid CRC, followed by a zero header that makes a
+// reader skip the rest of the block. CRC and record type check out,
+// but an authenticated log carries no tagless record: it must be
+// Corruption.
 TEST_P(ForgedRecordTest, UnauthenticatedRecordIsCorruption) {
-  const std::vector<std::string> records = ReadLines("expected_records.txt");
-  ASSERT_GE(records.size(), 2u);
-  const uint64_t second_offset = log::kHeaderSize + records[0].size() +
-                                 crypto::kBlockAuthTagSize;
-  const std::string known = RecordImage(log::kFullAuthType, records[1]);
-  const std::string forged =
-      RecordImage(log::kFullType, "forged") + std::string(log::kHeaderSize,
-                                                          '\0');
-  ASSERT_LE(forged.size(), known.size());
-  const size_t forge_at = GetParam().header_size() + second_offset;
-  ASSERT_NO_FATAL_FAILURE(Install([&](std::string* bytes) {
-    char* at = bytes->data() + forge_at;
-    for (size_t i = 0; i < forged.size(); i++) {
-      at[i] ^= known[i] ^ forged[i];
-    }
-  }));
+  ASSERT_NO_FATAL_FAILURE(
+      ForgeSecondRecord(RecordImage(log::kFullType, "forged") +
+                        std::string(log::kHeaderSize, '\0')));
 
   std::vector<std::string> got;
   Status s = ReplayLog(&got);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   ASSERT_FALSE(got.empty());
-  EXPECT_EQ(records[0], got[0]);
+  EXPECT_EQ(records_[0], got[0]);
   EXPECT_EQ(0, std::count(got.begin(), got.end(), "forged"));
+}
+
+// The second record's header becomes a zero header, which reads as
+// block-trailer fill. The fill carries no tag, but what follows a forged
+// one is not zeros: the rest of the block must be reported dropped, not
+// skipped in silence.
+TEST_P(ForgedRecordTest, ForgedTrailerFillIsReported) {
+  ASSERT_NO_FATAL_FAILURE(
+      ForgeSecondRecord(std::string(log::kHeaderSize, '\0')));
+
+  std::vector<std::string> got;
+  uint64_t dropped = 0;
+  Status s = ReplayLog(&got, &dropped);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  ASSERT_FALSE(got.empty());
+  EXPECT_EQ(records_[0], got[0]);
+  EXPECT_GE(dropped, log::kBlockSize - SecondOffset());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -36,7 +36,6 @@ TEST_P(ConcurrencyStressTest, HeavyFlushAndCompactionOverlap) {
     options.write_buffer_size = 16 * 1024;
     options.level0_file_num_compaction_trigger = 4;
     options.target_file_size_base = 64 * 1024;
-    options.max_background_jobs = 2;
     options.compaction_style = GetParam().style;
     options.fifo_max_table_files_size = 1ull << 30;
     options.encryption.mode = GetParam().mode;

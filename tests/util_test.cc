@@ -444,32 +444,26 @@ TEST(ArenaTest, LargeAllocation) {
 // --- ThreadPool ----------------------------------------------------------
 
 TEST(ThreadPoolTest, RunsJobs) {
-  ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; i++) {
-    pool.Schedule([&counter] { counter.fetch_add(1); });
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; i++) {
+      pool.Schedule([&counter] { counter.fetch_add(1); });
+    }
   }
-  pool.WaitIdle();
   EXPECT_EQ(100, counter.load());
 }
 
-TEST(ThreadPoolTest, WaitIdleOnEmptyPool) {
-  ThreadPool pool(2);
-  pool.WaitIdle();  // must not hang
-}
-
 TEST(ThreadPoolTest, ScheduleFromWorker) {
-  ThreadPool pool(2);
   std::atomic<int> counter{0};
-  pool.Schedule([&] {
-    counter.fetch_add(1);
-    pool.Schedule([&] { counter.fetch_add(1); });
-  });
-  // Wait until both jobs have run.
-  for (int i = 0; i < 1000 && counter.load() < 2; i++) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  {
+    ThreadPool pool(2);
+    pool.Schedule([&] {
+      counter.fetch_add(1);
+      pool.Schedule([&] { counter.fetch_add(1); });
+    });
   }
-  pool.WaitIdle();
+  // The destructor runs the job the first one queued.
   EXPECT_EQ(2, counter.load());
 }
 
@@ -477,20 +471,20 @@ TEST(ThreadPoolTest, PerfContextZeroedOnReusedWorker) {
   // Pooled threads outlive the ops they serve: a chunk-decrypt or
   // shard-apply job that charges decrypt_micros must not leak it into
   // the next job scheduled onto the same worker. A 1-thread pool
-  // guarantees reuse.
-  ThreadPool pool(1);
-  pool.Schedule([] {
-    GetPerfContext()->decrypt_micros += 1234;
-    GetPerfContext()->kds_request_count += 7;
-  });
-  pool.WaitIdle();
+  // guarantees reuse, and runs the jobs in order.
   uint64_t leaked_micros = 99;
   uint64_t leaked_kds = 99;
-  pool.Schedule([&] {
-    leaked_micros = GetPerfContext()->decrypt_micros;
-    leaked_kds = GetPerfContext()->kds_request_count;
-  });
-  pool.WaitIdle();
+  {
+    ThreadPool pool(1);
+    pool.Schedule([] {
+      GetPerfContext()->decrypt_micros += 1234;
+      GetPerfContext()->kds_request_count += 7;
+    });
+    pool.Schedule([&] {
+      leaked_micros = GetPerfContext()->decrypt_micros;
+      leaked_kds = GetPerfContext()->kds_request_count;
+    });
+  }
   EXPECT_EQ(0u, leaked_micros);
   EXPECT_EQ(0u, leaked_kds);
 }
