@@ -231,4 +231,12 @@ Iterator* Block::NewIterator(const Comparator* comparator) {
   return new Iter(comparator, data_, restart_offset_, num_restarts);
 }
 
+Cache::Handle* InsertCachedBlock(Cache* cache, const Slice& key,
+                                 Block* block) {
+  return cache->Insert(key, block, block->size(),
+                       [](const Slice& /*key*/, void* value) {
+                         delete reinterpret_cast<Block*>(value);
+                       });
+}
+
 }  // namespace shield

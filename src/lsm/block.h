@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "lsm/cache.h"
 #include "lsm/comparator.h"
 #include "lsm/iterator.h"
 #include "util/slice.h"
@@ -21,6 +22,8 @@ class Block {
   Block& operator=(const Block&) = delete;
 
   size_t size() const { return size_; }
+  /// The block's payload bytes.
+  Slice data() const { return Slice(data_, size_); }
 
   Iterator* NewIterator(const Comparator* comparator);
 
@@ -35,6 +38,12 @@ class Block {
   bool owned_;
   bool malformed_ = false;
 };
+
+/// Inserts `block` into the block cache under `key`, charged its size.
+/// The cache owns the block from here and deletes it once evicted and
+/// released. Returns the referenced handle, as Cache::Insert does.
+Cache::Handle* InsertCachedBlock(Cache* cache, const Slice& key,
+                                 Block* block);
 
 }  // namespace shield
 

@@ -130,9 +130,11 @@ class LRUCacheShard {
     EvictUntilFits();
   }
 
-  void Erase(const Slice& key) {
+  bool Erase(const Slice& key) {
     std::lock_guard<std::mutex> lock(mutex_);
-    FinishErase(FindAndRemove(key));
+    LRUHandle* e = FindAndRemove(key);
+    FinishErase(e);
+    return e != nullptr;
   }
 
   size_t TotalCharge() const {
@@ -266,7 +268,9 @@ class ShardedLRUCache final : public Cache {
   void* Value(Handle* handle) override {
     return reinterpret_cast<LRUHandle*>(handle)->value;
   }
-  void Erase(const Slice& key) override { shards_[Shard(key)].Erase(key); }
+  bool Erase(const Slice& key) override {
+    return shards_[Shard(key)].Erase(key);
+  }
   size_t TotalCharge() const override {
     size_t total = 0;
     for (const auto& shard : shards_) {

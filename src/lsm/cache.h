@@ -41,7 +41,10 @@ class Cache {
 
   virtual void Release(Handle* handle) = 0;
   virtual void* Value(Handle* handle) = 0;
-  virtual void Erase(const Slice& key) = 0;
+  /// Drops `key`'s entry, if any; a referenced entry lives on until
+  /// released but no longer counts in TotalCharge(). Returns whether
+  /// the key was cached.
+  virtual bool Erase(const Slice& key) = 0;
 
   /// Total accounted to resident entries: caller-supplied charges plus,
   /// when metadata is charged, the cache's own per-entry overhead

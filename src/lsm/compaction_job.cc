@@ -30,13 +30,15 @@ ReadOptions CompactionReadOptions() {
 SstOutput::~SstOutput() { Abandon(); }
 
 Status SstOutput::Open(DataFileFactory* files, const std::string& fname,
-                       uint64_t number) {
+                       uint64_t number, std::shared_ptr<Cache> write_through) {
   assert(!is_open());
   Status s = files->NewWritableFile(fname, FileKind::kSst, &file_);
   if (!s.ok()) {
     return s;
   }
-  builder_ = std::make_unique<TableBuilder>(options_, icmp_, file_.get());
+  builder_ = std::make_unique<TableBuilder>(
+      options_, icmp_, file_.get(),
+      BlockCacheRef{std::move(write_through), number});
   meta_ = CompactionOutputMeta();
   meta_.number = number;
   return Status::OK();
@@ -56,13 +58,16 @@ Status SstOutput::Finish(CompactionOutputMeta* meta) {
   Status s = builder_->Finish();
   meta_.file_size = builder_->FileSize();
   meta_.tail_size = builder_->TailSize();
-  builder_.reset();
   if (s.ok()) {
     s = file_->Sync();
   }
   if (s.ok()) {
     s = file_->Close();
   }
+  if (!s.ok()) {
+    builder_->EraseWrittenThrough();
+  }
+  builder_.reset();
   file_.reset();
   *meta = std::move(meta_);
   return s;

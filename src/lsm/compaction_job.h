@@ -39,12 +39,16 @@ class SstOutput {
   SstOutput& operator=(const SstOutput&) = delete;
 
   /// Creates `fname` and starts a table in it. REQUIRES: !is_open().
+  /// A flush passes its DB's block cache as `write_through`: the
+  /// table's data blocks go into it as they are written
+  /// (TableBuilder), and are erased again if the output fails.
   Status Open(DataFileFactory* files, const std::string& fname,
-              uint64_t number);
+              uint64_t number, std::shared_ptr<Cache> write_through = nullptr);
   /// Appends one internal key; returns the builder's status.
   Status Add(const Slice& key, const Slice& value);
   /// Finishes the table, then syncs and closes the file, and describes
-  /// it in *meta. The output is closed either way.
+  /// it in *meta. The output is closed either way; on failure no block
+  /// it wrote through stays cached.
   Status Finish(CompactionOutputMeta* meta);
   /// Drops the table unfinished and closes the file; the caller
   /// deletes it or leaves it to GC. A no-op when nothing is open.

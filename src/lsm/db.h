@@ -195,7 +195,9 @@ class DB {
   ///   "shield.rotation-state" ("idle" | "running" | "pending:<n>"),
   ///   "shield.dek.pending-deletes", "shield.health",
   ///   "shield.replica.catchup-lag-bytes",
-  ///   "shield.replica.catchup-lag-generations".
+  ///   "shield.replica.catchup-lag-generations",
+  ///   "shield.block-cache-usage" (bytes the block cache charges now:
+  ///   cached blocks plus open tables' pinned metadata).
   /// Counter properties read their ticker in Options::statistics and
   /// return false without one: "shield.stall-micros",
   ///   "shield.offload-fallbacks", "shield.recovery-salvaged-logs",

@@ -105,13 +105,20 @@ Status DBImpl::CompactMemTable(BackgroundErrorReason* reason) {
       // The manifest tail may already reference the new table (a
       // partially-appended but durable edit). Keep the file pinned and
       // on disk so a retry — or a recovery that salvages that tail —
-      // never points at a GC'd table.
+      // never points at a GC'd table. This process's version does not
+      // have it, though: drop its reader and cached blocks.
+      table_cache_->EraseDeadTable(pending_output);
       return s;
     }
   }
   // Referenced by the installed version, or orphaned before any
   // manifest write (GC may collect it); unpin either way.
   pending_outputs_.erase(pending_output);
+  if (!s.ok() && pending_output != 0) {
+    // Not installed: no read will look for its open reader or the
+    // blocks the flush wrote through.
+    table_cache_->EraseDeadTable(pending_output);
+  }
 
   if (s.ok()) {
     imm_->Unref();

@@ -358,6 +358,11 @@ void DBImpl::AppendMetricsGauges(std::string* out) {
     files.emplace_back(labels.Encode(), levels[level].first);
     bytes.emplace_back(labels.Encode(), levels[level].second);
   }
+  AppendGaugeFamily("shield_block_cache_usage_bytes",
+                    "Bytes the block cache charges: cached blocks plus "
+                    "open tables' pinned metadata",
+                    {{base.Encode(), static_cast<double>(BlockCacheUsage())}},
+                    out);
   health_monitor_.AppendGauges(base, out);
   AppendGaugeFamily("shield_level_bytes", "Live SST bytes per LSM level",
                     std::move(bytes), out);

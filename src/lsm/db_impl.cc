@@ -335,6 +335,7 @@ void DBImpl::RemoveObsoleteFiles() {
     bool shared;
   };
   std::vector<ObsoleteFile> obsolete;
+  std::vector<uint64_t> dead_tables;
   std::vector<std::string> leases;
   const uint64_t now = NowMicros();
   std::map<std::string, uint64_t> lease_temps;
@@ -382,7 +383,7 @@ void DBImpl::RemoveObsoleteFiles() {
                           type == DbFileType::kTableFile ||
                               type == DbFileType::kLogFile});
       if (type == DbFileType::kTableFile) {
-        table_cache_->Evict(number);
+        dead_tables.push_back(number);
       }
     }
   }
@@ -405,8 +406,13 @@ void DBImpl::RemoveObsoleteFiles() {
   lease_temps_seen_.swap(lease_temps);
 
   // Delete outside the lock: file deletion under SHIELD talks to the
-  // KDS (DEK destruction) and may block.
+  // KDS (DEK destruction) and may block. Dropping the dead tables'
+  // readers and cached blocks walks their indexes, so it runs here too:
+  // no version references them, so nothing opens them again.
   mutex_.unlock();
+  for (uint64_t number : dead_tables) {
+    table_cache_->EraseDeadTable(number);
+  }
   // The leases are read after the live set was taken: an instance
   // whose lease this pass misses read its manifest after every edit
   // that made these files obsolete.
@@ -717,6 +723,10 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
   // monitors while the DB mutex is busy.
   if (in == Slice("health")) {
     *value = health_monitor_.ToJson();
+    return true;
+  }
+  if (in == Slice("block-cache-usage")) {
+    *value = std::to_string(BlockCacheUsage());
     return true;
   }
   if (in == Slice("replica.catchup-lag-bytes")) {

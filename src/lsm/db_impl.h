@@ -127,7 +127,19 @@ class DBImpl final : public DB {
   WriteBatch* BuildBatchGroup(Writer** last_writer);
   Status SwitchMemTable(std::unique_lock<std::mutex>& lock);
 
+  /// Bytes block_cache_ charges now (0 without one).
+  size_t BlockCacheUsage() const {
+    return block_cache_ != nullptr ? block_cache_->TotalCharge() : 0;
+  }
+
   // Read path (db_read.cc).
+  /// Marks that a Get, MultiGet or iterator ran, for the next flush's
+  /// write-through gate (foreground_read_).
+  void NoteForegroundRead() {
+    if (!foreground_read_.load()) {
+      foreground_read_.store(true);
+    }
+  }
   Iterator* NewInternalIterator(const ReadOptions& options,
                                 SequenceNumber* latest_snapshot);
 
@@ -304,6 +316,12 @@ class DBImpl final : public DB {
 
   std::shared_ptr<Cache> block_cache_;
   std::unique_ptr<TableCache> table_cache_;
+  // Set by every foreground read, taken by each flush: a flush writes
+  // its blocks through to block_cache_ only when reads ran since the
+  // previous one, so a write-only phase (a bulk load) caches nothing.
+  // Checked before it is set, so concurrent readers do not keep
+  // writing its cache line.
+  std::atomic<bool> foreground_read_{false};
 
   std::mutex mutex_;
   std::atomic<bool> shutting_down_{false};

@@ -14,6 +14,7 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
   PerfOpBoundary();
   TraceSpan span(SpanType::kDbGet);
   StopWatch get_watch(options_.statistics.get(), Histograms::kDbGetMicros);
+  NoteForegroundRead();
   Status s;
   std::unique_lock<std::mutex> lock(mutex_);
   if (!error_handler_.reads_allowed()) {
@@ -78,6 +79,7 @@ std::vector<Status> DBImpl::MultiGet(const ReadOptions& options,
   if (keys.empty()) {
     return statuses;
   }
+  NoteForegroundRead();
   RecordTick(options_.statistics.get(), Tickers::kLsmMultiGetKeys,
              keys.size());
   PerfAdd(&PerfContext::multiget_keys, keys.size());
@@ -197,6 +199,7 @@ Iterator* DBImpl::NewInternalIterator(const ReadOptions& options,
 }
 
 Iterator* DBImpl::NewIterator(const ReadOptions& options) {
+  NoteForegroundRead();
   SequenceNumber latest_snapshot;
   return NewInternalIterator(options, &latest_snapshot);
 }

@@ -123,13 +123,19 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
     event_logger_->Emit(&w);
   }
 
+  // A flush's blocks are the newest data, and under skewed updates the
+  // hottest. While reads are being served they go through to the
+  // block cache as they are written, so the table installs warm.
+  const bool write_through = foreground_read_.exchange(false);
+
   mutex_.unlock();
 
   std::unique_ptr<Iterator> iter(mem->NewIterator());
 
   const std::string fname = TableFileName(dbname_, meta.number);
   SstOutput out(options_, &internal_comparator_);
-  Status s = out.Open(files_.get(), fname, meta.number);
+  Status s = out.Open(files_.get(), fname, meta.number,
+                      write_through ? block_cache_ : nullptr);
   if (!s.ok()) {
     mutex_.lock();
     pending_outputs_.erase(meta.number);
@@ -140,6 +146,17 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
   }
   if (s.ok() && out.num_entries() > 0) {
     s = out.Finish(&meta);
+    if (s.ok()) {
+      // Open the table before it is published, so its first read finds
+      // it open (and a dead table's blocks can be found to erase). Its
+      // DEK was created here, so this makes no KDS call. A failed open
+      // is left to that first read.
+      FileMetaData file;
+      file.number = meta.number;
+      file.file_size = meta.file_size;
+      file.tail_size = meta.tail_size;
+      (void)table_cache_->OpenTable(file);
+    }
   } else {
     // An empty memtable (or a failed Add): no table; the file is
     // deleted below.

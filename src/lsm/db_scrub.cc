@@ -395,7 +395,7 @@ Status DBImpl::SalvageLocally(int level, uint64_t number,
   }
   pending_outputs_.erase(new_number);
   if (s.ok()) {
-    table_cache_->Evict(number);
+    table_cache_->EraseDeadTable(number);
     for (const auto& listener : options_.listeners) {
       listener->OnFileRepaired(fname, /*from_replica=*/false);
     }

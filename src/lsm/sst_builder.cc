@@ -1,17 +1,24 @@
 #include "lsm/sst_builder.h"
 
 #include <cassert>
+#include <cstring>
+#include <utility>
 
 #include "crypto/block_auth.h"
+#include "lsm/block.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
+#include "util/statistics.h"
 
 namespace shield {
 
 TableBuilder::TableBuilder(const Options& options,
                            const InternalKeyComparator* icmp,
-                           WritableFile* file)
-    : options_(options), icmp_(icmp), file_(file) {
+                           WritableFile* file, BlockCacheRef write_through)
+    : options_(options),
+      icmp_(icmp),
+      file_(file),
+      write_through_(std::move(write_through)) {
   if (options_.filter_policy != nullptr) {
     filter_block_ =
         std::make_unique<FilterBlockBuilder>(options_.filter_policy);
@@ -62,6 +69,19 @@ void TableBuilder::WriteDataBlock() {
   assert(!pending_index_entry_);
   const Slice raw = data_block_.Finish();
   status_ = WriteRawBlock(raw, &pending_handle_);
+  if (status_.ok() && write_through_.cache != nullptr) {
+    char* copy = new char[raw.size()];
+    memcpy(copy, raw.data(), raw.size());
+    Cache* cache = write_through_.cache.get();
+    cache->Release(InsertCachedBlock(
+        cache,
+        BlockCacheKey(write_through_.file_number, pending_handle_.offset())
+            .slice(),
+        new Block(copy, raw.size(), /*owned=*/true)));
+    written_through_.push_back(pending_handle_.offset());
+    RecordTick(options_.statistics.get(),
+               Tickers::kLsmBlockCacheFlushInserts);
+  }
   data_block_.Reset();
   if (status_.ok()) {
     pending_index_entry_ = true;
@@ -173,6 +193,15 @@ Status TableBuilder::Finish() {
 void TableBuilder::Abandon() {
   assert(!closed_);
   closed_ = true;
+  EraseWrittenThrough();
+}
+
+void TableBuilder::EraseWrittenThrough() {
+  for (uint64_t offset : written_through_) {
+    write_through_.cache->Erase(
+        BlockCacheKey(write_through_.file_number, offset).slice());
+  }
+  written_through_.clear();
 }
 
 }  // namespace shield

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "env/env.h"
 #include "lsm/block_builder.h"
@@ -26,8 +27,12 @@ namespace shield {
 class TableBuilder {
  public:
   /// `file` is borrowed and must stay open until Finish()/Abandon().
+  /// With a `write_through` cache, each finished data block's
+  /// plaintext goes into it under BlockCacheKey(file_number, offset),
+  /// as the table's reader would cache it (a flush's output, so its
+  /// first reads find the blocks warm).
   TableBuilder(const Options& options, const InternalKeyComparator* icmp,
-               WritableFile* file);
+               WritableFile* file, BlockCacheRef write_through = {});
   ~TableBuilder();
 
   TableBuilder(const TableBuilder&) = delete;
@@ -41,8 +46,12 @@ class TableBuilder {
 
   /// Flushes all pending blocks and writes index/properties/footer.
   Status Finish();
-  /// Abandons the file contents (builder becomes unusable).
+  /// Abandons the file contents (builder becomes unusable) and erases
+  /// the blocks it wrote through.
   void Abandon();
+  /// Erases the blocks written through to the cache: the table will
+  /// never be read (say its file failed to sync after Finish()).
+  void EraseWrittenThrough();
 
   uint64_t NumEntries() const { return num_entries_; }
   /// Size of the file generated so far.
@@ -71,6 +80,9 @@ class TableBuilder {
   uint64_t raw_key_bytes_ = 0;
   uint64_t raw_value_bytes_ = 0;
   bool closed_ = false;
+  const BlockCacheRef write_through_;
+  // Offsets of the data blocks written through to write_through_.
+  std::vector<uint64_t> written_through_;
   TableProperties properties_;
   std::unique_ptr<FilterBlockBuilder> filter_block_;
 

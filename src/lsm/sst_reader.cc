@@ -7,7 +7,6 @@
 #include "lsm/block.h"
 #include "lsm/two_level_iterator.h"
 #include "util/clock.h"
-#include "util/coding.h"
 #include "util/perf_context.h"
 #include "util/statistics.h"
 
@@ -21,10 +20,6 @@ namespace {
 // batch cannot balloon memory.
 constexpr uint64_t kMaxCoalesceGapBytes = 16 * 1024;
 constexpr uint64_t kMaxCoalesceSpanBytes = 1024 * 1024;
-
-void DeleteCachedBlock(const Slice& /*key*/, void* value) {
-  delete reinterpret_cast<Block*>(value);
-}
 
 void DeleteNothing(const Slice& /*key*/, void* /*value*/) {}
 
@@ -295,13 +290,9 @@ Status Table::Open(const Options& options, const InternalKeyComparator* icmp,
   // with data blocks for budget, while the pin (the handle we hold)
   // guarantees the metadata itself is never evicted mid-life.
   if (t->block_cache_ != nullptr) {
-    char pin_key[16];
-    EncodeFixed64(pin_key, t->file_number_);
-    EncodeFixed64(pin_key + 8, UINT64_MAX);  // no block lives at this offset
-    t->metadata_pin_ =
-        t->block_cache_->Insert(Slice(pin_key, sizeof(pin_key)), nullptr,
-                                metadata_bytes, &DeleteNothing,
-                                Cache::Priority::kHigh);
+    t->metadata_pin_ = t->block_cache_->Insert(
+        BlockCacheKey(t->file_number_, kMetadataPinOffset).slice(), nullptr,
+        metadata_bytes, &DeleteNothing, Cache::Priority::kHigh);
   }
 
   *table = std::move(t);
@@ -312,6 +303,26 @@ Table::~Table() {
   if (metadata_pin_ != nullptr) {
     block_cache_->Release(metadata_pin_);
   }
+}
+
+uint64_t Table::EraseCachedBlocks() const {
+  if (block_cache_ == nullptr) {
+    return 0;
+  }
+  uint64_t erased = 0;
+  std::unique_ptr<Iterator> index_iter(index_block_->NewIterator(icmp_));
+  for (index_iter->SeekToFirst(); index_iter->Valid(); index_iter->Next()) {
+    BlockHandle handle;
+    Slice input = index_iter->value();
+    if (handle.DecodeFrom(&input).ok() &&
+        block_cache_->Erase(
+            BlockCacheKey(file_number_, handle.offset()).slice())) {
+      erased++;
+    }
+  }
+  // The metadata charge goes too; the pin stays valid until ~Table.
+  block_cache_->Erase(BlockCacheKey(file_number_, kMetadataPinOffset).slice());
+  return erased;
 }
 
 Iterator* Table::BlockReader(const ReadOptions& options,
@@ -327,11 +338,8 @@ Iterator* Table::BlockReader(const ReadOptions& options,
   Block* block = nullptr;
   Cache::Handle* cache_handle = nullptr;
   if (block_cache_ != nullptr) {
-    char cache_key_buffer[16];
-    EncodeFixed64(cache_key_buffer, file_number_);
-    EncodeFixed64(cache_key_buffer + 8, handle.offset());
-    const Slice key(cache_key_buffer, sizeof(cache_key_buffer));
-    cache_handle = block_cache_->Lookup(key);
+    const BlockCacheKey key(file_number_, handle.offset());
+    cache_handle = block_cache_->Lookup(key.slice());
     if (cache_handle != nullptr) {
       block = reinterpret_cast<Block*>(block_cache_->Value(cache_handle));
       RecordTick(options_.statistics.get(), Tickers::kLsmBlockCacheHit);
@@ -341,8 +349,8 @@ Iterator* Table::BlockReader(const ReadOptions& options,
       s = ReadBlockObjectCounted(file, options, handle, fname_,
                                  options_.statistics.get(), &block);
       if (s.ok() && options.fill_cache) {
-        cache_handle = block_cache_->Insert(key, block, block->size(),
-                                            &DeleteCachedBlock);
+        cache_handle =
+            InsertCachedBlock(block_cache_.get(), key.slice(), block);
       }
     }
   } else {
@@ -524,11 +532,8 @@ void Table::MultiGet(const ReadOptions& options,
   std::vector<BlockState*> misses;
   for (BlockState& bs : blocks) {
     if (block_cache_ != nullptr) {
-      char cache_key_buffer[16];
-      EncodeFixed64(cache_key_buffer, file_number_);
-      EncodeFixed64(cache_key_buffer + 8, bs.handle.offset());
-      bs.cache_handle =
-          block_cache_->Lookup(Slice(cache_key_buffer, sizeof(cache_key_buffer)));
+      bs.cache_handle = block_cache_->Lookup(
+          BlockCacheKey(file_number_, bs.handle.offset()).slice());
       if (bs.cache_handle != nullptr) {
         bs.block =
             reinterpret_cast<Block*>(block_cache_->Value(bs.cache_handle));
@@ -615,12 +620,9 @@ void Table::MultiGet(const ReadOptions& options,
   for (BlockState& bs : blocks) {
     if (bs.block != nullptr && bs.cache_handle == nullptr &&
         block_cache_ != nullptr && options.fill_cache) {
-      char cache_key_buffer[16];
-      EncodeFixed64(cache_key_buffer, file_number_);
-      EncodeFixed64(cache_key_buffer + 8, bs.handle.offset());
-      bs.cache_handle = block_cache_->Insert(
-          Slice(cache_key_buffer, sizeof(cache_key_buffer)), bs.block,
-          bs.block->size(), &DeleteCachedBlock);
+      bs.cache_handle = InsertCachedBlock(
+          block_cache_.get(),
+          BlockCacheKey(file_number_, bs.handle.offset()).slice(), bs.block);
     }
     for (size_t i : bs.request_indices) {
       TableGetRequest* req = requests[i];

@@ -29,16 +29,6 @@ struct TableGetRequest {
   Status status;
 };
 
-/// The block cache a table reads through: `cache` (none when null),
-/// keyed by `file_number` and each block's offset. A table evicted from
-/// the table cache and opened again finds its blocks still cached. The
-/// cache must see each number name one file only, which holds for the
-/// block cache a DB owns: a DB never reuses a file number while open.
-struct BlockCacheRef {
-  std::shared_ptr<Cache> cache;
-  uint64_t file_number = 0;
-};
-
 /// An open, immutable SST file. Thread safe after Open.
 class Table {
  public:
@@ -88,6 +78,11 @@ class Table {
                 const std::vector<TableGetRequest*>& requests);
 
   const TableProperties& properties() const { return properties_; }
+
+  /// For a dead table: erases from the block cache every data block
+  /// its index names, and the charge of its pinned metadata. Returns
+  /// the blocks that were cached.
+  uint64_t EraseCachedBlocks() const;
 
   /// The file's tail size as its meta block handles place it: what
   /// TableBuilder::TailSize() reported when the file was written.

@@ -138,10 +138,35 @@ void TableCache::MultiGet(const ReadOptions& options,
   cache_->Release(handle);
 }
 
+Status TableCache::OpenTable(const FileMetaData& file) {
+  Cache::Handle* handle = nullptr;
+  Status s = FindTable(file, &handle);
+  if (s.ok()) {
+    cache_->Release(handle);
+  }
+  return s;
+}
+
 void TableCache::Evict(uint64_t file_number) {
   char buf[sizeof(file_number)];
   EncodeFixed64(buf, file_number);
   cache_->Erase(Slice(buf, sizeof(buf)));
+}
+
+void TableCache::EraseDeadTable(uint64_t file_number) {
+  char buf[sizeof(file_number)];
+  EncodeFixed64(buf, file_number);
+  const Slice key(buf, sizeof(buf));
+  Cache::Handle* handle = cache_->Lookup(key);
+  if (handle == nullptr) {
+    return;
+  }
+  const uint64_t erased =
+      reinterpret_cast<Table*>(cache_->Value(handle))->EraseCachedBlocks();
+  cache_->Release(handle);
+  cache_->Erase(key);
+  RecordTick(options_.statistics.get(), Tickers::kLsmBlockCacheDeadErases,
+             erased);
 }
 
 }  // namespace shield

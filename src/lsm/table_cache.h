@@ -44,8 +44,20 @@ class TableCache {
   void MultiGet(const ReadOptions& options, const FileMetaData& file,
                 const std::vector<TableGetRequest*>& requests);
 
-  /// Drops the cached reader for a deleted file.
+  /// Opens `file`'s reader into the cache ahead of its first read: a
+  /// lookup like any other, so it ticks a hit or a miss. A flush opens
+  /// its table this way before publishing it.
+  Status OpenTable(const FileMetaData& file);
+
+  /// Drops the cached reader of a file that lives on under its number
+  /// (say, repaired in place): its blocks stay cached.
   void Evict(uint64_t file_number);
+
+  /// Drops the cached reader of a dead file, after erasing from the
+  /// block cache every block its index names (Table::EraseCachedBlocks).
+  /// Ticks lsm.block.cache.dead.erases. A file with no open reader
+  /// leaves whatever blocks it has to age out.
+  void EraseDeadTable(uint64_t file_number);
 
  private:
   /// Looks the table up, opening it on a miss; ticks

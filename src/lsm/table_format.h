@@ -3,10 +3,13 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "env/env.h"
+#include "lsm/cache.h"
 #include "lsm/options.h"
+#include "util/coding.h"
 #include "util/slice.h"
 #include "util/status.h"
 
@@ -54,6 +57,37 @@ static constexpr uint64_t kTableMagicNumber = 0x5348494c44535354ull;  // "SHILDS
 
 /// Per-block trailer: 1-byte type (0 = raw) + 4-byte masked crc32c.
 static constexpr size_t kBlockTrailerSize = 5;
+
+/// The block cache's key for the block at `offset` of table
+/// `file_number`: both as fixed64, 16 bytes. The reader, a flush's
+/// write-through and the erase of a dead table's blocks all build
+/// their keys here, so they agree on one layout.
+class BlockCacheKey {
+ public:
+  BlockCacheKey(uint64_t file_number, uint64_t offset) {
+    EncodeFixed64(data_, file_number);
+    EncodeFixed64(data_ + 8, offset);
+  }
+  Slice slice() const { return Slice(data_, sizeof(data_)); }
+
+ private:
+  char data_[16];
+};
+
+/// The offset an open table charges its pinned metadata under: no
+/// block lives there.
+inline constexpr uint64_t kMetadataPinOffset = UINT64_MAX;
+
+/// The block cache a table's blocks go through: `cache` (none when
+/// null), keyed by BlockCacheKey(file_number, offset). A table evicted
+/// from the table cache and opened again finds its blocks still cached.
+/// The cache must see each number name one file only, which holds for
+/// the block cache a DB owns: a DB never reuses a file number while
+/// open.
+struct BlockCacheRef {
+  std::shared_ptr<Cache> cache;
+  uint64_t file_number = 0;
+};
 
 struct BlockContents {
   Slice data;

@@ -37,6 +37,8 @@ const char* const kTickerNames[] = {
     "lsm.compaction.bytes.written",
     "lsm.block.cache.hit",
     "lsm.block.cache.miss",
+    "lsm.block.cache.flush.inserts",
+    "lsm.block.cache.dead.erases",
     "lsm.table.cache.hit",
     "lsm.table.cache.miss",
     "lsm.stall.micros",

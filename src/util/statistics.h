@@ -52,6 +52,11 @@ enum class Tickers : uint32_t {
   kLsmCompactionBytesWritten,
   kLsmBlockCacheHit,
   kLsmBlockCacheMiss,
+  // Block-cache churn outside reads: data blocks a flush wrote through
+  // (lsm/sst_builder.cc), and cached blocks erased with their dead
+  // table (lsm/table_cache.cc EraseDeadTable).
+  kLsmBlockCacheFlushInserts,
+  kLsmBlockCacheDeadErases,
   // Table-cache lookups (lsm/table_cache.cc): a miss opens the SST.
   kLsmTableCacheHit,
   kLsmTableCacheMiss,

@@ -643,6 +643,35 @@ TEST_F(CompactionPathsTest, JobThatDropsEverythingLeavesNothing) {
   }
 }
 
+// A flush installs its table warm: opened before it is published (its
+// DEK is local) and, since reads are being served, with every data
+// block written through to the block cache. The first Get of a flushed
+// key then crosses the fabric not at all.
+TEST_F(OffloadTest, GetAfterFlushCostsNoRoundTrip) {
+  Options options = DbOptions();
+  options.write_buffer_size = 1 << 20;  // only Flush() flushes
+  DB* raw_db = nullptr;
+  ASSERT_TRUE(DB::Open(options, "/dsdb", &raw_db).ok());
+  std::unique_ptr<DB> db(raw_db);
+
+  for (int i = 0; i < 300; i++) {
+    ASSERT_TRUE(db->Put(WriteOptions(), "key" + std::to_string(i),
+                        "value" + std::to_string(i) + std::string(80, 'w'))
+                    .ok());
+  }
+  std::string value;
+  ASSERT_TRUE(db->Get(ReadOptions(), "key7", &value).ok());  // memtable
+  ASSERT_TRUE(db->Flush().ok());
+  db->WaitForIdle();
+
+  const uint64_t requests = service_->network()->total_requests();
+  for (int i = 0; i < 300; i += 13) {
+    ASSERT_TRUE(db->Get(ReadOptions(), "key" + std::to_string(i), &value).ok());
+    EXPECT_EQ("value" + std::to_string(i) + std::string(80, 'w'), value);
+  }
+  EXPECT_EQ(requests, service_->network()->total_requests());
+}
+
 // --- Read-only instances ----------------------------------------------------------
 
 TEST_F(OffloadTest, ReadOnlyInstanceSharesStorage) {
